@@ -11,14 +11,13 @@ independently and only compared at the end.
 from __future__ import annotations
 
 import json
-import random
 import time
 from dataclasses import dataclass
 
 from .analysis import (IntransitiveError, TypeReport, classify_point_action,
                        minimal_block_system, primitivity_status)
-from .config import element_limit, exhaustive_limit
-from .cosets import lambda_constancy_crosscheck
+from .config import element_limit
+from .cosets import IndexLimitError, lambda_constancy_crosscheck
 from .designgroup import DesignAction, LocalPrimitivityReport
 from .group import (EnumerationLimitError, normal_closure,
                     prime_order_class_representatives)
@@ -239,7 +238,7 @@ def _classify_or_unknown(group, limit):
 
 
 def analyze(group, structure, instance_id="instance", limit=None,
-            exhaustive=None, samples=20, collect_timings=False):
+            collect_timings=False):
     """Run the whole verification pipeline on one (group, design) pair."""
     limit = element_limit() if limit is None else limit
     timings = {}
@@ -294,17 +293,11 @@ def analyze(group, structure, instance_id="instance", limit=None,
 
         def run_crosscheck():
             try:
-                result = lambda_constancy_crosscheck(
-                    group, left, right, samples=samples,
-                    exhaustive=exhaustive,
-                    rng=random.Random(0), limit=limit)
-            except EnumerationLimitError:
+                result = lambda_constancy_crosscheck(group, left, right)
+            except IndexLimitError as exc:
+                notes.append(f"lambda constancy unknown: {exc} "
+                             f"(PERMDESIGN_INDEX_LIMIT)")
                 return UNKNOWN
-            if not result.exhaustive:
-                notes.append(
-                    f"lambda constancy sampled ({result.sample_count} draws): "
-                    f"group order {group.order()} above the exhaustive limit "
-                    f"{exhaustive_limit()}")
             if result.ok and result.value == params.lam:
                 return PASS
             return FAIL

@@ -36,6 +36,7 @@ def point_limit():
 
 
 def exhaustive_limit():
-    """Largest group order for which incidence-count crosschecks run
-    over every group element rather than a random sample."""
+    """Group-order cutoff of the former sampled lambda crosscheck.  The
+    library no longer reads it: the crosscheck is always exact.  It is kept
+    because benchmark records report it."""
     return _env_int("PERMDESIGN_EXHAUSTIVE_LIMIT", DEFAULT_EXHAUSTIVE_LIMIT)

@@ -11,10 +11,9 @@ coset keys without backtrack searches.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
-from .config import element_limit, exhaustive_limit, index_limit
+from .config import index_limit
 from .group import (GroupWithChain, StructureContradiction, induced_action)
 from .incidence import IncidenceStructure
 from .perm import Permutation
@@ -62,15 +61,13 @@ class CosetSpace:
         reps = [canonical_coset_representative(subgroup,
                                                Permutation.identity(group.degree))]
         position = {reps[0].images: 0}
-        queue = [reps[0]]
-        while queue:
-            rep = queue.pop(0)
+        # reps doubles as the FIFO queue: discovery order numbers the cosets
+        for rep in reps:
             for g in group.generators:
                 c = canonical_coset_representative(subgroup, rep * g)
                 if c.images not in position:
                     position[c.images] = len(reps)
                     reps.append(c)
-                    queue.append(c)
         if len(reps) != index:
             raise StructureContradiction(
                 f"coset enumeration found {len(reps)} cosets, expected {index}")
@@ -113,7 +110,7 @@ class CosetGraph:
     def __init__(self, group, left, right, limit=None):
         self.space_points = CosetSpace(group, left, limit)
         self.space_blocks = CosetSpace(group, right, limit)
-        lr_keys = _left_coset_orbit_keys(left, right)
+        lr_keys = _coset_orbit(left, right)
         blocks = []
         point_neighbors = [set() for _ in range(self.space_points.index)]
         for j, y in enumerate(self.space_blocks.representatives):
@@ -141,21 +138,23 @@ class CosetGraph:
         return all(len(b) == self.space_points.index for b in self.blocks)
 
 
-def _left_coset_orbit_keys(left, right):
-    """Canonical keys of the cosets {L*r : r in R}; membership z in LR is
-    equivalent to the key of L*z lying in this set."""
-    start = canonical_coset_representative(
-        left, Permutation.identity(left.degree))
-    keys = {start.images}
+def _coset_orbit(subgroup, acting, start=None):
+    """Canonical representatives of the right cosets H*x*a for a in A, where
+    H = subgroup, A = acting and x = start (the identity by default), keyed
+    by their image tuples.  With x = 1, z lies in HA exactly when the key of
+    H*z is one of these keys."""
+    if start is None:
+        start = Permutation.identity(subgroup.degree)
+    start = canonical_coset_representative(subgroup, start)
+    reps = {start.images: start}
     queue = [start]
-    while queue:
-        rep = queue.pop(0)
-        for g in right.generators:
-            c = canonical_coset_representative(left, rep * g)
-            if c.images not in keys:
-                keys.add(c.images)
+    for rep in queue:
+        for g in acting.generators:
+            c = canonical_coset_representative(subgroup, rep * g)
+            if c.images not in reps:
+                reps[c.images] = c
                 queue.append(c)
-    return keys
+    return reps
 
 
 def coset_graph_design(group, left, right, limit=None):
@@ -175,34 +174,13 @@ def coset_graph_faithful(group, left, right, limit=None):
     return GroupWithChain(tuple(union_gens)).order() == group.order()
 
 
-def _rl_element_set(left, right, limit=None):
-    """The product set RL, materialized as one right R-coset per coset of
-    (R n L) in L rather than all |R|*|L| pairwise products."""
-    limit = element_limit() if limit is None else limit
-    inter = subgroup_intersection(left, right, limit)
-    transversal = CosetSpace(left, inter).representatives
-    rl = set()
-    for t in transversal:
-        for r in right.elements(limit):
-            rl.add((r * t).images)
-    if len(rl) != right.order() * len(transversal):
-        raise StructureContradiction("double coset sizes inconsistent")
-    return rl
-
-
 def double_coset_lambda(group, left, right, g, _rl=None):
-    """|RL n RLg| / |R|, an exact integer: RL is a union of right R-cosets,
-    so the count is divisible.  For g in L this is the replication number."""
-    rl = _rl_element_set(left, right) if _rl is None else _rl
-    hits = 0
-    for t in rl:
-        if tuple(map(g.images.__getitem__, t)) in rl:
-            hits += 1
-    r_order = right.order()
-    if hits % r_order:
-        raise StructureContradiction(
-            "|RL n RLg| is not a multiple of |R|")
-    return hits // r_order
+    """|RL n RLg| / |R|, counted in right R-cosets: RL is the union of the
+    cosets R*l for l in L, so the count is the number of those cosets R*t
+    with R*t*g again in RL.  For g in L this is the replication number."""
+    rl = _coset_orbit(right, left) if _rl is None else _rl
+    return sum(1 for t in rl.values()
+               if canonical_coset_representative(right, t * g).images in rl)
 
 
 @dataclass(frozen=True)
@@ -219,53 +197,47 @@ class CrosscheckResult:
         return self.constant and self.graph_agrees
 
 
-def lambda_constancy_crosscheck(group, left, right, samples=20,
-                                exhaustive=None, rng=None, limit=None):
+def lambda_constancy_crosscheck(group, left, right, limit=None):
     """Check that |RL n RLg| / |R| is one constant over g outside L, and that
     each value equals the independently computed neighborhood intersection
     |N(a) n N(a^g)| in the coset graph.
 
-    Exhaustive mode walks every g in G minus L; otherwise `samples` draws
-    from a seeded RNG.  Defaults to exhaustive when |G| is at most the
-    configured exhaustive limit.
+    Both counts depend only on the double coset LgL, so one g per L-orbit on
+    the nontrivial cosets of L covers every g outside L exactly; its value
+    is weighted by the |orbit| * |L| elements it stands for.  No element is
+    enumerated: `limit` bounds only the coset indices.
     """
-    if exhaustive is None:
-        exhaustive = group.order() <= exhaustive_limit()
     graph = CosetGraph(group, left, right, limit)
     if left.order() == group.order():
         # no element lies outside L; the constancy claim is vacuous
         return CrosscheckResult(constant=True, value=None, ratios=(),
                                 graph_agrees=True, exhaustive=True,
                                 sample_count=0)
-    rl = _rl_element_set(left, right)
+    rl = _coset_orbit(right, left)
     neighbors = graph.point_neighbors
     base_neighbors = neighbors[0]
-    if exhaustive:
-        candidates = [g for g in group.elements(limit) if not left.contains(g)]
-    else:
-        rng = rng or random.Random(0)
-        pool = group.elements(limit)
-        candidates = []
-        while len(candidates) < samples:
-            g = pool[rng.randrange(len(pool))]
-            if not left.contains(g):
-                candidates.append(g)
+    if len(rl) != len(base_neighbors):
+        raise StructureContradiction(
+            "the R-cosets in RL do not match the degree of the trivial coset")
+    space = graph.space_points
+    seen = {space.representatives[0].images}
     ratios = {}
     graph_agrees = True
-    for g in candidates:
-        value = double_coset_lambda(group, left, right, g, _rl=rl)
-        graph_side = len(base_neighbors & neighbors[graph.space_points.position_of(g)])
-        if graph_side != value:
+    for i, x in enumerate(space.representatives):
+        if x.images in seen:
+            continue
+        orbit = _coset_orbit(left, left, x)
+        seen.update(orbit)
+        value = double_coset_lambda(group, left, right, x, _rl=rl)
+        if len(base_neighbors & neighbors[i]) != value:
             graph_agrees = False
-        ratios.setdefault(value, 0)
-        ratios[value] += 1
+        ratios[value] = ratios.get(value, 0) + len(orbit) * left.order()
     constant = len(ratios) == 1
     value = next(iter(ratios)) if constant else None
     return CrosscheckResult(constant=constant, value=value,
                             ratios=tuple(sorted(ratios.items())),
-                            graph_agrees=graph_agrees,
-                            exhaustive=exhaustive,
-                            sample_count=len(candidates))
+                            graph_agrees=graph_agrees, exhaustive=True,
+                            sample_count=group.order() - left.order())
 
 
 def subgroup_intersection(left, right, limit=None):

@@ -314,6 +314,9 @@ def normal_closure(group, seeds):
                 work.append(c)
     if not gens:
         return GroupWithChain.trivial(degree)
+    if chain.order() == group.order():
+        # the whole group: reuse it, with its cached element list
+        return group
     closure = GroupWithChain._from_chain(gens, chain)
     for n in closure.generators:
         for g, gi in zip(group_gens, inv_gens):

@@ -1,6 +1,6 @@
 """Independent brute-force oracles used to cross-check the library: plain
 closure enumeration, exhaustive partition search, the full subgroup lattice,
-and direct pair counting.  These deliberately avoid the stabilizer-chain
+direct pair counting, and double-coset counts from element sets.  These deliberately avoid the stabilizer-chain
 code paths they are checking."""
 
 from itertools import combinations
@@ -133,3 +133,35 @@ def design_accepts(v, blocks):
 
 def pair_count(blocks, a, b):
     return sum(1 for blk in blocks if a in blk and b in blk)
+
+
+def double_coset_ratios(group, left, right):
+    """(ratios, graph_agrees) over every g in G minus L, from element sets.
+
+    ratios is the sorted tuple of (|RL n RLg| / |R|, number of such g);
+    graph_agrees says that every value equals |N(L) n N(Lg)| in the coset
+    graph, whose cosets Lx and Ry are adjacent when they meet."""
+    def compose(a, b):  # a then b
+        return tuple(b[i] for i in a)
+
+    g_set = mulclose(group.generators)
+    l_set = mulclose(left.generators)
+    r_set = mulclose(right.generators)
+    rl = {compose(r, l) for r in r_set for l in l_set}
+    r_coset = {}
+    for x in sorted(g_set):
+        if x not in r_coset:
+            for r in r_set:
+                r_coset[compose(r, x)] = x
+    base = {r_coset[l] for l in l_set}
+    ratios = {}
+    graph_agrees = True
+    for g in g_set - l_set:
+        hits = sum(1 for x in rl if compose(x, g) in rl)
+        if hits % len(r_set):
+            raise AssertionError("|RL n RLg| is not a multiple of |R|")
+        value = hits // len(r_set)
+        ratios[value] = ratios.get(value, 0) + 1
+        if len(base & {r_coset[compose(l, g)] for l in l_set}) != value:
+            graph_agrees = False
+    return tuple(sorted(ratios.items())), graph_agrees

@@ -122,7 +122,7 @@ def test_criterion_3_a7_coset_suite():
         params = verify_design(nonsym)
         check((params.v, params.b, params.r, params.k, params.lam) ==
               (15, 35, 7, 3, 1), f"coset design parameters {params}")
-        cross = lambda_constancy_crosscheck(a7, left, right, exhaustive=True)
+        cross = lambda_constancy_crosscheck(a7, left, right)
         check(cross.exhaustive and cross.ok and cross.value == 1,
               f"exhaustive ratio check: {cross}")
 
@@ -135,7 +135,7 @@ def test_criterion_3_a7_coset_suite():
         check((params2.v, params2.b, params2.k, params2.lam,
                params2.symmetric) == (15, 15, 7, 3, True),
               f"symmetric design parameters {params2}")
-        cross2 = lambda_constancy_crosscheck(a7, left, other, exhaustive=True)
+        cross2 = lambda_constancy_crosscheck(a7, left, other)
         check(cross2.exhaustive and cross2.ok and cross2.value == 3,
               f"symmetric exhaustive ratio check: {cross2}")
 

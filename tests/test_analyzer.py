@@ -117,10 +117,32 @@ def test_intransitive_group_reports_other(fano_pair):
     assert report.checks["lambda_constancy"] == "not-applicable"
 
 
-def test_report_notes_mention_sampling(pg132_pair):
+def test_lambda_exact_on_large_group(pg132_pair):
     structure, g = pg132_pair
+    assert g.order() == 20160
     report = analyze(g, structure, "pg1")
-    assert any("sampled" in note for note in report.notes)
+    assert not any("sampled" in note for note in report.notes)
+    assert report.checks["lambda_constancy"] == "pass"
+
+
+def test_index_limit_leaves_only_lambda_unknown(pg132_pair, monkeypatch):
+    structure, g = pg132_pair
+    monkeypatch.setenv("PERMDESIGN_INDEX_LIMIT", "10")
+    report = analyze(g, structure, "pg1")
+    assert report.checks["lambda_constancy"] == "unknown"
+    assert any("lambda constancy unknown" in note
+               and "coset index limit 10" in note for note in report.notes)
+    assert report.exit_code() == 3
+    others = dict(report.checks, point_type=report.point_type,
+                  block_type=report.block_type)
+    del others["lambda_constancy"]
+    assert "unknown" not in others.values()
+
+
+def test_element_limit_leaves_lambda_exact(pg132_pair, monkeypatch):
+    structure, g = pg132_pair
+    monkeypatch.setenv("PERMDESIGN_ELEMENT_LIMIT", "10")
+    report = analyze(g, structure, "pg1")
     assert report.checks["lambda_constancy"] == "pass"
 
 

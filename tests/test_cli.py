@@ -160,8 +160,7 @@ def test_cli_crosscheck(tmp_path, capsys, fano_pair):
     write_group_file(gp, g)
     write_group_file(lp, left)
     write_group_file(rp, right)
-    assert main(["crosscheck", str(gp), str(lp), str(rp),
-                 "--exhaustive"]) == 0
+    assert main(["crosscheck", str(gp), str(lp), str(rp)]) == 0
     out = capsys.readouterr().out
     assert "constant ratio 1" in out and "exhaustive" in out
 
@@ -215,6 +214,20 @@ def test_census_json_byte_stable(tmp_path, capsys, fano_pair):
     assert main(["census", str(tmp_path), "--json", str(j1)]) == 0
     assert main(["census", str(tmp_path), "--json", str(j2)]) == 0
     assert j1.read_bytes() == j2.read_bytes()
+
+
+GOLDEN_CENSUS = os.path.join(os.path.dirname(__file__), "golden",
+                             "census.json")
+
+
+def test_census_matches_golden(corpus_dir, tmp_path, capsys):
+    """`census --json` over the bundled corpus, byte for byte.  Regenerate
+    with `permdesign corpus DIR` and `permdesign census DIR --json
+    tests/golden/census.json`, and explain the change."""
+    out = tmp_path / "census.json"
+    assert main(["census", str(corpus_dir), "--json", str(out)]) == 0
+    with open(GOLDEN_CENSUS, "rb") as fh:
+        assert out.read_bytes() == fh.read()
 
 
 def test_census_empty_directory(tmp_path, capsys):

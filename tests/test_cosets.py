@@ -2,9 +2,11 @@ import random
 
 import pytest
 
+from bruteforce import double_coset_ratios
 from conftest import group, perm
-from permdesign.cosets import (CosetGraph, CosetSpace, IndexLimitError,
-                               SubgroupError, canonical_coset_representative,
+from permdesign.cosets import (CosetGraph, CosetSpace, CrosscheckResult,
+                               IndexLimitError, SubgroupError,
+                               canonical_coset_representative,
                                coset_action, coset_graph_design,
                                double_coset_lambda, is_trivial_factorization,
                                lambda_constancy_crosscheck,
@@ -13,6 +15,7 @@ from permdesign.discovery import (DiscoveryError, cyclic_normalizer,
                                   first_element_of_order,
                                   random_subgroups_of_order,
                                   subgroups_conjugate_in)
+from permdesign.group import GroupWithChain
 from permdesign.incidence import verify_design
 from permdesign.perm import Permutation
 
@@ -163,15 +166,61 @@ def test_double_coset_lambda_fano(fano_pair):
     assert double_coset_lambda(g, left, right, outside) == 1
 
 
-def test_crosscheck_fano_sampled(fano_pair):
-    structure, g = fano_pair
+def _oracle_result(grp, left, right):
+    ratios, graph_agrees = double_coset_ratios(grp, left, right)
+    constant = len(ratios) == 1
+    return CrosscheckResult(constant=constant,
+                            value=ratios[0][0] if constant else None,
+                            ratios=ratios, graph_agrees=graph_agrees,
+                            exhaustive=True,
+                            sample_count=sum(c for _, c in ratios))
+
+
+def _random_subgroup(rng, degree):
+    gens = []
+    for _ in range(rng.randint(1, 2)):
+        images = list(range(degree))
+        rng.shuffle(images)
+        gens.append(Permutation(images))
+    return GroupWithChain(tuple(gens))
+
+
+def test_crosscheck_matches_element_oracle(fano_pair, frobenius21, s4):
     from permdesign.designgroup import block_stabilizer
+    structure, pgl32 = fano_pair
+    cases = [
+        (pgl32, pgl32.point_stabilizer(structure.blocks[0][0]),
+         block_stabilizer(pgl32, structure, 0)),
+        # the two nontrivial suborbits of F21 are paired with each other
+        (frobenius21, frobenius21.point_stabilizer(0),
+         frobenius21.point_stabilizer(1)),
+        (frobenius21, frobenius21.point_stabilizer(0),
+         group(7, "(1 2 3 4 5 6 7)")),
+        (s4, group(4, "(1 2)"), group(4, "(3 4)")),
+    ]
+    s5 = group(5, "(1 2)", "(1 2 3 4 5)")
+    rng = random.Random(5)
+    while len(cases) < 12:
+        left, right = _random_subgroup(rng, 5), _random_subgroup(rng, 5)
+        if left.order() < s5.order():
+            cases.append((s5, left, right))
+    non_constant = 0
+    for grp, left, right in cases:
+        result = lambda_constancy_crosscheck(grp, left, right)
+        assert result == _oracle_result(grp, left, right)
+        non_constant += not result.constant
+    assert 2 <= non_constant < len(cases)
+
+
+def test_crosscheck_enumerates_no_elements(pg132_pair, monkeypatch):
+    from permdesign.designgroup import block_stabilizer
+    structure, g = pg132_pair
     left = g.point_stabilizer(structure.blocks[0][0])
     right = block_stabilizer(g, structure, 0)
-    result = lambda_constancy_crosscheck(g, left, right, samples=20,
-                                         exhaustive=False,
-                                         rng=random.Random(3))
-    assert result.ok and result.value == 1 and not result.exhaustive
+    monkeypatch.setenv("PERMDESIGN_ELEMENT_LIMIT", "10")
+    result = lambda_constancy_crosscheck(g, left, right)
+    assert result.ok and result.value == 1
+    assert result.sample_count == 20160 - left.order()
 
 
 def test_crosscheck_trivial_factorization(s4):
