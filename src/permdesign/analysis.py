@@ -5,8 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .group import (GroupWithChain, StructureContradiction, normal_closure,
-                    prime_order_class_representatives)
+from .group import (GroupWithChain, StructureContradiction, class_closures,
+                    is_prime)
 
 
 class IntransitiveError(ValueError):
@@ -116,10 +116,7 @@ def is_quasiprimitive(group, limit=None):
     """
     if not group.is_transitive():
         return False
-    for rep in prime_order_class_representatives(group, limit):
-        if len(normal_closure(group, [rep]).orbit(0)) != group.degree:
-            return False
-    return True
+    return all(n.is_transitive() for n in class_closures(group, limit))
 
 
 def is_regular(group):
@@ -134,17 +131,13 @@ def minimal_normal_subgroups(group, limit=None):
     """Inclusion-minimal nontrivial normal subgroups, found among the normal
     closures of prime-order class representatives."""
     closures = []
-    for rep in prime_order_class_representatives(group, limit):
-        n = normal_closure(group, [rep])
+    for n in class_closures(group, limit):
         if not any(n.order() == m.order() and n.is_subgroup_of(m)
                    for m in closures):
             closures.append(n)
-    minimal = []
-    for n in closures:
-        if not any(m.order() < n.order() and m.is_subgroup_of(n)
-                   for m in closures):
-            minimal.append(n)
-    return minimal
+    return [n for n in closures
+            if not any(m.order() < n.order() and m.is_subgroup_of(n)
+                       for m in closures)]
 
 
 def _is_elementary_abelian(group):
@@ -152,10 +145,8 @@ def _is_elementary_abelian(group):
     if not gens:
         return False
     orders = {g.order() for g in gens}
-    if len(orders) != 1:
-        return False
     p = orders.pop()
-    if any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+    if orders or not is_prime(p):
         return False
     for i, a in enumerate(gens):
         for b in gens[i + 1:]:
@@ -172,14 +163,8 @@ def _is_simple(group, limit=None):
     representative has normal closure equal to the whole group."""
     if group.order() == 1:
         return False
-    for rep in prime_order_class_representatives(group, limit):
-        if normal_closure(group, [rep]).order() != group.order():
-            return False
-    return True
-
-
-def _is_prime(n):
-    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+    return all(n.order() == group.order()
+               for n in class_closures(group, limit))
 
 
 @dataclass(frozen=True)
@@ -221,6 +206,6 @@ def classify_point_action(group, limit=None):
             return TypeReport(tag="HA", witness=n, minimal_normals=minimals)
     if len(minimals) == 1:
         n = minimals[0]
-        if not _is_prime(n.order()) and _is_simple(n, limit):
+        if not is_prime(n.order()) and _is_simple(n, limit):
             return TypeReport(tag="AS", witness=n, minimal_normals=minimals)
     return TypeReport(tag="OTHER", witness=None, minimal_normals=minimals)

@@ -19,8 +19,7 @@ from .analysis import (IntransitiveError, TypeReport, classify_point_action,
 from .config import element_limit
 from .cosets import IndexLimitError, lambda_constancy_crosscheck
 from .designgroup import DesignAction, LocalPrimitivityReport
-from .group import (EnumerationLimitError, normal_closure,
-                    prime_order_class_representatives)
+from .group import EnumerationLimitError, class_closures
 from .incidence import incidence_graph_diameter, verify_design
 
 CHECK_NAMES = (
@@ -116,36 +115,12 @@ def _find_intransitive_normal(action, point_type_report, limit):
     """The canonical intransitive-on-blocks normal subgroup: the affine
     witness when the point type is affine, otherwise the first prime-order
     normal closure that is intransitive on blocks."""
-    group = action.group
-    b = action.structure.b
-
-    def block_orbit_count(n):
-        gens = [action.block_image_of(g) for g in n.generators]
-        seen = set()
-        count = 0
-        for start in range(b):
-            if start in seen:
-                continue
-            count += 1
-            stack = [start]
-            seen.add(start)
-            while stack:
-                x = stack.pop()
-                for g in gens:
-                    y = g.images[x]
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-        return count
-
-    candidates = []
     if point_type_report is not None and point_type_report.tag == "HA":
-        candidates.append(point_type_report.witness)
+        candidates = [point_type_report.witness]
     else:
-        for rep in prime_order_class_representatives(group, limit):
-            candidates.append(normal_closure(group, [rep]))
+        candidates = class_closures(action.group, limit)
     for n in candidates:
-        if block_orbit_count(n) > 1:
+        if len(_block_orbits_of(action, n)) > 1:
             return n
     return None
 

@@ -63,20 +63,20 @@ def cmd_coset(args):
     group = read_group_file(args.group)
     left = read_group_file(args.left)
     right = read_group_file(args.right)
-    graph = CosetGraph(group, left, right)
+    # the crosscheck builds both coset spaces, which validates the input
+    crosscheck = lambda_constancy_crosscheck(group, left, right)
     record = {
-        "index_L": graph.space_points.index,
-        "index_R": graph.space_blocks.index,
+        "index_L": group.order() // left.order(),
+        "index_R": group.order() // right.order(),
         "trivial_factorization": is_trivial_factorization(group, left, right),
         "faithful": coset_graph_faithful(group, left, right),
+        "lambda_constant": crosscheck.value if crosscheck.ok else None,
     }
-    crosscheck = lambda_constancy_crosscheck(group, left, right)
-    record["lambda_constant"] = crosscheck.value if crosscheck.ok else None
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         stem = args.prefix or "coset"
         dpath = os.path.join(args.out, f"{stem}.design")
-        write_design_file(dpath, graph.structure)
+        write_design_file(dpath, CosetGraph(group, left, right).structure)
         print(f"wrote {dpath}")
     print(json.dumps(record, sort_keys=True, indent=2))
     return EXIT_OK

@@ -110,17 +110,15 @@ class CosetGraph:
     def __init__(self, group, left, right, limit=None):
         self.space_points = CosetSpace(group, left, limit)
         self.space_blocks = CosetSpace(group, right, limit)
-        lr_keys = _coset_orbit(left, right)
+        # the cosets of L meeting R*y are the L*t*y for the L-cosets L*t in LR
+        lr = _coset_orbit(left, right).values()
+        position_of = self.space_points.position_of
         blocks = []
         point_neighbors = [set() for _ in range(self.space_points.index)]
         for j, y in enumerate(self.space_blocks.representatives):
-            y_inv = y.inverse()
-            members = []
-            for i, x in enumerate(self.space_points.representatives):
-                key = canonical_coset_representative(left, x * y_inv).images
-                if key in lr_keys:
-                    members.append(i)
-                    point_neighbors[i].add(j)
+            members = sorted(position_of(t * y) for t in lr)
+            for i in members:
+                point_neighbors[i].add(j)
             blocks.append(members)
         if 0 not in blocks[0]:
             raise StructureContradiction(

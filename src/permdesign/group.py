@@ -158,7 +158,8 @@ def _build_chain(degree, generators, base_hint=()):
 class GroupWithChain:
     """A finite permutation group with order/membership/stabilizer queries."""
 
-    __slots__ = ("degree", "generators", "_chain", "_order", "_elements")
+    __slots__ = ("degree", "generators", "_chain", "_order", "_elements",
+                 "_closures")
 
     def __init__(self, generators, base_hint=()):
         generators = tuple(generators)
@@ -170,6 +171,7 @@ class GroupWithChain:
         self._chain = _build_chain(degree, generators, base_hint)
         self._order = self._chain.order()
         self._elements = None
+        self._closures = None
 
     @classmethod
     def _from_chain(cls, generators, chain):
@@ -179,6 +181,7 @@ class GroupWithChain:
         g._chain = chain
         g._order = chain.order()
         g._elements = None
+        g._closures = None
         return g
 
     @classmethod
@@ -251,20 +254,36 @@ class GroupWithChain:
             raise StructureContradiction("orbit-stabilizer identity violated")
         return stab
 
-    def elements(self, limit=None):
-        """All group elements, as a deterministic tuple of Permutations,
-        produced from the chain transversals.  Refuses beyond the limit."""
+    def _check_enumerable(self, limit):
         limit = element_limit() if limit is None else limit
         if self._order > limit:
             raise EnumerationLimitError(
                 f"group order {self._order} exceeds enumeration limit {limit}")
+
+    def iter_elements(self, limit=None):
+        """The elements in the order of elements(), without materializing
+        them: only the first base point's stabilizer is held, and each of
+        its elements is multiplied by each level-0 transversal element.
+        Refuses beyond the limit before yielding anything."""
+        self._check_enumerable(limit)
+        levels = self._chain.levels
+        stabilizer = [Permutation.identity(self.degree)]
+        for level in reversed(levels[1:]):
+            stabilizer = [h * u for u in level.orbit.values()
+                          for h in stabilizer]
+        if not levels:
+            return iter(stabilizer)
+        return (h * u for u in levels[0].orbit.values() for h in stabilizer)
+
+    def elements(self, limit=None):
+        """All group elements, as a deterministic tuple of Permutations,
+        produced from the chain transversals.  Refuses beyond the limit."""
+        self._check_enumerable(limit)
         if self._elements is None:
-            elems = [Permutation.identity(self.degree)]
-            for level in reversed(self._chain.levels):
-                elems = [h * u for u in level.orbit.values() for h in elems]
+            elems = tuple(self.iter_elements(limit))
             if len(elems) != self._order:
                 raise StructureContradiction("transversal enumeration miscount")
-            self._elements = tuple(elems)
+            self._elements = elems
         return self._elements
 
     def is_subgroup_of(self, other):
@@ -325,29 +344,29 @@ def normal_closure(group, seeds):
     return closure
 
 
+def is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
 def prime_order_class_representatives(group, limit=None):
     """One representative per conjugacy class of prime-order elements.
 
-    Requires enumerating the whole group, so it is gated by the element
-    limit.  Every nontrivial normal subgroup contains a prime-order element
-    (Cauchy), and the class of that element lies inside the subgroup, which
-    is what makes these representatives sufficient for quasiprimitivity and
-    minimal-normal-subgroup computations.
+    Walks every element of the group, so it is gated by the element limit;
+    the elements are streamed, not stored.  Every nontrivial normal subgroup
+    contains a prime-order element (Cauchy), and the class of that element
+    lies inside the subgroup, which is what makes these representatives
+    sufficient for quasiprimitivity and minimal-normal-subgroup computations.
     """
-    elems = group.elements(limit)
     gens = group.generators
     inv_gens = [g.inverse() for g in gens]
     seen = set()
     reps = []
-    for p in elems:
+    for p in group.iter_elements(limit):
         t = p.images
         if t in seen:
             continue
         lengths = {len(c) for c in p.cycles()}
-        if len(lengths) != 1:
-            continue
-        n = lengths.pop()
-        if n < 2 or any(n % d == 0 for d in range(2, int(n ** 0.5) + 1)):
+        if len(lengths) != 1 or not is_prime(lengths.pop()):
             continue  # prime-order elements have all cycles of one prime length
         reps.append(p)
         stack = [p]
@@ -360,6 +379,25 @@ def prime_order_class_representatives(group, limit=None):
                     seen.add(c.images)
                     stack.append(c)
     return reps
+
+
+def class_closures(group, limit=None):
+    """normal_closure(group, [rep]) for each prime-order class
+    representative, in the order of prime_order_class_representatives.
+
+    Every nontrivial normal subgroup contains one of these closures, so they
+    decide quasiprimitivity, simplicity and the minimal normal subgroups.
+    The list is computed once per group and kept on it; a closure equal to
+    the whole group is kept as None, so the group never refers to itself.
+    The limit refuses first, whether or not the list is cached.
+    """
+    group._check_enumerable(limit)
+    if group._closures is None:
+        group._closures = tuple(
+            None if n is group else n
+            for n in (normal_closure(group, [rep]) for rep in
+                      prime_order_class_representatives(group, limit)))
+    return [group if n is None else n for n in group._closures]
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to cross-check the library: plain
 closure enumeration, exhaustive partition search, the full subgroup lattice,
-direct pair counting, and double-coset counts from element sets.  These deliberately avoid the stabilizer-chain
-code paths they are checking."""
+direct pair counting, and double-coset counts and coset-graph adjacency
+from element sets.  These deliberately avoid the stabilizer-chain code
+paths they are checking."""
 
 from itertools import combinations
 
@@ -131,6 +132,29 @@ def design_accepts(v, blocks):
     return len(counts) == 1 and min(counts) >= 1
 
 
+def _compose(a, b):
+    """Image tuple of a then b."""
+    return tuple(b[i] for i in a)
+
+
+def right_coset(subgroup_set, x):
+    """The right coset H*x of a subgroup given as a set of image tuples."""
+    return frozenset(_compose(h, x) for h in subgroup_set)
+
+
+def coset_graph_blocks(group, left, right):
+    """The coset graph from element sets: each right coset Ry of R, mapped
+    to the set of right cosets Lx of L that meet it.  Cosets are frozensets
+    of image tuples."""
+    g_set = mulclose(group.generators)
+    l_set = mulclose(left.generators)
+    r_set = mulclose(right.generators)
+    l_cosets = {right_coset(l_set, x) for x in g_set}
+    r_cosets = {right_coset(r_set, x) for x in g_set}
+    return {ry: frozenset(lx for lx in l_cosets if lx & ry)
+            for ry in r_cosets}
+
+
 def pair_count(blocks, a, b):
     return sum(1 for blk in blocks if a in blk and b in blk)
 
@@ -141,27 +165,24 @@ def double_coset_ratios(group, left, right):
     ratios is the sorted tuple of (|RL n RLg| / |R|, number of such g);
     graph_agrees says that every value equals |N(L) n N(Lg)| in the coset
     graph, whose cosets Lx and Ry are adjacent when they meet."""
-    def compose(a, b):  # a then b
-        return tuple(b[i] for i in a)
-
     g_set = mulclose(group.generators)
     l_set = mulclose(left.generators)
     r_set = mulclose(right.generators)
-    rl = {compose(r, l) for r in r_set for l in l_set}
+    rl = {_compose(r, l) for r in r_set for l in l_set}
     r_coset = {}
     for x in sorted(g_set):
         if x not in r_coset:
             for r in r_set:
-                r_coset[compose(r, x)] = x
+                r_coset[_compose(r, x)] = x
     base = {r_coset[l] for l in l_set}
     ratios = {}
     graph_agrees = True
     for g in g_set - l_set:
-        hits = sum(1 for x in rl if compose(x, g) in rl)
+        hits = sum(1 for x in rl if _compose(x, g) in rl)
         if hits % len(r_set):
             raise AssertionError("|RL n RLg| is not a multiple of |R|")
         value = hits // len(r_set)
         ratios[value] = ratios.get(value, 0) + 1
-        if len(base & {r_coset[compose(l, g)] for l in l_set}) != value:
+        if len(base & {r_coset[_compose(l, g)] for l in l_set}) != value:
             graph_agrees = False
     return tuple(sorted(ratios.items())), graph_agrees

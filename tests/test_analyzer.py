@@ -1,7 +1,11 @@
+import gc
+import sys
+
 from conftest import group
 from permdesign.analyzer import (CHECK_NAMES, analyze,
                                  reduction_pair_allowed)
 from permdesign.designgroup import DesignAction
+from permdesign.group import GroupWithChain
 from permdesign.incidence import IncidenceStructure
 
 
@@ -166,3 +170,47 @@ def test_type_row_properties_on_corpus(corpus_instances):
         else:
             assert report.point_type == "AS", inst.name
             assert t_max <= 6, inst.name
+
+
+def test_class_reps_run_once_per_group(pg132_pair, monkeypatch):
+    # PGL(4,2) is simple: its one minimal normal subgroup is the group
+    # itself, and its block action is the only other group whose normal
+    # structure is needed
+    from permdesign import group as group_module
+    original = group_module.prime_order_class_representatives
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "permdesign" and getattr(
+                module, "prime_order_class_representatives", None) is original):
+            monkeypatch.setattr(module, "prime_order_class_representatives",
+                                counting)
+    structure, g = pg132_pair
+    g = GroupWithChain(g.generators)
+    report = analyze(g, structure, "pg132")
+    assert (report.point_type, report.block_type) == ("AS", "AS")
+    assert len(calls) == 2
+    assert calls[0] is not calls[1]
+
+
+def test_analyze_leaves_no_group_in_cyclic_garbage(pg132_pair):
+    structure, g = pg132_pair
+    gc.collect()
+    gc.disable()
+    try:
+        g = GroupWithChain(g.generators)
+        report = analyze(g, structure, "pg132")
+        assert report.point_type == "AS"
+        del g, report
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        leaked = [x for x in gc.garbage if isinstance(x, GroupWithChain)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert leaked == []

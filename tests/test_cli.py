@@ -192,6 +192,33 @@ def test_cli_coset_record(tmp_path, capsys, s4):
     assert (tmp_path / "coset.design").exists()
 
 
+def test_cli_coset_builds_each_space_twice_without_out(tmp_path, capsys,
+                                                      fano_pair, monkeypatch):
+    # the crosscheck's coset graph and the faithfulness check's two coset
+    # actions; the graph is built again only to write it with --out
+    from permdesign.cosets import CosetSpace
+    from permdesign.designgroup import block_stabilizer
+    structure, g = fano_pair
+    gp, lp, rp = (tmp_path / n for n in ("g.group", "l.group", "r.group"))
+    write_group_file(gp, g)
+    write_group_file(lp, g.point_stabilizer(structure.blocks[0][0]))
+    write_group_file(rp, block_stabilizer(g, structure, 0))
+    built = []
+    original = CosetSpace.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(CosetSpace, "__init__", counting)
+    assert main(["coset", str(gp), str(lp), str(rp)]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out) == {"faithful": True, "index_L": 7, "index_R": 7,
+                               "lambda_constant": 1,
+                               "trivial_factorization": False}
+    assert len(built) == 4
+
+
 def test_cli_build_unsupported_field(capsys, tmp_path):
     assert main(["build", "pg", "2", "6", "1", "--out", str(tmp_path)]) == 2
     assert main(["build", "pg", "1", "2", "1", "--out", str(tmp_path)]) == 2

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from bruteforce import double_coset_ratios
+from bruteforce import (coset_graph_blocks, double_coset_ratios, mulclose,
+                        right_coset)
 from conftest import group, perm
 from permdesign.cosets import (CosetGraph, CosetSpace, CrosscheckResult,
                                IndexLimitError, SubgroupError,
@@ -185,7 +186,7 @@ def _random_subgroup(rng, degree):
     return GroupWithChain(tuple(gens))
 
 
-def test_crosscheck_matches_element_oracle(fano_pair, frobenius21, s4):
+def _oracle_cases(fano_pair, frobenius21, s4):
     from permdesign.designgroup import block_stabilizer
     structure, pgl32 = fano_pair
     cases = [
@@ -204,12 +205,34 @@ def test_crosscheck_matches_element_oracle(fano_pair, frobenius21, s4):
         left, right = _random_subgroup(rng, 5), _random_subgroup(rng, 5)
         if left.order() < s5.order():
             cases.append((s5, left, right))
+    return cases
+
+
+def test_crosscheck_matches_element_oracle(fano_pair, frobenius21, s4):
+    cases = _oracle_cases(fano_pair, frobenius21, s4)
     non_constant = 0
     for grp, left, right in cases:
         result = lambda_constancy_crosscheck(grp, left, right)
         assert result == _oracle_result(grp, left, right)
         non_constant += not result.constant
     assert 2 <= non_constant < len(cases)
+
+
+def test_coset_graph_blocks_match_element_oracle(fano_pair, frobenius21, s4):
+    for grp, left, right in _oracle_cases(fano_pair, frobenius21, s4):
+        graph = CosetGraph(grp, left, right)
+        l_set = mulclose(left.generators)
+        r_set = mulclose(right.generators)
+        points = [right_coset(l_set, x.images)
+                  for x in graph.space_points.representatives]
+        got = {right_coset(r_set, y.images): frozenset(points[i] for i in block)
+               for y, block in zip(graph.space_blocks.representatives,
+                                   graph.blocks)}
+        assert got == coset_graph_blocks(grp, left, right)
+        assert all(list(block) == sorted(block) for block in graph.blocks)
+        assert graph.point_neighbors == tuple(
+            frozenset(j for j, block in enumerate(graph.blocks) if i in block)
+            for i in range(len(points)))
 
 
 def test_crosscheck_enumerates_no_elements(pg132_pair, monkeypatch):

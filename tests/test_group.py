@@ -4,8 +4,9 @@ import pytest
 
 from bruteforce import mulclose
 from conftest import group, perm
+from permdesign.analysis import is_quasiprimitive
 from permdesign.group import (ActionClosureError, EnumerationLimitError,
-                              GroupWithChain, MembershipError,
+                              GroupWithChain, MembershipError, class_closures,
                               induced_action, normal_closure,
                               prime_order_class_representatives)
 from permdesign.perm import Permutation
@@ -216,6 +217,48 @@ def test_elements_are_distinct_and_complete(s4):
     els = s4.elements()
     assert len(els) == 24
     assert len({p.images for p in els}) == 24
+
+
+def test_iter_elements_follows_elements_order(pg132_pair, s4):
+    trivial = GroupWithChain((Permutation.identity(3),))
+    pgl42 = GroupWithChain(pg132_pair[1].generators)
+    for g in (pgl42, trivial, s4):
+        assert list(g.iter_elements()) == list(g.elements())
+    assert pgl42.order() == 20160
+
+
+def test_iter_elements_refuses_before_yielding(a7):
+    with pytest.raises(EnumerationLimitError):
+        a7.iter_elements(limit=100)
+
+
+def test_class_reps_store_no_element_list(pg132_pair):
+    g = GroupWithChain(pg132_pair[1].generators)
+    assert len(prime_order_class_representatives(g)) == 7  # classes of A8
+    assert g._elements is None
+
+
+def test_class_closures_follow_class_reps(s4):
+    g = GroupWithChain(s4.generators)
+    closures = class_closures(g)
+    expected = [normal_closure(g, [rep])
+                for rep in prime_order_class_representatives(g)]
+    assert [n.order() for n in closures] == [n.order() for n in expected]
+    assert all(n.generators == m.generators
+               for n, m in zip(closures, expected))
+    assert class_closures(g) == closures  # cached, same objects
+    # the full closure S4 is the group itself, kept without a self-reference
+    assert g in closures and g not in g._closures
+
+
+def test_cached_closures_still_refuse_beyond_limit(fano_pair):
+    g = GroupWithChain(fano_pair[1].generators)
+    assert is_quasiprimitive(g)
+    assert g._closures is not None
+    with pytest.raises(EnumerationLimitError):
+        is_quasiprimitive(g, limit=10)
+    with pytest.raises(EnumerationLimitError):
+        class_closures(g, limit=10)
 
 
 def test_induced_action_faithful_on_fano_lines(fano_pair):

@@ -1,7 +1,9 @@
 """The benchmark harness under perfbench/ still runs against the library:
-its self-test passes and its machine record reads every name it needs.
-Both run in a subprocess because importing perfbench/run.py clears the
-PERMDESIGN_* variables of the importing process."""
+its self-test passes, its machine record reads every name it needs, and
+its tracer wraps and restores the layers that `analyze` goes through.
+They run in a subprocess because importing perfbench/run.py clears the
+PERMDESIGN_* variables of the importing process, and the tracer patches
+module attributes."""
 
 import json
 import os
@@ -30,3 +32,46 @@ def test_benchmark_machine_record():
     limits = json.loads(done.stdout)["limits"]
     assert set(limits) == {"element_limit", "index_limit", "point_limit",
                            "exhaustive_limit"}
+
+
+_TRACE_ANALYZE = """
+import json, sys
+sys.path[:0] = sys.argv[1:3]
+import permdesign
+import tracing
+from permdesign.analyzer import analyze
+from permdesign.geometry import build_PG
+
+def bindings():
+    return {(name, attr): id(value)
+            for name, module in sorted(sys.modules.items())
+            if name.split(".")[0] == "permdesign"
+            for attr, value in vars(module).items()
+            if callable(value)} | {
+        (owner.__name__, attr): id(owner.__dict__[attr])
+        for owner, attr, _ in tracing.SPANNED if isinstance(owner, type)}
+
+structure, group = build_PG(2, 2, 1)
+before = bindings()
+tracer = tracing.Tracer()
+tracer.install()
+try:
+    report = analyze(group, structure, "fano-pgl32")
+finally:
+    tracer.uninstall()
+print(json.dumps({"metrics": tracer.metrics(),
+                  "types": [report.point_type, report.block_type],
+                  "restored": bindings() == before}))
+"""
+
+
+def test_tracer_wraps_analyze_and_restores():
+    done = _run(["-c", _TRACE_ANALYZE, PERFBENCH, os.path.join(ROOT, "src")])
+    assert done.returncode == 0, done.stderr[-2000:]
+    out = json.loads(done.stdout)
+    assert out["restored"]
+    assert out["types"] == ["AS", "AS"]
+    metrics = out["metrics"]
+    assert metrics["group.class_rep_calls"] == 2
+    assert metrics["analysis.quasiprimitive_s"] > 0
+    assert metrics["analysis.classify_s"] > 0
