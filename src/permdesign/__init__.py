@@ -3,8 +3,7 @@ coset and classical-geometry data, and verification of transitivity,
 primitivity, and local-primitivity properties."""
 
 from .analysis import (BlockSystem, TypeReport, classify_point_action,
-                       is_primitive, is_quasiprimitive, is_regular,
-                       is_semiregular, minimal_block_system,
+                       is_primitive, is_quasiprimitive, minimal_block_system,
                        minimal_normal_subgroups, primitivity_status)
 from .analyzer import AnalysisReport, analyze
 from .cosets import (CosetSpace, coset_action, coset_graph_design,
@@ -17,9 +16,8 @@ from .geometry import (build_AG, build_PG, build_symplectic_subdesign,
                        classical_group_generators, enumerate_subspaces,
                        gaussian_coefficient)
 from .gf import FiniteField, field
-from .group import (ActionImage, GroupWithChain, group_from_generators,
-                    induced_action, normal_closure,
-                    prime_order_class_representatives)
+from .group import (ActionImage, GroupWithChain, induced_action,
+                    normal_closure, prime_order_class_representatives)
 from .incidence import (DesignParameters, IncidenceStructure, complement,
                         dual, incidence_graph_diameter, t_design_strength,
                         verify_design)
@@ -36,9 +34,8 @@ __all__ = [
     "classify_point_action", "complement", "coset_action",
     "coset_graph_design", "double_coset_lambda", "dual",
     "enumerate_subspaces", "field", "gaussian_coefficient",
-    "group_from_generators", "incidence_graph_diameter", "induced_action",
-    "is_flag_transitive", "is_locally_primitive", "is_primitive",
-    "is_quasiprimitive", "is_regular", "is_semiregular",
+    "incidence_graph_diameter", "induced_action", "is_flag_transitive",
+    "is_locally_primitive", "is_primitive", "is_quasiprimitive",
     "is_trivial_factorization", "lambda_constancy_crosscheck",
     "minimal_block_system", "minimal_normal_subgroups", "normal_closure",
     "parse_permutation", "point_block_actions",

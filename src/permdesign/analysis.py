@@ -25,12 +25,6 @@ class BlockSystem:
     def is_trivial(self):
         return self.cell_size == 1 or len(self.cells) == 1
 
-    def cell_of(self, point):
-        for cell in self.cells:
-            if point in cell:
-                return cell
-        raise ValueError(f"point {point} not in any cell")
-
 
 def _check_invariance(cells, generators):
     cell_sets = {frozenset(c) for c in cells}
@@ -117,14 +111,6 @@ def is_quasiprimitive(group, limit=None):
     if not group.is_transitive():
         return False
     return all(n.is_transitive() for n in class_closures(group, limit))
-
-
-def is_regular(group):
-    return group.is_regular()
-
-
-def is_semiregular(group):
-    return group.is_semiregular()
 
 
 def minimal_normal_subgroups(group, limit=None):

@@ -19,7 +19,7 @@ from .analysis import (IntransitiveError, TypeReport, classify_point_action,
 from .config import element_limit
 from .cosets import IndexLimitError, lambda_constancy_crosscheck
 from .designgroup import DesignAction, LocalPrimitivityReport
-from .group import EnumerationLimitError, class_closures
+from .group import EnumerationLimitError, class_closures, orbits_of
 from .incidence import incidence_graph_diameter, verify_design
 
 CHECK_NAMES = (
@@ -126,25 +126,8 @@ def _find_intransitive_normal(action, point_type_report, limit):
 
 
 def _block_orbits_of(action, subgroup):
-    gens = [action.block_image_of(g) for g in subgroup.generators]
-    b = action.structure.b
-    seen = set()
-    orbits = []
-    for start in range(b):
-        if start in seen:
-            continue
-        orbit = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for g in gens:
-                y = g.images[x]
-                if y not in orbit:
-                    orbit.add(y)
-                    stack.append(y)
-        seen |= orbit
-        orbits.append(orbit)
-    return orbits
+    return orbits_of([action.block_image_of(g) for g in subgroup.generators],
+                     action.structure.b)
 
 
 def _check_normal_orbit_size(action, witness, params):

@@ -1,23 +1,23 @@
 """The bundled instance corpus: one (group, design) pair per construction
 studied by the pipeline, covering all three rows of the reduction theorem
 (almost simple + quasiprimitive blocks, affine + affine blocks, affine +
-non-quasiprimitive blocks)."""
+non-quasiprimitive blocks).
+
+Every instance comes from an explicit construction, so the corpus is the
+same on every build: the subgroups of the alternating group behind the two
+15-point coset designs are written out by generators, not searched for."""
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
-from .cosets import coset_action, coset_graph_design, subgroup_intersection
-from .discovery import (cyclic_normalizer, first_element_of_order,
-                        random_subgroups_of_order, subgroups_conjugate_in)
+from .cosets import coset_action, coset_graph_design
+from .discovery import cyclic_normalizer, first_element_of_order
 from .geometry import build_AG, build_PG, build_symplectic_subdesign
-from .group import GroupWithChain
+from .group import GroupWithChain, StructureContradiction
 from .incidence import IncidenceStructure
 from .io import write_design_file, write_group_file
 from .perm import Permutation
-
-CORPUS_SEED = 20240701
 
 
 @dataclass(frozen=True)
@@ -41,45 +41,37 @@ def frobenius21_in(pgl32):
     return frob
 
 
+def _a7_subgroup(order, *cycles):
+    group = GroupWithChain(tuple(Permutation.from_cycles(c, 7)
+                                 for c in cycles))
+    if group.order() != order:
+        raise StructureContradiction(
+            f"generators {cycles} give order {group.order()}, not {order}")
+    return group
+
+
 def alternating7():
-    return GroupWithChain((Permutation.from_cycles("(1 2 3)", 7),
-                           Permutation.from_cycles("(1 2 3 4 5 6 7)", 7)))
+    return _a7_subgroup(2520, "(1 2 3)", "(1 2 3 4 5 6 7)")
 
 
-def discover_a7_subgroups(rng=None, max_candidates=200):
+def discover_a7_subgroups():
     """Subgroups L (order 168), R (order 72), and a second order-168
     subgroup from the other conjugacy class, each meeting L in a subgroup
     of order 24, so that the two coset graphs carry the two 15-point
-    designs."""
-    rng = rng or random.Random(CORPUS_SEED)
+    designs.
+
+    L preserves the Fano plane on 1..7 with lines 126, 137, 145, 234, 257,
+    356, 467; R = (S3 x S4) n A7 is the setwise stabilizer of its line
+    {1, 3, 7}; the second subgroup is not conjugate to L in A7."""
     a7 = alternating7()
-    left = random_subgroups_of_order(a7, 168, rng=rng)[0]
-    right = None
-    for _ in range(max_candidates):
-        cand = random_subgroups_of_order(a7, 72, rng=rng)[0]
-        if subgroup_intersection(left, cand).order() == 24:
-            right = cand
-            break
-    if right is None:
-        raise RuntimeError("no order-72 subgroup meeting L in order 24")
-    other = None
-    found = [left]
-    for _ in range(max_candidates):
-        cand = random_subgroups_of_order(a7, 168, rng=rng,
-                                         distinct_from=found)[0]
-        found.append(cand)
-        if subgroups_conjugate_in(a7, left, cand):
-            continue
-        if subgroup_intersection(left, cand).order() == 24:
-            other = cand
-            break
-    if other is None:
-        raise RuntimeError("no non-conjugate order-168 partner found")
+    left = _a7_subgroup(168, "(1 5)(2 3)", "(1 2 4 6 3 7 5)")
+    right = _a7_subgroup(72, "(1 3)(2 4 6 5)", "(1 7)(2 4)", "(1 7)(4 6)")
+    other = _a7_subgroup(168, "(1 2 4 5 6 7 3)", "(1 7)(3 4)")
     return a7, left, right, other
 
 
-def a7_instances(rng=None):
-    a7, left, right, other = discover_a7_subgroups(rng)
+def a7_instances():
+    a7, left, right, other = discover_a7_subgroups()
     point_group = coset_action(a7, left).image
     nonsym = coset_graph_design(a7, left, right)
     sym = coset_graph_design(a7, left, other)
@@ -94,7 +86,9 @@ def a7_instances(rng=None):
 
 
 def bundled_corpus(rng=None):
-    """Deterministic list of all bundled instances."""
+    """Deterministic list of all bundled instances.  `rng` is accepted and
+    ignored: no instance is random, and benchmark set-up code still passes
+    one."""
     out = []
     fano, pgl32 = build_PG(2, 2, 1)
     out.append(CorpusInstance("fano-pgl32", fano, pgl32,
@@ -117,17 +111,17 @@ def bundled_corpus(rng=None):
     out.append(CorpusInstance("symplectic-2-2", sympl, spgroup,
                               "cosets of the non-degenerate planes of a "
                               "4-dimensional binary symplectic space"))
-    out.extend(a7_instances(rng))
+    out.extend(a7_instances())
     return out
 
 
-def write_corpus(directory, rng=None):
+def write_corpus(directory):
     """Write the bundled corpus as <name>.group / <name>.design pairs."""
     import os
 
     os.makedirs(directory, exist_ok=True)
     written = []
-    for inst in bundled_corpus(rng):
+    for inst in bundled_corpus():
         gpath = os.path.join(directory, f"{inst.name}.group")
         dpath = os.path.join(directory, f"{inst.name}.design")
         write_group_file(gpath, inst.group, comment=inst.description)

@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import index_limit
-from .group import (GroupWithChain, StructureContradiction, induced_action)
+from .group import (GroupWithChain, StructureContradiction, induced_action,
+                    union_generators)
 from .incidence import IncidenceStructure
 from .perm import Permutation
 
@@ -58,24 +59,16 @@ class CosetSpace:
         if index > limit:
             raise IndexLimitError(
                 f"index {index} exceeds the coset index limit {limit}")
-        reps = [canonical_coset_representative(subgroup,
-                                               Permutation.identity(group.degree))]
-        position = {reps[0].images: 0}
-        # reps doubles as the FIFO queue: discovery order numbers the cosets
-        for rep in reps:
-            for g in group.generators:
-                c = canonical_coset_representative(subgroup, rep * g)
-                if c.images not in position:
-                    position[c.images] = len(reps)
-                    reps.append(c)
+        orbit = _coset_orbit(subgroup, group)
+        reps = tuple(orbit.values())
         if len(reps) != index:
             raise StructureContradiction(
                 f"coset enumeration found {len(reps)} cosets, expected {index}")
         self.group = group
         self.subgroup = subgroup
-        self.representatives = tuple(reps)
+        self.representatives = reps
         self.index = index
-        self._position = position
+        self._position = {key: i for i, key in enumerate(orbit)}
 
     def position_of(self, x):
         """Index of the coset (subgroup)*x."""
@@ -139,8 +132,8 @@ class CosetGraph:
 def _coset_orbit(subgroup, acting, start=None):
     """Canonical representatives of the right cosets H*x*a for a in A, where
     H = subgroup, A = acting and x = start (the identity by default), keyed
-    by their image tuples.  With x = 1, z lies in HA exactly when the key of
-    H*z is one of these keys."""
+    by their image tuples, in breadth-first discovery order.  With x = 1,
+    z lies in HA exactly when the key of H*z is one of these keys."""
     if start is None:
         start = Permutation.identity(subgroup.degree)
     start = canonical_coset_representative(subgroup, start)
@@ -165,11 +158,9 @@ def coset_graph_faithful(group, left, right, limit=None):
     whether the intersection of the two subgroups is core-free."""
     points = coset_action(group, left, limit)
     blocks = coset_action(group, right, limit)
-    offset = points.image.degree
-    union_gens = [
-        Permutation(tuple(p.images) + tuple(offset + j for j in q.images))
-        for p, q in zip(points.image.generators, blocks.image.generators)]
-    return GroupWithChain(tuple(union_gens)).order() == group.order()
+    union = GroupWithChain(union_generators(points.image.generators,
+                                            blocks.image.generators))
+    return union.order() == group.order()
 
 
 def double_coset_lambda(group, left, right, g, _rl=None):

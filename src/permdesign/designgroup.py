@@ -7,8 +7,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .analysis import is_quasiprimitive, primitivity_status
-from .group import (EnumerationLimitError, GroupWithChain,
-                    StructureContradiction, induced_action)
+from .group import (ActionImage, EnumerationLimitError, GroupWithChain,
+                    StructureContradiction, check_index, induced_action,
+                    orbits_of, union_generators)
 from .perm import Permutation
 
 
@@ -58,6 +59,11 @@ class LocalPrimitivityReport:
         return out
 
 
+def _orbit_minima(group):
+    """The smallest point of each orbit, in increasing order."""
+    return [min(o) for o in orbits_of(group.generators, group.degree)]
+
+
 class DesignAction:
     """A group acting on an incidence structure, with the block action and
     the disjoint-union action (points 0..v-1, block j at vertex v+j) built
@@ -76,58 +82,38 @@ class DesignAction:
         self.group = group
         self.structure = structure
         self._block_index = {blk: j for j, blk in enumerate(structure.blocks)}
-        try:
-            self.block_action = induced_action(
-                group, structure.blocks,
-                lambda blk, g: tuple(sorted(g.images[p] for p in blk)))
-        except ValueError as exc:
-            raise PreservationError(
-                f"group does not preserve the block set: {exc}") from exc
-        v, b = structure.v, structure.b
-        union_gens = []
-        for g, img in zip(group.generators, self.block_action.image.generators):
-            union_gens.append(Permutation(
-                tuple(g.images) + tuple(v + j for j in img.images)))
-        self.union_group = GroupWithChain(tuple(union_gens))
+        image = GroupWithChain(tuple(self.block_image_of(g)
+                                     for g in group.generators))
+        self.block_action = ActionImage(
+            source=group, objects=structure.blocks, image=image,
+            faithful=image.order() == group.order())
+        self.union_group = GroupWithChain(
+            union_generators(group.generators, image.generators))
         self._stabilizers = {}  # vertex -> union stabilizer, built once
 
     def block_image_of(self, g):
         """Index permutation induced on blocks by an arbitrary group element."""
-        images = []
-        for blk in self.structure.blocks:
-            target = tuple(sorted(g.images[p] for p in blk))
-            j = self._block_index.get(target)
-            if j is None:
-                raise PreservationError("element does not preserve the block set")
-            images.append(j)
-        return Permutation(images)
-
-    def point_orbit_representatives(self):
-        remaining = set(range(self.structure.v))
-        reps = []
-        while remaining:
-            p = min(remaining)
-            reps.append(p)
-            remaining -= self.group.orbit(p)
-        return reps
-
-    def block_orbit_representatives(self):
-        image = self.block_action.image
-        remaining = set(range(self.structure.b))
-        reps = []
-        while remaining:
-            j = min(remaining)
-            reps.append(j)
-            remaining -= image.orbit(j)
-        return reps
+        try:
+            return Permutation([
+                self._block_index[tuple(sorted(g.images[p] for p in blk))]
+                for blk in self.structure.blocks])
+        except KeyError:
+            raise PreservationError(
+                "group does not preserve the block set") from None
 
     def point_stabilizer_union(self, point):
-        if point not in self._stabilizers:
-            self._stabilizers[point] = self.union_group.point_stabilizer(point)
-        return self._stabilizers[point]
+        check_index("point", point, self.structure.v)
+        return self._vertex_stabilizer(point)
 
     def block_stabilizer_union(self, block_index):
-        return self.point_stabilizer_union(self.structure.v + block_index)
+        check_index("block index", block_index, self.structure.b)
+        return self._vertex_stabilizer(self.structure.v + block_index)
+
+    def _vertex_stabilizer(self, vertex):
+        stabs = self._stabilizers
+        if vertex not in stabs:
+            stabs[vertex] = self.union_group.point_stabilizer(vertex)
+        return stabs[vertex]
 
     def block_stabilizer(self, block_index):
         """Setwise stabilizer of a block, as a group on the original points."""
@@ -153,22 +139,16 @@ class DesignAction:
         return induced_action(stab, self.structure.blocks[block_index],
                               lambda x, g: g.images[x])
 
-    def is_point_transitive(self):
-        return len(self.group.orbit(0)) == self.structure.v
-
-    def is_block_transitive(self):
-        return len(self.block_action.image.orbit(0)) == self.structure.b
-
     def is_flag_transitive(self):
         """Computed along both local routes (block-transitive with transitive
         block-local actions, and point-transitive with transitive point-local
         actions), which must agree."""
-        via_blocks = self.is_block_transitive() and all(
+        via_blocks = self.block_action.image.is_transitive() and all(
             self.local_block_action(j).image.is_transitive()
-            for j in self.block_orbit_representatives())
-        via_points = self.is_point_transitive() and all(
+            for j in _orbit_minima(self.block_action.image))
+        via_points = self.group.is_transitive() and all(
             self.local_point_action(p).image.is_transitive()
-            for p in self.point_orbit_representatives())
+            for p in _orbit_minima(self.group))
         if via_blocks != via_points:
             raise StructureContradiction(
                 "the two flag-transitivity computations disagree")
@@ -194,12 +174,12 @@ class DesignAction:
             raise TrivialDesignError(
                 "every block is incident with every point")
         notes = []
-        point_transitive = self.is_point_transitive()
-        block_transitive = self.is_block_transitive()
+        point_transitive = self.group.is_transitive()
+        block_transitive = self.block_action.image.is_transitive()
         flag_transitive = self.is_flag_transitive()
 
         point_local = True
-        for p in self.point_orbit_representatives():
+        for p in _orbit_minima(self.group):
             status = primitivity_status(self.local_point_action(p).image)
             if status != "primitive":
                 point_local = False
@@ -207,7 +187,7 @@ class DesignAction:
                              "on its incident blocks")
                 break
         block_local = True
-        for j in self.block_orbit_representatives():
+        for j in _orbit_minima(self.block_action.image):
             status = primitivity_status(self.local_block_action(j).image)
             if status != "primitive":
                 block_local = False

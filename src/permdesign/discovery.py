@@ -1,7 +1,11 @@
-"""Subgroup discovery helpers for assembling instances: randomized
-two-generator search by target order, subgroup conjugacy testing, and
-normalizers of cyclic subgroups.  Everything runs on enumerated elements,
-so it is meant for desk-scale groups only."""
+"""Subgroup discovery helpers: randomized search by target order,
+subgroup conjugacy testing, and normalizers of cyclic subgroups.
+Everything runs on enumerated elements, so it is meant for desk-scale
+groups only.
+
+The bundled corpus does not run the random search: its subgroups of the
+alternating group are written out by generators.  It uses only the
+normalizer and element-order helpers, for the order-21 Frobenius group."""
 
 from __future__ import annotations
 

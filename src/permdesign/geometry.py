@@ -165,21 +165,48 @@ def _vector_perm(gf, d, image_of):
                         for i in range(gf.q ** d)])
 
 
+def _line_key(gf, vec):
+    """Index of the minimal-index vector on the line through a nonzero
+    vector: the projective point it spans."""
+    return min(vector_index(tuple(gf.mul(c, x) for x in vec), gf.q)
+               for c in range(1, gf.q))
+
+
 def _line_representatives(gf, d):
     """Projective points as minimal-index vector representatives, in index
     order."""
     q = gf.q
-    reps = []
-    seen = set()
-    for i in range(1, q ** d):
-        if i in seen:
-            continue
-        v = index_vector(i, d, q)
-        line = {vector_index(tuple(gf.mul(c, x) for x in v), q)
-                for c in range(1, q)}
-        seen |= line
-        reps.append(min(line))
-    return reps
+    return [i for i in range(1, q ** d)
+            if _line_key(gf, index_vector(i, d, q)) == i]
+
+
+def _checked_group(perms, expected_order, name):
+    """The group generated by perms, with its chain order asserted against
+    the closed-form order formula."""
+    group = GroupWithChain(tuple(perms))
+    if group.order() != expected_order:
+        raise StructureContradiction(
+            f"{name} chain order {group.order()} != formula {expected_order}")
+    return group
+
+
+def _subspace_cosets(gf, d, matrices):
+    """Every coset U + t of the row space U of each matrix, as a sorted
+    point list: per subspace, in order of the first shift t reaching it."""
+    q = gf.q
+    blocks = []
+    for mat in matrices:
+        base = span_vectors(gf, mat)
+        seen = set()
+        for shift_idx in range(q ** d):
+            t = index_vector(shift_idx, d, q)
+            coset = frozenset(
+                vector_index(tuple(gf.add(a, b) for a, b in zip(vec, t)), q)
+                for vec in base)
+            if coset not in seen:
+                seen.add(coset)
+                blocks.append(sorted(coset))
+    return blocks
 
 
 def _symplectic_form(gf, u, v):
@@ -223,63 +250,40 @@ def _translations(gf, d):
     return maps
 
 
-def classical_group_generators(family, dim, q, domain="vectors", limit=None):
+def classical_group_generators(family, dim, q, limit=None):
     """GL / PGL / AGL / Sp as permutation groups on their natural domains,
     with the chain order asserted against the closed-form order formula.
 
-    GL and Sp act on all q^dim vectors by default ("nonzero" restricts the
-    domain); PGL acts on projective points; AGL on all vectors.
+    GL, AGL and Sp act on all q^dim vectors; PGL acts on projective points.
     """
     limit = point_limit() if limit is None else limit
     gf = field(q)
     if q ** dim > limit:
         raise SizeLimitError(f"q^dim = {q ** dim} exceeds the point limit {limit}")
-
-    def from_maps(maps, expected_order):
-        perms = [_vector_perm(gf, dim, f) for f in maps]
-        if domain == "nonzero" and family in ("GL", "Sp"):
-            objs = list(range(1, q ** dim))
-            perms = [Permutation([p.images[x] - 1 for x in objs]) for p in perms]
-        group = GroupWithChain(tuple(perms))
-        if group.order() != expected_order:
-            raise StructureContradiction(
-                f"{family}({dim},{q}) chain order {group.order()} != "
-                f"formula {expected_order}")
-        return group
-
-    if family == "GL":
-        mats = _gl_generator_matrices(dim, q)
-        return from_maps([lambda x, m=m: _mat_vec(gf, x, m) for m in mats],
-                         gl_order(dim, q))
-    if family == "AGL":
-        mats = _gl_generator_matrices(dim, q)
-        maps = [lambda x, m=m: _mat_vec(gf, x, m) for m in mats]
-        maps += _translations(gf, dim)
-        return from_maps(maps, agl_order(dim, q))
+    name = f"{family}({dim},{q})"
     if family == "PGL":
         reps = _line_representatives(gf, dim)
         rep_pos = {r: i for i, r in enumerate(reps)}
-        mats = _gl_generator_matrices(dim, q)
-        perms = []
-        for m in mats:
-            images = []
-            for r in reps:
-                w = _mat_vec(gf, index_vector(r, dim, q), m)
-                line = {vector_index(tuple(gf.mul(c, x) for x in w), q)
-                        for c in range(1, q)}
-                images.append(rep_pos[min(line)])
-            perms.append(Permutation(images))
-        group = GroupWithChain(tuple(perms))
-        if group.order() != pgl_order(dim, q):
-            raise StructureContradiction(
-                f"PGL({dim},{q}) chain order {group.order()} != formula "
-                f"{pgl_order(dim, q)}")
-        return group
-    if family == "Sp":
+        perms = [Permutation([
+            rep_pos[_line_key(gf, _mat_vec(gf, index_vector(r, dim, q), m))]
+            for r in reps]) for m in _gl_generator_matrices(dim, q)]
+        return _checked_group(perms, pgl_order(dim, q), name)
+    if family in ("GL", "AGL"):
+        maps = [lambda x, m=m: _mat_vec(gf, x, m)
+                for m in _gl_generator_matrices(dim, q)]
+        expected = gl_order(dim, q)
+        if family == "AGL":
+            maps += _translations(gf, dim)
+            expected = agl_order(dim, q)
+    elif family == "Sp":
         if dim % 2:
             raise ValueError("symplectic groups need even dimension")
-        return from_maps(_sp_generator_maps(gf, dim // 2), sp_order(dim // 2, q))
-    raise ValueError(f"unknown family {family!r}")
+        maps = _sp_generator_maps(gf, dim // 2)
+        expected = sp_order(dim // 2, q)
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    return _checked_group([_vector_perm(gf, dim, f) for f in maps], expected,
+                          name)
 
 
 def build_PG(d, q, i, limit=None):
@@ -292,17 +296,9 @@ def build_PG(d, q, i, limit=None):
     reps = _line_representatives(gf, dim)
     rep_pos = {r: j for j, r in enumerate(reps)}
     subs = enumerate_subspaces(dim, q, i + 1, limit)
-    blocks = []
-    for mat in subs.canonical_matrices:
-        pts = set()
-        for vec in span_vectors(gf, mat):
-            idx = vector_index(vec, q)
-            if idx == 0:
-                continue
-            line = {vector_index(tuple(gf.mul(c, x) for x in vec), q)
-                    for c in range(1, q)}
-            pts.add(rep_pos[min(line)])
-        blocks.append(sorted(pts))
+    blocks = [sorted({rep_pos[_line_key(gf, vec)]
+                      for vec in span_vectors(gf, mat) if any(vec)})
+              for mat in subs.canonical_matrices]
     structure = IncidenceStructure(v=len(reps), blocks=blocks)
     group = classical_group_generators("PGL", dim, q, limit=limit)
     return structure, group
@@ -315,18 +311,7 @@ def build_AG(d, q, i, limit=None):
         raise ValueError(f"need d >= 2 and 1 <= i <= d-1, got d={d}, i={i}")
     gf = field(q)
     subs = enumerate_subspaces(d, q, i, limit)
-    blocks = []
-    for mat in subs.canonical_matrices:
-        base = span_vectors(gf, mat)
-        seen = set()
-        for shift_idx in range(q ** d):
-            t = index_vector(shift_idx, d, q)
-            coset = frozenset(
-                vector_index(tuple(gf.add(a, b) for a, b in zip(vec, t)), q)
-                for vec in base)
-            if coset not in seen:
-                seen.add(coset)
-                blocks.append(sorted(coset))
+    blocks = _subspace_cosets(gf, d, subs.canonical_matrices)
     structure = IncidenceStructure(v=q ** d, blocks=blocks)
     group = classical_group_generators("AGL", d, q, limit=limit)
     return structure, group
@@ -363,26 +348,13 @@ def build_symplectic_subdesign(m, q, limit=None):
     gf = field(q)
     d = 2 * m
     subs = enumerate_subspaces(d, q, 2, limit)
-    blocks = []
-    for mat in subs.canonical_matrices:
-        if _symplectic_form(gf, mat[0], mat[1]) == 0:
-            continue  # degenerate: the form vanishes on the plane
-        base = span_vectors(gf, mat)
-        seen = set()
-        for shift_idx in range(q ** d):
-            t = index_vector(shift_idx, d, q)
-            coset = frozenset(
-                vector_index(tuple(gf.add(a, b) for a, b in zip(vec, t)), q)
-                for vec in base)
-            if coset not in seen:
-                seen.add(coset)
-                blocks.append(sorted(coset))
-    structure = IncidenceStructure(v=q ** d, blocks=blocks)
+    # the non-degenerate planes: the form does not vanish on the basis
+    planes = [mat for mat in subs.canonical_matrices
+              if _symplectic_form(gf, mat[0], mat[1]) != 0]
+    structure = IncidenceStructure(v=q ** d,
+                                   blocks=_subspace_cosets(gf, d, planes))
     maps = _sp_generator_maps(gf, m) + _translations(gf, d)
-    perms = [_vector_perm(gf, d, f) for f in maps]
-    group = GroupWithChain(tuple(perms))
-    expected = q ** d * sp_order(m, q)
-    if group.order() != expected:
-        raise StructureContradiction(
-            f"translation-symplectic group order {group.order()} != {expected}")
+    group = _checked_group([_vector_perm(gf, d, f) for f in maps],
+                           q ** d * sp_order(m, q),
+                           "translation-symplectic group")
     return structure, group

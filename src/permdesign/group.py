@@ -31,6 +31,12 @@ class StructureContradiction(RuntimeError):
     """An internal identity that must hold mathematically failed."""
 
 
+def check_index(kind, value, count):
+    """Raise ValueError unless 0 <= value < count."""
+    if not 0 <= value < count:
+        raise ValueError(f"{kind} {value} out of range 0..{count - 1}")
+
+
 class _Level:
     __slots__ = ("base", "gens", "orbit", "checked")
 
@@ -48,8 +54,7 @@ class _Chain:
         self.degree = degree
         self.levels = []
         for b in base_hint:
-            if not 0 <= b < degree:
-                raise ValueError(f"base point {b} out of range")
+            check_index("base point", b, degree)
             if all(level.base != b for level in self.levels):
                 self.levels.append(_Level(b, degree))
 
@@ -92,6 +97,15 @@ class _Chain:
             self.levels[l].gens.append(h)
             self._extend_orbit(l)
         return d
+
+    def extend(self, g):
+        """Add g to the group the chain describes: install it and complete
+        the chain, unless g already lies in it.  Returns whether it grew."""
+        if self.contains(g):
+            return False
+        self.install(g)
+        self.schreier_sims()
+        return True
 
     def _extend_orbit(self, i):
         # sweeps only ever add entries, so transversals are stable and the
@@ -148,11 +162,36 @@ def _build_chain(degree, generators, base_hint=()):
         if g.degree != degree:
             raise DegreeMismatchError(
                 f"generator degree {g.degree} != {degree}")
-        if g.is_identity() or chain.contains(g):
-            continue
-        chain.install(g)
-        chain.schreier_sims()
+        chain.extend(g)
     return chain
+
+
+def orbit_of(generators, point):
+    """Orbit of a point under the given permutations (breadth-first
+    closure over their image tuples)."""
+    images = [g.images for g in generators]
+    seen = {point}
+    queue = [point]
+    for c in queue:
+        for img in images:
+            d = img[c]
+            if d not in seen:
+                seen.add(d)
+                queue.append(d)
+    return frozenset(seen)
+
+
+def orbits_of(generators, degree):
+    """The orbits of the given permutations on 0..degree-1, in order of
+    their smallest point."""
+    out = []
+    covered = set()
+    for point in range(degree):
+        if point not in covered:
+            o = orbit_of(generators, point)
+            covered |= o
+            out.append(o)
+    return out
 
 
 class GroupWithChain:
@@ -165,24 +204,22 @@ class GroupWithChain:
         generators = tuple(generators)
         if not generators:
             raise ValueError("empty generator list")
-        degree = generators[0].degree
-        self.degree = degree
-        self.generators = generators
-        self._chain = _build_chain(degree, generators, base_hint)
-        self._order = self._chain.order()
-        self._elements = None
-        self._closures = None
+        self._set(generators,
+                  _build_chain(generators[0].degree, generators, base_hint))
 
     @classmethod
     def _from_chain(cls, generators, chain):
         g = object.__new__(cls)
-        g.degree = chain.degree
-        g.generators = tuple(generators)
-        g._chain = chain
-        g._order = chain.order()
-        g._elements = None
-        g._closures = None
+        g._set(tuple(generators), chain)
         return g
+
+    def _set(self, generators, chain):
+        self.degree = chain.degree
+        self.generators = generators
+        self._chain = chain
+        self._order = chain.order()
+        self._elements = None
+        self._closures = None
 
     @classmethod
     def trivial(cls, degree):
@@ -201,29 +238,9 @@ class GroupWithChain:
         return tuple(level.base for level in self._chain.levels)
 
     def orbit(self, point):
-        """Orbit of a point under the whole group (breadth-first closure)."""
-        if not 0 <= point < self.degree:
-            raise ValueError(f"point {point} out of range 0..{self.degree - 1}")
-        seen = {point}
-        queue = [point]
-        gens = [g.images for g in self.generators]
-        while queue:
-            c = queue.pop()
-            for images in gens:
-                d = images[c]
-                if d not in seen:
-                    seen.add(d)
-                    queue.append(d)
-        return frozenset(seen)
-
-    def orbits(self):
-        remaining = set(range(self.degree))
-        out = []
-        while remaining:
-            o = self.orbit(min(remaining))
-            out.append(o)
-            remaining -= o
-        return out
+        """Orbit of a point under the whole group."""
+        check_index("point", point, self.degree)
+        return orbit_of(self.generators, point)
 
     def is_transitive(self):
         return len(self.orbit(0)) == self.degree
@@ -234,22 +251,17 @@ class GroupWithChain:
     def is_semiregular(self):
         """True when every point stabilizer is trivial (all orbits have full
         group size)."""
-        return all(len(o) == self._order for o in self.orbits())
+        return all(len(o) == self._order
+                   for o in orbits_of(self.generators, self.degree))
 
     def point_stabilizer(self, point):
         """Stabilizer of a point, via a chain rebuilt with that point as the
         first base point.  The orbit-stabilizer identity is asserted."""
-        if not 0 <= point < self.degree:
-            raise ValueError(f"point {point} out of range 0..{self.degree - 1}")
+        check_index("point", point, self.degree)
         chain = _build_chain(self.degree, self.generators, base_hint=(point,))
-        if len(chain.levels) > 1:
-            gens = list(chain.levels[1].gens)
-        else:
-            gens = []
-        if not gens:
-            stab = GroupWithChain.trivial(self.degree)
-        else:
-            stab = GroupWithChain(tuple(gens))
+        gens = tuple(chain.levels[1].gens) if len(chain.levels) > 1 else ()
+        stab = (GroupWithChain(gens) if gens
+                else GroupWithChain.trivial(self.degree))
         if len(self.orbit(point)) * stab.order() != self._order:
             raise StructureContradiction("orbit-stabilizer identity violated")
         return stab
@@ -295,8 +307,12 @@ class GroupWithChain:
                 f"ngens={len(self.generators)})")
 
 
-def group_from_generators(gens, base_hint=()):
-    return GroupWithChain(gens, base_hint=base_hint)
+def union_generators(first, second):
+    """Aligned generators of two actions of one group, combined into its
+    action on the disjoint union, the second domain shifted past the first."""
+    offset = first[0].degree
+    return tuple(Permutation(p.images + tuple(offset + j for j in q.images))
+                 for p, q in zip(first, second))
 
 
 def normal_closure(group, seeds):
@@ -314,21 +330,16 @@ def normal_closure(group, seeds):
             raise DegreeMismatchError("seed degree mismatch")
         if not group.contains(s):
             raise MembershipError("seed not in the ambient group")
-        if s.is_identity() or chain.contains(s):
-            continue
-        chain.install(s)
-        chain.schreier_sims()
-        gens.append(s)
-        work.append(s)
+        if chain.extend(s):
+            gens.append(s)
+            work.append(s)
     group_gens = group.generators
     inv_gens = [g.inverse() for g in group_gens]
     while work:
         n = work.pop()
         for g, gi in zip(group_gens, inv_gens):
             c = gi * n * g
-            if not chain.contains(c):
-                chain.install(c)
-                chain.schreier_sims()
+            if chain.extend(c):
                 gens.append(c)
                 work.append(c)
     if not gens:

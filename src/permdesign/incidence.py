@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .group import StructureContradiction
+from .group import StructureContradiction, check_index
 
 
 class DesignError(ValueError):
@@ -26,7 +26,7 @@ class IncidenceStructure:
     Blocks are stored sorted, and the block list sorted lexicographically;
     repeated blocks are permitted (a sequence, not a set)."""
 
-    __slots__ = ("v", "blocks")
+    __slots__ = ("v", "blocks", "_point_blocks")
 
     def __init__(self, v, blocks):
         if v < 1:
@@ -47,6 +47,7 @@ class IncidenceStructure:
             raise DesignError("no-blocks", "need at least one block")
         self.v = v
         self.blocks = tuple(sorted(canon))
+        self._point_blocks = None
 
     @property
     def b(self):
@@ -59,8 +60,20 @@ class IncidenceStructure:
     def has_repeated_blocks(self):
         return len(set(self.blocks)) != len(self.blocks)
 
+    def point_blocks(self):
+        """The incidence index: for each point, the increasing indices of
+        the blocks through it.  Built once."""
+        if self._point_blocks is None:
+            through = [[] for _ in range(self.v)]
+            for j, block in enumerate(self.blocks):
+                for p in block:
+                    through[p].append(j)
+            self._point_blocks = tuple(tuple(js) for js in through)
+        return self._point_blocks
+
     def blocks_through(self, point):
-        return tuple(j for j, blk in enumerate(self.blocks) if point in blk)
+        check_index("point", point, self.v)
+        return self.point_blocks()[point]
 
     def is_trivial(self):
         """Every block incident with every point (complete bipartite graph)."""
@@ -135,11 +148,7 @@ def verify_design(structure):
         raise DesignError("pair-count",
                           f"pair counts are not constant: {sorted(lambdas)}")
     lam = lambdas.pop()
-    point_counts = Counter()
-    for block in structure.blocks:
-        for p in block:
-            point_counts[p] += 1
-    replications = {point_counts[p] for p in range(v)}
+    replications = {len(js) for js in structure.point_blocks()}
     if len(replications) != 1:
         raise StructureContradiction(
             "constant k and lambda but non-constant replication number")
@@ -192,11 +201,7 @@ def dual(structure):
         warnings.warn("dual of a structure with repeated blocks identifies "
                       "distinct dual points with equal neighborhoods",
                       stacklevel=2)
-    new_blocks = []
-    for p in range(structure.v):
-        incident = [j for j, block in enumerate(structure.blocks) if p in block]
-        new_blocks.append(incident)
-    return IncidenceStructure(v=structure.b, blocks=new_blocks)
+    return IncidenceStructure(v=structure.b, blocks=structure.point_blocks())
 
 
 def complement(structure):
@@ -215,11 +220,8 @@ def incidence_graph_diameter(structure):
     vertex.  Raises on a disconnected graph."""
     v, b = structure.v, structure.b
     n = v + b
-    adj = [[] for _ in range(n)]
-    for j, block in enumerate(structure.blocks):
-        for p in block:
-            adj[p].append(v + j)
-            adj[v + j].append(p)
+    adj = ([[v + j for j in js] for js in structure.point_blocks()]
+           + list(structure.blocks))
     diameter = 0
     for start in range(n):
         dist = [-1] * n

@@ -46,6 +46,27 @@ def test_block_stabilizer_order_full_group(fano_pair):
         assert {x.images[p] for p in blk} == blk
 
 
+@pytest.mark.parametrize("method, index, kind", [
+    ("block_stabilizer", -1, "block index -1 out of range 0..6"),
+    ("block_stabilizer", 7, "block index 7 out of range 0..6"),
+    ("block_stabilizer_union", -1, "block index -1 out of range 0..6"),
+    ("local_block_action", 7, "block index 7 out of range 0..6"),
+    ("local_point_action", 8, "point 8 out of range 0..6"),
+    ("local_point_action", -1, "point -1 out of range 0..6"),
+    ("point_stabilizer_union", 7, "point 7 out of range 0..6"),
+])
+def test_design_action_rejects_out_of_range_indices(fano_pair, method, index,
+                                                    kind):
+    """A point of at least v would otherwise be read as a block vertex of
+    the union action, and a negative block index as a point."""
+    structure, g = fano_pair
+    action = DesignAction(g, structure)
+    with pytest.raises(ValueError, match=kind):
+        getattr(action, method)(index)
+    assert action.block_stabilizer(6).order() == 24
+    assert action.local_point_action(6).image.degree == 3
+
+
 def test_block_stabilizer_order_frobenius():
     g = group(7, *SINGER_F21)
     stab = block_stabilizer(g, singer_fano(), 0)

@@ -7,8 +7,8 @@ from conftest import group, perm
 from permdesign.analysis import is_quasiprimitive
 from permdesign.group import (ActionClosureError, EnumerationLimitError,
                               GroupWithChain, MembershipError, class_closures,
-                              induced_action, normal_closure,
-                              prime_order_class_representatives)
+                              induced_action, normal_closure, orbit_of,
+                              orbits_of, prime_order_class_representatives)
 from permdesign.perm import Permutation
 
 
@@ -97,6 +97,16 @@ def test_orbit_fixed_point():
     g = group(3, "(1 2)")
     assert g.orbit(2) == frozenset({2})
     assert not g.is_transitive()
+
+
+def test_orbits_of_come_in_order_of_smallest_point():
+    g = group(7, "(2 5)(3 7)", "(4 6)")
+    assert orbits_of(g.generators, 7) == [
+        frozenset({0}), frozenset({1, 4}), frozenset({2, 6}),
+        frozenset({3, 5})]
+    assert orbit_of(g.generators, 6) == g.orbit(6) == frozenset({2, 6})
+    assert not g.is_semiregular()
+    assert group(4, "(1 2)(3 4)").is_semiregular()
 
 
 def test_orbit_out_of_range(a7):

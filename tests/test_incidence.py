@@ -36,6 +36,17 @@ def test_flag_count():
     assert fano().flag_count == 21
 
 
+def test_incidence_index_matches_block_scan():
+    s = fano()
+    assert s.point_blocks() == tuple(
+        tuple(j for j, blk in enumerate(s.blocks) if p in blk)
+        for p in range(7))
+    assert s.blocks_through(0) == (0, 1, 2)
+    for point in (-1, 7):
+        with pytest.raises(ValueError, match=f"point {point} out of range"):
+            s.blocks_through(point)
+
+
 def test_verify_fano():
     params = verify_design(fano())
     assert (params.v, params.b, params.r, params.k, params.lam) == (7, 7, 3, 3, 1)

@@ -7,8 +7,11 @@ module attributes."""
 
 import json
 import os
+import random
 import subprocess
 import sys
+
+from permdesign import corpus
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
@@ -75,3 +78,15 @@ def test_tracer_wraps_analyze_and_restores():
     assert metrics["group.class_rep_calls"] == 2
     assert metrics["analysis.quasiprimitive_s"] > 0
     assert metrics["analysis.classify_s"] > 0
+
+
+def test_bundled_corpus_accepts_and_ignores_rng():
+    """perfbench/workloads.py builds the corpus-census inputs with
+    bundled_corpus(rng=random.Random(seed)); the corpus is deterministic."""
+    def summary(instances):
+        return [(inst.name, [str(g) for g in inst.group.generators],
+                 inst.structure) for inst in instances]
+
+    seeded = summary(corpus.bundled_corpus(rng=random.Random(1)))
+    assert seeded == summary(corpus.bundled_corpus())
+    assert len(seeded) == 8
