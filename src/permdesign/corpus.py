@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cosets import coset_action, coset_graph_design
-from .discovery import cyclic_normalizer, first_element_of_order
 from .geometry import build_AG, build_PG, build_symplectic_subdesign
 from .group import GroupWithChain, StructureContradiction
 from .incidence import IncidenceStructure
@@ -30,14 +29,11 @@ class CorpusInstance:
 
 def frobenius21_in(pgl32):
     """The order-21 normalizer of a cyclic group of order 7 inside the
-    projective group of the smallest projective plane, reduced to two
-    generators (an order-7 and an order-3 element)."""
-    sigma = first_element_of_order(pgl32, 7)
-    norm = cyclic_normalizer(pgl32, sigma)
-    tau = first_element_of_order(norm, 3)
-    frob = GroupWithChain((sigma, tau))
-    if frob.order() != 21:
-        raise RuntimeError(f"normalizer construction gave order {frob.order()}")
+    projective group of the smallest projective plane, from fixed generators
+    of orders 7 and 3, checked by order and by membership."""
+    frob = _a7_subgroup(21, "(1 3 6 2 5 4 7)", "(1 5 4)(3 7 6)")
+    if not frob.is_subgroup_of(pgl32):
+        raise StructureContradiction("Frobenius generators not in PGL(3,2)")
     return frob
 
 

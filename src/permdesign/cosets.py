@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import index_limit
-from .group import (GroupWithChain, StructureContradiction, induced_action,
+from .group import (ActionImage, GroupWithChain, StructureContradiction,
                     union_generators)
 from .incidence import IncidenceStructure
 from .perm import Permutation
@@ -54,11 +54,7 @@ class CosetSpace:
         for g in subgroup.generators:
             if not group.contains(g):
                 raise SubgroupError("given generators do not lie in the group")
-        limit = index_limit() if limit is None else limit
-        index = group.order() // subgroup.order()
-        if index > limit:
-            raise IndexLimitError(
-                f"index {index} exceeds the coset index limit {limit}")
+        index = _checked_index(group, subgroup, limit)
         orbit = _coset_orbit(subgroup, group)
         reps = tuple(orbit.values())
         if len(reps) != index:
@@ -76,16 +72,33 @@ class CosetSpace:
         return self._position[key]
 
 
+def _checked_index(group, subgroup, limit):
+    """|G:H|, refused beyond the index limit."""
+    limit = index_limit() if limit is None else limit
+    index = group.order() // subgroup.order()
+    if index > limit:
+        raise IndexLimitError(
+            f"index {index} exceeds the coset index limit {limit}")
+    return index
+
+
+def _action_generators(space):
+    """The images of the group's generators on the cosets of a space."""
+    reps = space.representatives
+    return tuple(Permutation([space.position_of(rep * g) for rep in reps])
+                 for g in space.group.generators)
+
+
 def coset_action(group, subgroup, limit=None):
     """Transitive action of the group on [G:L] by right multiplication.
 
     Asserted: the point stabilizer of the trivial coset is exactly L (every
     L generator fixes index 0 and the orbit-stabilizer count matches)."""
     space = CosetSpace(group, subgroup, limit)
-    image = induced_action(
-        group, space.representatives,
-        lambda rep, g: canonical_coset_representative(space.subgroup, rep * g))
-    if not image.image.is_transitive():
+    image = GroupWithChain(_action_generators(space))
+    action = ActionImage(source=group, objects=space.representatives,
+                         image=image, faithful=image.order() == group.order())
+    if not image.is_transitive():
         raise StructureContradiction("coset action is not transitive")
     for g in subgroup.generators:
         if space.position_of(g) != 0:
@@ -93,7 +106,7 @@ def coset_action(group, subgroup, limit=None):
                 "subgroup generator moves the trivial coset")
     if space.index * subgroup.order() != group.order():
         raise StructureContradiction("index times subgroup order != group order")
-    return image
+    return action
 
 
 class CosetGraph:
@@ -155,11 +168,11 @@ def coset_graph_design(group, left, right, limit=None):
 
 def coset_graph_faithful(group, left, right, limit=None):
     """Whether the action on both coset spaces together is faithful, i.e.
-    whether the intersection of the two subgroups is core-free."""
-    points = coset_action(group, left, limit)
-    blocks = coset_action(group, right, limit)
-    union = GroupWithChain(union_generators(points.image.generators,
-                                            blocks.image.generators))
+    whether the intersection of the two subgroups is core-free: one chain,
+    of the action on the disjoint union of the two spaces, has order |G|."""
+    union = GroupWithChain(union_generators(
+        _action_generators(CosetSpace(group, left, limit)),
+        _action_generators(CosetSpace(group, right, limit))))
     return union.order() == group.order()
 
 
@@ -241,7 +254,7 @@ def subgroup_intersection(left, right, limit=None):
 
 
 def is_trivial_factorization(group, left, right, limit=None):
-    """True iff G = LR, i.e. |L| * |R| / |L n R| = |G| (complete bipartite
-    coset graph)."""
-    inter = subgroup_intersection(left, right, limit)
-    return left.order() * right.order() == group.order() * inter.order()
+    """True iff G = LR (complete bipartite coset graph), i.e. the R-cosets
+    inside RL are all |G:R| of them.  `limit` bounds |G:R|."""
+    index = _checked_index(group, right, limit)
+    return len(_coset_orbit(right, left)) == index

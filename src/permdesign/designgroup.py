@@ -69,8 +69,9 @@ class DesignAction:
     the disjoint-union action (points 0..v-1, block j at vertex v+j) built
     once and shared by the verdict operations.
 
-    Block stabilizers are point stabilizers of block vertices in the union
-    action, reusing the one well-tested stabilizer primitive."""
+    Stabilizers are point stabilizers of vertices in the union action, whose
+    chain is based at the canonical flag (first block, its smallest point),
+    so the flag's G_a and G_aB are tails of it."""
 
     def __init__(self, group, structure):
         if group.degree != structure.v:
@@ -88,7 +89,8 @@ class DesignAction:
             source=group, objects=structure.blocks, image=image,
             faithful=image.order() == group.order())
         self.union_group = GroupWithChain(
-            union_generators(group.generators, image.generators))
+            union_generators(group.generators, image.generators),
+            base_hint=(structure.blocks[0][0], structure.v))
         self._stabilizers = {}  # vertex -> union stabilizer, built once
 
     def block_image_of(self, g):

@@ -3,9 +3,9 @@ subgroup conjugacy testing, and normalizers of cyclic subgroups.
 Everything runs on enumerated elements, so it is meant for desk-scale
 groups only.
 
-The bundled corpus does not run the random search: its subgroups of the
-alternating group are written out by generators.  It uses only the
-normalizer and element-order helpers, for the order-21 Frobenius group."""
+The bundled corpus does not use this module: its subgroups are written out
+by generators.  The helpers remain as a desk tool for finding such
+generators, and the benchmark tracer wraps them by name."""
 
 from __future__ import annotations
 

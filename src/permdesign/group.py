@@ -7,8 +7,8 @@ every Schreier generator is sifted exactly once (a per-level memo makes the
 verification loop incremental).  The result is reproducible for a fixed
 generator sequence.
 
-A GroupWithChain is immutable once constructed; operations that need to grow
-a group (normal closures, stabilizers) build a fresh chain.
+A GroupWithChain is immutable once constructed: a normal closure grows a
+fresh chain, and a point stabilizer is a tail of one (see _Chain).
 """
 
 from __future__ import annotations
@@ -48,7 +48,9 @@ class _Level:
 
 
 class _Chain:
-    """Mutable Schreier-Sims engine; wrapped read-only by GroupWithChain."""
+    """Mutable Schreier-Sims engine; wrapped read-only by GroupWithChain.
+    A stabilizer's chain is a tail sharing its parent's _Level objects, so
+    neither may be extended once wrapped."""
 
     def __init__(self, degree, base_hint=()):
         self.degree = degree
@@ -255,13 +257,19 @@ class GroupWithChain:
                    for o in orbits_of(self.generators, self.degree))
 
     def point_stabilizer(self, point):
-        """Stabilizer of a point, via a chain rebuilt with that point as the
-        first base point.  The orbit-stabilizer identity is asserted."""
+        """Stabilizer of a point, as the levels below the first base point of
+        a chain based at it: this group's own chain, or one built with the
+        point first.  The orbit-stabilizer identity is asserted."""
         check_index("point", point, self.degree)
-        chain = _build_chain(self.degree, self.generators, base_hint=(point,))
-        gens = tuple(chain.levels[1].gens) if len(chain.levels) > 1 else ()
-        stab = (GroupWithChain(gens) if gens
-                else GroupWithChain.trivial(self.degree))
+        chain = self._chain
+        if self.base()[:1] != (point,):
+            chain = _build_chain(self.degree, self.generators, (point,))
+        tail = _Chain(self.degree)
+        tail.levels = chain.levels[1:]
+        gens = tail.levels[0].gens if tail.levels else ()
+        # a hinted level can have no strong generators
+        stab = GroupWithChain._from_chain(
+            gens or (Permutation.identity(self.degree),), tail)
         if len(self.orbit(point)) * stab.order() != self._order:
             raise StructureContradiction("orbit-stabilizer identity violated")
         return stab

@@ -142,6 +142,18 @@ def right_coset(subgroup_set, x):
     return frozenset(_compose(h, x) for h in subgroup_set)
 
 
+def coset_kernel(group, *subgroups):
+    """The kernel of the action on the right cosets of all the subgroups
+    together: the elements common to them whose every conjugate is too."""
+    g_set = mulclose(group.generators)
+    common = set.intersection(*(mulclose(h.generators) for h in subgroups))
+    inverse = {x: tuple(sorted(range(len(x)), key=x.__getitem__))
+               for x in g_set}
+    return {h for h in common
+            if all(_compose(_compose(inverse[x], h), x) in common
+                   for x in g_set)}
+
+
 def coset_graph_blocks(group, left, right):
     """The coset graph from element sets: each right coset Ry of R, mapped
     to the set of right cosets Lx of L that meet it.  Cosets are frozensets

@@ -14,6 +14,20 @@ def group(degree, *cycle_strings):
     return GroupWithChain(tuple(perm(s, degree) for s in cycle_strings))
 
 
+@pytest.fixture
+def chain_builds(monkeypatch):
+    """The arguments of every stabilizer-chain build made from here on."""
+    from permdesign import group as chains
+    calls = []
+    build = chains._build_chain
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+    monkeypatch.setattr(chains, "_build_chain", counting)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def fano_pair():
     return build_PG(2, 2, 1)

@@ -172,6 +172,16 @@ def test_type_row_properties_on_corpus(corpus_instances):
             assert t_max <= 6, inst.name
 
 
+def test_analyze_reads_stabilizers_as_chain_tails(corpus_instances,
+                                                 chain_builds):
+    # G_a and G_aB of the canonical flag are tails of the union chain, and
+    # G_a on the points is a tail of the group's own chain
+    for inst in corpus_instances:
+        chain_builds.clear()
+        analyze(inst.group, inst.structure, inst.name)
+        assert len(chain_builds) <= 9, inst.name
+
+
 def test_class_reps_run_once_per_group(pg132_pair, monkeypatch):
     # PGL(4,2) is simple: its one minimal normal subgroup is the group
     # itself, and its block action is the only other group whose normal

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from bruteforce import (coset_graph_blocks, double_coset_ratios, mulclose,
-                        right_coset)
+from bruteforce import (coset_graph_blocks, coset_kernel,
+                        double_coset_ratios, mulclose, right_coset)
 from conftest import group, perm
 from permdesign.cosets import (CosetGraph, CosetSpace, CrosscheckResult,
                                IndexLimitError, SubgroupError,
@@ -233,6 +233,35 @@ def test_coset_graph_blocks_match_element_oracle(fano_pair, frobenius21, s4):
         assert graph.point_neighbors == tuple(
             frozenset(j for j, block in enumerate(graph.blocks) if i in block)
             for i in range(len(points)))
+
+
+def test_faithfulness_and_factorization_match_element_oracle(
+        fano_pair, frobenius21, s4, chain_builds):
+    from permdesign.cosets import coset_graph_faithful
+    c4 = group(4, "(1 2 3 4)")
+    center = group(4, "(1 3)(2 4)")
+    cases = _oracle_cases(fano_pair, frobenius21, s4) + [
+        (c4, center, center), (c4, center, GroupWithChain.trivial(4))]
+    faithful = []
+    for grp, left, right in cases:
+        chain_builds.clear()
+        faithful.append(coset_graph_faithful(grp, left, right))
+        # one chain, of the action on both coset spaces together
+        assert len(chain_builds) == 1
+        assert faithful[-1] == (len(coset_kernel(grp, left, right)) == 1)
+        g_set = mulclose(grp.generators)
+        l_set = mulclose(left.generators)
+        r_set = mulclose(right.generators)
+        assert is_trivial_factorization(grp, left, right) == (
+            len(l_set) * len(r_set) == len(g_set) * len(l_set & r_set))
+    assert True in faithful and False in faithful
+
+
+def test_trivial_factorization_bounded_by_index_limit(s4):
+    a4 = group(4, "(1 2 3)", "(2 3 4)")
+    assert is_trivial_factorization(s4, group(4, "(1 2)"), a4, limit=2)
+    with pytest.raises(IndexLimitError):
+        is_trivial_factorization(s4, a4, group(4, "(1 2)"), limit=11)
 
 
 def test_crosscheck_enumerates_no_elements(pg132_pair, monkeypatch):

@@ -133,6 +133,32 @@ def test_point_stabilizer_of_trivial_group():
     assert g.point_stabilizer(2).order() == 1
 
 
+def test_point_stabilizer_reads_the_chain_tail(fano_pair, chain_builds):
+    _, g = fano_pair
+    first = g.base()[0]
+    assert g.point_stabilizer(first).order() == 24
+    assert chain_builds == []
+    assert g.point_stabilizer((first + 1) % 7).order() == 24
+    assert len(chain_builds) == 1
+
+
+@pytest.mark.parametrize("deg,gens", [
+    (7, ("(1 2 3 4 5 6 7)", "(1 2)(3 6)")),   # PGL(3,2)
+    (5, ("(1 2)", "(1 2 3 4 5)")),            # S5
+])
+def test_two_deep_stabilizer_matches_closure(deg, gens):
+    g = group(deg, *gens)
+    closure = mulclose(g.generators)
+    for a in range(deg):
+        stab = g.point_stabilizer(a)
+        for b in range(deg):
+            if b == a:
+                continue
+            expected = {t for t in closure if t[a] == a and t[b] == b}
+            got = stab.point_stabilizer(b)
+            assert {p.images for p in got.elements()} == expected, (a, b)
+
+
 def test_orbit_stabilizer_identity_random_groups():
     rng = random.Random(11)
     for _ in range(20):

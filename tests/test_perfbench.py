@@ -1,10 +1,13 @@
 """The benchmark harness under perfbench/ still runs against the library:
-its self-test passes, its machine record reads every name it needs, and
-its tracer wraps and restores the layers that `analyze` goes through.
-They run in a subprocess because importing perfbench/run.py clears the
+its self-test passes, its machine record reads every name it needs, its
+tracer wraps and restores the layers that `analyze` goes through, and its
+committed coset inputs are what its generator script derives.  The first
+three run in a subprocess because importing perfbench/run.py clears the
 PERMDESIGN_* variables of the importing process, and the tracer patches
 module attributes."""
 
+import importlib.util
+import itertools
 import json
 import os
 import random
@@ -12,6 +15,8 @@ import subprocess
 import sys
 
 from permdesign import corpus
+from permdesign.designgroup import DesignAction
+from permdesign.io import format_group
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
@@ -90,3 +95,27 @@ def test_bundled_corpus_accepts_and_ignores_rng():
     seeded = summary(corpus.bundled_corpus(rng=random.Random(1)))
     assert seeded == summary(corpus.bundled_corpus())
     assert len(seeded) == 8
+
+
+def test_committed_coset_inputs_match_their_generator(monkeypatch):
+    """The stabilizer generators behind perfbench/coset_inputs/ are
+    unchanged.  The largest triple, symplectic-2-3, is left out as the
+    slowest to derive; `python3 perfbench/gen_coset_inputs.py` rewrites
+    all of them."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script extends it
+    spec = importlib.util.spec_from_file_location(
+        "gen_coset_inputs", os.path.join(PERFBENCH, "gen_coset_inputs.py"))
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    names = []
+    for name, comment, grp, design in itertools.islice(gen.triples(), 4):
+        names.append(name)
+        roles = {"G": grp, "L": grp.point_stabilizer(design.blocks[0][0]),
+                 "R": DesignAction(grp, design).block_stabilizer(0)}
+        for role, sub in roles.items():
+            path = os.path.join(gen.OUT_DIR, f"{name}.{role}.group")
+            with open(path, encoding="utf-8") as fh:
+                assert format_group(sub, f"{name} {role}: {comment}") == \
+                    fh.read(), path
+    assert names == ["a7-cos-15-3-1", "a7-cos-15-7-3", "agl-3-3-lines",
+                     "pgl-4-3-lines"]
