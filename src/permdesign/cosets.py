@@ -6,7 +6,9 @@ corresponding design.
 Cosets are identified by a canonical representative: the element of Lx
 whose base-image sequence under L's stabilizer chain is lexicographically
 minimal, found by walking the chain transversals.  This gives constant-time
-coset keys without backtrack searches.
+coset keys without backtrack searches.  One breadth-first walk enumerates
+a coset space and records where each generator sends each coset; the coset
+action, the coset graph and the faithfulness check read that table.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 from .config import index_limit
 from .group import (ActionImage, GroupWithChain, StructureContradiction,
-                    union_generators)
+                    restrict_to_points, union_generators)
 from .incidence import IncidenceStructure
 from .perm import Permutation
 
@@ -46,25 +48,24 @@ def canonical_coset_representative(subgroup, x):
 
 class CosetSpace:
     """The right cosets of a subgroup, with canonical representatives in
-    breadth-first discovery order (the trivial coset is index 0)."""
+    breadth-first discovery order (the trivial coset is index 0), and as
+    `action` the images of the group's generators on the coset indices."""
 
     def __init__(self, group, subgroup, limit=None):
         if subgroup.degree != group.degree:
             raise SubgroupError("subgroup degree mismatch")
-        for g in subgroup.generators:
-            if not group.contains(g):
-                raise SubgroupError("given generators do not lie in the group")
+        if not subgroup.is_subgroup_of(group):
+            raise SubgroupError("given generators do not lie in the group")
         index = _checked_index(group, subgroup, limit)
-        orbit = _coset_orbit(subgroup, group)
-        reps = tuple(orbit.values())
+        position, reps, self.action = _coset_orbit(subgroup, group)
         if len(reps) != index:
             raise StructureContradiction(
                 f"coset enumeration found {len(reps)} cosets, expected {index}")
         self.group = group
         self.subgroup = subgroup
-        self.representatives = reps
+        self.representatives = tuple(reps)
         self.index = index
-        self._position = {key: i for i, key in enumerate(orbit)}
+        self._position = position
 
     def position_of(self, x):
         """Index of the coset (subgroup)*x."""
@@ -82,20 +83,13 @@ def _checked_index(group, subgroup, limit):
     return index
 
 
-def _action_generators(space):
-    """The images of the group's generators on the cosets of a space."""
-    reps = space.representatives
-    return tuple(Permutation([space.position_of(rep * g) for rep in reps])
-                 for g in space.group.generators)
-
-
 def coset_action(group, subgroup, limit=None):
     """Transitive action of the group on [G:L] by right multiplication.
 
     Asserted: the point stabilizer of the trivial coset is exactly L (every
     L generator fixes index 0 and the orbit-stabilizer count matches)."""
     space = CosetSpace(group, subgroup, limit)
-    image = GroupWithChain(_action_generators(space))
+    image = GroupWithChain(space.action)
     action = ActionImage(source=group, objects=space.representatives,
                          image=image, faithful=image.order() == group.order())
     if not image.is_transitive():
@@ -111,27 +105,28 @@ def coset_action(group, subgroup, limit=None):
 
 class CosetGraph:
     """Coset graph data: the two coset spaces, the point neighborhoods, and
-    the incidence structure on (points=[G:L], blocks=[G:R])."""
+    the incidence structure on (points=[G:L], blocks=[G:R]).  Block 0 is the
+    L-cosets inside LR; the cosets meeting R*y*g are those meeting R*y moved
+    by g, so the two action tables carry block 0 to every other block."""
 
     def __init__(self, group, left, right, limit=None):
         self.space_points = CosetSpace(group, left, limit)
         self.space_blocks = CosetSpace(group, right, limit)
-        # the cosets of L meeting R*y are the L*t*y for the L-cosets L*t in LR
-        lr = _coset_orbit(left, right).values()
-        position_of = self.space_points.position_of
-        blocks = []
+        position = self.space_points._position
+        blocks = [None] * self.space_blocks.index
+        blocks[0] = sorted(position[key] for key in _coset_orbit(left, right)[0])
+        moves = tuple(zip(self.space_points.action, self.space_blocks.action))
         point_neighbors = [set() for _ in range(self.space_points.index)]
-        for j, y in enumerate(self.space_blocks.representatives):
-            members = sorted(position_of(t * y) for t in lr)
+        for j, members in enumerate(blocks):
             for i in members:
                 point_neighbors[i].add(j)
-            blocks.append(members)
+            for on_points, on_blocks in moves:
+                target = on_blocks.images[j]
+                if blocks[target] is None:
+                    blocks[target] = sorted(on_points.images[i] for i in members)
         if 0 not in blocks[0]:
             raise StructureContradiction(
                 "the trivial cosets of L and R are not adjacent")
-        self.group = group
-        self.left = left
-        self.right = right
         self.blocks = tuple(tuple(b) for b in blocks)
         self.point_neighbors = tuple(frozenset(s) for s in point_neighbors)
         self.structure = IncidenceStructure(
@@ -143,22 +138,26 @@ class CosetGraph:
 
 
 def _coset_orbit(subgroup, acting, start=None):
-    """Canonical representatives of the right cosets H*x*a for a in A, where
-    H = subgroup, A = acting and x = start (the identity by default), keyed
-    by their image tuples, in breadth-first discovery order.  With x = 1,
-    z lies in HA exactly when the key of H*z is one of these keys."""
+    """One breadth-first walk over the right cosets H*x*a for a in A, where
+    H = subgroup, A = acting and x = start (the identity by default).  Returns
+    a dict from the canonical representatives' image tuples to their order of
+    discovery, the representatives in that order, and the images of A's
+    generators on the cosets.  With x = 1, z is in HA iff H*z's key is."""
     if start is None:
         start = Permutation.identity(subgroup.degree)
     start = canonical_coset_representative(subgroup, start)
-    reps = {start.images: start}
-    queue = [start]
-    for rep in queue:
-        for g in acting.generators:
+    position = {start.images: 0}
+    reps = [start]
+    table = [[] for _ in acting.generators]
+    for rep in reps:
+        for g, row in zip(acting.generators, table):
             c = canonical_coset_representative(subgroup, rep * g)
-            if c.images not in reps:
-                reps[c.images] = c
-                queue.append(c)
-    return reps
+            i = position.get(c.images)
+            if i is None:
+                i = position[c.images] = len(reps)
+                reps.append(c)
+            row.append(i)
+    return position, reps, tuple(Permutation(row) for row in table)
 
 
 def coset_graph_design(group, left, right, limit=None):
@@ -171,8 +170,8 @@ def coset_graph_faithful(group, left, right, limit=None):
     whether the intersection of the two subgroups is core-free: one chain,
     of the action on the disjoint union of the two spaces, has order |G|."""
     union = GroupWithChain(union_generators(
-        _action_generators(CosetSpace(group, left, limit)),
-        _action_generators(CosetSpace(group, right, limit))))
+        CosetSpace(group, left, limit).action,
+        CosetSpace(group, right, limit).action))
     return union.order() == group.order()
 
 
@@ -180,9 +179,9 @@ def double_coset_lambda(group, left, right, g, _rl=None):
     """|RL n RLg| / |R|, counted in right R-cosets: RL is the union of the
     cosets R*l for l in L, so the count is the number of those cosets R*t
     with R*t*g again in RL.  For g in L this is the replication number."""
-    rl = _coset_orbit(right, left) if _rl is None else _rl
-    return sum(1 for t in rl.values()
-               if canonical_coset_representative(right, t * g).images in rl)
+    position, reps, _ = _coset_orbit(right, left) if _rl is None else _rl
+    return sum(1 for t in reps
+               if canonical_coset_representative(right, t * g).images in position)
 
 
 @dataclass(frozen=True)
@@ -218,7 +217,7 @@ def lambda_constancy_crosscheck(group, left, right, limit=None):
     rl = _coset_orbit(right, left)
     neighbors = graph.point_neighbors
     base_neighbors = neighbors[0]
-    if len(rl) != len(base_neighbors):
+    if len(rl[0]) != len(base_neighbors):
         raise StructureContradiction(
             "the R-cosets in RL do not match the degree of the trivial coset")
     space = graph.space_points
@@ -228,7 +227,7 @@ def lambda_constancy_crosscheck(group, left, right, limit=None):
     for i, x in enumerate(space.representatives):
         if x.images in seen:
             continue
-        orbit = _coset_orbit(left, left, x)
+        orbit = _coset_orbit(left, left, x)[0]
         seen.update(orbit)
         value = double_coset_lambda(group, left, right, x, _rl=rl)
         if len(base_neighbors & neighbors[i]) != value:
@@ -243,18 +242,20 @@ def lambda_constancy_crosscheck(group, left, right, limit=None):
 
 
 def subgroup_intersection(left, right, limit=None):
-    """L n R, by filtering the elements of the smaller subgroup through the
-    membership test of the other."""
+    """L n R, the stabilizer of the trivial coset in the smaller subgroup S
+    acting on the cosets of the other: the tail of one chain of S on its
+    points and the cosets its walk reaches, read on the points.  The walk
+    visits at most |S| cosets; `limit` bounds |S| as an element limit."""
     small, large = (left, right) if left.order() <= right.order() else (right, left)
-    common = [p for p in small.elements(limit) if large.contains(p)]
-    non_identity = [p for p in common if not p.is_identity()]
-    if not non_identity:
-        return GroupWithChain.trivial(left.degree)
-    return GroupWithChain(tuple(non_identity))
+    small._check_enumerable(limit)
+    degree = small.degree
+    union = GroupWithChain(union_generators(
+        small.generators, _coset_orbit(large, small)[2]), base_hint=(degree,))
+    return restrict_to_points(union.point_stabilizer(degree), degree)
 
 
 def is_trivial_factorization(group, left, right, limit=None):
     """True iff G = LR (complete bipartite coset graph), i.e. the R-cosets
     inside RL are all |G:R| of them.  `limit` bounds |G:R|."""
     index = _checked_index(group, right, limit)
-    return len(_coset_orbit(right, left)) == index
+    return len(_coset_orbit(right, left)[0]) == index

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from .analysis import is_quasiprimitive, primitivity_status
 from .group import (ActionImage, EnumerationLimitError, GroupWithChain,
                     StructureContradiction, check_index, induced_action,
-                    orbits_of, union_generators)
+                    orbits_of, restrict_to_points, union_generators)
 from .perm import Permutation
 
 
@@ -71,7 +71,9 @@ class DesignAction:
 
     Stabilizers are point stabilizers of vertices in the union action, whose
     chain is based at the canonical flag (first block, its smallest point),
-    so the flag's G_a and G_aB are tails of it."""
+    so the flag's G_a and G_aB are tails of it.  Each vertex's local action
+    is built once and kept, and its source is the vertex stabilizer that
+    every verdict reads."""
 
     def __init__(self, group, structure):
         if group.degree != structure.v:
@@ -91,7 +93,7 @@ class DesignAction:
         self.union_group = GroupWithChain(
             union_generators(group.generators, image.generators),
             base_hint=(structure.blocks[0][0], structure.v))
-        self._stabilizers = {}  # vertex -> union stabilizer, built once
+        self._local = {}  # union vertex -> its stabilizer's local action
 
     def block_image_of(self, g):
         """Index permutation induced on blocks by an arbitrary group element."""
@@ -104,42 +106,34 @@ class DesignAction:
                 "group does not preserve the block set") from None
 
     def point_stabilizer_union(self, point):
-        check_index("point", point, self.structure.v)
-        return self._vertex_stabilizer(point)
+        return self.local_point_action(point).source
 
     def block_stabilizer_union(self, block_index):
-        check_index("block index", block_index, self.structure.b)
-        return self._vertex_stabilizer(self.structure.v + block_index)
-
-    def _vertex_stabilizer(self, vertex):
-        stabs = self._stabilizers
-        if vertex not in stabs:
-            stabs[vertex] = self.union_group.point_stabilizer(vertex)
-        return stabs[vertex]
+        return self.local_block_action(block_index).source
 
     def block_stabilizer(self, block_index):
         """Setwise stabilizer of a block, as a group on the original points."""
-        stab = self.block_stabilizer_union(block_index)
-        v = self.structure.v
-        gens = [Permutation(g.images[:v]) for g in stab.generators]
-        restricted = GroupWithChain(tuple(gens))
-        if restricted.order() != stab.order():
-            raise StructureContradiction(
-                "union action not faithful on points")
-        return restricted
+        return restrict_to_points(self.block_stabilizer_union(block_index),
+                                  self.structure.v)
 
     def local_point_action(self, point):
         """Stabilizer of a point acting on the blocks through it."""
-        stab = self.point_stabilizer_union(point)
         v = self.structure.v
-        incident = [v + j for j in self.structure.blocks_through(point)]
-        return induced_action(stab, incident, lambda x, g: g.images[x])
+        return self._local_action(
+            point, [v + j for j in self.structure.blocks_through(point)])
 
     def local_block_action(self, block_index):
         """Stabilizer of a block acting on the points of that block."""
-        stab = self.block_stabilizer_union(block_index)
-        return induced_action(stab, self.structure.blocks[block_index],
-                              lambda x, g: g.images[x])
+        check_index("block index", block_index, self.structure.b)
+        return self._local_action(self.structure.v + block_index,
+                                  self.structure.blocks[block_index])
+
+    def _local_action(self, vertex, incident):
+        if vertex not in self._local:
+            self._local[vertex] = induced_action(
+                self.union_group.point_stabilizer(vertex), incident,
+                lambda x, g: g.images[x])
+        return self._local[vertex]
 
     def is_flag_transitive(self):
         """Computed along both local routes (block-transitive with transitive

@@ -323,6 +323,15 @@ def union_generators(first, second):
                  for p, q in zip(first, second))
 
 
+def restrict_to_points(group, degree):
+    """A union action read on its first domain 0..degree-1, faithfully."""
+    restricted = GroupWithChain(tuple(Permutation(g.images[:degree])
+                                      for g in group.generators))
+    if restricted.order() != group.order():
+        raise StructureContradiction("action not faithful on points")
+    return restricted
+
+
 def normal_closure(group, seeds):
     """Smallest normal subgroup of `group` containing every seed.
 

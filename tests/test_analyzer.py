@@ -179,7 +179,27 @@ def test_analyze_reads_stabilizers_as_chain_tails(corpus_instances,
     for inst in corpus_instances:
         chain_builds.clear()
         analyze(inst.group, inst.structure, inst.name)
-        assert len(chain_builds) <= 9, inst.name
+        assert len(chain_builds) <= 7, inst.name
+
+
+def test_analyze_builds_each_local_action_once(corpus_instances,
+                                               monkeypatch):
+    # G_0 on the blocks through point 0 and G_B on the points of block 0:
+    # the flag-transitivity check, the local-primitivity verdict, the
+    # stabilizer bound and the block stabilizer all read these two
+    from permdesign import designgroup
+    original = designgroup.induced_action
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(designgroup, "induced_action", counting)
+    for inst in corpus_instances:
+        calls.clear()
+        analyze(inst.group, inst.structure, inst.name)
+        assert len(calls) == 2, inst.name
 
 
 def test_class_reps_run_once_per_group(pg132_pair, monkeypatch):

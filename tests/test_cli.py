@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -255,6 +256,37 @@ def test_census_matches_golden(corpus_dir, tmp_path, capsys):
     assert main(["census", str(corpus_dir), "--json", str(out)]) == 0
     with open(GOLDEN_CENSUS, "rb") as fh:
         assert out.read_bytes() == fh.read()
+
+
+GOLDEN_COSET = os.path.join(os.path.dirname(__file__), "golden",
+                            "coset.sha256")
+COSET_INPUTS = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                            "perfbench", "coset_inputs")
+
+
+def test_coset_matches_golden(tmp_path, capsys):
+    """`permdesign coset G L R --out DIR --prefix NAME` on three committed
+    (G, L, R) triples: SHA-256 of the JSON record it prints (without the
+    `wrote <path>` line) and of the design file it writes."""
+    expected = {}
+    with open(GOLDEN_COSET) as fh:
+        for line in fh:
+            digest, name = line.split()
+            expected[name] = digest
+    got = {}
+    for name in sorted({n.rsplit(".", 1)[0] for n in expected}):
+        files = [os.path.join(COSET_INPUTS, f"{name}.{role}.group")
+                 for role in "GLR"]
+        assert main(["coset", *files, "--out", str(tmp_path),
+                     "--prefix", name]) == 0
+        record = "".join(line + "\n" for line in
+                         capsys.readouterr().out.splitlines()
+                         if not line.startswith("wrote "))
+        got[f"{name}.json"] = hashlib.sha256(record.encode()).hexdigest()
+        design = (tmp_path / f"{name}.design").read_bytes()
+        got[f"{name}.design"] = hashlib.sha256(design).hexdigest()
+    assert len(expected) == 6
+    assert got == expected
 
 
 def test_census_empty_directory(tmp_path, capsys):

@@ -257,6 +257,75 @@ def test_faithfulness_and_factorization_match_element_oracle(
     assert True in faithful and False in faithful
 
 
+def _table_cases(fano_pair, frobenius21, s4):
+    """The oracle cases, the two C4 cases with a normal subgroup, and the
+    two A7 pairs behind the 15-point corpus designs."""
+    from permdesign.corpus import discover_a7_subgroups
+    c4 = group(4, "(1 2 3 4)")
+    center = group(4, "(1 3)(2 4)")
+    a7, left, right, other = discover_a7_subgroups()
+    return _oracle_cases(fano_pair, frobenius21, s4) + [
+        (c4, center, center), (c4, center, GroupWithChain.trivial(4)),
+        (a7, left, right), (a7, left, other)]
+
+
+def test_coset_space_action_table(fano_pair, frobenius21, s4):
+    # the walk's table is where each generator sends each coset
+    for grp, left, right in _table_cases(fano_pair, frobenius21, s4):
+        for sub in (left, right):
+            space = CosetSpace(grp, sub)
+            assert len(space.action) == len(grp.generators)
+            for g, moved in zip(grp.generators, space.action):
+                assert moved.images == tuple(
+                    space.position_of(rep * g)
+                    for rep in space.representatives)
+
+
+def test_coset_actions_read_the_walk(fano_pair, frobenius21, s4,
+                                     monkeypatch):
+    # coset_graph_faithful canonicalizes each (coset, generator) pair of
+    # both spaces once, plus each walk's start; CosetGraph adds only the
+    # walk over the L-cosets in LR
+    from permdesign import cosets
+    from permdesign.cosets import _coset_orbit, coset_graph_faithful
+    original = cosets.canonical_coset_representative
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cosets, "canonical_coset_representative", counting)
+    for grp, left, right in _table_cases(fano_pair, frobenius21, s4):
+        order = grp.order()
+        spaces = ((order // left.order() + order // right.order())
+                  * len(grp.generators) + 2)
+        walk = len(_coset_orbit(left, right)[0]) * len(right.generators) + 1
+        calls.clear()
+        coset_graph_faithful(grp, left, right)
+        assert len(calls) == spaces
+        calls.clear()
+        CosetGraph(grp, left, right)
+        assert len(calls) == spaces + walk
+
+
+def test_subgroup_intersection_matches_element_oracle(fano_pair, frobenius21,
+                                                      s4):
+    for grp, left, right in _table_cases(fano_pair, frobenius21, s4):
+        common = subgroup_intersection(left, right)
+        assert {p.images for p in common.elements()} == (
+            mulclose(left.generators) & mulclose(right.generators))
+
+
+def test_subgroup_intersection_refuses_beyond_element_limit():
+    from permdesign.corpus import discover_a7_subgroups
+    from permdesign.group import EnumerationLimitError
+    _, left, right, _ = discover_a7_subgroups()
+    assert subgroup_intersection(left, right, limit=72).order() == 24
+    with pytest.raises(EnumerationLimitError):
+        subgroup_intersection(left, right, limit=71)
+
+
 def test_trivial_factorization_bounded_by_index_limit(s4):
     a4 = group(4, "(1 2 3)", "(2 3 4)")
     assert is_trivial_factorization(s4, group(4, "(1 2)"), a4, limit=2)

@@ -67,6 +67,17 @@ def test_design_action_rejects_out_of_range_indices(fano_pair, method, index,
     assert action.local_point_action(6).image.degree == 3
 
 
+def test_stabilizers_are_local_action_sources(fano_pair):
+    structure, g = fano_pair
+    action = DesignAction(g, structure)
+    for p in range(structure.v):
+        assert (action.point_stabilizer_union(p)
+                is action.local_point_action(p).source)
+    for j in range(structure.b):
+        assert (action.block_stabilizer_union(j)
+                is action.local_block_action(j).source)
+
+
 def test_block_stabilizer_order_frobenius():
     g = group(7, *SINGER_F21)
     stab = block_stabilizer(g, singer_fano(), 0)
