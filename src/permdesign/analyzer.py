@@ -14,8 +14,8 @@ import json
 import time
 from dataclasses import dataclass
 
-from .analysis import (IntransitiveError, TypeReport, classify_point_action,
-                       minimal_block_system, primitivity_status)
+from .analysis import (IntransitiveError, TypeReport, base_block_systems,
+                       classify_point_action, primitivity_status)
 from .config import element_limit
 from .cosets import IndexLimitError, lambda_constancy_crosscheck
 from .designgroup import DesignAction, LocalPrimitivityReport
@@ -166,12 +166,9 @@ def _check_origin_blocks(action, witness):
 
 
 def _check_cell_disjointness(action):
-    image = action.block_action.image
     blocks = action.structure.blocks
-    b = len(blocks)
     seen_systems = set()
-    for j in range(1, b):
-        system = minimal_block_system(image, 0, j)
+    for system in base_block_systems(action.block_action.image):
         if system.is_trivial or system.cells in seen_systems:
             continue
         seen_systems.add(system.cells)
@@ -185,10 +182,13 @@ def _check_cell_disjointness(action):
     return PASS
 
 
-def _classify_or_unknown(group, limit):
+def _classify_or_unknown(group, limit, what, refusals):
+    """The type report, or None when the class-representative walk hits
+    the element limit; then a note naming the limit joins `refusals`."""
     try:
         return classify_point_action(group, limit)
-    except EnumerationLimitError:
+    except EnumerationLimitError as exc:
+        refusals.append(f"{what} unknown: {exc} (PERMDESIGN_ELEMENT_LIMIT)")
         return None
     except IntransitiveError:
         # an intransitive action is neither affine nor almost simple
@@ -227,19 +227,30 @@ def analyze(group, structure, instance_id="instance", limit=None,
                   lambda: action.local_primitivity_report(limit, strict=False))
     locally_primitive = local.locally_primitive
 
-    point_report = timed("point_type",
-                         lambda: _classify_or_unknown(group, limit))
+    # the local report's unknown notes are its element-limit refusals
+    refusals = [note for note in local.notes if "unknown" in note]
+    point_report = timed(
+        "point_type",
+        lambda: _classify_or_unknown(group, limit, "point type", refusals))
     point_type = UNKNOWN if point_report is None else point_report.tag
 
     block_report = None
+    image = action.block_action.image
     if local.block_quasiprimitive is None:
         block_type = UNKNOWN
     elif not local.block_quasiprimitive:
         block_type = "non-quasiprimitive"
+    elif (point_type == "AS" and point_report.witness is group
+            and action.block_action.faithful):
+        # the group is simple, and so is its faithful, transitive image
+        block_report = TypeReport(tag="AS", witness=image,
+                                  minimal_normals=(image,))
+        block_type = "AS"
     else:
         block_report = timed(
             "block_type",
-            lambda: _classify_or_unknown(action.block_action.image, limit))
+            lambda: _classify_or_unknown(image, limit, "block type",
+                                         refusals))
         block_type = UNKNOWN if block_report is None else block_report.tag
 
     # incidence-count constancy through the double-coset ratio, against the
@@ -262,7 +273,11 @@ def analyze(group, structure, instance_id="instance", limit=None,
 
         checks["lambda_constancy"] = timed("lambda_constancy", run_crosscheck)
 
-    diameter = timed("diameter", lambda: incidence_graph_diameter(structure))
+    # automorphisms preserve distances: one BFS per orbit of the union action
+    starts = [min(o) for o in orbits_of(action.union_group.generators,
+                                        structure.v + structure.b)]
+    diameter = timed("diameter",
+                     lambda: incidence_graph_diameter(structure, starts))
     if params.symmetric:
         checks["diameter_bound"] = PASS if diameter == 3 else FAIL
     else:
@@ -281,16 +296,22 @@ def analyze(group, structure, instance_id="instance", limit=None,
             else FAIL)
         # disjointness within imprimitivity cells is a consequence of local
         # primitivity and can genuinely fail without it
-        if primitivity_status(action.block_action.image) == "imprimitive":
+        if primitivity_status(image) == "imprimitive":
             checks["imprimitivity_cell_disjointness"] = timed(
                 "cell_disjointness", lambda: _check_cell_disjointness(action))
     # the orbit-size identity and the subspace structure of the blocks
     # through a fixed point both presume a flag-transitive design, though
     # not local primitivity
     if block_type == "non-quasiprimitive" and local.flag_transitive:
-        witness = timed(
-            "normal_witness",
-            lambda: _find_intransitive_normal(action, point_report, limit))
+        try:
+            witness = timed(
+                "normal_witness",
+                lambda: _find_intransitive_normal(action, point_report, limit))
+        except EnumerationLimitError as exc:
+            witness = None
+            checks["normal_orbit_size"] = UNKNOWN
+            notes.append(f"normal orbit size unknown: {exc} "
+                         "(PERMDESIGN_ELEMENT_LIMIT)")
         if witness is not None:
             checks["normal_orbit_size"] = _check_normal_orbit_size(
                 action, witness, params)
@@ -303,7 +324,7 @@ def analyze(group, structure, instance_id="instance", limit=None,
     if locally_primitive:
         if point_type == UNKNOWN or block_type == UNKNOWN:
             notes.append("reduction-theorem comparison incomplete: "
-                         "type recognition hit the enumeration limit")
+                         + "; ".join(refusals))
         else:
             theorem_violation = not reduction_pair_allowed(point_type,
                                                            block_type)

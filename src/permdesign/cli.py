@@ -14,8 +14,7 @@ import sys
 from .analyzer import AnalysisReport, analyze
 from .corpus import write_corpus
 from .cosets import (CosetGraph, IndexLimitError, SubgroupError,
-                     coset_graph_faithful, is_trivial_factorization,
-                     lambda_constancy_crosscheck)
+                     is_trivial_factorization, lambda_constancy_crosscheck)
 from .designgroup import PreservationError, RepeatedBlockError
 from .geometry import (SizeLimitError, build_AG, build_PG,
                        build_symplectic_subdesign)
@@ -63,20 +62,22 @@ def cmd_coset(args):
     group = read_group_file(args.group)
     left = read_group_file(args.left)
     right = read_group_file(args.right)
-    # the crosscheck builds both coset spaces, which validates the input
-    crosscheck = lambda_constancy_crosscheck(group, left, right)
+    # building the coset graph validates the input; the crosscheck, the
+    # faithfulness check and --out all read its two coset spaces
+    graph = CosetGraph(group, left, right)
+    crosscheck = lambda_constancy_crosscheck(group, left, right, graph=graph)
     record = {
         "index_L": group.order() // left.order(),
         "index_R": group.order() // right.order(),
         "trivial_factorization": is_trivial_factorization(group, left, right),
-        "faithful": coset_graph_faithful(group, left, right),
+        "faithful": graph.is_faithful(),
         "lambda_constant": crosscheck.value if crosscheck.ok else None,
     }
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         stem = args.prefix or "coset"
         dpath = os.path.join(args.out, f"{stem}.design")
-        write_design_file(dpath, CosetGraph(group, left, right).structure)
+        write_design_file(dpath, graph.structure)
         print(f"wrote {dpath}")
     print(json.dumps(record, sort_keys=True, indent=2))
     return EXIT_OK

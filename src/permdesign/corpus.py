@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cosets import coset_action, coset_graph_design
-from .geometry import build_AG, build_PG, build_symplectic_subdesign
+from .geometry import (build_AG, build_PG, build_symplectic_subdesign,
+                       projective_design)
 from .group import GroupWithChain, StructureContradiction
 from .incidence import IncidenceStructure
 from .io import write_design_file, write_group_file
@@ -96,7 +97,7 @@ def bundled_corpus(rng=None):
     pg1, pgl42 = build_PG(3, 2, 1)
     out.append(CorpusInstance("pg1-3-2-pgl42", pg1, pgl42,
                               "lines of the binary projective 3-space"))
-    pg2, _ = build_PG(3, 2, 2)
+    pg2 = projective_design(3, 2, 2)
     out.append(CorpusInstance("pg2-3-2-pgl42", pg2, pgl42,
                               "planes of the binary projective 3-space "
                               "(symmetric)"))

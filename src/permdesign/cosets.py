@@ -136,6 +136,12 @@ class CosetGraph:
     def trivial(self):
         return all(len(b) == self.space_points.index for b in self.blocks)
 
+    def is_faithful(self):
+        """coset_graph_faithful, read from this graph's two spaces."""
+        return _union_faithful(self.space_points.group,
+                               self.space_points.action,
+                               self.space_blocks.action)
+
 
 def _coset_orbit(subgroup, acting, start=None):
     """One breadth-first walk over the right cosets H*x*a for a in A, where
@@ -169,9 +175,14 @@ def coset_graph_faithful(group, left, right, limit=None):
     """Whether the action on both coset spaces together is faithful, i.e.
     whether the intersection of the two subgroups is core-free: one chain,
     of the action on the disjoint union of the two spaces, has order |G|."""
-    union = GroupWithChain(union_generators(
-        CosetSpace(group, left, limit).action,
-        CosetSpace(group, right, limit).action))
+    return _union_faithful(group, CosetSpace(group, left, limit).action,
+                           CosetSpace(group, right, limit).action)
+
+
+def _union_faithful(group, first, second):
+    """Whether G acts faithfully on two domains, given the images of its
+    generators on each."""
+    union = GroupWithChain(union_generators(first, second))
     return union.order() == group.order()
 
 
@@ -198,7 +209,7 @@ class CrosscheckResult:
         return self.constant and self.graph_agrees
 
 
-def lambda_constancy_crosscheck(group, left, right, limit=None):
+def lambda_constancy_crosscheck(group, left, right, limit=None, graph=None):
     """Check that |RL n RLg| / |R| is one constant over g outside L, and that
     each value equals the independently computed neighborhood intersection
     |N(a) n N(a^g)| in the coset graph.
@@ -206,9 +217,11 @@ def lambda_constancy_crosscheck(group, left, right, limit=None):
     Both counts depend only on the double coset LgL, so one g per L-orbit on
     the nontrivial cosets of L covers every g outside L exactly; its value
     is weighted by the |orbit| * |L| elements it stands for.  No element is
-    enumerated: `limit` bounds only the coset indices.
+    enumerated: `limit` bounds only the coset indices.  A caller that has
+    built the coset graph of (G, L, R) passes it as `graph`.
     """
-    graph = CosetGraph(group, left, right, limit)
+    if graph is None:
+        graph = CosetGraph(group, left, right, limit)
     if left.order() == group.order():
         # no element lies outside L; the constancy claim is vacuous
         return CrosscheckResult(constant=True, value=None, ratios=(),

@@ -119,8 +119,10 @@ class DesignAction:
     def local_point_action(self, point):
         """Stabilizer of a point acting on the blocks through it."""
         v = self.structure.v
-        return self._local_action(
-            point, [v + j for j in self.structure.blocks_through(point)])
+        incident = [v + j for j in self.structure.blocks_through(point)]
+        if not incident:
+            raise ValueError(f"point {point} lies on no block")
+        return self._local_action(point, incident)
 
     def local_block_action(self, block_index):
         """Stabilizer of a block acting on the points of that block."""
@@ -195,9 +197,10 @@ class DesignAction:
         try:
             block_quasiprimitive = is_quasiprimitive(self.block_action.image,
                                                      limit)
-        except EnumerationLimitError:
+        except EnumerationLimitError as exc:
             block_quasiprimitive = None
-            notes.append("block quasiprimitivity unknown: order limit exceeded")
+            notes.append(f"block quasiprimitivity unknown: {exc} "
+                         "(PERMDESIGN_ELEMENT_LIMIT)")
         bound_ok = self.stabilizer_bound_holds()
 
         report = LocalPrimitivityReport(

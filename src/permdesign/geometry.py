@@ -286,9 +286,9 @@ def classical_group_generators(family, dim, q, limit=None):
                           name)
 
 
-def build_PG(d, q, i, limit=None):
+def projective_design(d, q, i, limit=None):
     """Projective design: points are the 1-subspaces of GF(q)^(d+1), blocks
-    the point sets of the (i+1)-subspaces, group PGL_{d+1}(q)."""
+    the point sets of the (i+1)-subspaces."""
     if d < 2 or not 1 <= i <= d - 1:
         raise ValueError(f"need d >= 2 and 1 <= i <= d-1, got d={d}, i={i}")
     gf = field(q)
@@ -299,8 +299,13 @@ def build_PG(d, q, i, limit=None):
     blocks = [sorted({rep_pos[_line_key(gf, vec)]
                       for vec in span_vectors(gf, mat) if any(vec)})
               for mat in subs.canonical_matrices]
-    structure = IncidenceStructure(v=len(reps), blocks=blocks)
-    group = classical_group_generators("PGL", dim, q, limit=limit)
+    return IncidenceStructure(v=len(reps), blocks=blocks)
+
+
+def build_PG(d, q, i, limit=None):
+    """projective_design(d, q, i) with its group PGL_{d+1}(q)."""
+    structure = projective_design(d, q, i, limit)
+    group = classical_group_generators("PGL", d + 1, q, limit=limit)
     return structure, group
 
 

@@ -274,6 +274,14 @@ class GroupWithChain:
             raise StructureContradiction("orbit-stabilizer identity violated")
         return stab
 
+    def random_element(self, rng):
+        """A uniformly random element: one random transversal element per
+        level, multiplied in the order of iter_elements."""
+        g = Permutation.identity(self.degree)
+        for level in reversed(self._chain.levels):
+            g = g * rng.choice(tuple(level.orbit.values()))
+        return g
+
     def _check_enumerable(self, limit):
         limit = element_limit() if limit is None else limit
         if self._order > limit:

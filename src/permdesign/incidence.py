@@ -215,15 +215,18 @@ def complement(structure):
     return IncidenceStructure(v=structure.v, blocks=new_blocks)
 
 
-def incidence_graph_diameter(structure):
-    """Exact diameter of the bipartite point/block graph, by BFS from every
-    vertex.  Raises on a disconnected graph."""
+def incidence_graph_diameter(structure, starts=None):
+    """Exact diameter of the bipartite point/block graph (point p is vertex
+    p, block j is vertex v + j), by BFS from each vertex of `starts`, every
+    vertex by default.  Exact also when `starts` holds one vertex of each
+    orbit of a group of automorphisms, since those preserve distances.
+    Raises on a disconnected graph."""
     v, b = structure.v, structure.b
     n = v + b
     adj = ([[v + j for j in js] for js in structure.point_blocks()]
            + list(structure.blocks))
     diameter = 0
-    for start in range(n):
+    for start in range(n) if starts is None else starts:
         dist = [-1] * n
         dist[start] = 0
         queue = deque([start])

@@ -122,6 +122,15 @@ class Permutation:
         """x^-1 * self * x, the conjugate under the right action."""
         return x.inverse() * self * x
 
+    def __pow__(self, k):
+        """self^k for any integer k, read off the cycles."""
+        images = list(range(len(self.images)))
+        for cyc in self.cycles():
+            n = len(cyc)
+            for j, x in enumerate(cyc):
+                images[x] = cyc[(j + k) % n]
+        return Permutation._raw(tuple(images))
+
     def is_identity(self):
         return all(i == j for i, j in enumerate(self.images))
 

@@ -14,6 +14,37 @@ def group(degree, *cycle_strings):
     return GroupWithChain(tuple(perm(s, degree) for s in cycle_strings))
 
 
+def a5_on_ordered_pairs():
+    """A5 on the 20 ordered pairs of distinct points of 0..4, a fresh
+    group each call: imprimitive (cells by first point, by second point,
+    or by the unordered pair), yet quasiprimitive, since A5 is simple."""
+    from itertools import permutations
+
+    from permdesign.group import induced_action
+    a5 = group(5, "(1 2 3)", "(3 4 5)")
+    return induced_action(a5, list(permutations(range(5), 2)),
+                          lambda pair, g: tuple(g.images[x] for x in pair)).image
+
+
+def a5_flag_structure():
+    """A5 on 15 points (0..4, then 5 + the index of each 2-subset) with the
+    20 blocks {i, 5 + index of {i, j}} for the ordered pairs (i, j): the
+    block action is A5 on ordered pairs, and the structure is no 2-design."""
+    from itertools import combinations, permutations
+
+    from permdesign.group import induced_action
+    from permdesign.incidence import IncidenceStructure
+    pairs = [frozenset(c) for c in combinations(range(5), 2)]
+    points = list(range(5)) + pairs
+    a5 = group(5, "(1 2 3)", "(3 4 5)")
+    on_points = induced_action(
+        a5, points, lambda x, g: (g.images[x] if isinstance(x, int) else
+                                  frozenset(g.images[y] for y in x))).image
+    blocks = [[i, 5 + pairs.index(frozenset((i, j)))]
+              for i, j in permutations(range(5), 2)]
+    return IncidenceStructure(15, blocks), on_points
+
+
 @pytest.fixture
 def chain_builds(monkeypatch):
     """The arguments of every stabilizer-chain build made from here on."""

@@ -210,3 +210,89 @@ def test_as_witness_is_simple(corpus_instances):
         report = classify_point_action(inst.group)
         if report.tag == "AS":
             assert _is_simple(report.witness)
+
+
+def _walk_verdicts(g):
+    """Quasiprimitivity and type report from the class-representative walk
+    alone, on a fresh copy of the group."""
+    from permdesign.analysis import (_classify_from_closures,
+                                     _quasiprimitive_from_closures)
+    fresh = GroupWithChain(g.generators)
+    return (_quasiprimitive_from_closures(fresh),
+            _classify_from_closures(fresh).to_json_dict())
+
+
+def _certificate_verdicts(g, limit=None):
+    fresh = GroupWithChain(g.generators)
+    return (is_quasiprimitive(fresh, limit),
+            classify_point_action(fresh, limit).to_json_dict())
+
+
+def test_certificates_match_the_walk_on_corpus(corpus_instances):
+    # the reports, witnesses included, equal the walk's.  Certificates
+    # alone decide every corpus quasiprimitivity and the type of every
+    # primitive corpus action but A7 on 15 points, so there an element
+    # limit of 10 changes nothing; analyze types no other action
+    from permdesign.designgroup import DesignAction
+    for inst in corpus_instances:
+        image = DesignAction(inst.group, inst.structure).block_action.image
+        for g in (inst.group, image):
+            walk = _walk_verdicts(g)
+            assert _certificate_verdicts(g) == walk, inst.name
+            fresh = GroupWithChain(g.generators)
+            assert is_quasiprimitive(fresh, limit=10) == walk[0], inst.name
+            if (is_primitive(g)
+                    and (g.degree, g.order()) != (15, 2520)):
+                assert _certificate_verdicts(g, limit=10) == walk, inst.name
+
+
+def test_imprimitive_quasiprimitive_group_takes_the_walk(monkeypatch):
+    from conftest import a5_on_ordered_pairs
+    from permdesign import group as chains
+    calls = []
+    original = chains.prime_order_class_representatives
+
+    def counting(g, *args, **kwargs):
+        calls.append(g)
+        return original(g, *args, **kwargs)
+    monkeypatch.setattr(chains, "prime_order_class_representatives",
+                        counting)
+    g = a5_on_ordered_pairs()
+    assert primitivity_status(g) == "imprimitive"
+    walk = _walk_verdicts(g)
+    calls.clear()
+    assert _certificate_verdicts(g) == walk
+    assert walk[0] is True and walk[1]["tag"] == "AS"
+    assert len(calls) == 1  # one walk, kept on the group for both verdicts
+
+
+def test_kernel_element_decides_non_quasiprimitive(ag322_pair,
+                                                    symplectic_pair):
+    # the translations fix every parallel class; limit 10 refuses the walk
+    from permdesign.designgroup import DesignAction
+    for structure, g in (ag322_pair, symplectic_pair):
+        image = DesignAction(g, structure).block_action.image
+        assert primitivity_status(image) == "imprimitive"
+        assert is_quasiprimitive(image, limit=10) is False
+
+
+def test_primitivity_runs_one_block_system_per_stabilizer_orbit(
+        pg132_pair, monkeypatch):
+    from permdesign import analysis
+    from permdesign.designgroup import DesignAction
+    from permdesign.group import orbits_of
+    structure, g = pg132_pair
+    image = DesignAction(g, structure).block_action.image
+    calls = []
+    original = analysis.minimal_block_system
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(analysis, "minimal_block_system", counting)
+    assert primitivity_status(image) == "primitive"
+    b0 = image.base()[0]
+    stabilizer = image.point_stabilizer(b0)
+    orbits = orbits_of(stabilizer.generators, image.degree)
+    assert len(calls) == len(orbits) - 1 == 2  # rank 3 on the 35 lines
+    assert all(a == b0 for _, a, _ in calls)

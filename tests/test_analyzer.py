@@ -97,13 +97,60 @@ def test_reduction_pair_logic():
     assert not reduction_pair_allowed("OTHER", "non-quasiprimitive")
 
 
-def test_unknown_exit_code_when_limit_hit(fano_pair, monkeypatch):
-    structure, g = fano_pair
+def _a7_symmetric(corpus_instances):
+    return next(inst for inst in corpus_instances
+                if inst.name == "a7-cos-15-7-3")
+
+
+def test_unknown_exit_code_when_limit_hit(corpus_instances, fano_pair,
+                                          monkeypatch):
+    # A7 on 15 points, on both sides here, is typed only by the
+    # class-representative walk, which the limit refuses
     monkeypatch.setenv("PERMDESIGN_ELEMENT_LIMIT", "10")
-    report = analyze(g, structure, "fano")
-    assert report.local.block_quasiprimitive is None
+    inst = _a7_symmetric(corpus_instances)
+    report = analyze(inst.group, inst.structure, inst.name)
+    assert report.local.block_quasiprimitive is True
     assert report.block_type == "unknown"
     assert report.point_type == "unknown"
+    assert not report.failed
+    assert report.exit_code() == 3
+    # every Fano verdict comes from a checked certificate
+    structure, g = fano_pair
+    report = analyze(GroupWithChain(g.generators), structure, "fano")
+    assert report.local.block_quasiprimitive is True
+    assert (report.point_type, report.block_type) == ("AS", "AS")
+    assert report.notes == ()
+    assert report.exit_code() == 0
+
+
+def test_unknown_notes_name_the_limit(corpus_instances, monkeypatch):
+    monkeypatch.setenv("PERMDESIGN_ELEMENT_LIMIT", "10")
+    inst = _a7_symmetric(corpus_instances)
+    report = analyze(inst.group, inst.structure, inst.name)
+    refusal = ("group order 2520 exceeds enumeration limit 10 "
+               "(PERMDESIGN_ELEMENT_LIMIT)")
+    assert report.notes == (
+        f"reduction-theorem comparison incomplete: point type unknown: "
+        f"{refusal}; block type unknown: {refusal}",)
+
+
+def test_refused_normal_witness_reads_unknown(ag322_pair, monkeypatch):
+    # with the affine search switched off, the walk types the points and
+    # finds the intransitive normal subgroup; the limit refuses both, and
+    # the block type still comes from a kernel element
+    from permdesign import analysis
+    monkeypatch.setattr(analysis, "_AFFINE_TRIES", 0)
+    structure, g = ag322_pair
+    report = analyze(GroupWithChain(g.generators), structure, "ag", limit=10)
+    assert (report.point_type, report.block_type) == \
+           ("unknown", "non-quasiprimitive")
+    assert report.checks["normal_orbit_size"] == "unknown"
+    refusal = ("group order 1344 exceeds enumeration limit 10 "
+               "(PERMDESIGN_ELEMENT_LIMIT)")
+    assert report.notes == (
+        f"normal orbit size unknown: {refusal}",
+        f"reduction-theorem comparison incomplete: point type unknown: "
+        f"{refusal}")
     assert not report.failed
     assert report.exit_code() == 3
 
@@ -203,9 +250,8 @@ def test_analyze_builds_each_local_action_once(corpus_instances,
 
 
 def test_class_reps_run_once_per_group(pg132_pair, monkeypatch):
-    # PGL(4,2) is simple: its one minimal normal subgroup is the group
-    # itself, and its block action is the only other group whose normal
-    # structure is needed
+    # PGL(4,2) is shown simple by Iwasawa's lemma and its block action is
+    # primitive and faithful, so neither needs the class-representative walk
     from permdesign import group as group_module
     original = group_module.prime_order_class_representatives
     calls = []
@@ -223,8 +269,27 @@ def test_class_reps_run_once_per_group(pg132_pair, monkeypatch):
     g = GroupWithChain(g.generators)
     report = analyze(g, structure, "pg132")
     assert (report.point_type, report.block_type) == ("AS", "AS")
-    assert len(calls) == 2
-    assert calls[0] is not calls[1]
+    assert calls == []
+
+
+def test_corpus_walks_only_for_a7_on_15_points(corpus_instances,
+                                               monkeypatch):
+    from permdesign import group as chains
+    original = chains.prime_order_class_representatives
+    calls = []
+
+    def counting(g, *args, **kwargs):
+        calls.append((g.degree, g.order()))
+        return original(g, *args, **kwargs)
+
+    monkeypatch.setattr(chains, "prime_order_class_representatives",
+                        counting)
+    for inst in corpus_instances:
+        calls.clear()
+        analyze(GroupWithChain(inst.group.generators), inst.structure,
+                inst.name)
+        expected = [(15, 2520)] if inst.name.startswith("a7-") else []
+        assert calls == expected, inst.name
 
 
 def test_analyze_leaves_no_group_in_cyclic_garbage(pg132_pair):

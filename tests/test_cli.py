@@ -193,10 +193,10 @@ def test_cli_coset_record(tmp_path, capsys, s4):
     assert (tmp_path / "coset.design").exists()
 
 
-def test_cli_coset_builds_each_space_twice_without_out(tmp_path, capsys,
-                                                      fano_pair, monkeypatch):
-    # the crosscheck's coset graph and the faithfulness check's two coset
-    # actions; the graph is built again only to write it with --out
+def test_cli_coset_builds_each_space_once(tmp_path, capsys, fano_pair,
+                                          monkeypatch):
+    # the crosscheck, the faithfulness check and --out all read the one
+    # coset graph and its two spaces
     from permdesign.cosets import CosetSpace
     from permdesign.designgroup import block_stabilizer
     structure, g = fano_pair
@@ -217,7 +217,14 @@ def test_cli_coset_builds_each_space_twice_without_out(tmp_path, capsys,
     assert json.loads(out) == {"faithful": True, "index_L": 7, "index_R": 7,
                                "lambda_constant": 1,
                                "trivial_factorization": False}
-    assert len(built) == 4
+    assert len(built) == 2
+    built.clear()
+    assert main(["coset", str(gp), str(lp), str(rp),
+                 "--out", str(tmp_path / "out")]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out[out.index("{"):])["faithful"] is True
+    assert (tmp_path / "out" / "coset.design").exists()
+    assert len(built) == 2
 
 
 def test_cli_build_unsupported_field(capsys, tmp_path):

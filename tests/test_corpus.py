@@ -61,3 +61,19 @@ def test_a7_subgroups_have_their_stated_structure():
     assert len(elems_l & elems_r) == 24
     assert len(elems_l & elems_o) == 24
     assert elems_l != elems_o
+
+
+def test_corpus_builds_each_classical_group_once(monkeypatch):
+    from permdesign import corpus, geometry
+    calls = []
+    original = geometry.classical_group_generators
+
+    def counting(family, dim, q, **kwargs):
+        calls.append((family, dim, q))
+        return original(family, dim, q, **kwargs)
+
+    monkeypatch.setattr(geometry, "classical_group_generators", counting)
+    instances = corpus.bundled_corpus()
+    assert sorted(calls) == [("AGL", 3, 2), ("PGL", 3, 2), ("PGL", 4, 2)]
+    groups = {inst.name: inst.group for inst in instances}
+    assert groups["pg1-3-2-pgl42"] is groups["pg2-3-2-pgl42"]

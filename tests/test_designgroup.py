@@ -236,3 +236,26 @@ def test_imprimitivity_cells_have_disjoint_blocks(corpus_instances):
                 for idx in cell:
                     assert not covered & set(blocks[idx]), inst.name
                     covered |= set(blocks[idx])
+
+
+def test_point_on_no_block_is_named():
+    s = IncidenceStructure(v=4, blocks=[[0, 1], [0, 2], [1, 2]])
+    action = DesignAction(group(4, "(1 2 3)"), s)
+    with pytest.raises(ValueError, match="point 3 lies on no block"):
+        action.local_point_action(3)
+    with pytest.raises(ValueError, match="point 3 lies on no block"):
+        action.point_stabilizer_union(3)
+
+
+def test_quasiprimitivity_refusal_names_the_limit():
+    # the block action is A5 on ordered pairs: imprimitive with trivial
+    # kernels, so only the element-limited walk decides it
+    from conftest import a5_flag_structure
+    structure, g = a5_flag_structure()
+    report = DesignAction(g, structure).local_primitivity_report(
+        limit=10, strict=False)
+    assert report.block_quasiprimitive is None
+    assert ("block quasiprimitivity unknown: group order 60 exceeds "
+            "enumeration limit 10 (PERMDESIGN_ELEMENT_LIMIT)") in report.notes
+    report = DesignAction(g, structure).local_primitivity_report(strict=False)
+    assert report.block_quasiprimitive is True

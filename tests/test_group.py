@@ -3,7 +3,7 @@ import random
 import pytest
 
 from bruteforce import mulclose
-from conftest import group, perm
+from conftest import a5_on_ordered_pairs, group, perm
 from permdesign.analysis import is_quasiprimitive
 from permdesign.group import (ActionClosureError, EnumerationLimitError,
                               GroupWithChain, MembershipError, class_closures,
@@ -288,13 +288,26 @@ def test_class_closures_follow_class_reps(s4):
 
 
 def test_cached_closures_still_refuse_beyond_limit(fano_pair):
-    g = GroupWithChain(fano_pair[1].generators)
+    # A5 on ordered pairs is imprimitive with trivial kernels, so only the
+    # walk decides it; the primitive Fano group needs no walk
+    g = a5_on_ordered_pairs()
     assert is_quasiprimitive(g)
     assert g._closures is not None
     with pytest.raises(EnumerationLimitError):
         is_quasiprimitive(g, limit=10)
     with pytest.raises(EnumerationLimitError):
         class_closures(g, limit=10)
+    fano = GroupWithChain(fano_pair[1].generators)
+    assert is_quasiprimitive(fano, limit=10)
+    assert fano._closures is None
+
+
+def test_random_element_is_seeded_and_reaches_every_element(s4):
+    draws = [s4.random_element(random.Random(3)) for _ in range(2)]
+    assert draws[0] == draws[1]
+    rng = random.Random(5)
+    seen = {s4.random_element(rng).images for _ in range(400)}
+    assert seen == mulclose(s4.generators)
 
 
 def test_induced_action_faithful_on_fano_lines(fano_pair):

@@ -202,6 +202,28 @@ def test_diameter_disconnected():
         incidence_graph_diameter(s)
 
 
+def _union_orbit_minima(g, structure):
+    from permdesign.designgroup import DesignAction
+    from permdesign.group import orbits_of
+    union = DesignAction(g, structure).union_group
+    return [min(o) for o in orbits_of(union.generators, union.degree)]
+
+
+def test_diameter_from_one_vertex_per_orbit(corpus_instances, fano_pair):
+    # automorphisms preserve distances, so one BFS per orbit is exact
+    cases = [(inst.group, inst.structure) for inst in corpus_instances]
+    structure, g = fano_pair
+    cases.append((g.point_stabilizer(0), structure))  # intransitive
+    for g, structure in cases:
+        starts = _union_orbit_minima(g, structure)
+        assert len(starts) < structure.v + structure.b
+        assert (incidence_graph_diameter(structure, starts)
+                == incidence_graph_diameter(structure))
+    # the stabilizer of point 0: itself and the other six points; the
+    # three lines through it (vertices 7..9) and the other four
+    assert starts == [0, 1, 7, 10]
+
+
 def test_parameter_identities_on_corpus(corpus_instances):
     for inst in corpus_instances:
         p = verify_design(inst.structure)

@@ -80,7 +80,7 @@ def test_tracer_wraps_analyze_and_restores():
     assert out["restored"]
     assert out["types"] == ["AS", "AS"]
     metrics = out["metrics"]
-    assert metrics["group.class_rep_calls"] == 2
+    assert metrics["group.class_rep_calls"] == 0
     assert metrics["analysis.quasiprimitive_s"] > 0
     assert metrics["analysis.classify_s"] > 0
 

@@ -88,3 +88,13 @@ def test_conjugation_relabels_cycles():
     p = parse_permutation("(1 2 3)", 4)
     x = parse_permutation("(1 4)", 4)
     assert str(p.conjugated_by(x)) == "(2 3 4)"
+
+
+def test_power_matches_repeated_product():
+    p = parse_permutation("(1 2 3 4 5 6)(7 8)", 9)
+    q = Permutation.identity(9)
+    for k in range(13):
+        assert p ** k == q
+        q = q * p
+    assert p ** -1 == p.inverse()
+    assert p ** p.order() == Permutation.identity(9)

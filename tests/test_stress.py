@@ -105,3 +105,35 @@ def test_minimal_block_system_is_finest_random_stress():
         for other in _invariant_partitions_with_pair(g, a, b):
             other_cell = next(c for c in other if a in c)
             assert ours <= other_cell, (g.generators, a, b)
+
+
+def test_certificates_match_the_walk_random_stress():
+    # random transitive groups: small symmetric groups, and random
+    # two-generated subgroups of imprimitive wreath products (kernel
+    # elements), of A5 and PGL(3,2) (Iwasawa witnesses) and of A5 on
+    # ordered pairs (imprimitive but quasiprimitive: the walk)
+    from conftest import a5_on_ordered_pairs, group
+    from permdesign.analysis import (_classify_from_closures,
+                                     _quasiprimitive_from_closures,
+                                     classify_point_action, is_quasiprimitive)
+    rng = random.Random(1729)
+    ambients = (group(6, "(1 2)", "(1 2 3)", "(1 4)(2 5)(3 6)"),
+                group(8, "(1 2)", "(1 3 5 7)(2 4 6 8)", "(1 3)(2 4)"),
+                group(5, "(1 2 3)", "(3 4 5)"),
+                group(7, "(1 2 3 4 5 6 7)", "(1 2)(3 6)"),
+                a5_on_ordered_pairs())
+    tried = 0
+    while tried < 60:
+        if tried % 3:
+            ambient = ambients[rng.randrange(len(ambients))]
+            g = GroupWithChain(tuple(ambient.random_element(rng)
+                                     for _ in range(2)))
+        else:
+            g = random_group(rng, rng.randrange(3, 8))
+        if not g.is_transitive():
+            continue
+        tried += 1
+        walk = GroupWithChain(g.generators)
+        assert is_quasiprimitive(g) == _quasiprimitive_from_closures(walk)
+        assert (classify_point_action(g).to_json_dict()
+                == _classify_from_closures(walk).to_json_dict()), g.generators
