@@ -97,23 +97,25 @@ def test_reduction_pair_logic():
     assert not reduction_pair_allowed("OTHER", "non-quasiprimitive")
 
 
-def _a7_symmetric(corpus_instances):
-    return next(inst for inst in corpus_instances
-                if inst.name == "a7-cos-15-7-3")
-
-
 def test_unknown_exit_code_when_limit_hit(corpus_instances, fano_pair,
                                           monkeypatch):
     # A7 on 15 points, on both sides here, is typed only by the
     # class-representative walk, which the limit refuses
     monkeypatch.setenv("PERMDESIGN_ELEMENT_LIMIT", "10")
-    inst = _a7_symmetric(corpus_instances)
+    inst = next(inst for inst in corpus_instances
+                if inst.name == "a7-cos-15-7-3")
     report = analyze(inst.group, inst.structure, inst.name)
     assert report.local.block_quasiprimitive is True
     assert report.block_type == "unknown"
     assert report.point_type == "unknown"
     assert not report.failed
     assert report.exit_code() == 3
+    # each unknown note names the limit and the value that exceeded it
+    refusal = ("group order 2520 exceeds enumeration limit 10 "
+               "(PERMDESIGN_ELEMENT_LIMIT)")
+    assert report.notes == (
+        f"reduction-theorem comparison incomplete: point type unknown: "
+        f"{refusal}; block type unknown: {refusal}",)
     # every Fano verdict comes from a checked certificate
     structure, g = fano_pair
     report = analyze(GroupWithChain(g.generators), structure, "fano")
@@ -121,17 +123,6 @@ def test_unknown_exit_code_when_limit_hit(corpus_instances, fano_pair,
     assert (report.point_type, report.block_type) == ("AS", "AS")
     assert report.notes == ()
     assert report.exit_code() == 0
-
-
-def test_unknown_notes_name_the_limit(corpus_instances, monkeypatch):
-    monkeypatch.setenv("PERMDESIGN_ELEMENT_LIMIT", "10")
-    inst = _a7_symmetric(corpus_instances)
-    report = analyze(inst.group, inst.structure, inst.name)
-    refusal = ("group order 2520 exceeds enumeration limit 10 "
-               "(PERMDESIGN_ELEMENT_LIMIT)")
-    assert report.notes == (
-        f"reduction-theorem comparison incomplete: point type unknown: "
-        f"{refusal}; block type unknown: {refusal}",)
 
 
 def test_refused_normal_witness_reads_unknown(ag322_pair, monkeypatch):
