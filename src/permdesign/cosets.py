@@ -89,7 +89,7 @@ def coset_action(group, subgroup, limit=None):
     Asserted: the point stabilizer of the trivial coset is exactly L (every
     L generator fixes index 0 and the orbit-stabilizer count matches)."""
     space = CosetSpace(group, subgroup, limit)
-    image = GroupWithChain(space.action)
+    image = GroupWithChain(space.action, order_bound=group.order())
     action = ActionImage(source=group, objects=space.representatives,
                          image=image, faithful=image.order() == group.order())
     if not image.is_transitive():
@@ -182,7 +182,8 @@ def coset_graph_faithful(group, left, right, limit=None):
 def _union_faithful(group, first, second):
     """Whether G acts faithfully on two domains, given the images of its
     generators on each."""
-    union = GroupWithChain(union_generators(first, second))
+    union = GroupWithChain(union_generators(first, second),
+                           order_bound=group.order())
     return union.order() == group.order()
 
 
@@ -263,7 +264,8 @@ def subgroup_intersection(left, right, limit=None):
     small._check_enumerable(limit)
     degree = small.degree
     union = GroupWithChain(union_generators(
-        small.generators, _coset_orbit(large, small)[2]), base_hint=(degree,))
+        small.generators, _coset_orbit(large, small)[2]), base_hint=(degree,),
+        order_bound=small.order())
     return restrict_to_points(union.point_stabilizer(degree), degree)
 
 

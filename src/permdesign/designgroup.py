@@ -85,14 +85,19 @@ class DesignAction:
         self.group = group
         self.structure = structure
         self._block_index = {blk: j for j, blk in enumerate(structure.blocks)}
+        # the block image is a quotient of G and the union action is
+        # faithful, so |G| bounds both chains
+        order = group.order()
         image = GroupWithChain(tuple(self.block_image_of(g)
-                                     for g in group.generators))
+                                     for g in group.generators),
+                               order_bound=order)
         self.block_action = ActionImage(
             source=group, objects=structure.blocks, image=image,
-            faithful=image.order() == group.order())
+            faithful=image.order() == order)
         self.union_group = GroupWithChain(
             union_generators(group.generators, image.generators),
-            base_hint=(structure.blocks[0][0], structure.v))
+            base_hint=(structure.blocks[0][0], structure.v),
+            order_bound=order)
         self._local = {}  # union vertex -> its stabilizer's local action
 
     def block_image_of(self, g):

@@ -3,9 +3,20 @@
 The chain is built with the classical deterministic Schreier-Sims procedure:
 base points are chosen as the smallest point moved by the offending
 generator, transversals are extended breadth-first and never rewritten, and
-every Schreier generator is sifted exactly once (a per-level memo makes the
+no Schreier generator is sifted twice (a per-level memo makes the
 verification loop incremental).  The result is reproducible for a fixed
 generator sequence.
+
+A build may be given an upper bound on the order of the group it generates,
+where that order is already known (the same group on another base, or an
+action of a group whose chain is built).  It stops as soon as the chain's
+order, the product of its basic-orbit lengths, reaches the bound.  That is
+exact: each basic orbit lies in the orbit of the true stabilizer, so the
+product never exceeds the group order, and equality means every level
+already generates its stabilizer.  Each step left out would sift an element
+of the group to the identity and install nothing, so the chain is the one
+the full build makes, level by level.  A product above the bound proves the
+bound wrong and raises StructureContradiction.
 
 A GroupWithChain is immutable once constructed: a normal closure grows a
 fresh chain, and a point stabilizer is a tail of one (see _Chain).
@@ -100,13 +111,24 @@ class _Chain:
             self._extend_orbit(l)
         return d
 
-    def extend(self, g):
+    def reached(self, order_bound):
+        """Whether the chain's order equals `order_bound`, an upper bound on
+        the order of the group it describes (None: no bound is known)."""
+        if order_bound is None:
+            return False
+        n = self.order()
+        if n > order_bound:
+            raise StructureContradiction(
+                f"chain order {n} exceeds the known bound {order_bound}")
+        return n == order_bound
+
+    def extend(self, g, order_bound=None):
         """Add g to the group the chain describes: install it and complete
         the chain, unless g already lies in it.  Returns whether it grew."""
         if self.contains(g):
             return False
         self.install(g)
-        self.schreier_sims()
+        self.schreier_sims(order_bound)
         return True
 
     def _extend_orbit(self, i):
@@ -127,9 +149,9 @@ class _Chain:
             if not grown:
                 return
 
-    def schreier_sims(self):
+    def schreier_sims(self, order_bound=None):
         i = len(self.levels) - 1
-        while i >= 0:
+        while i >= 0 and not self.reached(order_bound):
             residue = self._check_level(i)
             if residue is None:
                 i -= 1
@@ -158,13 +180,14 @@ class _Chain:
         return None
 
 
-def _build_chain(degree, generators, base_hint=()):
+def _build_chain(degree, generators, base_hint=(), order_bound=None):
     chain = _Chain(degree, base_hint)
     for g in generators:
         if g.degree != degree:
             raise DegreeMismatchError(
                 f"generator degree {g.degree} != {degree}")
-        chain.extend(g)
+        if not chain.reached(order_bound):
+            chain.extend(g, order_bound)
     return chain
 
 
@@ -202,12 +225,14 @@ class GroupWithChain:
     __slots__ = ("degree", "generators", "_chain", "_order", "_elements",
                  "_closures")
 
-    def __init__(self, generators, base_hint=()):
+    def __init__(self, generators, base_hint=(), order_bound=None):
+        """`order_bound`, when given, is a proven upper bound on the order of
+        the generated group; the chain build stops once it is reached."""
         generators = tuple(generators)
         if not generators:
             raise ValueError("empty generator list")
-        self._set(generators,
-                  _build_chain(generators[0].degree, generators, base_hint))
+        self._set(generators, _build_chain(generators[0].degree, generators,
+                                           base_hint, order_bound))
 
     @classmethod
     def _from_chain(cls, generators, chain):
@@ -263,7 +288,8 @@ class GroupWithChain:
         check_index("point", point, self.degree)
         chain = self._chain
         if self.base()[:1] != (point,):
-            chain = _build_chain(self.degree, self.generators, (point,))
+            chain = _build_chain(self.degree, self.generators, (point,),
+                                 self._order)
         tail = _Chain(self.degree)
         tail.levels = chain.levels[1:]
         gens = tail.levels[0].gens if tail.levels else ()
@@ -334,7 +360,8 @@ def union_generators(first, second):
 def restrict_to_points(group, degree):
     """A union action read on its first domain 0..degree-1, faithfully."""
     restricted = GroupWithChain(tuple(Permutation(g.images[:degree])
-                                      for g in group.generators))
+                                      for g in group.generators),
+                                order_bound=group.order())
     if restricted.order() != group.order():
         raise StructureContradiction("action not faithful on points")
     return restricted
@@ -345,8 +372,11 @@ def normal_closure(group, seeds):
 
     Generators of the closure are conjugated by the group's generators until
     closed; the loop's exit condition is exactly the normality certificate.
+    The loop also ends once the closure's chain reaches |G|: the closure is
+    then the whole group, which is normal.
     """
     degree = group.degree
+    bound = group.order()
     chain = _Chain(degree)
     gens = []
     work = []
@@ -355,21 +385,21 @@ def normal_closure(group, seeds):
             raise DegreeMismatchError("seed degree mismatch")
         if not group.contains(s):
             raise MembershipError("seed not in the ambient group")
-        if chain.extend(s):
+        if chain.extend(s, bound):
             gens.append(s)
             work.append(s)
     group_gens = group.generators
     inv_gens = [g.inverse() for g in group_gens]
-    while work:
+    while work and not chain.reached(bound):
         n = work.pop()
         for g, gi in zip(group_gens, inv_gens):
             c = gi * n * g
-            if chain.extend(c):
+            if chain.extend(c, bound):
                 gens.append(c)
                 work.append(c)
     if not gens:
         return GroupWithChain.trivial(degree)
-    if chain.order() == group.order():
+    if chain.order() == bound:
         # the whole group: reuse it, with its cached element list
         return group
     closure = GroupWithChain._from_chain(gens, chain)

@@ -132,7 +132,7 @@ class Permutation:
         return Permutation._raw(tuple(images))
 
     def is_identity(self):
-        return all(i == j for i, j in enumerate(self.images))
+        return self.images == tuple(range(len(self.images)))
 
     def order(self):
         return math.lcm(*(len(c) for c in self.cycles()))

@@ -5,10 +5,14 @@ import pytest
 from bruteforce import mulclose
 from conftest import a5_on_ordered_pairs, group, perm
 from permdesign.analysis import is_quasiprimitive
+from permdesign.cosets import coset_action
+from permdesign.designgroup import DesignAction
 from permdesign.group import (ActionClosureError, EnumerationLimitError,
-                              GroupWithChain, MembershipError, class_closures,
-                              induced_action, normal_closure, orbit_of,
-                              orbits_of, prime_order_class_representatives)
+                              GroupWithChain, MembershipError,
+                              StructureContradiction, _build_chain,
+                              class_closures, induced_action, normal_closure,
+                              orbit_of, orbits_of,
+                              prime_order_class_representatives)
 from permdesign.perm import Permutation
 
 
@@ -66,6 +70,83 @@ def test_chain_order_equals_bruteforce_closure(name, deg, gens, expected):
     assert g.order() == closure
     if expected is not None:
         assert g.order() == expected
+
+
+def chain_levels(chain):
+    """Base point, strong generators, orbit insertion order and transversal
+    images of every level."""
+    return [(level.base, [g.images for g in level.gens], list(level.orbit),
+             [u.images for u in level.orbit.values()])
+            for level in chain.levels]
+
+
+def sifted(chain):
+    return sum(len(level.checked) for level in chain.levels)
+
+
+@pytest.mark.parametrize("name,deg,gens,expected",
+                         CLOSURE_CASES, ids=[c[0] for c in CLOSURE_CASES])
+def test_bounded_build_equals_full_build(name, deg, gens, expected):
+    full = group(deg, *gens)
+    bounded = GroupWithChain(full.generators, order_bound=full.order())
+    assert chain_levels(bounded._chain) == chain_levels(full._chain)
+
+
+@pytest.mark.parametrize("deg,gens", [
+    (7, ("(1 2 3)", "(1 2 3 4 5 6 7)")),      # A7
+    (7, ("(1 2 3 4 5 6 7)", "(1 2)(3 6)")),   # PGL(3,2)
+    (6, ("(1 2)", "(1 2 3 4 5 6)")),          # S6
+])
+def test_bounded_stabilizer_rebuilds_equal_full_ones(deg, gens):
+    g = group(deg, *gens)
+    for point in range(deg):
+        full = _build_chain(deg, g.generators, (point,))
+        bounded = _build_chain(deg, g.generators, (point,), g.order())
+        assert chain_levels(bounded) == chain_levels(full), point
+        assert (chain_levels(g.point_stabilizer(point)._chain)
+                == chain_levels(full)[1:])
+
+
+def test_bounded_design_action_chains_equal_full_ones(corpus_instances):
+    for inst in corpus_instances:
+        action = DesignAction(inst.group, inst.structure)
+        image = action.block_action.image
+        union = action.union_group
+        assert chain_levels(image._chain) == chain_levels(
+            GroupWithChain(image.generators)._chain), inst.name
+        hint = (inst.structure.blocks[0][0], inst.structure.v)
+        assert chain_levels(union._chain) == chain_levels(
+            GroupWithChain(union.generators, base_hint=hint)._chain), inst.name
+
+
+def test_bound_above_the_order_gives_the_full_chain(s4):
+    full = GroupWithChain(s4.generators)
+    loose = GroupWithChain(s4.generators, order_bound=2 * s4.order())
+    assert chain_levels(loose._chain) == chain_levels(full._chain)
+    assert sifted(loose._chain) == sifted(full._chain)
+    # S4 on the cosets of D4 has kernel V4: |S4| bounds the image loosely
+    action = coset_action(s4, group(4, "(1 2 3 4)", "(1 3)"))
+    assert not action.faithful and action.image.order() == 6
+    unbounded = GroupWithChain(action.image.generators)._chain
+    assert chain_levels(action.image._chain) == chain_levels(unbounded)
+    assert sifted(action.image._chain) == sifted(unbounded)
+
+
+def test_bound_below_the_order_is_a_contradiction(s4):
+    with pytest.raises(StructureContradiction):
+        GroupWithChain(s4.generators, order_bound=5)
+
+
+def test_bounded_build_sifts_fewer_schreier_generators(symplectic_pair):
+    structure, g = symplectic_pair
+    union = DesignAction(g, structure).union_group
+    vertex = structure.v + 1
+    assert union.base()[0] != vertex  # point_stabilizer would rebuild
+    full = _build_chain(union.degree, union.generators, (vertex,))
+    bounded = _build_chain(union.degree, union.generators, (vertex,),
+                           union.order())
+    assert chain_levels(bounded) == chain_levels(full)
+    assert sifted(bounded) < sifted(full)
 
 
 def test_membership_of_100_random_words(a7):
@@ -180,6 +261,10 @@ def test_normal_closure_of_three_cycle_in_s4(s4):
     for x in n.generators:
         for g in s4.generators:
             assert n.contains(x.conjugated_by(g))
+
+
+def test_normal_closure_reaching_the_group_returns_it(s4):
+    assert normal_closure(s4, [perm("(1 2)", 4)]) is s4
 
 
 def test_normal_closure_of_identity(s4):

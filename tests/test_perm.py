@@ -15,6 +15,11 @@ def test_parse_identity():
     assert p.degree == 5
 
 
+def test_last_points_swapped_is_not_identity():
+    assert Permutation.identity(9).is_identity()
+    assert not Permutation(tuple(range(7)) + (8, 7)).is_identity()
+
+
 def test_parse_repeated_point_rejected():
     with pytest.raises(CycleParseError):
         parse_permutation("(1 2)(1 3)", 3)
