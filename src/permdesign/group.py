@@ -7,6 +7,16 @@ no Schreier generator is sifted twice (a per-level memo makes the
 verification loop incremental).  The result is reproducible for a fixed
 generator sequence.
 
+A sift holds the residue r = p*u1^-1*...*uk^-1 through its inverse
+r^-1 = a*p^-1, kept as the two factors p and a = uk*...*u1: moving down a
+level is the product u*a, r fixes the base point b exactly when b^p = b^a,
+and otherwise b^r is the index of b^p in a's images.  No transversal
+element is inverted, and p^-1 is never formed.  It is the textbook
+residue, so every decision and every installed residue, and with them the
+chains, are unchanged.  A Schreier generator u_c*g*u_t^-1 starts as the
+pair (u_c*g, u_t); the one inversion left is a^-1 for a residue that is
+installed.
+
 A build may be given an upper bound on the order of the group it generates,
 where that order is already known (the same group on another base, or an
 action of a group whose chain is built).  It stops as soon as the chain's
@@ -65,6 +75,7 @@ class _Chain:
 
     def __init__(self, degree, base_hint=()):
         self.degree = degree
+        self.identity = Permutation.identity(degree)
         self.levels = []
         for b in base_hint:
             check_index("base point", b, degree)
@@ -79,18 +90,29 @@ class _Chain:
 
     def sift(self, p, start=0):
         """Reduce p through levels[start:].  Returns None if p reduces to the
-        identity, else the non-identity residue."""
+        identity, else the non-identity residue r = p*u1^-1*u2^-1*..., left
+        as it stands once a base image leaves its basic orbit."""
+        a = self._sift(p, self.identity, start)
+        return None if a is None else p * a.inverse()
+
+    def _sift(self, p, a, start=0):
+        """sift() of p*a^-1, with its residue r held as the pair (p, a):
+        moving r down a level is a <- u*a, and b^r is the index of b^p in
+        a's images.  Returns None when r reduces to the identity (a == p),
+        else the final a, so that r = p*a^-1."""
+        images = p.images
         for level in self.levels[start:]:
-            c = p.images[level.base]
-            if c != level.base:
-                u = level.orbit.get(c)
+            b = level.base
+            c = images[b]
+            if c != a.images[b]:
+                u = level.orbit.get(a.images.index(c))
                 if u is None:
-                    return p
-                p = p * u.inverse()
-        return None if p.is_identity() else p
+                    return a
+                a = u * a
+        return None if a.images == images else a
 
     def contains(self, p):
-        return self.sift(p) is None
+        return self._sift(p, self.identity) is None
 
     def _fix_depth(self, h):
         d = 0
@@ -169,14 +191,12 @@ class _Chain:
                 if key in level.checked:
                     continue
                 level.checked.add(key)
-                u_c = level.orbit[c]
-                u_t = level.orbit[g.images[c]]
-                s = u_c * g * u_t.inverse()
-                if s.is_identity():
-                    continue
-                residue = self.sift(s, i + 1)
-                if residue is not None:
-                    return residue
+                # the Schreier generator u_c*g*u_t^-1, sifted as the pair
+                # (u_c*g, u_t)
+                u_cg = level.orbit[c] * g
+                a = self._sift(u_cg, level.orbit[g.images[c]], i + 1)
+                if a is not None:
+                    return u_cg * a.inverse()
         return None
 
 

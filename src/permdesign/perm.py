@@ -3,12 +3,18 @@
 Action convention used throughout the package: permutations act on the
 right, so ``point^(p*q) == (point^p)^q`` and ``p*q`` means "apply p, then q".
 Cycle notation is 1-based on the outside, 0-based internally.
+
+A product is one ``operator.itemgetter`` call, which reads every image of
+the second factor at the images of the first in C.  Degree 1 is the one
+exception: an itemgetter with a single index returns a scalar, not a
+tuple, and the only permutation of one point is the identity anyway.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from operator import itemgetter
 
 
 class CycleParseError(ValueError):
@@ -103,11 +109,13 @@ class Permutation:
         """Composition "self then other": point^(p*q) = (point^p)^q."""
         if not isinstance(other, Permutation):
             return NotImplemented
+        p = self.images
         q = other.images
-        if len(q) != len(self.images):
-            raise DegreeMismatchError(
-                f"degree {len(self.images)} vs {len(q)}")
-        return Permutation._raw(tuple(map(q.__getitem__, self.images)))
+        if len(q) != len(p):
+            raise DegreeMismatchError(f"degree {len(p)} vs {len(q)}")
+        if len(p) == 1:
+            return other
+        return Permutation._raw(itemgetter(*p)(q))
 
     def inverse(self):
         images = self.images

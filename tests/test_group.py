@@ -1,3 +1,5 @@
+import hashlib
+import os
 import random
 
 import pytest
@@ -5,11 +7,13 @@ import pytest
 from bruteforce import mulclose
 from conftest import a5_on_ordered_pairs, group, perm
 from permdesign.analysis import is_quasiprimitive
+from permdesign.analyzer import analyze
+from permdesign.corpus import bundled_corpus
 from permdesign.cosets import coset_action
 from permdesign.designgroup import DesignAction
 from permdesign.group import (ActionClosureError, EnumerationLimitError,
                               GroupWithChain, MembershipError,
-                              StructureContradiction, _build_chain,
+                              StructureContradiction, _build_chain, _Chain,
                               class_closures, induced_action, normal_closure,
                               orbit_of, orbits_of,
                               prime_order_class_representatives)
@@ -166,6 +170,127 @@ def test_membership_rejects_odd_permutation(a7):
 def test_membership_rejects_point_outside_orbit():
     g = group(4, "(1 2)")
     assert not g.contains(perm("(3 4)", 4))
+
+
+def forward_residue(chain, p, start=0):
+    """Oracle: the residue p*u1^-1*u2^-1*... of the textbook sift, formed
+    forward level by level; None when it is the identity, and returned as
+    it stands as soon as a base image leaves its basic orbit."""
+    for level in chain.levels[start:]:
+        c = p.images[level.base]
+        if c != level.base:
+            u = level.orbit.get(c)
+            if u is None:
+                return p
+            p = p * u.inverse()
+    return None if p.is_identity() else p
+
+
+def assert_sift_matches_oracle(chain, p):
+    for start in range(len(chain.levels) + 1):
+        assert chain.sift(p, start) == forward_residue(chain, p, start), start
+
+
+def test_sift_returns_the_forward_residue(corpus_instances):
+    rng = random.Random(10)
+    s6 = group(6, "(1 2)", "(1 2 3 4 5 6)")
+    groups = [inst.group for inst in corpus_instances] + [s6]
+    for g in groups:
+        n = g.degree
+        for _ in range(4):
+            member = g.random_element(rng)
+            assert g._chain.sift(member) is None
+            assert_sift_matches_oracle(g._chain, member)
+            stranger = Permutation(rng.sample(range(n), n))
+            assert g.contains(stranger) == (
+                forward_residue(g._chain, stranger) is None)
+            assert_sift_matches_oracle(g._chain, stranger)
+
+
+def test_sift_leaves_early_at_a_deeper_basic_orbit():
+    d4 = group(4, "(1 2 3 4)", "(1 3)")
+    chain = d4._chain
+    assert [(l.base, sorted(l.orbit)) for l in chain.levels] == [
+        (0, [0, 1, 2, 3]), (1, [1, 3])]
+    for text in ("(2 3)", "(1 2 4 3)"):
+        p = perm(text, 4)
+        residue = forward_residue(chain, p)
+        # the residue fixes the first base point and sends the second out
+        # of its basic orbit
+        assert residue.images[0] == 0 and residue.images[1] not in (1, 3)
+        assert chain.sift(p) == residue
+        assert not d4.contains(p)
+        assert_sift_matches_oracle(chain, p)
+
+
+@pytest.fixture
+def inversions(monkeypatch):
+    """Every permutation inverted from here on."""
+    calls = []
+    inverse = Permutation.inverse
+
+    def counting(self):
+        calls.append(self)
+        return inverse(self)
+    monkeypatch.setattr(Permutation, "inverse", counting)
+    return calls
+
+
+def test_membership_inverts_nothing(a7, inversions):
+    assert a7.contains(perm("(1 2 3)(4 5 6)", 7))
+    assert not a7.contains(perm("(1 2)", 7))
+    assert not a7.contains(perm("(1 2 3 4)(5 6 7)", 7))
+    assert inversions == []
+
+
+def test_chain_build_inverts_only_installed_residues(monkeypatch,
+                                                    inversions):
+    """Sifting a Schreier generator inverts nothing; only a residue that is
+    installed is formed as p*a^-1, one inversion each."""
+    sifts = []
+    sift = _Chain._sift
+
+    def recording(self, p, a, start=0):
+        result = sift(self, p, a, start)
+        sifts.append((start, result))
+        return result
+    monkeypatch.setattr(_Chain, "_sift", recording)
+    chain = _build_chain(7, (perm("(1 2 3 4 5 6 7)", 7), perm("(1 2)", 7)))
+    assert chain.order() == 5040
+    schreier = [result for start, result in sifts if start > 0]
+    residues = [result for result in schreier if result is not None]
+    assert len(schreier) == sifted(chain) and residues
+    assert len(inversions) == len(residues)
+
+
+CHAINS_DIGEST = os.path.join(os.path.dirname(__file__), "golden",
+                             "chains.sha256")
+
+
+def corpus_chain_digest(monkeypatch):
+    """sha256 over chain_levels of every chain _build_chain returns while
+    analyze runs on a freshly built corpus, in the order of the builds."""
+    from permdesign import group as chains
+    instances = bundled_corpus()
+    digest = hashlib.sha256()
+    build = chains._build_chain
+
+    def recording(*args, **kwargs):
+        chain = build(*args, **kwargs)
+        digest.update(repr(chain_levels(chain)).encode())
+        return chain
+    monkeypatch.setattr(chains, "_build_chain", recording)
+    for inst in instances:
+        analyze(inst.group, inst.structure, inst.name)
+    return digest.hexdigest()
+
+
+def test_corpus_chains_match_golden_digest(monkeypatch):
+    """Every base, strong generator, orbit order and transversal element
+    of the chains a corpus analysis builds is pinned."""
+    with open(CHAINS_DIGEST) as fh:
+        expected, _ = fh.read().split()
+    assert corpus_chain_digest(monkeypatch) == expected
 
 
 def test_orbit_full_cycle():

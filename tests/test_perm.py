@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from permdesign.io import parse_group_text
 from permdesign.perm import (CycleParseError, DegreeMismatchError,
                              Permutation, parse_permutation)
 
@@ -54,6 +57,30 @@ def test_identity_is_neutral():
     e = Permutation.identity(4)
     assert p * e == p
     assert e * p == p
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 15, 81, 891])
+def test_product_matches_pointwise_composition(n):
+    rng = random.Random(n)
+    for _ in range(5):
+        p = Permutation(rng.sample(range(n), n))
+        q = Permutation(rng.sample(range(n), n))
+        assert (p * q).images == tuple(q.images[p.images[i]] for i in range(n))
+
+
+def test_degree_one_product_is_the_identity():
+    e = Permutation.identity(1)
+    product = Permutation((0,)) * e
+    assert product.images == (0,)
+    assert product == e and hash(product) == hash(e)
+
+
+def test_degree_one_group_file():
+    g = parse_group_text("degree 1\n()\n")
+    assert g.order() == 1
+    assert g.contains(Permutation.identity(1))
+    e = g.generators[0]
+    assert g.contains(e * e)
 
 
 def test_inverse_of_cycle():
