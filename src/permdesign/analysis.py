@@ -7,8 +7,8 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .group import (GroupWithChain, StructureContradiction, class_closures,
-                    is_prime, normal_closure, orbits_of)
+from .group import (GroupWithChain, StructureContradiction, check_index,
+                    class_closures, is_prime, normal_closure, orbits_of)
 from .perm import Permutation
 
 # The certificate searches draw random elements from a generator seeded
@@ -53,8 +53,11 @@ def _check_invariance(cells, generators):
 
 def minimal_block_system(group, a, b):
     """Finest group-invariant partition in which points a and b share a cell
-    (the classical union-find merging algorithm).  The trivial one-cell
-    partition is a legitimate answer."""
+    (the classical union-find merging algorithm), merged and checked over
+    the walk generators.  The trivial one-cell partition is a legitimate
+    answer."""
+    check_index("point", a, group.degree)
+    check_index("point", b, group.degree)
     if a == b:
         raise ValueError("seed points must be distinct")
     if not group.is_transitive():
@@ -72,7 +75,7 @@ def minimal_block_system(group, a, b):
 
     queue = [max(a, b)]
     parent[max(a, b)] = min(a, b)
-    gens = [g.images for g in group.generators]
+    gens = [g.images for g in group.walk_generators]
     while queue:
         gamma = queue.pop()
         delta = find(gamma)
@@ -91,7 +94,7 @@ def minimal_block_system(group, a, b):
     sizes = {len(c) for c in cell_list}
     if len(sizes) != 1 or n % sizes.pop() != 0:
         raise StructureContradiction("block system cells not of equal size")
-    _check_invariance(cell_list, group.generators)
+    _check_invariance(cell_list, group.walk_generators)
     return BlockSystem(cells=cell_list, cell_size=len(cell_list[0]))
 
 
@@ -100,14 +103,21 @@ def base_block_systems(group):
     b0 and one point x of each other orbit of the stabilizer G_b0, which is
     the chain tail (no build).  The system depends only on the G_b0-orbit of
     x, so the group is primitive iff every one is trivial.  Needs a
-    transitive group; yields nothing on one point."""
-    if group.degree == 1:
-        return
-    b0 = group.base()[0]
-    stabilizer = group.point_stabilizer(b0)
-    for orbit in orbits_of(stabilizer.generators, group.degree):
-        if b0 not in orbit:
-            yield minimal_block_system(group, b0, min(orbit))
+    transitive group; empty on one point.  The tuple is computed once per
+    group and kept on it, so the primitivity, quasiprimitivity and
+    cell-disjointness checks of one group share it."""
+    if group._block_systems is None:
+        systems = ()
+        if group.degree > 1:
+            b0 = group.base()[0]
+            stabilizer = group.point_stabilizer(b0)
+            systems = tuple(
+                minimal_block_system(group, b0, min(orbit))
+                for orbit in orbits_of(stabilizer.walk_generators,
+                                       group.degree)
+                if b0 not in orbit)
+        group._block_systems = systems
+    return group._block_systems
 
 
 def primitivity_status(group):

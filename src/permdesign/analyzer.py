@@ -126,7 +126,8 @@ def _find_intransitive_normal(action, point_type_report, limit):
 
 
 def _block_orbits_of(action, subgroup):
-    return orbits_of([action.block_image_of(g) for g in subgroup.generators],
+    return orbits_of([action.block_image_of(g)
+                      for g in subgroup.walk_generators],
                      action.structure.b)
 
 
@@ -274,7 +275,7 @@ def analyze(group, structure, instance_id="instance", limit=None,
         checks["lambda_constancy"] = timed("lambda_constancy", run_crosscheck)
 
     # automorphisms preserve distances: one BFS per orbit of the union action
-    starts = [min(o) for o in orbits_of(action.union_group.generators,
+    starts = [min(o) for o in orbits_of(action.union_group.walk_generators,
                                         structure.v + structure.b)]
     diameter = timed("diameter",
                      lambda: incidence_graph_diameter(structure, starts))

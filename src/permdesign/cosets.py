@@ -218,11 +218,17 @@ def lambda_constancy_crosscheck(group, left, right, limit=None, graph=None):
     Both counts depend only on the double coset LgL, so one g per L-orbit on
     the nontrivial cosets of L covers every g outside L exactly; its value
     is weighted by the |orbit| * |L| elements it stands for.  No element is
-    enumerated: `limit` bounds only the coset indices.  A caller that has
-    built the coset graph of (G, L, R) passes it as `graph`.
+    enumerated: `limit` bounds only the coset indices.
+
+    Without `graph`, the coset graph is built over G's walk generators:
+    they generate G, and every count read here is independent of how the
+    cosets are numbered.  A caller that has built the coset graph of
+    (G, L, R) passes it as `graph`; `permdesign coset` does, since the
+    numbering it writes comes from the given generators.
     """
     if graph is None:
-        graph = CosetGraph(group, left, right, limit)
+        walk = GroupWithChain._from_chain(group.walk_generators, group._chain)
+        graph = CosetGraph(walk, left, right, limit)
     if left.order() == group.order():
         # no element lies outside L; the constancy claim is vacuous
         return CrosscheckResult(constant=True, value=None, ratios=(),

@@ -61,7 +61,7 @@ class LocalPrimitivityReport:
 
 def _orbit_minima(group):
     """The smallest point of each orbit, in increasing order."""
-    return [min(o) for o in orbits_of(group.generators, group.degree)]
+    return [min(o) for o in orbits_of(group.walk_generators, group.degree)]
 
 
 class DesignAction:

@@ -28,6 +28,19 @@ of the group to the identity and install nothing, so the chain is the one
 the full build makes, level by level.  A product above the bound proves the
 bound wrong and raises StructureContradiction.
 
+The chain also records, in order, the generators whose addition grew it:
+the walk generators.  Every other generator was skipped because it already
+lay in the group the earlier ones generate, or because the chain had
+reached the known order, so the walk generators generate the same group;
+that is exact and needs no further build (the known-order argument of
+Seress, Permutation Group Algorithms, 2003, section 4.5).  A walk whose
+result depends only on the group, such as an orbit, a minimal block system
+or a coset space read up to numbering, costs (domain size) x (number of
+generators), so it runs over these: 6 of the 84 generators of the
+symplectic design over GF(3) grow its chain.  Where the generator list
+itself reaches a result (a chain, a normal closure's generators, a coset
+action's numbering, an induced action), the given generators are kept.
+
 A GroupWithChain is immutable once constructed: a normal closure grows a
 fresh chain, and a point stabilizer is a tail of one (see _Chain).
 """
@@ -71,12 +84,14 @@ class _Level:
 class _Chain:
     """Mutable Schreier-Sims engine; wrapped read-only by GroupWithChain.
     A stabilizer's chain is a tail sharing its parent's _Level objects, so
-    neither may be extended once wrapped."""
+    neither may be extended once wrapped.  `grown` lists, in order, the
+    arguments of extend() that grew the chain (a tail records none)."""
 
     def __init__(self, degree, base_hint=()):
         self.degree = degree
         self.identity = Permutation.identity(degree)
         self.levels = []
+        self.grown = []
         for b in base_hint:
             check_index("base point", b, degree)
             if all(level.base != b for level in self.levels):
@@ -149,6 +164,7 @@ class _Chain:
         the chain, unless g already lies in it.  Returns whether it grew."""
         if self.contains(g):
             return False
+        self.grown.append(g)
         self.install(g)
         self.schreier_sims(order_bound)
         return True
@@ -242,8 +258,8 @@ def orbits_of(generators, degree):
 class GroupWithChain:
     """A finite permutation group with order/membership/stabilizer queries."""
 
-    __slots__ = ("degree", "generators", "_chain", "_order", "_elements",
-                 "_closures")
+    __slots__ = ("degree", "generators", "walk_generators", "_chain", "_order",
+                 "_elements", "_closures", "_block_systems")
 
     def __init__(self, generators, base_hint=(), order_bound=None):
         """`order_bound`, when given, is a proven upper bound on the order of
@@ -263,10 +279,13 @@ class GroupWithChain:
     def _set(self, generators, chain):
         self.degree = chain.degree
         self.generators = generators
+        # the generators that grew the chain; a tail falls back to the given
+        self.walk_generators = tuple(chain.grown) or generators
         self._chain = chain
         self._order = chain.order()
         self._elements = None
         self._closures = None
+        self._block_systems = None
 
     @classmethod
     def trivial(cls, degree):
@@ -287,7 +306,7 @@ class GroupWithChain:
     def orbit(self, point):
         """Orbit of a point under the whole group."""
         check_index("point", point, self.degree)
-        return orbit_of(self.generators, point)
+        return orbit_of(self.walk_generators, point)
 
     def is_transitive(self):
         return len(self.orbit(0)) == self.degree
@@ -299,7 +318,7 @@ class GroupWithChain:
         """True when every point stabilizer is trivial (all orbits have full
         group size)."""
         return all(len(o) == self._order
-                   for o in orbits_of(self.generators, self.degree))
+                   for o in orbits_of(self.walk_generators, self.degree))
 
     def point_stabilizer(self, point):
         """Stabilizer of a point, as the levels below the first base point of
@@ -442,8 +461,10 @@ def prime_order_class_representatives(group, limit=None):
     contains a prime-order element (Cauchy), and the class of that element
     lies inside the subgroup, which is what makes these representatives
     sufficient for quasiprimitivity and minimal-normal-subgroup computations.
+    A class is closed under conjugation by the walk generators, so the
+    representatives do not depend on the generator list.
     """
-    gens = group.generators
+    gens = group.walk_generators
     inv_gens = [g.inverse() for g in gens]
     seen = set()
     reps = []

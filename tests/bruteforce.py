@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to cross-check the library: plain
-closure enumeration, exhaustive partition search, the full subgroup lattice,
-direct pair counting, and double-coset counts and coset-graph adjacency
-from element sets.  These deliberately avoid the stabilizer-chain code
+closure enumeration, exhaustive partition search, block systems by a
+union-find over joined pairs, the full subgroup lattice, direct pair
+counting, and double-coset counts and coset-graph adjacency from element
+sets.  These deliberately avoid the stabilizer-chain code
 paths they are checking."""
 
 from itertools import combinations
@@ -60,6 +61,32 @@ def primitive_by_partitions(group):
         if n % size == 0 and invariant_partition_exists(group, size):
             return False
     return True
+
+
+def block_cells_by_union_find(generators, degree, a, b):
+    """Cells of the finest partition of 0..degree-1 that puts a and b in
+    one cell and is invariant under the given permutations: join a and b,
+    and for each joined pair (x, y) join x^g and y^g for every generator g.
+    Cells are sorted tuples, in order of their smallest point."""
+    label = list(range(degree))
+
+    def root(x):
+        while label[x] != x:
+            x = label[x]
+        return x
+
+    pending = [(a, b)]
+    while pending:
+        x, y = pending.pop()
+        rx, ry = root(x), root(y)
+        if rx == ry:
+            continue
+        label[max(rx, ry)] = min(rx, ry)
+        pending.extend((g.images[x], g.images[y]) for g in generators)
+    cells = {}
+    for x in range(degree):
+        cells.setdefault(root(x), []).append(x)
+    return tuple(tuple(c) for c in sorted(cells.values()))
 
 
 def mulclose_perms(group):

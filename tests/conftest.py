@@ -90,6 +90,24 @@ def corpus_instances():
 
 
 @pytest.fixture(scope="session")
+def walk_cases(corpus_instances):
+    """(name, group) for each corpus group, the symplectic design over GF(3)
+    and the lines of PG(4,2), each with its design action's block image and
+    point/block union group."""
+    from permdesign.designgroup import DesignAction
+    pairs = [(inst.name, inst.structure, inst.group)
+             for inst in corpus_instances]
+    pairs.append(("symplectic-2-3", *build_symplectic_subdesign(2, 3)))
+    pairs.append(("pg-4-2-1", *build_PG(4, 2, 1)))
+    cases = []
+    for name, structure, g in pairs:
+        action = DesignAction(g, structure)
+        cases += [(name, g), (f"{name}/blocks", action.block_action.image),
+                  (f"{name}/union", action.union_group)]
+    return cases
+
+
+@pytest.fixture(scope="session")
 def corpus_dir(tmp_path_factory):
     directory = tmp_path_factory.mktemp("corpus")
     write_corpus(directory)

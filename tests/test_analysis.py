@@ -1,6 +1,7 @@
 import pytest
 
-from bruteforce import primitive_by_partitions, quasiprimitive_by_lattice
+from bruteforce import (block_cells_by_union_find, primitive_by_partitions,
+                        quasiprimitive_by_lattice)
 from conftest import group
 from permdesign.analysis import (IntransitiveError, classify_point_action,
                                  is_primitive, is_quasiprimitive,
@@ -32,6 +33,13 @@ def test_minimal_block_system_s4_trivial(s4):
 def test_minimal_block_system_equal_seeds(s4):
     with pytest.raises(ValueError):
         minimal_block_system(s4, 1, 1)
+
+
+@pytest.mark.parametrize("seeds", [(0, -1), (0, -2), (0, 6)])
+def test_minimal_block_system_seed_out_of_range(seeds):
+    c6 = group(6, "(1 2 3 4 5 6)")
+    with pytest.raises(ValueError):
+        minimal_block_system(c6, *seeds)
 
 
 def test_minimal_block_system_intransitive():
@@ -296,3 +304,50 @@ def test_primitivity_runs_one_block_system_per_stabilizer_orbit(
     orbits = orbits_of(stabilizer.generators, image.degree)
     assert len(calls) == len(orbits) - 1 == 2  # rank 3 on the 35 lines
     assert all(a == b0 for _, a, _ in calls)
+
+
+def test_block_systems_match_union_find_over_the_given_generators(
+        walk_cases):
+    """minimal_block_system merges over the walk generators; the oracle
+    merges over all given generators.  Every seed x is tried up to degree
+    160, and one x per orbit of G_b0 beyond (the system depends only on
+    that orbit)."""
+    from permdesign.group import orbits_of
+    for name, g in walk_cases:
+        if not g.is_transitive():
+            continue
+        b0 = g.base()[0]
+        if g.degree <= 160:
+            seeds = [x for x in range(g.degree) if x != b0]
+        else:
+            stabilizer = g.point_stabilizer(b0)
+            seeds = [min(o) for o in orbits_of(stabilizer.generators, g.degree)
+                     if b0 not in o]
+        for x in seeds:
+            expected = block_cells_by_union_find(g.generators, g.degree, b0, x)
+            assert minimal_block_system(g, b0, x).cells == expected, (name, x)
+
+
+def test_analyze_computes_each_block_system_once(corpus_instances,
+                                                 monkeypatch):
+    from permdesign import analysis
+    from permdesign.analyzer import analyze
+    (inst,) = [i for i in corpus_instances if i.name == "symplectic-2-2"]
+    seen = []
+    groups = []  # held, so that no id is reused while counting
+    original = analysis.minimal_block_system
+
+    def counting(g, a, b):
+        groups.append(g)
+        seen.append((id(g), a, b))
+        return original(g, a, b)
+    monkeypatch.setattr(analysis, "minimal_block_system", counting)
+    report = analyze(inst.group, inst.structure, inst.name)
+    assert report.block_type == "non-quasiprimitive"
+    assert seen and len(seen) == len(set(seen))
+    calls = len(seen)
+    for g in {id(g): g for g in groups}.values():
+        systems = analysis.base_block_systems(g)
+        assert isinstance(systems, tuple)
+        assert analysis.base_block_systems(g) is systems
+    assert len(seen) == calls  # every group's systems came from its cache

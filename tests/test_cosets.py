@@ -454,3 +454,21 @@ def test_non_corefree_subgroup_marks_action_unfaithful():
     # alone is not: take the trivial subgroup on the other side
     trivial = GroupWithChain((Permutation.identity(4),))
     assert coset_graph_faithful(c4, center, trivial)
+
+
+def test_crosscheck_over_walk_generators_matches_given_generator_graph(
+        symplectic_pair):
+    """Without a graph the crosscheck walks the cosets over G's walk
+    generators; the result equals the one read from the coset graph over
+    all given generators."""
+    from permdesign.designgroup import DesignAction
+    from permdesign.geometry import build_symplectic_subdesign
+    for structure, g in (symplectic_pair, build_symplectic_subdesign(2, 3)):
+        assert len(g.walk_generators) < len(g.generators)
+        left = g.point_stabilizer(structure.blocks[0][0])
+        right = DesignAction(g, structure).block_stabilizer(0)
+        walked = lambda_constancy_crosscheck(g, left, right)
+        given = lambda_constancy_crosscheck(
+            g, left, right, graph=CosetGraph(g, left, right))
+        assert walked == given
+        assert walked.ok and walked.sample_count == g.order() - left.order()

@@ -555,3 +555,53 @@ def test_induced_action_faithfulness_matches_bruteforce_kernel():
             if all(frozenset(t[p] for p in cell) == cell for cell in objs))
         assert action.faithful == (kernel == 1)
         assert action.image.order() * kernel == g.order()
+
+
+def _is_subsequence(part, whole):
+    rest = iter(whole)
+    return all(any(p is g for g in rest) for p in part)
+
+
+def test_walk_generators_generate_the_group(walk_cases):
+    """The generators that grew the chain are a subsequence of the given
+    ones, in order, and generate a group of the same order."""
+    for name, g in walk_cases:
+        walk = g.walk_generators
+        assert _is_subsequence(walk, g.generators), name
+        assert GroupWithChain(walk).order() == g.order(), name
+
+
+def test_walk_generators_of_the_geometric_groups_are_few(walk_cases):
+    cases = dict(walk_cases)
+    assert (len(cases["symplectic-2-3"].generators),
+            len(cases["symplectic-2-3"].walk_generators)) == (84, 6)
+    assert (len(cases["pg-4-2-1"].generators),
+            len(cases["pg-4-2-1"].walk_generators)) == (20, 8)
+
+
+def test_walk_generators_fall_back_to_the_given_generators(a7, s4):
+    trivial = GroupWithChain.trivial(4)
+    assert trivial.walk_generators == trivial.generators
+    for g in (a7, s4):
+        tail = g.point_stabilizer(g.base()[0])
+        assert tail.walk_generators == tail.generators
+    closure = normal_closure(s4, [perm("(1 2)(3 4)", 4)])
+    assert closure.order() == 4
+    assert closure.walk_generators == closure.generators
+
+
+def test_walk_generators_drop_duplicates_and_the_identity():
+    a, b = perm("(1 2 3 4 5)", 5), perm("(1 2)", 5)
+    identity = Permutation.identity(5)
+    g = GroupWithChain((identity, a, a, a * a, identity, b, b * a))
+    assert g.walk_generators == (a, b)
+    assert g.order() == 120
+
+
+def test_walks_over_walk_generators_match_the_given_generators(walk_cases):
+    for name, g in walk_cases:
+        orbits = orbits_of(g.generators, g.degree)
+        assert orbits_of(g.walk_generators, g.degree) == orbits, name
+        assert g.is_transitive() == (len(orbits) == 1), name
+        assert g.is_semiregular() == all(len(o) == g.order()
+                                         for o in orbits), name
