@@ -14,7 +14,7 @@ import sys
 from .analyzer import AnalysisReport, analyze
 from .corpus import write_corpus
 from .cosets import (CosetGraph, IndexLimitError, SubgroupError,
-                     is_trivial_factorization, lambda_constancy_crosscheck)
+                     lambda_constancy_crosscheck)
 from .designgroup import PreservationError, RepeatedBlockError
 from .geometry import (SizeLimitError, build_AG, build_PG,
                        build_symplectic_subdesign)
@@ -63,13 +63,14 @@ def cmd_coset(args):
     left = read_group_file(args.left)
     right = read_group_file(args.right)
     # building the coset graph validates the input; the crosscheck, the
-    # faithfulness check and --out all read its two coset spaces
+    # factorization (G = LR iff block 0 is full), the faithfulness check
+    # and --out all read it
     graph = CosetGraph(group, left, right)
     crosscheck = lambda_constancy_crosscheck(group, left, right, graph=graph)
     record = {
         "index_L": group.order() // left.order(),
         "index_R": group.order() // right.order(),
-        "trivial_factorization": is_trivial_factorization(group, left, right),
+        "trivial_factorization": graph.trivial,
         "faithful": graph.is_faithful(),
         "lambda_constant": crosscheck.value if crosscheck.ok else None,
     }

@@ -9,6 +9,14 @@ minimal, found by walking the chain transversals.  This gives constant-time
 coset keys without backtrack searches.  One breadth-first walk enumerates
 a coset space and records where each generator sends each coset; the coset
 action, the coset graph and the faithfulness check read that table.
+
+The walk costs one canonical representative per (coset, generator) pair,
+so it runs over the group's walk generators, the ones that grew its chain
+(see group.py).  The other given generators' coset actions are read off
+one chain of the group on its points and the cosets together, and the
+cosets are then numbered as a walk over all given generators numbers them.
+Faithfulness depends only on the group and is decided over the walk
+generators alone.
 """
 
 from __future__ import annotations
@@ -16,10 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import index_limit
-from .group import (ActionImage, GroupWithChain, StructureContradiction,
-                    restrict_to_points, union_generators)
+from .group import (ActionImage, GroupWithChain, MembershipError,
+                    StructureContradiction, restrict_to_points,
+                    union_generators)
 from .incidence import IncidenceStructure
-from .perm import Permutation
+from .perm import DegreeMismatchError, Permutation
 
 
 class SubgroupError(ValueError):
@@ -48,8 +57,12 @@ def canonical_coset_representative(subgroup, x):
 
 class CosetSpace:
     """The right cosets of a subgroup, with canonical representatives in
-    breadth-first discovery order (the trivial coset is index 0), and as
-    `action` the images of the group's generators on the coset indices."""
+    breadth-first discovery order over the group's given generators (the
+    trivial coset is index 0), and as `action` the images of those
+    generators on the coset indices: what _coset_orbit(subgroup, group)
+    returns.  When some given generators did not grow the group's chain,
+    the same numbering and tables are computed from the walk generators
+    (see _coset_orbit_from_walk)."""
 
     def __init__(self, group, subgroup, limit=None):
         if subgroup.degree != group.degree:
@@ -57,7 +70,11 @@ class CosetSpace:
         if not subgroup.is_subgroup_of(group):
             raise SubgroupError("given generators do not lie in the group")
         index = _checked_index(group, subgroup, limit)
-        position, reps, self.action = _coset_orbit(subgroup, group)
+        if len(group.walk_generators) < len(group.generators):
+            position, reps, self.action = _coset_orbit_from_walk(subgroup,
+                                                                 group)
+        else:
+            position, reps, self.action = _coset_orbit(subgroup, group)
         if len(reps) != index:
             raise StructureContradiction(
                 f"coset enumeration found {len(reps)} cosets, expected {index}")
@@ -68,9 +85,15 @@ class CosetSpace:
         self._position = position
 
     def position_of(self, x):
-        """Index of the coset (subgroup)*x."""
+        """Index of the coset (subgroup)*x, for x in the group."""
+        if x.degree != self.group.degree:
+            raise DegreeMismatchError(
+                f"permutation degree {x.degree} != {self.group.degree}")
         key = canonical_coset_representative(self.subgroup, x).images
-        return self._position[key]
+        i = self._position.get(key)
+        if i is None:
+            raise MembershipError(f"{x} is not in the group")
+        return i
 
 
 def _checked_index(group, subgroup, limit):
@@ -134,7 +157,9 @@ class CosetGraph:
 
     @property
     def trivial(self):
-        return all(len(b) == self.space_points.index for b in self.blocks)
+        """Whether G = LR: block 0, the L-cosets in LR, is full (and with
+        it every block, as G moves block 0 to each)."""
+        return len(self.blocks[0]) == self.space_points.index
 
     def is_faithful(self):
         """coset_graph_faithful, read from this graph's two spaces."""
@@ -166,6 +191,48 @@ def _coset_orbit(subgroup, acting, start=None):
     return position, reps, tuple(Permutation(row) for row in table)
 
 
+def _coset_orbit_from_walk(subgroup, group):
+    """_coset_orbit(subgroup, group), walking only G's walk generators.
+
+    Their walk finds every coset and their own tables.  G is faithful on
+    its points, so one chain of G on the points and the cosets together,
+    hinted with G's base, has that base, all of it on the points.  Lifted
+    through that chain by its base images, a given generator g becomes
+    the element that agrees with g on the points: (g, g on the cosets),
+    checked on the points.  A breadth-first walk over these tables from
+    the trivial coset then meets the cosets in _coset_orbit's order."""
+    n = group.degree
+    position, reps, tables = _coset_orbit(subgroup, _walk_view(group))
+    chain = GroupWithChain(union_generators(group.walk_generators, tables),
+                           base_hint=group.base(),
+                           order_bound=group.order())._chain
+    rows = []
+    for g in group.generators:
+        a = chain.lift(g)
+        if a.images[:n] != g.images:
+            raise StructureContradiction(
+                "a generator does not lift to the coset action")
+        rows.append(tuple(j - n for j in a.images[n:]))
+    renumber = [None] * len(reps)
+    renumber[0] = 0
+    order = [0]
+    for i in order:
+        for row in rows:
+            j = row[i]
+            if renumber[j] is None:
+                renumber[j] = len(order)
+                order.append(j)
+    reps = [reps[i] for i in order]
+    position = {rep.images: k for k, rep in enumerate(reps)}
+    return position, reps, tuple(
+        Permutation(renumber[row[i]] for i in order) for row in rows)
+
+
+def _walk_view(group):
+    """G over the generators that grew its chain, sharing that chain."""
+    return GroupWithChain._from_chain(group.walk_generators, group._chain)
+
+
 def coset_graph_design(group, left, right, limit=None):
     """The incidence structure of Cos(G, L, R)."""
     return CosetGraph(group, left, right, limit).structure
@@ -174,9 +241,12 @@ def coset_graph_design(group, left, right, limit=None):
 def coset_graph_faithful(group, left, right, limit=None):
     """Whether the action on both coset spaces together is faithful, i.e.
     whether the intersection of the two subgroups is core-free: one chain,
-    of the action on the disjoint union of the two spaces, has order |G|."""
-    return _union_faithful(group, CosetSpace(group, left, limit).action,
-                           CosetSpace(group, right, limit).action)
+    of the action on the disjoint union of the two spaces, has order |G|.
+    The answer depends only on the group, so both spaces and that chain
+    are built over G's walk generators."""
+    walk = _walk_view(group)
+    return _union_faithful(walk, CosetSpace(walk, left, limit).action,
+                           CosetSpace(walk, right, limit).action)
 
 
 def _union_faithful(group, first, second):
@@ -227,8 +297,7 @@ def lambda_constancy_crosscheck(group, left, right, limit=None, graph=None):
     numbering it writes comes from the given generators.
     """
     if graph is None:
-        walk = GroupWithChain._from_chain(group.walk_generators, group._chain)
-        graph = CosetGraph(walk, left, right, limit)
+        graph = CosetGraph(_walk_view(group), left, right, limit)
     if left.order() == group.order():
         # no element lies outside L; the constancy claim is vacuous
         return CrosscheckResult(constant=True, value=None, ratios=(),

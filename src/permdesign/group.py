@@ -38,8 +38,11 @@ result depends only on the group, such as an orbit, a minimal block system
 or a coset space read up to numbering, costs (domain size) x (number of
 generators), so it runs over these: 6 of the 84 generators of the
 symplectic design over GF(3) grow its chain.  Where the generator list
-itself reaches a result (a chain, a normal closure's generators, a coset
-action's numbering, an induced action), the given generators are kept.
+itself reaches a result (a chain, a normal closure's generators, an
+induced action), the given generators are kept.  A coset action is still
+numbered by the given generators, but computed from the walk: the walk
+finds the cosets, and every other generator's action is read off one
+chain of the group on its points and those cosets (cosets.CosetSpace).
 
 A GroupWithChain is immutable once constructed: a normal closure grows a
 fresh chain, and a point stabilizer is a tail of one (see _Chain).
@@ -128,6 +131,15 @@ class _Chain:
 
     def contains(self, p):
         return self._sift(p, self.identity) is None
+
+    def lift(self, p):
+        """The product a of transversal elements that _sift reaches for p:
+        b^a = b^p on every base point when p's base images lie in the basic
+        orbits.  p may act on just a prefix of the domain holding the base,
+        since the pair rule reads p only there; a caller compares a with p
+        on that prefix to know that the sift went through."""
+        a = self._sift(p, self.identity)
+        return p if a is None else a
 
     def _fix_depth(self, h):
         d = 0

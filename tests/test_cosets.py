@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -7,7 +8,7 @@ from bruteforce import (coset_graph_blocks, coset_kernel,
 from conftest import group, perm
 from permdesign.cosets import (CosetGraph, CosetSpace, CrosscheckResult,
                                IndexLimitError, SubgroupError,
-                               canonical_coset_representative,
+                               _coset_orbit, canonical_coset_representative,
                                coset_action, coset_graph_design,
                                double_coset_lambda, is_trivial_factorization,
                                lambda_constancy_crosscheck,
@@ -16,9 +17,22 @@ from permdesign.discovery import (DiscoveryError, cyclic_normalizer,
                                   first_element_of_order,
                                   random_subgroups_of_order,
                                   subgroups_conjugate_in)
-from permdesign.group import GroupWithChain
+from permdesign.group import GroupWithChain, MembershipError
 from permdesign.incidence import verify_design
-from permdesign.perm import Permutation
+from permdesign.io import read_group_file
+from permdesign.perm import DegreeMismatchError, Permutation
+
+COSET_INPUTS = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench", "coset_inputs")
+COSET_TRIPLES = ("a7-cos-15-3-1", "a7-cos-15-7-3", "agl-3-3-lines",
+                 "pgl-4-3-lines", "symplectic-2-3")
+
+
+def _coset_triple(name):
+    """(G, L, R) as committed under perfbench/coset_inputs."""
+    return tuple(read_group_file(os.path.join(COSET_INPUTS,
+                                              f"{name}.{role}.group"))
+                 for role in "GLR")
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +79,16 @@ def test_canonical_representative_full_subgroup_sweep(fano_pair):
                 for s in left.elements()}
         assert len(reps) == 1
         assert left.contains(Permutation(next(iter(reps))) * x.inverse())
+
+
+def test_position_of_refuses_permutations_outside_the_group():
+    a4 = group(4, "(1 2 3)", "(2 3 4)")
+    space = CosetSpace(a4, group(4, "(1 2)(3 4)"))
+    assert space.position_of(perm("(1 2)(3 4)", 4)) == 0
+    with pytest.raises(MembershipError, match=r"\(1 2\) is not in the group"):
+        space.position_of(perm("(1 2)", 4))
+    with pytest.raises(DegreeMismatchError):
+        space.position_of(perm("(1 2 3)", 5))
 
 
 def test_coset_action_recovers_natural_action(frobenius21):
@@ -252,8 +276,9 @@ def test_faithfulness_and_factorization_match_element_oracle(
         g_set = mulclose(grp.generators)
         l_set = mulclose(left.generators)
         r_set = mulclose(right.generators)
-        assert is_trivial_factorization(grp, left, right) == (
-            len(l_set) * len(r_set) == len(g_set) * len(l_set & r_set))
+        trivial = len(l_set) * len(r_set) == len(g_set) * len(l_set & r_set)
+        assert is_trivial_factorization(grp, left, right) == trivial
+        assert CosetGraph(grp, left, right).trivial == trivial
     assert True in faithful and False in faithful
 
 
@@ -283,11 +308,12 @@ def test_coset_space_action_table(fano_pair, frobenius21, s4):
 
 def test_coset_actions_read_the_walk(fano_pair, frobenius21, s4,
                                      monkeypatch):
-    # coset_graph_faithful canonicalizes each (coset, generator) pair of
-    # both spaces once, plus each walk's start; CosetGraph adds only the
-    # walk over the L-cosets in LR
+    # coset_graph_faithful canonicalizes each (coset, walk generator) pair
+    # of both spaces once, plus each walk's start; CosetGraph adds only the
+    # walk over the L-cosets in LR.  The other given generators' actions
+    # need no canonical representative.
     from permdesign import cosets
-    from permdesign.cosets import _coset_orbit, coset_graph_faithful
+    from permdesign.cosets import coset_graph_faithful
     original = cosets.canonical_coset_representative
     calls = []
 
@@ -299,7 +325,7 @@ def test_coset_actions_read_the_walk(fano_pair, frobenius21, s4,
     for grp, left, right in _table_cases(fano_pair, frobenius21, s4):
         order = grp.order()
         spaces = ((order // left.order() + order // right.order())
-                  * len(grp.generators) + 2)
+                  * len(grp.walk_generators) + 2)
         walk = len(_coset_orbit(left, right)[0]) * len(right.generators) + 1
         calls.clear()
         coset_graph_faithful(grp, left, right)
@@ -307,6 +333,12 @@ def test_coset_actions_read_the_walk(fano_pair, frobenius21, s4,
         calls.clear()
         CosetGraph(grp, left, right)
         assert len(calls) == spaces + walk
+    # 6 of symplectic-2-3's 84 generators grow its chain
+    grp, _, right = _coset_triple("symplectic-2-3")
+    assert (len(grp.walk_generators), len(grp.generators)) == (6, 84)
+    calls.clear()
+    assert CosetSpace(grp, right).index == 810
+    assert len(calls) == 6 * 810 + 1
 
 
 def test_subgroup_intersection_matches_element_oracle(fano_pair, frobenius21,
@@ -472,3 +504,69 @@ def test_crosscheck_over_walk_generators_matches_given_generator_graph(
             g, left, right, graph=CosetGraph(g, left, right))
         assert walked == given
         assert walked.ok and walked.sample_count == g.order() - left.order()
+
+
+def _conjugated(grp, left, right, seed):
+    """L and R conjugated by a product of 24 seeded choices among G's
+    generators, as the coset-build benchmark prepares its inputs."""
+    rng = random.Random(seed)
+    x = Permutation.identity(grp.degree)
+    for _ in range(24):
+        x = x * rng.choice(grp.generators)
+    return grp, *(GroupWithChain(tuple(g.conjugated_by(x)
+                                       for g in sub.generators))
+                  for sub in (left, right))
+
+
+def _redundant_generator_cases():
+    """A7 on its subgroup pairs behind the 15-point designs, given with
+    generator lists that repeat a generator, hold the identity, put a
+    redundant generator ahead of one that grows the chain, or carry
+    generators skipped once the chain reached the known order 2520."""
+    from permdesign.corpus import discover_a7_subgroups
+    a7, left, right, other = discover_a7_subgroups()
+    a, b = a7.generators
+    one = Permutation.identity(7)
+    cases = []
+    for gens, walk in (((a, b, a, b), (a, b)),
+                       ((one, a, one, b), (a, b)),
+                       ((a * b, a, b), (a * b, a)),
+                       ((a, b, a * b * a, b * a * b), (a, b))):
+        grp = GroupWithChain(gens, order_bound=a7.order())
+        assert grp.walk_generators == walk
+        cases += [(grp, left, right), (grp, left, other)]
+    return cases
+
+
+def _assert_matches_given_generator_walk(grp, left, right):
+    """CosetSpace, CosetGraph.blocks and the coset_action image against
+    _coset_orbit over the given generators, the blocks read by element
+    arithmetic: R*y meets L*x*y for each L*x meeting R."""
+    oracle = {}
+    for sub in (left, right):
+        space = CosetSpace(grp, sub)
+        position, reps, action = _coset_orbit(sub, grp)
+        assert [r.images for r in space.representatives] == \
+               [r.images for r in reps]
+        assert space._position == position
+        assert space.action == action
+        assert coset_action(grp, sub).image.generators == action
+        oracle[sub] = position, reps
+    position, _ = oracle[left]
+    block0 = [Permutation(key) for key in _coset_orbit(left, right)[0]]
+    assert CosetGraph(grp, left, right).blocks == tuple(
+        tuple(sorted(position[canonical_coset_representative(
+            left, x * y).images] for x in block0))
+        for y in oracle[right][1])
+
+
+@pytest.mark.parametrize("name", COSET_TRIPLES)
+def test_coset_spaces_match_the_given_generator_walk(name):
+    grp, left, right = _coset_triple(name)
+    _assert_matches_given_generator_walk(grp, left, right)
+    _assert_matches_given_generator_walk(*_conjugated(grp, left, right, 1))
+
+
+def test_coset_spaces_match_the_given_generator_walk_on_redundant_lists():
+    for grp, left, right in _redundant_generator_cases():
+        _assert_matches_given_generator_walk(grp, left, right)
