@@ -60,29 +60,58 @@ class CosetSpace:
     breadth-first discovery order over the group's given generators (the
     trivial coset is index 0), and as `action` the images of those
     generators on the coset indices: what _coset_orbit(subgroup, group)
-    returns.  When some given generators did not grow the group's chain,
-    the same numbering and tables are computed from the walk generators
-    (see _coset_orbit_from_walk)."""
+    returns.
+
+    Only the walk generators are walked; each reads its own table.  G is
+    faithful on its points, so one chain of G on the points and the cosets
+    together, hinted with G's base, has that base, all of it on the points.
+    Lifted through that chain by its base images, any other given generator
+    g becomes the element that agrees with g on the points: (g, g on the
+    cosets), checked on the points.  That chain is built only when such a
+    generator exists.  A breadth-first walk over the given generators'
+    tables from the trivial coset then meets the cosets in _coset_orbit's
+    order; when every given generator grew the chain, it renumbers
+    nothing."""
 
     def __init__(self, group, subgroup, limit=None):
-        if subgroup.degree != group.degree:
-            raise SubgroupError("subgroup degree mismatch")
-        if not subgroup.is_subgroup_of(group):
-            raise SubgroupError("given generators do not lie in the group")
+        _check_subgroup(group, subgroup)
         index = _checked_index(group, subgroup, limit)
-        if len(group.walk_generators) < len(group.generators):
-            position, reps, self.action = _coset_orbit_from_walk(subgroup,
-                                                                 group)
-        else:
-            position, reps, self.action = _coset_orbit(subgroup, group)
+        _, reps, tables = _coset_orbit(subgroup, _walk_view(group))
         if len(reps) != index:
             raise StructureContradiction(
                 f"coset enumeration found {len(reps)} cosets, expected {index}")
+        n = group.degree
+        table_of = {g.images: t.images
+                    for g, t in zip(group.walk_generators, tables)}
+        lifted = [g for g in group.generators if g.images not in table_of]
+        if lifted:
+            chain = GroupWithChain(
+                union_generators(group.walk_generators, tables),
+                base_hint=group.base(), order_bound=group.order())._chain
+            for g in lifted:
+                a = chain.lift(g)
+                if a.images[:n] != g.images:
+                    raise StructureContradiction(
+                        "a generator does not lift to the coset action")
+                table_of[g.images] = tuple(j - n for j in a.images[n:])
+        rows = [table_of[g.images] for g in group.generators]
+        renumber = [None] * index
+        renumber[0] = 0
+        order = [0]
+        for i in order:
+            for row in rows:
+                j = row[i]
+                if renumber[j] is None:
+                    renumber[j] = len(order)
+                    order.append(j)
         self.group = group
         self.subgroup = subgroup
-        self.representatives = tuple(reps)
+        self.representatives = tuple(reps[i] for i in order)
         self.index = index
-        self._position = position
+        self.action = tuple(Permutation(renumber[row[i]] for i in order)
+                            for row in rows)
+        self._position = {rep.images: k
+                          for k, rep in enumerate(self.representatives)}
 
     def position_of(self, x):
         """Index of the coset (subgroup)*x, for x in the group."""
@@ -94,6 +123,13 @@ class CosetSpace:
         if i is None:
             raise MembershipError(f"{x} is not in the group")
         return i
+
+
+def _check_subgroup(group, subgroup):
+    if subgroup.degree != group.degree:
+        raise SubgroupError("subgroup degree mismatch")
+    if not subgroup.is_subgroup_of(group):
+        raise SubgroupError("given generators do not lie in the group")
 
 
 def _checked_index(group, subgroup, limit):
@@ -191,43 +227,6 @@ def _coset_orbit(subgroup, acting, start=None):
     return position, reps, tuple(Permutation(row) for row in table)
 
 
-def _coset_orbit_from_walk(subgroup, group):
-    """_coset_orbit(subgroup, group), walking only G's walk generators.
-
-    Their walk finds every coset and their own tables.  G is faithful on
-    its points, so one chain of G on the points and the cosets together,
-    hinted with G's base, has that base, all of it on the points.  Lifted
-    through that chain by its base images, a given generator g becomes
-    the element that agrees with g on the points: (g, g on the cosets),
-    checked on the points.  A breadth-first walk over these tables from
-    the trivial coset then meets the cosets in _coset_orbit's order."""
-    n = group.degree
-    position, reps, tables = _coset_orbit(subgroup, _walk_view(group))
-    chain = GroupWithChain(union_generators(group.walk_generators, tables),
-                           base_hint=group.base(),
-                           order_bound=group.order())._chain
-    rows = []
-    for g in group.generators:
-        a = chain.lift(g)
-        if a.images[:n] != g.images:
-            raise StructureContradiction(
-                "a generator does not lift to the coset action")
-        rows.append(tuple(j - n for j in a.images[n:]))
-    renumber = [None] * len(reps)
-    renumber[0] = 0
-    order = [0]
-    for i in order:
-        for row in rows:
-            j = row[i]
-            if renumber[j] is None:
-                renumber[j] = len(order)
-                order.append(j)
-    reps = [reps[i] for i in order]
-    position = {rep.images: k for k, rep in enumerate(reps)}
-    return position, reps, tuple(
-        Permutation(renumber[row[i]] for i in order) for row in rows)
-
-
 def _walk_view(group):
     """G over the generators that grew its chain, sharing that chain."""
     return GroupWithChain._from_chain(group.walk_generators, group._chain)
@@ -260,7 +259,10 @@ def _union_faithful(group, first, second):
 def double_coset_lambda(group, left, right, g, _rl=None):
     """|RL n RLg| / |R|, counted in right R-cosets: RL is the union of the
     cosets R*l for l in L, so the count is the number of those cosets R*t
-    with R*t*g again in RL.  For g in L this is the replication number."""
+    with R*t*g again in RL.  For g in L this is the replication number.
+    g must lie in G."""
+    if not group.contains(g):
+        raise MembershipError(f"{g} is not in the group")
     position, reps, _ = _coset_orbit(right, left) if _rl is None else _rl
     return sum(1 for t in reps
                if canonical_coset_representative(right, t * g).images in position)
@@ -346,6 +348,9 @@ def subgroup_intersection(left, right, limit=None):
 
 def is_trivial_factorization(group, left, right, limit=None):
     """True iff G = LR (complete bipartite coset graph), i.e. the R-cosets
-    inside RL are all |G:R| of them.  `limit` bounds |G:R|."""
+    inside RL are all |G:R| of them.  L and R must lie in G.  `limit`
+    bounds |G:R|."""
+    _check_subgroup(group, left)
+    _check_subgroup(group, right)
     index = _checked_index(group, right, limit)
     return len(_coset_orbit(right, left)[0]) == index

@@ -3,9 +3,11 @@
 The chain is built with the classical deterministic Schreier-Sims procedure:
 base points are chosen as the smallest point moved by the offending
 generator, transversals are extended breadth-first and never rewritten, and
-no Schreier generator is sifted twice (a per-level memo makes the
-verification loop incremental).  The result is reproducible for a fixed
-generator sequence.
+no Schreier generator is sifted twice: orbits and strong generators only
+grow at the end, so the points each generator was sifted with are a prefix
+of its level's orbit, kept as one cursor (Seress, Permutation Group
+Algorithms, 2003, ch. 4).  The result is reproducible for a fixed generator
+sequence.
 
 A sift holds the residue r = p*u1^-1*...*uk^-1 through its inverse
 r^-1 = a*p^-1, kept as the two factors p and a = uk*...*u1: moving down a
@@ -75,13 +77,14 @@ def check_index(kind, value, count):
 
 
 class _Level:
-    __slots__ = ("base", "gens", "orbit", "checked")
+    __slots__ = ("base", "gens", "orbit", "points", "checked")
 
     def __init__(self, base, degree):
         self.base = base
         self.gens = []  # strong generators fixing all earlier base points
         self.orbit = {base: Permutation.identity(degree)}  # point -> u, base^u = point
-        self.checked = set()  # (orbit point, generator index) pairs already sifted
+        self.points = [base]  # the orbit in insertion order
+        self.checked = []  # gens[i] has been sifted against points[:checked[i]]
 
 
 class _Chain:
@@ -155,9 +158,10 @@ class _Chain:
         if d == len(self.levels):
             b = min(h.moved_points())
             self.levels.append(_Level(b, self.degree))
-        for l in range(d + 1):
-            self.levels[l].gens.append(h)
-            self._extend_orbit(l)
+        for level in self.levels[:d + 1]:
+            level.gens.append(h)
+            level.checked.append(0)
+            self._extend_orbit(level)
         return d
 
     def reached(self, order_bound):
@@ -181,23 +185,19 @@ class _Chain:
         self.schreier_sims(order_bound)
         return True
 
-    def _extend_orbit(self, i):
-        # sweeps only ever add entries, so transversals are stable and the
-        # Schreier-pair memo in _check_level stays valid
-        level = self.levels[i]
+    def _extend_orbit(self, level):
+        # one breadth-first pass that appends what it finds, so points and
+        # transversals only grow and every _check_level cursor stays valid
         orbit = level.orbit
+        points = level.points
         gens = level.gens
-        while True:
-            grown = False
-            for c in list(orbit):
-                u = orbit[c]
-                for g in gens:
-                    d = g.images[c]
-                    if d not in orbit:
-                        orbit[d] = u * g
-                        grown = True
-            if not grown:
-                return
+        for c in points:
+            u = orbit[c]
+            for g in gens:
+                d = g.images[c]
+                if d not in orbit:
+                    orbit[d] = u * g
+                    points.append(d)
 
     def schreier_sims(self, order_bound=None):
         i = len(self.levels) - 1
@@ -209,20 +209,17 @@ class _Chain:
                 i = self.install(residue)
 
     def _check_level(self, i):
-        self._extend_orbit(i)
+        # install() has already closed every orbit it changed
         level = self.levels[i]
-        gens = level.gens
-        for gi in range(len(gens)):
-            g = gens[gi]
-            for c in list(level.orbit):
-                key = (c, gi)
-                if key in level.checked:
-                    continue
-                level.checked.add(key)
+        orbit = level.orbit
+        checked = level.checked
+        for gi, g in enumerate(level.gens):
+            for c in level.points[checked[gi]:]:
+                checked[gi] += 1
                 # the Schreier generator u_c*g*u_t^-1, sifted as the pair
                 # (u_c*g, u_t)
-                u_cg = level.orbit[c] * g
-                a = self._sift(u_cg, level.orbit[g.images[c]], i + 1)
+                u_cg = orbit[c] * g
+                a = self._sift(u_cg, orbit[g.images[c]], i + 1)
                 if a is not None:
                     return u_cg * a.inverse()
         return None
@@ -356,7 +353,7 @@ class GroupWithChain:
         level, multiplied in the order of iter_elements."""
         g = Permutation.identity(self.degree)
         for level in reversed(self._chain.levels):
-            g = g * rng.choice(tuple(level.orbit.values()))
+            g = g * level.orbit[rng.choice(level.points)]
         return g
 
     def _check_enumerable(self, limit):

@@ -220,13 +220,18 @@ def incidence_graph_diameter(structure, starts=None):
     p, block j is vertex v + j), by BFS from each vertex of `starts`, every
     vertex by default.  Exact also when `starts` holds one vertex of each
     orbit of a group of automorphisms, since those preserve distances.
-    Raises on a disconnected graph."""
+    Raises DesignError on a disconnected graph, ValueError on no starts or
+    a start out of range."""
     v, b = structure.v, structure.b
     n = v + b
+    starts = range(n) if starts is None else list(starts)
+    if not starts:
+        raise ValueError("no start vertex given")
     adj = ([[v + j for j in js] for js in structure.point_blocks()]
            + list(structure.blocks))
     diameter = 0
-    for start in range(n) if starts is None else starts:
+    for start in starts:
+        check_index("start vertex", start, n)
         dist = [-1] * n
         dist[start] = 0
         queue = deque([start])

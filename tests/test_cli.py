@@ -1,6 +1,9 @@
 import hashlib
 import json
 import os
+import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -261,6 +264,45 @@ def test_census_matches_golden(corpus_dir, tmp_path, capsys):
     tests/golden/census.json`, and explain the change."""
     out = tmp_path / "census.json"
     assert main(["census", str(corpus_dir), "--json", str(out)]) == 0
+    with open(GOLDEN_CENSUS, "rb") as fh:
+        assert out.read_bytes() == fh.read()
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
+
+
+def _interpreter(name):
+    """The path of `name` on PATH if it runs, else None.  A version manager
+    may put a shim there for a version it cannot start."""
+    if name is None:
+        return sys.executable
+    exe = shutil.which(name)
+    if exe is None:
+        return None
+    probe = subprocess.run([exe, "-c", "import sys"], capture_output=True,
+                           timeout=30)
+    return exe if probe.returncode == 0 else None
+
+
+@pytest.mark.parametrize("hash_seed", [0, 12345])
+@pytest.mark.parametrize("name", [
+    pytest.param(None, id="this-python"), "python3.10", "python3.12",
+    "python3.13"])
+def test_census_golden_in_a_fresh_interpreter(name, hash_seed, corpus_dir,
+                                              tmp_path):
+    """`census --json` in a new process, under a fixed string-hash seed and
+    each interpreter found (None: the one running the tests), matches the
+    golden: no output depends on set or dict order of hashed strings."""
+    exe = _interpreter(name)
+    if exe is None:
+        pytest.skip(f"{name} is not available")
+    out = tmp_path / "census.json"
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=SRC)
+    run = subprocess.run([exe, "-m", "permdesign.cli", "census",
+                          str(corpus_dir), "--json", str(out)],
+                         env=env, capture_output=True, timeout=60)
+    assert run.returncode == 0, run.stderr.decode()
     with open(GOLDEN_CENSUS, "rb") as fh:
         assert out.read_bytes() == fh.read()
 

@@ -170,6 +170,31 @@ def test_trivial_factorization_cases(s4):
     assert graph.trivial
 
 
+def test_trivial_factorization_refuses_subgroups_outside_the_group():
+    a4 = group(4, "(1 2 3)", "(2 3 4)")
+    c3 = group(4, "(1 2 3)")
+    outside = group(4, "(1 2)")
+    with pytest.raises(SubgroupError):
+        is_trivial_factorization(a4, c3, outside)
+    with pytest.raises(SubgroupError):
+        is_trivial_factorization(a4, outside, c3)
+    with pytest.raises(SubgroupError):
+        is_trivial_factorization(a4, c3, group(5, "(1 2 3)"))
+    assert not is_trivial_factorization(a4, c3, c3)
+
+
+def test_double_coset_lambda_refuses_elements_outside_the_group():
+    a4 = group(4, "(1 2 3)", "(2 3 4)")
+    left = group(4, "(1 2 3)")
+    right = group(4, "(1 2)(3 4)")
+    with pytest.raises(MembershipError, match=r"\(1 2\) is not in the group"):
+        double_coset_lambda(a4, left, right, perm("(1 2)", 4))
+    with pytest.raises(DegreeMismatchError):
+        double_coset_lambda(a4, left, right, perm("(1 2)", 5))
+    # for g in L: the replication number |L : L n R| = 3
+    assert double_coset_lambda(a4, left, right, Permutation.identity(4)) == 3
+
+
 def test_fano_pair_is_not_trivial_factorization(fano_pair):
     structure, g = fano_pair
     from permdesign.designgroup import block_stabilizer

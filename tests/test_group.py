@@ -85,7 +85,9 @@ def chain_levels(chain):
 
 
 def sifted(chain):
-    return sum(len(level.checked) for level in chain.levels)
+    """The number of Schreier pairs sifted while building the chain: each
+    strong generator's cursor counts the orbit points it was sifted with."""
+    return sum(sum(level.checked) for level in chain.levels)
 
 
 @pytest.mark.parametrize("name,deg,gens,expected",
@@ -261,6 +263,37 @@ def test_chain_build_inverts_only_installed_residues(monkeypatch,
     residues = [result for result in schreier if result is not None]
     assert len(schreier) == sifted(chain) and residues
     assert len(inversions) == len(residues)
+
+
+def test_schreier_pairs_sifted_once(a7):
+    """The number of Schreier pairs each build sifts, pinned: a pair sifted
+    twice installs nothing, so the chain digest cannot see it."""
+    s7 = _build_chain(7, (perm("(1 2 3 4 5 6 7)", 7), perm("(1 2)", 7)))
+    assert s7.order() == 5040 and sifted(s7) == 144
+    assert sifted(a7._chain) == 105
+
+
+SIFTED_PER_INSTANCE = {  # group / block image / union
+    "fano-pgl32": (74, 19, 37),
+    "fano-frobenius21": (24, 8, 8),
+    "pg1-3-2-pgl42": (402, 265, 231),
+    "pg2-3-2-pgl42": (402, 91, 194),
+    "ag2-3-2-agl32": (182, 54, 66),
+    "symplectic-2-2": (316, 218, 131),
+    "a7-cos-15-3-1": (25, 44, 27),
+    "a7-cos-15-7-3": (25, 23, 26),
+}
+
+
+def test_schreier_pairs_sifted_per_corpus_chain(corpus_instances):
+    assert ({inst.name for inst in corpus_instances}
+            == set(SIFTED_PER_INSTANCE))
+    for inst in corpus_instances:
+        action = DesignAction(inst.group, inst.structure)
+        counts = (sifted(inst.group._chain),
+                  sifted(action.block_action.image._chain),
+                  sifted(action.union_group._chain))
+        assert counts == SIFTED_PER_INSTANCE[inst.name], inst.name
 
 
 CHAINS_DIGEST = os.path.join(os.path.dirname(__file__), "golden",

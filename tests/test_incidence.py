@@ -202,6 +202,22 @@ def test_diameter_disconnected():
         incidence_graph_diameter(s)
 
 
+def test_diameter_refuses_an_empty_start_list():
+    s = IncidenceStructure(v=4, blocks=[[0, 1], [2, 3]])
+    with pytest.raises(ValueError, match="no start vertex"):
+        incidence_graph_diameter(s, starts=[])
+    with pytest.raises(ValueError, match="no start vertex"):
+        incidence_graph_diameter(fano(), starts=[])
+    with pytest.raises(DesignError):
+        incidence_graph_diameter(s, starts=[0])
+
+
+@pytest.mark.parametrize("start", [-1, 14])
+def test_diameter_refuses_a_start_out_of_range(start):
+    with pytest.raises(ValueError, match="out of range 0..13"):
+        incidence_graph_diameter(fano(), starts=[0, start])
+
+
 def _union_orbit_minima(g, structure):
     from permdesign.designgroup import DesignAction
     from permdesign.group import orbits_of
