@@ -160,16 +160,16 @@ def _kernel_element(group, system):
     return None
 
 
-def is_quasiprimitive(group, limit=None):
+def is_quasiprimitive(group):
     """True when every nontrivial normal subgroup is transitive.
 
     A primitive group is quasiprimitive.  An imprimitive one is not when a
     nontrivial block system has a non-identity kernel element: the kernel
     is normal and fixes each of the two or more cells, so it is
     intransitive.  Otherwise the prime-order class representatives decide,
-    within the limit: any nontrivial normal subgroup contains an element
-    of prime order, whose whole class, and hence normal closure, lies
-    inside it.  So all such closures transitive <=> all nontrivial normal
+    within the element limit: any nontrivial normal subgroup contains an
+    element of prime order, whose whole class, and hence normal closure,
+    lies inside it.  So all such closures transitive <=> all nontrivial normal
     subgroups transitive.
     """
     if not group.is_transitive():
@@ -180,18 +180,18 @@ def is_quasiprimitive(group, limit=None):
         return True
     if any(_kernel_element(group, s) is not None for s in systems.values()):
         return False
-    return _quasiprimitive_from_closures(group, limit)
+    return _quasiprimitive_from_closures(group)
 
 
-def _quasiprimitive_from_closures(group, limit=None):
-    return all(n.is_transitive() for n in class_closures(group, limit))
+def _quasiprimitive_from_closures(group):
+    return all(n.is_transitive() for n in class_closures(group))
 
 
-def minimal_normal_subgroups(group, limit=None):
+def minimal_normal_subgroups(group):
     """Inclusion-minimal nontrivial normal subgroups, found among the normal
     closures of prime-order class representatives."""
     closures = []
-    for n in class_closures(group, limit):
+    for n in class_closures(group):
         if not any(n.order() == m.order() and n.is_subgroup_of(m)
                    for m in closures):
             closures.append(n)
@@ -219,13 +219,13 @@ def _is_elementary_abelian(group):
     return n == 1
 
 
-def _is_simple(group, limit=None):
+def _is_simple(group):
     """No proper nontrivial normal subgroup: every prime-order class
     representative has normal closure equal to the whole group."""
     if group.order() == 1:
         return False
     return all(n.order() == group.order()
-               for n in class_closures(group, limit))
+               for n in class_closures(group))
 
 
 @dataclass(frozen=True)
@@ -345,7 +345,7 @@ def _iwasawa_certificate(group):
     return False
 
 
-def classify_point_action(group, limit=None):
+def classify_point_action(group):
     """HA / AS / OTHER recognition for a transitive group.
 
     HA needs an elementary-abelian regular minimal normal subgroup; AS needs
@@ -354,7 +354,7 @@ def classify_point_action(group, limit=None):
     primitive group is first tried for a checked certificate of either:
     its regular abelian socle, or simplicity by Iwasawa's lemma.  Otherwise
     the minimal normal subgroups come from the class-representative walk,
-    within the limit.
+    within the element limit.
     """
     if not group.is_transitive():
         raise IntransitiveError("type recognition needs a transitive group")
@@ -367,17 +367,17 @@ def classify_point_action(group, limit=None):
         if _iwasawa_certificate(group):
             return TypeReport(tag="AS", witness=group,
                               minimal_normals=(group,))
-    return _classify_from_closures(group, limit)
+    return _classify_from_closures(group)
 
 
-def _classify_from_closures(group, limit=None):
-    minimals = tuple(minimal_normal_subgroups(group, limit))
+def _classify_from_closures(group):
+    minimals = tuple(minimal_normal_subgroups(group))
     for n in minimals:
         if (_is_elementary_abelian(n) and n.order() == group.degree
                 and n.is_transitive()):
             return TypeReport(tag="HA", witness=n, minimal_normals=minimals)
     if len(minimals) == 1:
         n = minimals[0]
-        if not is_prime(n.order()) and _is_simple(n, limit):
+        if not is_prime(n.order()) and _is_simple(n):
             return TypeReport(tag="AS", witness=n, minimal_normals=minimals)
     return TypeReport(tag="OTHER", witness=None, minimal_normals=minimals)

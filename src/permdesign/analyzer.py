@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 from .analysis import (IntransitiveError, TypeReport, base_block_systems,
                        classify_point_action, primitivity_status)
-from .config import element_limit
 from .cosets import IndexLimitError, lambda_constancy_crosscheck
 from .designgroup import DesignAction, LocalPrimitivityReport
 from .group import EnumerationLimitError, class_closures, orbits_of
@@ -111,14 +110,14 @@ class AnalysisReport:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def _find_intransitive_normal(action, point_type_report, limit):
+def _find_intransitive_normal(action, point_type_report):
     """The canonical intransitive-on-blocks normal subgroup: the affine
     witness when the point type is affine, otherwise the first prime-order
     normal closure that is intransitive on blocks."""
     if point_type_report is not None and point_type_report.tag == "HA":
         candidates = [point_type_report.witness]
     else:
-        candidates = class_closures(action.group, limit)
+        candidates = class_closures(action.group)
     for n in candidates:
         if len(_block_orbits_of(action, n)) > 1:
             return n
@@ -183,23 +182,22 @@ def _check_cell_disjointness(action):
     return PASS
 
 
-def _classify_or_unknown(group, limit, what, refusals):
+def _classify_or_unknown(group, what, refusals):
     """The type report, or None when the class-representative walk hits
     the element limit; then a note naming the limit joins `refusals`."""
     try:
-        return classify_point_action(group, limit)
+        return classify_point_action(group)
     except EnumerationLimitError as exc:
-        refusals.append(f"{what} unknown: {exc} (PERMDESIGN_ELEMENT_LIMIT)")
+        refusals.append(f"{what} unknown: {exc}")
         return None
     except IntransitiveError:
         # an intransitive action is neither affine nor almost simple
         return TypeReport(tag="OTHER", witness=None, minimal_normals=())
 
 
-def analyze(group, structure, instance_id="instance", limit=None,
+def analyze(group, structure, instance_id="instance", *,
             collect_timings=False):
     """Run the whole verification pipeline on one (group, design) pair."""
-    limit = element_limit() if limit is None else limit
     timings = {}
     clock = time.perf_counter
 
@@ -225,14 +223,14 @@ def analyze(group, structure, instance_id="instance", limit=None,
 
     params = timed("verify_design", lambda: verify_design(structure))
     local = timed("local_primitivity",
-                  lambda: action.local_primitivity_report(limit, strict=False))
+                  lambda: action.local_primitivity_report(strict=False))
     locally_primitive = local.locally_primitive
 
     # the local report's unknown notes are its element-limit refusals
     refusals = [note for note in local.notes if "unknown" in note]
     point_report = timed(
         "point_type",
-        lambda: _classify_or_unknown(group, limit, "point type", refusals))
+        lambda: _classify_or_unknown(group, "point type", refusals))
     point_type = UNKNOWN if point_report is None else point_report.tag
 
     block_report = None
@@ -250,8 +248,7 @@ def analyze(group, structure, instance_id="instance", limit=None,
     else:
         block_report = timed(
             "block_type",
-            lambda: _classify_or_unknown(image, limit, "block type",
-                                         refusals))
+            lambda: _classify_or_unknown(image, "block type", refusals))
         block_type = UNKNOWN if block_report is None else block_report.tag
 
     # incidence-count constancy through the double-coset ratio, against the
@@ -265,8 +262,7 @@ def analyze(group, structure, instance_id="instance", limit=None,
             try:
                 result = lambda_constancy_crosscheck(group, left, right)
             except IndexLimitError as exc:
-                notes.append(f"lambda constancy unknown: {exc} "
-                             f"(PERMDESIGN_INDEX_LIMIT)")
+                notes.append(f"lambda constancy unknown: {exc}")
                 return UNKNOWN
             if result.ok and result.value == params.lam:
                 return PASS
@@ -307,12 +303,11 @@ def analyze(group, structure, instance_id="instance", limit=None,
         try:
             witness = timed(
                 "normal_witness",
-                lambda: _find_intransitive_normal(action, point_report, limit))
+                lambda: _find_intransitive_normal(action, point_report))
         except EnumerationLimitError as exc:
             witness = None
             checks["normal_orbit_size"] = UNKNOWN
-            notes.append(f"normal orbit size unknown: {exc} "
-                         "(PERMDESIGN_ELEMENT_LIMIT)")
+            notes.append(f"normal orbit size unknown: {exc}")
         if witness is not None:
             checks["normal_orbit_size"] = _check_normal_orbit_size(
                 action, witness, params)

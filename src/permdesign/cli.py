@@ -7,6 +7,7 @@ Exit codes: 0 all checks pass, 1 check failure or theorem violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -223,7 +224,10 @@ def cmd_corpus(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process.  It names the command
+    and keeps no function: main looks cmd_<command> up when it runs."""
     parser = argparse.ArgumentParser(
         prog="permdesign",
         description="Construct and verify block designs carried by finite "
@@ -246,7 +250,6 @@ def build_parser():
     for p in (p_pg, p_ag, p_sp):
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--prefix", help="output file stem")
-        p.set_defaults(func=cmd_build)
 
     p_coset = sub.add_parser("coset", help="coset-graph design from (G, L, R)")
     p_coset.add_argument("group")
@@ -254,11 +257,9 @@ def build_parser():
     p_coset.add_argument("right")
     p_coset.add_argument("--out", help="directory for the design file")
     p_coset.add_argument("--prefix", help="output file stem")
-    p_coset.set_defaults(func=cmd_coset)
 
     p_verify = sub.add_parser("verify", help="verify a design file")
     p_verify.add_argument("design")
-    p_verify.set_defaults(func=cmd_verify)
 
     p_analyze = sub.add_parser("analyze", help="full pipeline on one instance")
     p_analyze.add_argument("group")
@@ -268,33 +269,28 @@ def build_parser():
                            help="include wall-clock timings in the report "
                                 "(omitted by default so reports are "
                                 "byte-stable)")
-    p_analyze.set_defaults(func=cmd_analyze)
 
     p_cross = sub.add_parser("crosscheck",
                              help="double-coset ratio constancy check")
     p_cross.add_argument("group")
     p_cross.add_argument("left")
     p_cross.add_argument("right")
-    p_cross.set_defaults(func=cmd_crosscheck)
 
     p_census = sub.add_parser("census",
                               help="analyze every instance pair in a directory")
     p_census.add_argument("directory")
     p_census.add_argument("--json", help="write the aggregate JSON here")
-    p_census.set_defaults(func=cmd_census)
 
     p_corpus = sub.add_parser("corpus", help="write the bundled corpus")
     p_corpus.add_argument("directory")
-    p_corpus.set_defaults(func=cmd_corpus)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except FileNotFoundError as exc:
         return _fail(str(exc), EXIT_INPUT)
     except DesignError as exc:

@@ -36,7 +36,7 @@ class SubgroupError(ValueError):
 
 
 class IndexLimitError(RuntimeError):
-    """The coset space is larger than the configured index limit."""
+    """The coset space is larger than PERMDESIGN_INDEX_LIMIT."""
 
 
 def canonical_coset_representative(subgroup, x):
@@ -73,9 +73,9 @@ class CosetSpace:
     order; when every given generator grew the chain, it renumbers
     nothing."""
 
-    def __init__(self, group, subgroup, limit=None):
+    def __init__(self, group, subgroup):
         _check_subgroup(group, subgroup)
-        index = _checked_index(group, subgroup, limit)
+        index = _checked_index(group, subgroup)
         _, reps, tables = _coset_orbit(subgroup, _walk_view(group))
         if len(reps) != index:
             raise StructureContradiction(
@@ -132,22 +132,23 @@ def _check_subgroup(group, subgroup):
         raise SubgroupError("given generators do not lie in the group")
 
 
-def _checked_index(group, subgroup, limit):
+def _checked_index(group, subgroup):
     """|G:H|, refused beyond the index limit."""
-    limit = index_limit() if limit is None else limit
+    limit = index_limit()
     index = group.order() // subgroup.order()
     if index > limit:
         raise IndexLimitError(
-            f"index {index} exceeds the coset index limit {limit}")
+            f"index {index} exceeds the coset index limit {limit} "
+            "(PERMDESIGN_INDEX_LIMIT)")
     return index
 
 
-def coset_action(group, subgroup, limit=None):
+def coset_action(group, subgroup):
     """Transitive action of the group on [G:L] by right multiplication.
 
     Asserted: the point stabilizer of the trivial coset is exactly L (every
     L generator fixes index 0 and the orbit-stabilizer count matches)."""
-    space = CosetSpace(group, subgroup, limit)
+    space = CosetSpace(group, subgroup)
     image = GroupWithChain(space.action, order_bound=group.order())
     action = ActionImage(source=group, objects=space.representatives,
                          image=image, faithful=image.order() == group.order())
@@ -168,9 +169,9 @@ class CosetGraph:
     L-cosets inside LR; the cosets meeting R*y*g are those meeting R*y moved
     by g, so the two action tables carry block 0 to every other block."""
 
-    def __init__(self, group, left, right, limit=None):
-        self.space_points = CosetSpace(group, left, limit)
-        self.space_blocks = CosetSpace(group, right, limit)
+    def __init__(self, group, left, right):
+        self.space_points = CosetSpace(group, left)
+        self.space_blocks = CosetSpace(group, right)
         position = self.space_points._position
         blocks = [None] * self.space_blocks.index
         blocks[0] = sorted(position[key] for key in _coset_orbit(left, right)[0])
@@ -232,20 +233,20 @@ def _walk_view(group):
     return GroupWithChain._from_chain(group.walk_generators, group._chain)
 
 
-def coset_graph_design(group, left, right, limit=None):
+def coset_graph_design(group, left, right):
     """The incidence structure of Cos(G, L, R)."""
-    return CosetGraph(group, left, right, limit).structure
+    return CosetGraph(group, left, right).structure
 
 
-def coset_graph_faithful(group, left, right, limit=None):
+def coset_graph_faithful(group, left, right):
     """Whether the action on both coset spaces together is faithful, i.e.
     whether the intersection of the two subgroups is core-free: one chain,
     of the action on the disjoint union of the two spaces, has order |G|.
     The answer depends only on the group, so both spaces and that chain
     are built over G's walk generators."""
     walk = _walk_view(group)
-    return _union_faithful(walk, CosetSpace(walk, left, limit).action,
-                           CosetSpace(walk, right, limit).action)
+    return _union_faithful(walk, CosetSpace(walk, left).action,
+                           CosetSpace(walk, right).action)
 
 
 def _union_faithful(group, first, second):
@@ -256,14 +257,21 @@ def _union_faithful(group, first, second):
     return union.order() == group.order()
 
 
-def double_coset_lambda(group, left, right, g, _rl=None):
+def double_coset_lambda(group, left, right, g):
     """|RL n RLg| / |R|, counted in right R-cosets: RL is the union of the
     cosets R*l for l in L, so the count is the number of those cosets R*t
     with R*t*g again in RL.  For g in L this is the replication number.
-    g must lie in G."""
+    L and R must lie in G, and g too."""
+    _check_subgroup(group, left)
+    _check_subgroup(group, right)
     if not group.contains(g):
         raise MembershipError(f"{g} is not in the group")
-    position, reps, _ = _coset_orbit(right, left) if _rl is None else _rl
+    return _rl_count(right, _coset_orbit(right, left), g)
+
+
+def _rl_count(right, rl, g):
+    """|RL n RLg| / |R| from rl = _coset_orbit(R, L), unchecked."""
+    position, reps, _ = rl
     return sum(1 for t in reps
                if canonical_coset_representative(right, t * g).images in position)
 
@@ -282,7 +290,7 @@ class CrosscheckResult:
         return self.constant and self.graph_agrees
 
 
-def lambda_constancy_crosscheck(group, left, right, limit=None, graph=None):
+def lambda_constancy_crosscheck(group, left, right, *, graph=None):
     """Check that |RL n RLg| / |R| is one constant over g outside L, and that
     each value equals the independently computed neighborhood intersection
     |N(a) n N(a^g)| in the coset graph.
@@ -290,7 +298,7 @@ def lambda_constancy_crosscheck(group, left, right, limit=None, graph=None):
     Both counts depend only on the double coset LgL, so one g per L-orbit on
     the nontrivial cosets of L covers every g outside L exactly; its value
     is weighted by the |orbit| * |L| elements it stands for.  No element is
-    enumerated: `limit` bounds only the coset indices.
+    enumerated: only the index limit applies.  L and R must lie in G.
 
     Without `graph`, the coset graph is built over G's walk generators:
     they generate G, and every count read here is independent of how the
@@ -298,8 +306,10 @@ def lambda_constancy_crosscheck(group, left, right, limit=None, graph=None):
     (G, L, R) passes it as `graph`; `permdesign coset` does, since the
     numbering it writes comes from the given generators.
     """
+    _check_subgroup(group, left)
+    _check_subgroup(group, right)
     if graph is None:
-        graph = CosetGraph(_walk_view(group), left, right, limit)
+        graph = CosetGraph(_walk_view(group), left, right)
     if left.order() == group.order():
         # no element lies outside L; the constancy claim is vacuous
         return CrosscheckResult(constant=True, value=None, ratios=(),
@@ -320,7 +330,7 @@ def lambda_constancy_crosscheck(group, left, right, limit=None, graph=None):
             continue
         orbit = _coset_orbit(left, left, x)[0]
         seen.update(orbit)
-        value = double_coset_lambda(group, left, right, x, _rl=rl)
+        value = _rl_count(right, rl, x)
         if len(base_neighbors & neighbors[i]) != value:
             graph_agrees = False
         ratios[value] = ratios.get(value, 0) + len(orbit) * left.order()
@@ -332,13 +342,13 @@ def lambda_constancy_crosscheck(group, left, right, limit=None, graph=None):
                             sample_count=group.order() - left.order())
 
 
-def subgroup_intersection(left, right, limit=None):
+def subgroup_intersection(left, right):
     """L n R, the stabilizer of the trivial coset in the smaller subgroup S
     acting on the cosets of the other: the tail of one chain of S on its
     points and the cosets its walk reaches, read on the points.  The walk
-    visits at most |S| cosets; `limit` bounds |S| as an element limit."""
+    visits at most |S| cosets, so the element limit bounds |S|."""
     small, large = (left, right) if left.order() <= right.order() else (right, left)
-    small._check_enumerable(limit)
+    small._check_enumerable()
     degree = small.degree
     union = GroupWithChain(union_generators(
         small.generators, _coset_orbit(large, small)[2]), base_hint=(degree,),
@@ -346,11 +356,11 @@ def subgroup_intersection(left, right, limit=None):
     return restrict_to_points(union.point_stabilizer(degree), degree)
 
 
-def is_trivial_factorization(group, left, right, limit=None):
+def is_trivial_factorization(group, left, right):
     """True iff G = LR (complete bipartite coset graph), i.e. the R-cosets
-    inside RL are all |G:R| of them.  L and R must lie in G.  `limit`
-    bounds |G:R|."""
+    inside RL are all |G:R| of them.  L and R must lie in G.  The index
+    limit bounds |G:R|."""
     _check_subgroup(group, left)
     _check_subgroup(group, right)
-    index = _checked_index(group, right, limit)
+    index = _checked_index(group, right)
     return len(_coset_orbit(right, left)[0]) == index

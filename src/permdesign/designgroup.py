@@ -35,7 +35,7 @@ class LocalPrimitivityReport:
     point_local_primitive: bool
     block_local_primitive: bool
     point_primitive: bool
-    block_quasiprimitive: bool | None  # None when the order limit was exceeded
+    block_quasiprimitive: bool | None  # None when the element limit refused
     stabilizer_bound_ok: bool
     notes: tuple = ()
 
@@ -168,7 +168,7 @@ class DesignAction:
         rhs = g_alpha.order() ** 3
         return lhs < rhs
 
-    def local_primitivity_report(self, limit=None, strict=True):
+    def local_primitivity_report(self, *, strict=True):
         """Full verdict record.  With strict=True (the default) a locally
         primitive action that fails to be flag-transitive and point-primitive
         raises, since that combination is mathematically impossible; the
@@ -200,12 +200,10 @@ class DesignAction:
 
         point_primitive = primitivity_status(self.group) == "primitive"
         try:
-            block_quasiprimitive = is_quasiprimitive(self.block_action.image,
-                                                     limit)
+            block_quasiprimitive = is_quasiprimitive(self.block_action.image)
         except EnumerationLimitError as exc:
             block_quasiprimitive = None
-            notes.append(f"block quasiprimitivity unknown: {exc} "
-                         "(PERMDESIGN_ELEMENT_LIMIT)")
+            notes.append(f"block quasiprimitivity unknown: {exc}")
         bound_ok = self.stabilizer_bound_holds()
 
         report = LocalPrimitivityReport(
@@ -243,6 +241,6 @@ def is_flag_transitive(group, structure):
     return DesignAction(group, structure).is_flag_transitive()
 
 
-def is_locally_primitive(group, structure, limit=None, strict=True):
+def is_locally_primitive(group, structure, *, strict=True):
     return DesignAction(group, structure).local_primitivity_report(
-        limit, strict=strict)
+        strict=strict)

@@ -21,7 +21,14 @@ from .perm import Permutation
 
 
 class SizeLimitError(RuntimeError):
-    """Requested geometry exceeds the configured point-count limit."""
+    """Requested geometry exceeds PERMDESIGN_POINT_LIMIT points."""
+
+
+def _check_points(what, count):
+    limit = point_limit()
+    if count > limit:
+        raise SizeLimitError(f"{what} = {count} exceeds the point limit "
+                             f"{limit} (PERMDESIGN_POINT_LIMIT)")
 
 
 def gaussian_coefficient(n, k, q):
@@ -65,14 +72,12 @@ class SubspaceList:
     canonical_matrices: tuple
 
 
-def enumerate_subspaces(d, q, i, limit=None):
+def enumerate_subspaces(d, q, i):
     """Every i-subspace exactly once, via its unique RREF basis: choose the
     pivot columns, then run over all assignments of the free entries."""
     if not 1 <= i <= d:
         raise ValueError(f"need 1 <= i <= d, got i={i}, d={d}")
-    limit = point_limit() if limit is None else limit
-    if q ** d > limit:
-        raise SizeLimitError(f"q^d = {q ** d} exceeds the point limit {limit}")
+    _check_points("q^d", q ** d)
     gf = field(q)
     matrices = []
     for pivots in combinations(range(d), i):
@@ -250,16 +255,14 @@ def _translations(gf, d):
     return maps
 
 
-def classical_group_generators(family, dim, q, limit=None):
+def classical_group_generators(family, dim, q):
     """GL / PGL / AGL / Sp as permutation groups on their natural domains,
     with the chain order asserted against the closed-form order formula.
 
     GL, AGL and Sp act on all q^dim vectors; PGL acts on projective points.
     """
-    limit = point_limit() if limit is None else limit
     gf = field(q)
-    if q ** dim > limit:
-        raise SizeLimitError(f"q^dim = {q ** dim} exceeds the point limit {limit}")
+    _check_points("q^dim", q ** dim)
     name = f"{family}({dim},{q})"
     if family == "PGL":
         reps = _line_representatives(gf, dim)
@@ -286,7 +289,7 @@ def classical_group_generators(family, dim, q, limit=None):
                           name)
 
 
-def projective_design(d, q, i, limit=None):
+def projective_design(d, q, i):
     """Projective design: points are the 1-subspaces of GF(q)^(d+1), blocks
     the point sets of the (i+1)-subspaces."""
     if d < 2 or not 1 <= i <= d - 1:
@@ -295,30 +298,30 @@ def projective_design(d, q, i, limit=None):
     dim = d + 1
     reps = _line_representatives(gf, dim)
     rep_pos = {r: j for j, r in enumerate(reps)}
-    subs = enumerate_subspaces(dim, q, i + 1, limit)
+    subs = enumerate_subspaces(dim, q, i + 1)
     blocks = [sorted({rep_pos[_line_key(gf, vec)]
                       for vec in span_vectors(gf, mat) if any(vec)})
               for mat in subs.canonical_matrices]
     return IncidenceStructure(v=len(reps), blocks=blocks)
 
 
-def build_PG(d, q, i, limit=None):
+def build_PG(d, q, i):
     """projective_design(d, q, i) with its group PGL_{d+1}(q)."""
-    structure = projective_design(d, q, i, limit)
-    group = classical_group_generators("PGL", d + 1, q, limit=limit)
+    structure = projective_design(d, q, i)
+    group = classical_group_generators("PGL", d + 1, q)
     return structure, group
 
 
-def build_AG(d, q, i, limit=None):
+def build_AG(d, q, i):
     """Affine design: points are the vectors of GF(q)^d, blocks all cosets
     U + v of all i-subspaces U, group AGL_d(q)."""
     if d < 2 or not 1 <= i <= d - 1:
         raise ValueError(f"need d >= 2 and 1 <= i <= d-1, got d={d}, i={i}")
     gf = field(q)
-    subs = enumerate_subspaces(d, q, i, limit)
+    subs = enumerate_subspaces(d, q, i)
     blocks = _subspace_cosets(gf, d, subs.canonical_matrices)
     structure = IncidenceStructure(v=q ** d, blocks=blocks)
-    group = classical_group_generators("AGL", d, q, limit=limit)
+    group = classical_group_generators("AGL", d, q)
     return structure, group
 
 
@@ -337,7 +340,7 @@ def parallel_classes(structure, q, d):
     return sorted(classes.values())
 
 
-def build_symplectic_subdesign(m, q, limit=None):
+def build_symplectic_subdesign(m, q):
     """Points are the vectors of GF(q)^(2m); blocks the cosets of the
     non-degenerate 2-subspaces of the standard alternating form; group the
     translations extended by Sp_{2m}(q).
@@ -352,7 +355,7 @@ def build_symplectic_subdesign(m, q, limit=None):
         raise ValueError(f"need m >= 2, got m={m}")
     gf = field(q)
     d = 2 * m
-    subs = enumerate_subspaces(d, q, 2, limit)
+    subs = enumerate_subspaces(d, q, 2)
     # the non-degenerate planes: the form does not vanish on the basis
     planes = [mat for mat in subs.canonical_matrices
               if _symplectic_form(gf, mat[0], mat[1]) != 0]

@@ -59,7 +59,7 @@ from .perm import DegreeMismatchError, Permutation
 
 
 class EnumerationLimitError(RuntimeError):
-    """The operation would enumerate more elements than the configured limit."""
+    """Enumeration would exceed PERMDESIGN_ELEMENT_LIMIT elements."""
 
 
 class MembershipError(ValueError):
@@ -356,18 +356,19 @@ class GroupWithChain:
             g = g * level.orbit[rng.choice(level.points)]
         return g
 
-    def _check_enumerable(self, limit):
-        limit = element_limit() if limit is None else limit
+    def _check_enumerable(self):
+        limit = element_limit()
         if self._order > limit:
             raise EnumerationLimitError(
-                f"group order {self._order} exceeds enumeration limit {limit}")
+                f"group order {self._order} exceeds enumeration limit {limit} "
+                "(PERMDESIGN_ELEMENT_LIMIT)")
 
-    def iter_elements(self, limit=None):
+    def iter_elements(self):
         """The elements in the order of elements(), without materializing
         them: only the first base point's stabilizer is held, and each of
         its elements is multiplied by each level-0 transversal element.
-        Refuses beyond the limit before yielding anything."""
-        self._check_enumerable(limit)
+        Refuses beyond the element limit before yielding anything."""
+        self._check_enumerable()
         levels = self._chain.levels
         stabilizer = [Permutation.identity(self.degree)]
         for level in reversed(levels[1:]):
@@ -377,12 +378,13 @@ class GroupWithChain:
             return iter(stabilizer)
         return (h * u for u in levels[0].orbit.values() for h in stabilizer)
 
-    def elements(self, limit=None):
+    def elements(self):
         """All group elements, as a deterministic tuple of Permutations,
-        produced from the chain transversals.  Refuses beyond the limit."""
-        self._check_enumerable(limit)
+        produced from the chain transversals.  Refuses beyond the element
+        limit."""
+        self._check_enumerable()
         if self._elements is None:
-            elems = tuple(self.iter_elements(limit))
+            elems = tuple(self.iter_elements())
             if len(elems) != self._order:
                 raise StructureContradiction("transversal enumeration miscount")
             self._elements = elems
@@ -462,7 +464,7 @@ def is_prime(n):
     return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
 
 
-def prime_order_class_representatives(group, limit=None):
+def prime_order_class_representatives(group):
     """One representative per conjugacy class of prime-order elements.
 
     Walks every element of the group, so it is gated by the element limit;
@@ -477,7 +479,7 @@ def prime_order_class_representatives(group, limit=None):
     inv_gens = [g.inverse() for g in gens]
     seen = set()
     reps = []
-    for p in group.iter_elements(limit):
+    for p in group.iter_elements():
         t = p.images
         if t in seen:
             continue
@@ -497,7 +499,7 @@ def prime_order_class_representatives(group, limit=None):
     return reps
 
 
-def class_closures(group, limit=None):
+def class_closures(group):
     """normal_closure(group, [rep]) for each prime-order class
     representative, in the order of prime_order_class_representatives.
 
@@ -505,14 +507,14 @@ def class_closures(group, limit=None):
     decide quasiprimitivity, simplicity and the minimal normal subgroups.
     The list is computed once per group and kept on it; a closure equal to
     the whole group is kept as None, so the group never refers to itself.
-    The limit refuses first, whether or not the list is cached.
+    The element limit refuses first, whether or not the list is cached.
     """
-    group._check_enumerable(limit)
+    group._check_enumerable()
     if group._closures is None:
         group._closures = tuple(
             None if n is group else n
             for n in (normal_closure(group, [rep]) for rep in
-                      prime_order_class_representatives(group, limit)))
+                      prime_order_class_representatives(group)))
     return [group if n is None else n for n in group._closures]
 
 

@@ -230,13 +230,14 @@ def _walk_verdicts(g):
             _classify_from_closures(fresh).to_json_dict())
 
 
-def _certificate_verdicts(g, limit=None):
+def _certificate_verdicts(g):
     fresh = GroupWithChain(g.generators)
-    return (is_quasiprimitive(fresh, limit),
-            classify_point_action(fresh, limit).to_json_dict())
+    return (is_quasiprimitive(fresh),
+            classify_point_action(fresh).to_json_dict())
 
 
-def test_certificates_match_the_walk_on_corpus(corpus_instances):
+def test_certificates_match_the_walk_on_corpus(corpus_instances,
+                                               monkeypatch):
     # the reports, witnesses included, equal the walk's.  Certificates
     # alone decide every corpus quasiprimitivity and the type of every
     # primitive corpus action but A7 on 15 points, so there an element
@@ -248,10 +249,12 @@ def test_certificates_match_the_walk_on_corpus(corpus_instances):
             walk = _walk_verdicts(g)
             assert _certificate_verdicts(g) == walk, inst.name
             fresh = GroupWithChain(g.generators)
-            assert is_quasiprimitive(fresh, limit=10) == walk[0], inst.name
-            if (is_primitive(g)
-                    and (g.degree, g.order()) != (15, 2520)):
-                assert _certificate_verdicts(g, limit=10) == walk, inst.name
+            with monkeypatch.context() as m:
+                m.setenv("PERMDESIGN_ELEMENT_LIMIT", "10")
+                assert is_quasiprimitive(fresh) == walk[0], inst.name
+                if (is_primitive(g)
+                        and (g.degree, g.order()) != (15, 2520)):
+                    assert _certificate_verdicts(g) == walk, inst.name
 
 
 def test_imprimitive_quasiprimitive_group_takes_the_walk(monkeypatch):
@@ -275,13 +278,15 @@ def test_imprimitive_quasiprimitive_group_takes_the_walk(monkeypatch):
 
 
 def test_kernel_element_decides_non_quasiprimitive(ag322_pair,
-                                                    symplectic_pair):
+                                                    symplectic_pair,
+                                                    monkeypatch):
     # the translations fix every parallel class; limit 10 refuses the walk
     from permdesign.designgroup import DesignAction
+    monkeypatch.setenv("PERMDESIGN_ELEMENT_LIMIT", "10")
     for structure, g in (ag322_pair, symplectic_pair):
         image = DesignAction(g, structure).block_action.image
         assert primitivity_status(image) == "imprimitive"
-        assert is_quasiprimitive(image, limit=10) is False
+        assert is_quasiprimitive(image) is False
 
 
 def test_primitivity_runs_one_block_system_per_stabilizer_orbit(

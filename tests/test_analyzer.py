@@ -131,8 +131,9 @@ def test_refused_normal_witness_reads_unknown(ag322_pair, monkeypatch):
     # the block type still comes from a kernel element
     from permdesign import analysis
     monkeypatch.setattr(analysis, "_AFFINE_TRIES", 0)
+    monkeypatch.setenv("PERMDESIGN_ELEMENT_LIMIT", "10")
     structure, g = ag322_pair
-    report = analyze(GroupWithChain(g.generators), structure, "ag", limit=10)
+    report = analyze(GroupWithChain(g.generators), structure, "ag")
     assert (report.point_type, report.block_type) == \
            ("unknown", "non-quasiprimitive")
     assert report.checks["normal_orbit_size"] == "unknown"

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -336,6 +337,44 @@ def test_coset_matches_golden(tmp_path, capsys):
         got[f"{name}.design"] = hashlib.sha256(design).hexdigest()
     assert len(expected) == 6
     assert got == expected
+
+
+@pytest.mark.parametrize("variable,value,argv", [
+    # GF(3)^3 has 27 vectors; the cosets of L in A7 number 15
+    ("PERMDESIGN_POINT_LIMIT", "10", ["build", "pg", "2", "3", "1"]),
+    ("PERMDESIGN_INDEX_LIMIT", "3", ["coset"] + [
+        os.path.join(COSET_INPUTS, f"a7-cos-15-3-1.{role}.group")
+        for role in "GLR"]),
+])
+def test_cli_limit_exit_names_the_variable(variable, value, argv, tmp_path,
+                                           capsys, monkeypatch):
+    monkeypatch.setenv(variable, value)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.rstrip().endswith(
+        f"({variable})")
+
+
+def test_census_leaves_no_argparse_garbage(tmp_path, capsys, fano_pair):
+    # the parser is built once per process, so a call leaves none of its
+    # reference cycles for the cyclic collector
+    structure, g = fano_pair
+    write_group_file(tmp_path / "fano.group", g)
+    write_design_file(tmp_path / "fano.design", structure)
+    argv = ["census", str(tmp_path), "--json", str(tmp_path / "c.json")]
+    assert main(argv) == 0
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(argv) == 0
+        gc.collect()
+        garbage = list(gc.garbage)
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert not [o for o in garbage if type(o).__module__ == "argparse"]
 
 
 def test_census_empty_directory(tmp_path, capsys):

@@ -124,9 +124,10 @@ def test_coset_action_non_subgroup_rejected(a7):
         coset_action(a7, group(7, "(1 2)"))
 
 
-def test_index_limit(a7):
+def test_index_limit(a7, monkeypatch):
+    monkeypatch.setenv("PERMDESIGN_INDEX_LIMIT", "3")
     with pytest.raises(IndexLimitError):
-        CosetSpace(a7, a7.point_stabilizer(0), limit=3)
+        CosetSpace(a7, a7.point_stabilizer(0))
 
 
 def test_coset_graph_design_fano_parameters(fano_pair):
@@ -193,6 +194,30 @@ def test_double_coset_lambda_refuses_elements_outside_the_group():
         double_coset_lambda(a4, left, right, perm("(1 2)", 5))
     # for g in L: the replication number |L : L n R| = 3
     assert double_coset_lambda(a4, left, right, Permutation.identity(4)) == 3
+
+
+def test_double_coset_lambda_refuses_subgroups_outside_the_group():
+    a4 = group(4, "(1 2 3)", "(2 3 4)")
+    c3 = group(4, "(1 2 3)")
+    outside = group(4, "(1 2)")
+    identity = Permutation.identity(4)
+    with pytest.raises(SubgroupError):
+        double_coset_lambda(a4, outside, c3, identity)
+    with pytest.raises(SubgroupError):
+        double_coset_lambda(a4, c3, outside, identity)
+
+
+@pytest.mark.parametrize("right", ["(1 2 3)", "(1 2)(3 4)"])
+def test_crosscheck_refuses_subgroups_outside_the_given_graph_group(right):
+    # a passed graph skips the coset spaces' own subgroup checks
+    a4 = group(4, "(1 2 3)", "(2 3 4)")
+    c3, r = group(4, "(1 2 3)"), group(4, right)
+    graph = CosetGraph(a4, c3, r)
+    with pytest.raises(SubgroupError):
+        lambda_constancy_crosscheck(a4, group(4, "(1 2)"), r, graph=graph)
+    with pytest.raises(SubgroupError):
+        lambda_constancy_crosscheck(a4, c3, group(4, "(1 2)"), graph=graph)
+    assert lambda_constancy_crosscheck(a4, c3, r, graph=graph).ok
 
 
 def test_fano_pair_is_not_trivial_factorization(fano_pair):
@@ -374,20 +399,28 @@ def test_subgroup_intersection_matches_element_oracle(fano_pair, frobenius21,
             mulclose(left.generators) & mulclose(right.generators))
 
 
-def test_subgroup_intersection_refuses_beyond_element_limit():
+def test_subgroup_intersection_refuses_beyond_element_limit(monkeypatch):
     from permdesign.corpus import discover_a7_subgroups
     from permdesign.group import EnumerationLimitError
     _, left, right, _ = discover_a7_subgroups()
-    assert subgroup_intersection(left, right, limit=72).order() == 24
-    with pytest.raises(EnumerationLimitError):
-        subgroup_intersection(left, right, limit=71)
+    with monkeypatch.context() as m:
+        m.setenv("PERMDESIGN_ELEMENT_LIMIT", "72")
+        assert subgroup_intersection(left, right).order() == 24
+    with monkeypatch.context() as m:
+        m.setenv("PERMDESIGN_ELEMENT_LIMIT", "71")
+        with pytest.raises(EnumerationLimitError):
+            subgroup_intersection(left, right)
 
 
-def test_trivial_factorization_bounded_by_index_limit(s4):
+def test_trivial_factorization_bounded_by_index_limit(s4, monkeypatch):
     a4 = group(4, "(1 2 3)", "(2 3 4)")
-    assert is_trivial_factorization(s4, group(4, "(1 2)"), a4, limit=2)
-    with pytest.raises(IndexLimitError):
-        is_trivial_factorization(s4, a4, group(4, "(1 2)"), limit=11)
+    with monkeypatch.context() as m:
+        m.setenv("PERMDESIGN_INDEX_LIMIT", "2")
+        assert is_trivial_factorization(s4, group(4, "(1 2)"), a4)
+    with monkeypatch.context() as m:
+        m.setenv("PERMDESIGN_INDEX_LIMIT", "11")
+        with pytest.raises(IndexLimitError):
+            is_trivial_factorization(s4, a4, group(4, "(1 2)"))
 
 
 def test_crosscheck_enumerates_no_elements(pg132_pair, monkeypatch):

@@ -487,9 +487,10 @@ def test_prime_order_class_reps_cover_all_prime_elements(s4):
             assert p.images in by_rep
 
 
-def test_enumeration_limit():
+def test_enumeration_limit(monkeypatch):
+    monkeypatch.setenv("PERMDESIGN_ELEMENT_LIMIT", "100")
     with pytest.raises(EnumerationLimitError):
-        group(7, "(1 2 3)", "(1 2 3 4 5 6 7)").elements(limit=100)
+        group(7, "(1 2 3)", "(1 2 3 4 5 6 7)").elements()
 
 
 def test_elements_are_distinct_and_complete(s4):
@@ -506,9 +507,10 @@ def test_iter_elements_follows_elements_order(pg132_pair, s4):
     assert pgl42.order() == 20160
 
 
-def test_iter_elements_refuses_before_yielding(a7):
+def test_iter_elements_refuses_before_yielding(a7, monkeypatch):
+    monkeypatch.setenv("PERMDESIGN_ELEMENT_LIMIT", "100")
     with pytest.raises(EnumerationLimitError):
-        a7.iter_elements(limit=100)
+        a7.iter_elements()
 
 
 def test_class_reps_store_no_element_list(pg132_pair):
@@ -530,18 +532,19 @@ def test_class_closures_follow_class_reps(s4):
     assert g in closures and g not in g._closures
 
 
-def test_cached_closures_still_refuse_beyond_limit(fano_pair):
+def test_cached_closures_still_refuse_beyond_limit(fano_pair, monkeypatch):
     # A5 on ordered pairs is imprimitive with trivial kernels, so only the
     # walk decides it; the primitive Fano group needs no walk
     g = a5_on_ordered_pairs()
     assert is_quasiprimitive(g)
     assert g._closures is not None
+    monkeypatch.setenv("PERMDESIGN_ELEMENT_LIMIT", "10")
     with pytest.raises(EnumerationLimitError):
-        is_quasiprimitive(g, limit=10)
+        is_quasiprimitive(g)
     with pytest.raises(EnumerationLimitError):
-        class_closures(g, limit=10)
+        class_closures(g)
     fano = GroupWithChain(fano_pair[1].generators)
-    assert is_quasiprimitive(fano, limit=10)
+    assert is_quasiprimitive(fano)
     assert fano._closures is None
 
 
