@@ -7,6 +7,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
+from .config import element_limit
 from .group import (GroupWithChain, StructureContradiction, check_index,
                     class_closures, is_prime, normal_closure, orbits_of)
 from .perm import Permutation
@@ -316,7 +317,9 @@ def _socle_witness(group, socle):
 
 
 def _is_perfect(group):
-    gens = group.generators
+    """[G, G] = G, with [G, G] the normal closure of the commutators of the
+    walk generators: those of any generating set will do."""
+    gens = group.walk_generators
     commutators = [a.inverse() * b.inverse() * a * b
                    for i, a in enumerate(gens) for b in gens[i + 1:]]
     return normal_closure(group, commutators).order() == group.order()
@@ -345,6 +348,24 @@ def _iwasawa_certificate(group):
     return False
 
 
+def _simple_stabilizer_certificate(group):
+    """Whether the primitive group is simple because its stabilizer G_b0 is
+    simple (Dixon-Mortimer, Permutation Groups, ch. 4).  A nontrivial
+    normal subgroup N is transitive and meets G_b0 in 1 or G_b0.  If in
+    G_b0, then G = N G_b0 = N.  If in 1, N is regular of order the degree
+    n; for n < 60 it is solvable, so its minimal characteristic subgroup
+    is elementary abelian, normal in G, transitive, hence N, and n is a
+    prime power.  So n < 60 and not a prime power leave G simple, and
+    nonabelian, as G_b0 is nontrivial.  The stabilizer is walked, so a
+    stabilizer past the element limit declines and leaves the refusal to
+    the walk of G."""
+    n = group.degree
+    if n >= 60 or len(_prime_divisors(n)) < 2:
+        return False
+    stabilizer = group.point_stabilizer(group.base()[0])
+    return stabilizer.order() <= element_limit() and _is_simple(stabilizer)
+
+
 def classify_point_action(group):
     """HA / AS / OTHER recognition for a transitive group.
 
@@ -352,9 +373,11 @@ def classify_point_action(group):
     a unique minimal normal subgroup that is nonabelian simple (abelian
     simple groups have prime order, so order alone separates the two).  A
     primitive group is first tried for a checked certificate of either:
-    its regular abelian socle, or simplicity by Iwasawa's lemma.  Otherwise
-    the minimal normal subgroups come from the class-representative walk,
-    within the element limit.
+    its regular abelian socle; simplicity by Iwasawa's lemma; or, at a
+    degree below 60 that is not a prime power, simplicity from a simple
+    point stabilizer, whose class-representative walk costs |G|/degree
+    elements.  Otherwise the minimal normal subgroups come from the
+    class-representative walk of G, within the element limit.
     """
     if not group.is_transitive():
         raise IntransitiveError("type recognition needs a transitive group")
@@ -364,7 +387,8 @@ def classify_point_action(group):
             witness = _socle_witness(group, socle)
             return TypeReport(tag="HA", witness=witness,
                               minimal_normals=(witness,))
-        if _iwasawa_certificate(group):
+        if (_iwasawa_certificate(group)
+                or _simple_stabilizer_certificate(group)):
             return TypeReport(tag="AS", witness=group,
                               minimal_normals=(group,))
     return _classify_from_closures(group)

@@ -85,6 +85,8 @@ def parse_design_text(text):
         v = int(parts[1])
     except ValueError:
         raise FileFormatError(f"line {lineno}: bad point count {parts[1]!r}") from None
+    if v < 1:
+        raise FileFormatError(f"line {lineno}: point count must be positive")
     blocks = []
     for lineno, line in lines[1:]:
         try:

@@ -240,8 +240,9 @@ def test_certificates_match_the_walk_on_corpus(corpus_instances,
                                                monkeypatch):
     # the reports, witnesses included, equal the walk's.  Certificates
     # alone decide every corpus quasiprimitivity and the type of every
-    # primitive corpus action but A7 on 15 points, so there an element
-    # limit of 10 changes nothing; analyze types no other action
+    # primitive corpus action but A7 on 15 points, whose certificate walks
+    # the 168 elements of its stabilizer, so elsewhere an element limit of
+    # 10 changes nothing; analyze types no other action
     from permdesign.designgroup import DesignAction
     for inst in corpus_instances:
         image = DesignAction(inst.group, inst.structure).block_action.image
@@ -356,3 +357,138 @@ def test_analyze_computes_each_block_system_once(corpus_instances,
         assert isinstance(systems, tuple)
         assert analysis.base_block_systems(g) is systems
     assert len(seen) == calls  # every group's systems came from its cache
+
+
+def _spy_certificates(monkeypatch):
+    """Record each call of the Iwasawa and simple-stabilizer certificates
+    and of the class-representative walk, as (name, degree, order) and,
+    for the certificates, their answer."""
+    from permdesign import analysis
+    from permdesign import group as chains
+    calls = []
+
+    def spying(name, original):
+        def spy(g, *args, **kwargs):
+            out = original(g, *args, **kwargs)
+            calls.append((name, g.degree, g.order(), out))
+            return out
+        return spy
+    for name in ("_iwasawa_certificate", "_simple_stabilizer_certificate"):
+        monkeypatch.setattr(analysis, name,
+                            spying(name, getattr(analysis, name)))
+    original = chains.prime_order_class_representatives
+
+    def walking(g, *args, **kwargs):
+        calls.append(("walk", g.degree, g.order(), None))
+        return original(g, *args, **kwargs)
+    monkeypatch.setattr(chains, "prime_order_class_representatives", walking)
+    return calls
+
+
+@pytest.mark.parametrize("name, deg, gens, order, socle, calls", [
+    # PSL(2,5) on GF(5) and infinity (x -> x + 1, x -> -1/x): Iwasawa
+    # decides first, from the order-5 normal subgroup of the stabilizer D5
+    ("A5 on 6", 6, ("(1 2 3 4 5)", "(1 6)(2 5)"), 60, 60,
+     [("_iwasawa_certificate", 6, 60, True)]),
+    # Iwasawa fails (the stabilizer A5 has no abelian normal subgroup),
+    # and the stabilizer walk proves A6 simple
+    ("A6 on 6", 6, ("(1 2 3)", "(2 3 4 5 6)"), 360, 360,
+     [("_iwasawa_certificate", 6, 360, False), ("walk", 6, 60, None),
+      ("_simple_stabilizer_certificate", 6, 360, True)]),
+    # S6 is not perfect and its stabilizer S5 not simple: the walk decides,
+    # and walks the socle A6 to prove it simple
+    ("S6 on 6", 6, ("(1 2)", "(1 2 3 4 5 6)"), 720, 360,
+     [("_iwasawa_certificate", 6, 720, False), ("walk", 6, 120, None),
+      ("_simple_stabilizer_certificate", 6, 720, False),
+      ("walk", 6, 720, None), ("walk", 6, 360, None)]),
+    # degree 7 is a prime power: declined before the stabilizer is walked
+    ("A7 on 7", 7, ("(1 2 3)", "(1 2 3 4 5 6 7)"), 2520, 2520,
+     [("_iwasawa_certificate", 7, 2520, False),
+      ("_simple_stabilizer_certificate", 7, 2520, False),
+      ("walk", 7, 2520, None)]),
+])
+def test_simple_stabilizer_certificate_boundaries(name, deg, gens, order,
+                                                  socle, calls, monkeypatch):
+    from permdesign.analysis import _classify_from_closures
+    g = group(deg, *gens)
+    assert g.order() == order
+    walk = _classify_from_closures(GroupWithChain(g.generators)).to_json_dict()
+    spied = _spy_certificates(monkeypatch)
+    assert classify_point_action(g).to_json_dict() == walk, name
+    assert walk["tag"] == "AS" and walk["witness_order"] == socle, name
+    assert spied == calls, name
+
+
+def test_simple_stabilizer_certificate_needs_both_bounds(monkeypatch):
+    # each group is primitive with a simple stabilizer, yet not simple:
+    # A5 x A5 on the 60 elements of A5 (x -> a x b) has degree 60, and
+    # AGL(3,2) has prime-power degree 8 (its affine search switched off)
+    from permdesign import analysis
+    from permdesign.geometry import classical_group_generators
+    from permdesign.perm import Permutation
+    a5 = group(5, "(1 2 3)", "(3 4 5)")
+    elements = a5.elements()
+    index = {x.images: i for i, x in enumerate(elements)}
+    a5xa5 = GroupWithChain(tuple(
+        Permutation([index[side(x, s).images] for x in elements])
+        for s in a5.generators
+        for side in (lambda x, s: s * x, lambda x, s: x * s)))
+    assert a5xa5.order() == 3600
+    monkeypatch.setattr(analysis, "_AFFINE_TRIES", 0)
+    agl32 = classical_group_generators("AGL", 3, 2)
+    for g, tag in ((a5xa5, "OTHER"), (agl32, "HA")):
+        assert is_primitive(g)
+        stabilizer = g.point_stabilizer(g.base()[0])
+        assert analysis._is_simple(stabilizer)
+        assert not analysis._simple_stabilizer_certificate(g)
+        walk = analysis._classify_from_closures(GroupWithChain(g.generators))
+        assert walk.tag == tag
+        assert (classify_point_action(g).to_json_dict()
+                == walk.to_json_dict())
+
+
+def test_simple_stabilizer_certificate_within_element_limit(
+        corpus_instances, monkeypatch):
+    # A7 on 15 points: the stabilizer PSL(2,7) has 168 elements.  Below
+    # that the certificate declines and the walk of G refuses, naming |G|
+    from permdesign.analysis import _classify_from_closures
+    from permdesign.group import EnumerationLimitError
+    inst = next(i for i in corpus_instances if i.name == "a7-cos-15-3-1")
+    walk = _classify_from_closures(
+        GroupWithChain(inst.group.generators)).to_json_dict()
+    monkeypatch.setenv("PERMDESIGN_ELEMENT_LIMIT", "100")
+    with pytest.raises(EnumerationLimitError,
+                       match=r"^group order 2520 exceeds enumeration limit "
+                             r"100 \(PERMDESIGN_ELEMENT_LIMIT\)$"):
+        classify_point_action(GroupWithChain(inst.group.generators))
+    monkeypatch.setenv("PERMDESIGN_ELEMENT_LIMIT", "168")
+    report = classify_point_action(GroupWithChain(inst.group.generators))
+    assert report.to_json_dict() == walk
+    assert walk["tag"] == "AS" and walk["witness_order"] == 2520
+
+
+def test_is_perfect_forms_commutators_of_the_walk_generators(
+        pg132_pair, monkeypatch):
+    # redundant generators change neither the answer nor the seed count
+    from math import comb
+    from random import Random
+
+    from permdesign import analysis
+    rng = Random(5)
+    seeds = []
+    original = analysis.normal_closure
+
+    def counting(g, s):
+        seeds.append(len(s))
+        return original(g, s)
+    monkeypatch.setattr(analysis, "normal_closure", counting)
+    _, pgl42 = pg132_pair
+    s5 = group(5, "(1 2)", "(1 2 3 4 5)")
+    for g, perfect in ((pgl42, True), (s5, False)):
+        padded = GroupWithChain(g.generators + tuple(
+            g.random_element(rng) for _ in range(6)))
+        assert len(padded.walk_generators) < len(padded.generators)
+        for h in (g, padded):
+            seeds.clear()
+            assert analysis._is_perfect(h) is perfect
+            assert seeds == [comb(len(h.walk_generators), 2)]

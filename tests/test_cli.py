@@ -61,6 +61,14 @@ def test_design_file_rejects_bad_points():
         parse_design_text("blocks 3\n1 2\n")
 
 
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_design_file_rejects_non_positive_point_count(count):
+    # refused on the header line, not at the first block
+    with pytest.raises(FileFormatError,
+                       match="^line 1: point count must be positive$"):
+        parse_design_text(f"points {count}\n1 2\n")
+
+
 def test_cli_build_and_verify(tmp_path, capsys):
     out = tmp_path / "built"
     assert main(["build", "pg", "2", "2", "1", "--out", str(out)]) == 0

@@ -107,20 +107,35 @@ def test_minimal_block_system_is_finest_random_stress():
             assert ours <= other_cell, (g.generators, a, b)
 
 
-def test_certificates_match_the_walk_random_stress():
+def test_certificates_match_the_walk_random_stress(corpus_instances,
+                                                   monkeypatch):
     # random transitive groups: small symmetric groups, and random
     # two-generated subgroups of imprimitive wreath products (kernel
-    # elements), of A5 and PGL(3,2) (Iwasawa witnesses) and of A5 on
-    # ordered pairs (imprimitive but quasiprimitive: the walk)
+    # elements), of A5 and PGL(3,2) (Iwasawa witnesses), of A6 on 6 and
+    # A7 on 15 points (simple stabilizers) and of A5 on ordered pairs
+    # (imprimitive but quasiprimitive: the walk)
     from conftest import a5_on_ordered_pairs, group
+    from permdesign import analysis
     from permdesign.analysis import (_classify_from_closures,
                                      _quasiprimitive_from_closures,
                                      classify_point_action, is_quasiprimitive)
+    fired = []
+    certificate = analysis._simple_stabilizer_certificate
+
+    def recording(g):
+        out = certificate(g)
+        fired.append(out)
+        return out
+    monkeypatch.setattr(analysis, "_simple_stabilizer_certificate", recording)
     rng = random.Random(1729)
+    a7_on_15 = next(inst.group for inst in corpus_instances
+                    if inst.name == "a7-cos-15-3-1")
     ambients = (group(6, "(1 2)", "(1 2 3)", "(1 4)(2 5)(3 6)"),
                 group(8, "(1 2)", "(1 3 5 7)(2 4 6 8)", "(1 3)(2 4)"),
                 group(5, "(1 2 3)", "(3 4 5)"),
                 group(7, "(1 2 3 4 5 6 7)", "(1 2)(3 6)"),
+                group(6, "(1 2 3)", "(2 3 4 5 6)"),
+                a7_on_15,
                 a5_on_ordered_pairs())
     tried = 0
     while tried < 60:
@@ -137,3 +152,4 @@ def test_certificates_match_the_walk_random_stress():
         assert is_quasiprimitive(g) == _quasiprimitive_from_closures(walk)
         assert (classify_point_action(g).to_json_dict()
                 == _classify_from_closures(walk).to_json_dict()), g.generators
+    assert any(fired)
