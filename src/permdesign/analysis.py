@@ -12,13 +12,13 @@ from .group import (GroupWithChain, StructureContradiction, check_index,
                     class_closures, is_prime, normal_closure, orbits_of)
 from .perm import Permutation
 
-# The certificate searches draw random elements from a generator seeded
-# afresh by each search, so verdicts and witnesses are reproducible.  A
-# search that finds nothing in its tries leaves the question to the
-# class-representative walk.  Measured on the corpus designs and on point
-# relabellings of them and of the two benchmark designs past the element
-# limit: kernel elements and Iwasawa witnesses came within 12 tries, the
-# affine socle within 265, since on the 81 points of the symplectic
+# The Iwasawa and affine-socle searches draw random elements from a
+# generator seeded afresh by each search, so verdicts and witnesses are
+# reproducible.  A search that finds nothing in its tries leaves the
+# question to the class-representative walk.  Measured on the corpus
+# designs and on point relabellings of them and of the two benchmark
+# designs past the element limit: Iwasawa witnesses came within 12 tries,
+# the affine socle within 265, since on the 81 points of the symplectic
 # design over GF(3) about one random element in a hundred yields a socle
 # element.
 _SEED = 1
@@ -139,53 +139,45 @@ def is_primitive(group):
     return primitivity_status(group) == "primitive"
 
 
-def _kernel_element(group, system):
-    """A non-identity element fixing every cell of the block system, found
-    as g^m for a random g and m the order of g on the cells, and checked;
-    None when the search finds none."""
+def _cell_action(group, system):
+    """The group on the cells of a block system, over its walk generators;
+    its order is at most |G|, which bounds the build."""
     cell_of = {}
     for i, cell in enumerate(system.cells):
         for x in cell:
             cell_of[x] = i
-    rng = random.Random(_SEED)
-    for _ in range(_TRIES):
-        g = group.random_element(rng)
-        on_cells = Permutation([cell_of[g.images[c[0]]] for c in system.cells])
-        y = g ** on_cells.order()
-        if y.is_identity():
-            continue
-        if any(cell_of[y.images[c[0]]] != i
-               for i, c in enumerate(system.cells)):
-            raise StructureContradiction("kernel element moves a cell")
-        return y
-    return None
+    return GroupWithChain(
+        tuple(Permutation([cell_of[g.images[c[0]]] for c in system.cells])
+              for g in group.walk_generators),
+        order_bound=group.order())
 
 
 def is_quasiprimitive(group):
     """True when every nontrivial normal subgroup is transitive.
 
-    A primitive group is quasiprimitive.  An imprimitive one is not when a
-    nontrivial block system has a non-identity kernel element: the kernel
-    is normal and fixes each of the two or more cells, so it is
-    intransitive.  Otherwise the prime-order class representatives decide,
-    within the element limit: any nontrivial normal subgroup contains an
-    element of prime order, whose whole class, and hence normal closure,
-    lies inside it.  So all such closures transitive <=> all nontrivial normal
-    subgroups transitive.
+    A transitive G is quasiprimitive iff every nontrivial block system has
+    a trivial kernel: the orbits of an intransitive normal N != 1 form a
+    nontrivial system whose kernel contains N, and a kernel K != 1 is
+    normal and fixes two or more cells.  Every nontrivial system is
+    coarser than, or equal to, one of base_block_systems(G), and when G
+    acts faithfully on the cells of a system S, the systems coarser than S
+    are the nontrivial systems of G on those cells.  So G is quasiprimitive
+    iff, for each nontrivial S there, G is faithful on S's cells and
+    quasiprimitive on them (Dixon-Mortimer, Permutation Groups, ch. 1 and
+    4).  The cells are fewer than the points, so the recursion ends.
     """
     if not group.is_transitive():
         return False
-    systems = {s.cells: s for s in base_block_systems(group)
-               if not s.is_trivial}
-    if not systems:
-        return True
-    if any(_kernel_element(group, s) is not None for s in systems.values()):
-        return False
-    return _quasiprimitive_from_closures(group)
-
-
-def _quasiprimitive_from_closures(group):
-    return all(n.is_transitive() for n in class_closures(group))
+    seen = set()
+    for system in base_block_systems(group):
+        if system.is_trivial or system.cells in seen:
+            continue
+        seen.add(system.cells)
+        on_cells = _cell_action(group, system)
+        if (on_cells.order() != group.order()
+                or not is_quasiprimitive(on_cells)):
+            return False
+    return True
 
 
 def minimal_normal_subgroups(group):
@@ -326,12 +318,10 @@ def _is_perfect(group):
 
 
 def _iwasawa_certificate(group):
-    """Whether Iwasawa's lemma shows the primitive group simple: the group
-    is perfect, and the stabilizer G_b0 of the first base point has an
-    abelian normal subgroup A = <y^(G_b0)>, y a prime-order power of a
-    random element, whose G-conjugates generate G."""
-    if not _is_perfect(group):
-        return False
+    """Whether Iwasawa's lemma shows the perfect primitive group simple:
+    the stabilizer G_b0 of the first base point has an abelian normal
+    subgroup A = <y^(G_b0)>, y a prime-order power of a random element,
+    whose G-conjugates generate G."""
     stabilizer = group.point_stabilizer(group.base()[0])
     rng = random.Random(_SEED)
     for _ in range(_TRIES):
@@ -349,8 +339,8 @@ def _iwasawa_certificate(group):
 
 
 def _simple_stabilizer_certificate(group):
-    """Whether the primitive group is simple because its stabilizer G_b0 is
-    simple (Dixon-Mortimer, Permutation Groups, ch. 4).  A nontrivial
+    """Whether the perfect primitive group is simple because its stabilizer
+    G_b0 is simple (Dixon-Mortimer, Permutation Groups, ch. 4).  A nontrivial
     normal subgroup N is transitive and meets G_b0 in 1 or G_b0.  If in
     G_b0, then G = N G_b0 = N.  If in 1, N is regular of order the degree
     n; for n < 60 it is solvable, so its minimal characteristic subgroup
@@ -373,11 +363,12 @@ def classify_point_action(group):
     a unique minimal normal subgroup that is nonabelian simple (abelian
     simple groups have prime order, so order alone separates the two).  A
     primitive group is first tried for a checked certificate of either:
-    its regular abelian socle; simplicity by Iwasawa's lemma; or, at a
-    degree below 60 that is not a prime power, simplicity from a simple
-    point stabilizer, whose class-representative walk costs |G|/degree
-    elements.  Otherwise the minimal normal subgroups come from the
-    class-representative walk of G, within the element limit.
+    its regular abelian socle; or, when it is perfect, as a nonabelian
+    simple group must be, simplicity by Iwasawa's lemma or, at a degree
+    below 60 that is not a prime power, from a simple point stabilizer,
+    whose class-representative walk costs |G|/degree elements.  Otherwise
+    the minimal normal subgroups come from the class-representative walk
+    of G, within the element limit.
     """
     if not group.is_transitive():
         raise IntransitiveError("type recognition needs a transitive group")
@@ -387,8 +378,8 @@ def classify_point_action(group):
             witness = _socle_witness(group, socle)
             return TypeReport(tag="HA", witness=witness,
                               minimal_normals=(witness,))
-        if (_iwasawa_certificate(group)
-                or _simple_stabilizer_certificate(group)):
+        if _is_perfect(group) and (_iwasawa_certificate(group)
+                                   or _simple_stabilizer_certificate(group)):
             return TypeReport(tag="AS", witness=group,
                               minimal_normals=(group,))
     return _classify_from_closures(group)

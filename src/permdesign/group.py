@@ -408,13 +408,26 @@ def union_generators(first, second):
 
 
 def restrict_to_points(group, degree):
-    """A union action read on its first domain 0..degree-1, faithfully."""
-    restricted = GroupWithChain(tuple(Permutation(g.images[:degree])
-                                      for g in group.generators),
-                                order_bound=group.order())
-    if restricted.order() != group.order():
-        raise StructureContradiction("action not faithful on points")
-    return restricted
+    """A union action read on its first domain 0..degree-1, faithfully.
+
+    `group` is a chain tail below a hinted vertex, so every base point is
+    the smallest point moved by a residue: a point, unless a residue fixes
+    every point and the action is not faithful.  Each level's strong
+    generators and transversal elements are read on the points, so no
+    chain is built."""
+    chain = _Chain(degree)
+    for level in group._chain.levels:
+        if level.base >= degree:
+            raise StructureContradiction("action not faithful on points")
+        read = _Level(level.base, degree)
+        read.gens = [Permutation(g.images[:degree]) for g in level.gens]
+        read.orbit = {c: Permutation(u.images[:degree])
+                      for c, u in level.orbit.items()}
+        read.points = list(level.points)
+        read.checked = list(level.checked)
+        chain.levels.append(read)
+    return GroupWithChain._from_chain(
+        tuple(Permutation(g.images[:degree]) for g in group.generators), chain)
 
 
 def normal_closure(group, seeds):

@@ -26,6 +26,15 @@ def a5_on_ordered_pairs():
                           lambda pair, g: tuple(g.images[x] for x in pair)).image
 
 
+def quasiprimitive_by_walk(g):
+    """Every prime-order class closure of a fresh copy of g transitive:
+    every nontrivial normal subgroup contains one, so this is
+    quasiprimitivity, decided by the class-representative walk."""
+    from permdesign.group import class_closures
+    return all(n.is_transitive()
+               for n in class_closures(GroupWithChain(g.generators)))
+
+
 def a5_flag_structure():
     """A5 on 15 points (0..4, then 5 + the index of each 2-subset) with the
     20 blocks {i, 5 + index of {i, j}} for the ordered pairs (i, j): the

@@ -2,7 +2,7 @@ import pytest
 
 from bruteforce import (block_cells_by_union_find, primitive_by_partitions,
                         quasiprimitive_by_lattice)
-from conftest import group
+from conftest import group, quasiprimitive_by_walk
 from permdesign.analysis import (IntransitiveError, classify_point_action,
                                  is_primitive, is_quasiprimitive,
                                  minimal_block_system,
@@ -94,6 +94,9 @@ def test_primitivity_status_intransitive():
     assert not is_primitive(group(4, "(1 2)"))
 
 
+A4_REGULAR = ("(1 4 7)(2 5 8)(3 6 9)(10 12 11)",
+              "(1 2 3)(4 9 12)(5 7 10)(6 8 11)")
+
 QUASIPRIMITIVITY_CASES = [
     ("c2", 2, ("(1 2)",), True),
     ("d4", 4, ("(1 2 3 4)", "(1 3)"), False),
@@ -108,6 +111,9 @@ QUASIPRIMITIVITY_CASES = [
     ("c6", 6, ("(1 2 3 4 5 6)",), False),
     ("c2wrc3", 6, ("(1 2)", "(3 4)", "(5 6)", "(1 3 5)(2 4 6)"), False),
     ("f56", 8, None, True),
+    # A4 acting on itself: each of its 11 base block systems is faithful,
+    # yet the Klein four-group is normal with three orbits
+    ("a4_regular", 12, A4_REGULAR, False),
 ]
 
 
@@ -223,11 +229,10 @@ def test_as_witness_is_simple(corpus_instances):
 def _walk_verdicts(g):
     """Quasiprimitivity and type report from the class-representative walk
     alone, on a fresh copy of the group."""
-    from permdesign.analysis import (_classify_from_closures,
-                                     _quasiprimitive_from_closures)
-    fresh = GroupWithChain(g.generators)
-    return (_quasiprimitive_from_closures(fresh),
-            _classify_from_closures(fresh).to_json_dict())
+    from permdesign.analysis import _classify_from_closures
+    return (quasiprimitive_by_walk(g),
+            _classify_from_closures(
+                GroupWithChain(g.generators)).to_json_dict())
 
 
 def _certificate_verdicts(g):
@@ -238,11 +243,11 @@ def _certificate_verdicts(g):
 
 def test_certificates_match_the_walk_on_corpus(corpus_instances,
                                                monkeypatch):
-    # the reports, witnesses included, equal the walk's.  Certificates
-    # alone decide every corpus quasiprimitivity and the type of every
-    # primitive corpus action but A7 on 15 points, whose certificate walks
-    # the 168 elements of its stabilizer, so elsewhere an element limit of
-    # 10 changes nothing; analyze types no other action
+    # the reports, witnesses included, equal the walk's.  The block-system
+    # test decides every quasiprimitivity, and certificates the type of
+    # every primitive corpus action but A7 on 15 points, whose certificate
+    # walks the 168 elements of its stabilizer, so elsewhere an element
+    # limit of 10 changes nothing; analyze types no other action
     from permdesign.designgroup import DesignAction
     for inst in corpus_instances:
         image = DesignAction(inst.group, inst.structure).block_action.image
@@ -258,7 +263,10 @@ def test_certificates_match_the_walk_on_corpus(corpus_instances,
                     assert _certificate_verdicts(g) == walk, inst.name
 
 
-def test_imprimitive_quasiprimitive_group_takes_the_walk(monkeypatch):
+def test_imprimitive_quasiprimitive_group_walks_only_for_its_type(
+        monkeypatch):
+    # its faithful cell actions decide quasiprimitivity; only the type,
+    # with no certificate for an imprimitive group, takes the walk
     from conftest import a5_on_ordered_pairs
     from permdesign import group as chains
     calls = []
@@ -273,21 +281,70 @@ def test_imprimitive_quasiprimitive_group_takes_the_walk(monkeypatch):
     assert primitivity_status(g) == "imprimitive"
     walk = _walk_verdicts(g)
     calls.clear()
-    assert _certificate_verdicts(g) == walk
+    fresh = GroupWithChain(g.generators)
+    assert is_quasiprimitive(fresh) is True
+    assert calls == []
+    assert classify_point_action(fresh).to_json_dict() == walk[1]
     assert walk[0] is True and walk[1]["tag"] == "AS"
-    assert len(calls) == 1  # one walk, kept on the group for both verdicts
+    assert len(calls) == 1
 
 
-def test_kernel_element_decides_non_quasiprimitive(ag322_pair,
-                                                    symplectic_pair,
-                                                    monkeypatch):
-    # the translations fix every parallel class; limit 10 refuses the walk
+def test_unfaithful_cell_action_decides_non_quasiprimitive(ag322_pair,
+                                                           symplectic_pair,
+                                                           monkeypatch):
+    # the translations fix every parallel class, so G is not faithful on
+    # the cells of a base block system; limit 10 would refuse a walk
+    from permdesign import analysis
     from permdesign.designgroup import DesignAction
     monkeypatch.setenv("PERMDESIGN_ELEMENT_LIMIT", "10")
     for structure, g in (ag322_pair, symplectic_pair):
         image = DesignAction(g, structure).block_action.image
         assert primitivity_status(image) == "imprimitive"
+        assert any(analysis._cell_action(image, s).order() < image.order()
+                   for s in analysis.base_block_systems(image)
+                   if not s.is_trivial)
         assert is_quasiprimitive(image) is False
+
+
+def test_quasiprimitivity_is_exact_past_the_element_limit(corpus_instances,
+                                                         monkeypatch):
+    # the block-system recursion walks and draws nothing, so an element
+    # limit of 1 changes no verdict: A4 regular on 12 points, whose 11 base
+    # block systems are all faithful, A5 on ordered pairs, and every
+    # corpus block image, also in the local-primitivity report
+    from conftest import a5_on_ordered_pairs
+    from permdesign import analysis
+    from permdesign import group as chains
+    from permdesign.designgroup import DesignAction
+    a4 = group(12, *A4_REGULAR)
+    systems = analysis.base_block_systems(a4)
+    assert len(systems) == 11
+    assert all(analysis._cell_action(a4, s).order() == 12 for s in systems)
+    cases = [(a4, None, False), (a5_on_ordered_pairs(), None, True)]
+    for inst in corpus_instances:
+        action = DesignAction(GroupWithChain(inst.group.generators),
+                              inst.structure)
+        image = action.block_action.image
+        cases.append((image, action, quasiprimitive_by_walk(image)))
+    calls = []
+
+    def refusing(name):
+        def spy(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} called")
+        return spy
+    monkeypatch.setattr(analysis, "class_closures", refusing("class_closures"))
+    monkeypatch.setattr(chains, "class_closures", refusing("class_closures"))
+    monkeypatch.setattr(GroupWithChain, "random_element",
+                        refusing("random_element"))
+    monkeypatch.setenv("PERMDESIGN_ELEMENT_LIMIT", "1")
+    for g, action, expected in cases:
+        assert is_quasiprimitive(GroupWithChain(g.generators)) is expected
+        if action is not None:
+            report = action.local_primitivity_report(strict=False)
+            assert report.block_quasiprimitive is expected
+            assert not any("unknown" in note for note in report.notes)
+    assert calls == []
 
 
 def test_primitivity_runs_one_block_system_per_stabilizer_orbit(
@@ -395,12 +452,10 @@ def _spy_certificates(monkeypatch):
     ("A6 on 6", 6, ("(1 2 3)", "(2 3 4 5 6)"), 360, 360,
      [("_iwasawa_certificate", 6, 360, False), ("walk", 6, 60, None),
       ("_simple_stabilizer_certificate", 6, 360, True)]),
-    # S6 is not perfect and its stabilizer S5 not simple: the walk decides,
-    # and walks the socle A6 to prove it simple
+    # S6 is not perfect, so neither certificate is tried: the walk
+    # decides, and walks the socle A6 to prove it simple
     ("S6 on 6", 6, ("(1 2)", "(1 2 3 4 5 6)"), 720, 360,
-     [("_iwasawa_certificate", 6, 720, False), ("walk", 6, 120, None),
-      ("_simple_stabilizer_certificate", 6, 720, False),
-      ("walk", 6, 720, None), ("walk", 6, 360, None)]),
+     [("walk", 6, 720, None), ("walk", 6, 360, None)]),
     # degree 7 is a prime power: declined before the stabilizer is walked
     ("A7 on 7", 7, ("(1 2 3)", "(1 2 3 4 5 6 7)"), 2520, 2520,
      [("_iwasawa_certificate", 7, 2520, False),
@@ -465,6 +520,26 @@ def test_simple_stabilizer_certificate_within_element_limit(
     report = classify_point_action(GroupWithChain(inst.group.generators))
     assert report.to_json_dict() == walk
     assert walk["tag"] == "AS" and walk["witness_order"] == 2520
+
+
+def test_non_perfect_group_past_the_limit_refuses_without_a_walk(
+        monkeypatch):
+    # PGL(4,3) on the 40 points of PG(3,3) is primitive and not perfect,
+    # so no AS certificate walks its stabilizer of 303 264 elements, and
+    # the walk of G refuses before it starts
+    from permdesign import group as chains
+    from permdesign.geometry import build_PG
+    from permdesign.group import EnumerationLimitError
+    _, g = build_PG(3, 3, 1)
+    monkeypatch.delenv("PERMDESIGN_ELEMENT_LIMIT", raising=False)
+    calls = []
+    monkeypatch.setattr(chains, "prime_order_class_representatives",
+                        lambda *args: calls.append(args))
+    with pytest.raises(EnumerationLimitError,
+                       match=r"^group order 12130560 exceeds enumeration "
+                             r"limit 1000000 \(PERMDESIGN_ELEMENT_LIMIT\)$"):
+        classify_point_action(g)
+    assert calls == []
 
 
 def test_is_perfect_forms_commutators_of_the_walk_generators(

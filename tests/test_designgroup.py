@@ -247,17 +247,15 @@ def test_point_on_no_block_is_named():
         action.point_stabilizer_union(3)
 
 
-def test_quasiprimitivity_refusal_names_the_limit(monkeypatch):
+def test_quasiprimitivity_is_exact_at_a_small_element_limit(monkeypatch):
     # the block action is A5 on ordered pairs: imprimitive with trivial
-    # kernels, so only the element-limited walk decides it
+    # kernels; its faithful cell actions decide it without a walk
     from conftest import a5_flag_structure
     structure, g = a5_flag_structure()
     with monkeypatch.context() as m:
         m.setenv("PERMDESIGN_ELEMENT_LIMIT", "10")
         report = DesignAction(g, structure).local_primitivity_report(
             strict=False)
-    assert report.block_quasiprimitive is None
-    assert ("block quasiprimitivity unknown: group order 60 exceeds "
-            "enumeration limit 10 (PERMDESIGN_ELEMENT_LIMIT)") in report.notes
-    report = DesignAction(g, structure).local_primitivity_report(strict=False)
     assert report.block_quasiprimitive is True
+    assert not any("unknown" in note for note in report.notes)
+    assert report.to_json_dict()["block_quasiprimitive"] is True

@@ -533,16 +533,20 @@ def test_class_closures_follow_class_reps(s4):
 
 
 def test_cached_closures_still_refuse_beyond_limit(fano_pair, monkeypatch):
-    # A5 on ordered pairs is imprimitive with trivial kernels, so only the
-    # walk decides it; the primitive Fano group needs no walk
+    # the closures, once kept on the group, still refuse past the limit;
+    # quasiprimitivity reads block systems, not closures, so it stays
+    # exact there and walks neither A5 on ordered pairs (imprimitive with
+    # trivial kernels) nor the primitive Fano group
     g = a5_on_ordered_pairs()
-    assert is_quasiprimitive(g)
+    class_closures(g)
     assert g._closures is not None
     monkeypatch.setenv("PERMDESIGN_ELEMENT_LIMIT", "10")
     with pytest.raises(EnumerationLimitError):
-        is_quasiprimitive(g)
-    with pytest.raises(EnumerationLimitError):
         class_closures(g)
+    assert is_quasiprimitive(g) is True
+    fresh = a5_on_ordered_pairs()
+    assert is_quasiprimitive(fresh) is True
+    assert fresh._closures is None
     fano = GroupWithChain(fano_pair[1].generators)
     assert is_quasiprimitive(fano)
     assert fano._closures is None

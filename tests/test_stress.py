@@ -113,11 +113,10 @@ def test_certificates_match_the_walk_random_stress(corpus_instances,
     # two-generated subgroups of imprimitive wreath products (kernel
     # elements), of A5 and PGL(3,2) (Iwasawa witnesses), of A6 on 6 and
     # A7 on 15 points (simple stabilizers) and of A5 on ordered pairs
-    # (imprimitive but quasiprimitive: the walk)
-    from conftest import a5_on_ordered_pairs, group
+    # (imprimitive but quasiprimitive: the walk types it)
+    from conftest import a5_on_ordered_pairs, group, quasiprimitive_by_walk
     from permdesign import analysis
     from permdesign.analysis import (_classify_from_closures,
-                                     _quasiprimitive_from_closures,
                                      classify_point_action, is_quasiprimitive)
     fired = []
     certificate = analysis._simple_stabilizer_certificate
@@ -149,7 +148,45 @@ def test_certificates_match_the_walk_random_stress(corpus_instances,
             continue
         tried += 1
         walk = GroupWithChain(g.generators)
-        assert is_quasiprimitive(g) == _quasiprimitive_from_closures(walk)
+        assert is_quasiprimitive(g) == quasiprimitive_by_walk(walk)
         assert (classify_point_action(g).to_json_dict()
                 == _classify_from_closures(walk).to_json_dict()), g.generators
     assert any(fired)
+
+
+def test_quasiprimitivity_matches_walk_and_lattice_random_stress():
+    # coset actions of S4, A5 and S5 on random subgroups of up to two
+    # random generators and index at least the degree, the trivial one
+    # (the regular action) among them, and random transitive groups of
+    # degree at most 7; the lattice oracle runs where its subgroup
+    # enumeration stays small
+    from bruteforce import quasiprimitive_by_lattice
+    from conftest import group, quasiprimitive_by_walk
+    from permdesign.analysis import is_quasiprimitive
+    from permdesign.cosets import coset_action
+    rng = random.Random(4096)
+    ambients = (group(4, "(1 2)", "(1 2 3 4)"),
+                group(5, "(1 2 3)", "(3 4 5)"),
+                group(5, "(1 2)", "(1 2 3 4 5)"))
+    cases = []
+    for ambient in ambients:
+        for ngens in (0, 1, 1, 2):
+            sub = GroupWithChain.trivial(ambient.degree)
+            while ngens:
+                sub = GroupWithChain(tuple(ambient.random_element(rng)
+                                           for _ in range(ngens)))
+                if ambient.order() // sub.order() >= ambient.degree:
+                    break
+            cases.append(coset_action(ambient, sub).image)
+    while len(cases) < 24:
+        g = random_group(rng, rng.randrange(3, 8))
+        if g.is_transitive():
+            cases.append(g)
+    verdicts = set()
+    for g in cases:
+        verdict = is_quasiprimitive(g)
+        verdicts.add(verdict)
+        assert verdict == quasiprimitive_by_walk(g), g.generators
+        if g.order() <= 60 and g.order() * g.degree <= 1200:
+            assert verdict == quasiprimitive_by_lattice(g), g.generators
+    assert verdicts == {True, False}
