@@ -144,9 +144,8 @@ def _check_origin_blocks(action, witness):
     test that every block through point 0 is closed under the group
     operation, i.e. is a subgroup, hence a subspace of the elementary
     abelian witness."""
-    elems = witness.elements()
     to_element = {}
-    for n in elems:
+    for n in witness.elements():
         pt = n.images[0]
         if pt in to_element:
             return FAIL  # witness not regular after all
@@ -252,7 +251,7 @@ def analyze(group, structure, instance_id="instance", *,
     # independently built coset graph
     if local.flag_transitive:
         alpha = structure.blocks[0][0]
-        left = group.point_stabilizer(alpha)
+        left = action.point_stabilizer(alpha)
         right = action.block_stabilizer(0)
 
         def run_crosscheck():
@@ -309,9 +308,13 @@ def analyze(group, structure, instance_id="instance", *,
             checks["normal_orbit_size"] = _check_normal_orbit_size(
                 action, witness, params)
             if point_type == "HA":
-                checks["origin_blocks_are_subspaces"] = timed(
-                    "origin_blocks",
-                    lambda: _check_origin_blocks(action, point_report.witness))
+                try:
+                    checks["origin_blocks_are_subspaces"] = timed(
+                        "origin_blocks", lambda: _check_origin_blocks(
+                            action, point_report.witness))
+                except EnumerationLimitError as exc:
+                    checks["origin_blocks_are_subspaces"] = UNKNOWN
+                    notes.append(f"origin blocks unknown: {exc}")
 
     theorem_violation = False
     if locally_primitive:

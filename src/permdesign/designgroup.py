@@ -1,5 +1,5 @@
-"""Group actions on incidence structures: preservation checks, stabilizers
-via the disjoint point/block union action, flag-transitivity, and the
+"""Group actions on incidence structures: preservation checks, point and
+block stabilizers read from stabilizer chains, flag-transitivity, and the
 local-primitivity verdict."""
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ class LocalPrimitivityReport:
         return self.point_local_primitive and self.block_local_primitive
 
     def to_json_dict(self):
-        out = {
+        return {
             "flag_transitive": self.flag_transitive,
             "point_transitive": self.point_transitive,
             "block_transitive": self.block_transitive,
@@ -55,7 +55,6 @@ class LocalPrimitivityReport:
             "stabilizer_bound_ok": self.stabilizer_bound_ok,
             "notes": list(self.notes),
         }
-        return out
 
 
 def _orbit_minima(group):
@@ -68,11 +67,11 @@ class DesignAction:
     the disjoint-union action (points 0..v-1, block j at vertex v+j) built
     once and shared by the verdict operations.
 
-    Stabilizers are point stabilizers of vertices in the union action, whose
-    chain is based at the canonical flag (first block, its smallest point),
-    so the flag's G_a and G_aB are tails of it.  Each vertex's local action
-    is built once and kept, and its source is the vertex stabilizer that
-    every verdict reads."""
+    Every stabilizer handed out acts on the points.  G_p is read from the
+    group's own chain, a tail of it when p is its first base point; G_B is
+    read from the one union chain, based at block 0's vertex, so G_B0 is a
+    tail of it.  Each local action is built once and kept, and its source
+    is the stabilizer that every verdict reads."""
 
     def __init__(self, group, structure):
         if group.degree != structure.v:
@@ -95,9 +94,9 @@ class DesignAction:
             faithful=image.order() == order)
         self.union_group = GroupWithChain(
             union_generators(group.generators, image.generators),
-            base_hint=(structure.blocks[0][0], structure.v),
-            order_bound=order)
-        self._local = {}  # union vertex -> its stabilizer's local action
+            base_hint=(structure.v,), order_bound=order)
+        self._point_local = {}  # point p -> G_p on the blocks through p
+        self._block_local = {}  # block index -> G_B on the points of B
 
     def block_image_of(self, g):
         """Index permutation induced on blocks by an arbitrary group element."""
@@ -109,37 +108,37 @@ class DesignAction:
             raise PreservationError(
                 "group does not preserve the block set") from None
 
-    def point_stabilizer_union(self, point):
+    def point_stabilizer(self, point):
+        """Stabilizer of a point, read from the group's own chain."""
         return self.local_point_action(point).source
-
-    def block_stabilizer_union(self, block_index):
-        return self.local_block_action(block_index).source
 
     def block_stabilizer(self, block_index):
         """Setwise stabilizer of a block, as a group on the original points."""
-        return restrict_to_points(self.block_stabilizer_union(block_index),
-                                  self.structure.v)
+        return self.local_block_action(block_index).source
 
     def local_point_action(self, point):
         """Stabilizer of a point acting on the blocks through it."""
-        v = self.structure.v
-        incident = [v + j for j in self.structure.blocks_through(point)]
-        if not incident:
-            raise ValueError(f"point {point} lies on no block")
-        return self._local_action(point, incident)
+        if point not in self._point_local:
+            through = self.structure.blocks_through(point)
+            if not through:
+                raise ValueError(f"point {point} lies on no block")
+            self._point_local[point] = induced_action(
+                self.group.point_stabilizer(point),
+                [self.structure.blocks[j] for j in through],
+                lambda blk, g: tuple(sorted(g.images[x] for x in blk)))
+        return self._point_local[point]
 
     def local_block_action(self, block_index):
         """Stabilizer of a block acting on the points of that block."""
         check_index("block index", block_index, self.structure.b)
-        return self._local_action(self.structure.v + block_index,
-                                  self.structure.blocks[block_index])
-
-    def _local_action(self, vertex, incident):
-        if vertex not in self._local:
-            self._local[vertex] = induced_action(
-                self.union_group.point_stabilizer(vertex), incident,
+        if block_index not in self._block_local:
+            v = self.structure.v
+            stabilizer = restrict_to_points(
+                self.union_group.point_stabilizer(v + block_index), v)
+            self._block_local[block_index] = induced_action(
+                stabilizer, self.structure.blocks[block_index],
                 lambda x, g: g.images[x])
-        return self._local[vertex]
+        return self._block_local[block_index]
 
     def is_flag_transitive(self):
         """Computed along both local routes (block-transitive with transitive
@@ -157,15 +156,13 @@ class DesignAction:
         return via_blocks
 
     def stabilizer_bound_holds(self):
-        """Strict bound |G| < |G_a|^3 / |G_ab|^2 on the canonical flag
-        (first block, its smallest point)."""
+        """Strict bound |G| < |G_a|^3 / |G_aB|^2 on the canonical flag
+        (first block B, its smallest point a), with |G_aB| = |G_B|/|a^G_B|."""
         alpha = self.structure.blocks[0][0]
-        beta_vertex = self.structure.v + 0
-        g_alpha = self.point_stabilizer_union(alpha)
-        g_alpha_beta = g_alpha.point_stabilizer(beta_vertex)
-        lhs = self.group.order() * g_alpha_beta.order() ** 2
-        rhs = g_alpha.order() ** 3
-        return lhs < rhs
+        g_beta = self.block_stabilizer(0)
+        g_alpha_beta = g_beta.order() // len(g_beta.orbit(alpha))
+        return (self.group.order() * g_alpha_beta ** 2
+                < self.point_stabilizer(alpha).order() ** 3)
 
     def local_primitivity_report(self, *, strict=True):
         """Full verdict record.  With strict=True (the default) a locally

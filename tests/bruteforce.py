@@ -132,9 +132,21 @@ def normal_subgroup_sets(group):
     return out
 
 
+_LATTICE_VERDICTS = {}
+
+
 def quasiprimitive_by_lattice(group):
     """Every nontrivial normal subgroup transitive, via the full lattice.
-    The orbit of 0 under a subgroup is the set of images of 0."""
+    The lattice is the slowest oracle and several tests ask it about one
+    group, so each verdict is kept, keyed by degree and generator images."""
+    key = (group.degree, tuple(g.images for g in group.generators))
+    if key not in _LATTICE_VERDICTS:
+        _LATTICE_VERDICTS[key] = _quasiprimitive_by_lattice(group)
+    return _LATTICE_VERDICTS[key]
+
+
+def _quasiprimitive_by_lattice(group):
+    """The orbit of 0 under a subgroup is the set of images of 0."""
     n = group.degree
     if len({t[0] for t in mulclose(group.generators)}) != n:
         return False

@@ -298,8 +298,8 @@ def test_criterion_6_identity_and_property_suite():
         fano, pgl32 = build_PG(2, 2, 1)
         action = DesignAction(pgl32, fano)
         alpha = fano.blocks[0][0]
-        g_a = action.point_stabilizer_union(alpha)
-        g_ab = g_a.point_stabilizer(fano.v)
+        g_a = action.point_stabilizer(alpha)
+        g_ab = action.block_stabilizer(0).point_stabilizer(alpha)
         check(g_a.order() ** 3 // g_ab.order() ** 2 == 216,
               "stabilizer bound constant is not 216")
         check(pgl32.order() < 216, "168 < 216 fails")

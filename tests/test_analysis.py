@@ -132,13 +132,6 @@ def test_is_quasiprimitive_matches_lattice_bruteforce(name, deg, gens, expected)
     assert quasiprimitive_by_lattice(g) == expected
 
 
-def test_quasiprimitive_vs_lattice_on_midsize_group():
-    pgl32 = group(7, "(1 2 3 4 5 6 7)", "(1 2)(3 6)")
-    assert pgl32.order() == 168
-    assert is_quasiprimitive(pgl32)
-    assert quasiprimitive_by_lattice(pgl32)
-
-
 def test_regular_translation_group():
     z7 = group(7, "(1 2 3 4 5 6 7)")
     assert z7.is_regular()

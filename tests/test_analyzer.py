@@ -213,20 +213,22 @@ def test_type_row_properties_on_corpus(corpus_instances):
 
 def test_analyze_reads_stabilizers_as_chain_tails(corpus_instances,
                                                  chain_builds):
-    # five builds: the block image, the union action, the union rebuilt at
-    # block 0's vertex, and the two local actions.  G_a and G_aB of the
-    # canonical flag are tails of the union chain, G_B on the points reads
-    # the rebuilt union's tail, and G_a on the points is a tail of the
-    # group's own chain, except on the two affine instances, whose
-    # imprimitive block image also takes one chain on the cells of a block
-    # system; there G_a on the points is rebuilt, since a is not the first
-    # base point of G
+    # four builds: the block image, the union action based at block 0's
+    # vertex, and the two local actions.  G_B on the points reads the
+    # union chain's tail, and G_a on the points is a tail of the group's
+    # own chain, except on the two affine instances: there a is not the
+    # first base point of G, so G is rebuilt at a once, for the local
+    # point action and the lambda crosscheck alike, and their imprimitive
+    # block image also takes one chain on the cells of a block system
     for inst in corpus_instances:
         chain_builds.clear()
         analyze(inst.group, inst.structure, inst.name)
-        expected = 7 if inst.name in ("ag2-3-2-agl32",
-                                      "symplectic-2-2") else 5
+        expected = 6 if inst.name in ("ag2-3-2-agl32",
+                                      "symplectic-2-2") else 4
         assert len(chain_builds) == expected, inst.name
+        union_degree = inst.structure.v + inst.structure.b
+        degrees = [args[0] for args in chain_builds]
+        assert degrees.count(union_degree) == 1, inst.name
 
 
 def test_analyze_builds_each_local_action_once(corpus_instances,

@@ -49,11 +49,10 @@ def test_block_stabilizer_order_full_group(fano_pair):
 @pytest.mark.parametrize("method, index, kind", [
     ("block_stabilizer", -1, "block index -1 out of range 0..6"),
     ("block_stabilizer", 7, "block index 7 out of range 0..6"),
-    ("block_stabilizer_union", -1, "block index -1 out of range 0..6"),
     ("local_block_action", 7, "block index 7 out of range 0..6"),
     ("local_point_action", 8, "point 8 out of range 0..6"),
     ("local_point_action", -1, "point -1 out of range 0..6"),
-    ("point_stabilizer_union", 7, "point 7 out of range 0..6"),
+    ("point_stabilizer", 7, "point 7 out of range 0..6"),
 ])
 def test_design_action_rejects_out_of_range_indices(fano_pair, method, index,
                                                     kind):
@@ -71,10 +70,10 @@ def test_stabilizers_are_local_action_sources(fano_pair):
     structure, g = fano_pair
     action = DesignAction(g, structure)
     for p in range(structure.v):
-        assert (action.point_stabilizer_union(p)
+        assert (action.point_stabilizer(p)
                 is action.local_point_action(p).source)
     for j in range(structure.b):
-        assert (action.block_stabilizer_union(j)
+        assert (action.block_stabilizer(j)
                 is action.local_block_action(j).source)
 
 
@@ -143,8 +142,8 @@ def test_stabilizer_bound_on_fano(fano_pair):
     structure, g = fano_pair
     action = DesignAction(g, structure)
     alpha = structure.blocks[0][0]
-    g_alpha = action.point_stabilizer_union(alpha)
-    g_alpha_beta = g_alpha.point_stabilizer(structure.v + 0)
+    g_alpha = action.point_stabilizer(alpha)
+    g_alpha_beta = action.block_stabilizer(0).point_stabilizer(alpha)
     assert g.order() == 168
     assert g_alpha.order() == 24
     assert g_alpha_beta.order() == 8
@@ -244,7 +243,7 @@ def test_point_on_no_block_is_named():
     with pytest.raises(ValueError, match="point 3 lies on no block"):
         action.local_point_action(3)
     with pytest.raises(ValueError, match="point 3 lies on no block"):
-        action.point_stabilizer_union(3)
+        action.point_stabilizer(3)
 
 
 def test_quasiprimitivity_is_exact_at_a_small_element_limit(monkeypatch):
@@ -259,3 +258,31 @@ def test_quasiprimitivity_is_exact_at_a_small_element_limit(monkeypatch):
     assert report.block_quasiprimitive is True
     assert not any("unknown" in note for note in report.notes)
     assert report.to_json_dict()["block_quasiprimitive"] is True
+
+
+def test_point_local_actions_match_the_union_reading(corpus_instances):
+    # G_p from the group's own chain, acting on the blocks through p as
+    # point sets, against G_p read in the union action on block vertices
+    from permdesign.geometry import build_PG, build_symplectic_subdesign
+    from permdesign.group import induced_action, orbits_of
+    pairs = [(inst.name, inst.structure, inst.group)
+             for inst in corpus_instances]
+    pairs.append(("symplectic-2-3", *build_symplectic_subdesign(2, 3)))
+    pairs.append(("pg-4-2-1", *build_PG(4, 2, 1)))
+    for name, structure, g in pairs:
+        action = DesignAction(g, structure)
+        v = structure.v
+        for orbit in orbits_of(g.walk_generators, v):
+            p = min(orbit)
+            local = action.local_point_action(p)
+            union = induced_action(
+                action.union_group.point_stabilizer(p),
+                [v + j for j in structure.blocks_through(p)],
+                lambda x, h: h.images[x])
+            assert local.source.order() == union.source.order(), (name, p)
+            assert local.image.order() == union.image.order(), (name, p)
+            assert (primitivity_status(local.image)
+                    == primitivity_status(union.image)), (name, p)
+            assert (orbits_of(local.image.walk_generators, local.image.degree)
+                    == orbits_of(union.image.walk_generators,
+                                 union.image.degree)), (name, p)

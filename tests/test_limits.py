@@ -2,9 +2,14 @@
 
 import importlib
 import inspect
+import json
 import pkgutil
 
+import pytest
+
 import permdesign
+from permdesign.analyzer import UNKNOWN, analyze
+from permdesign.cli import main
 
 
 def _functions(obj):
@@ -35,3 +40,30 @@ def test_no_function_takes_a_limit_parameter():
                 if "limit" in inspect.signature(fn).parameters:
                     offenders.append(f"{module.__name__}.{fn.__qualname__}")
     assert offenders == []
+
+
+@pytest.mark.parametrize("index_limit", [1, 5, 10, 30])
+@pytest.mark.parametrize("element_limit", [1, 5, 10, 30])
+def test_small_limits_give_reports_not_crashes(corpus_instances, monkeypatch,
+                                               element_limit, index_limit):
+    monkeypatch.setenv("PERMDESIGN_ELEMENT_LIMIT", str(element_limit))
+    monkeypatch.setenv("PERMDESIGN_INDEX_LIMIT", str(index_limit))
+    for inst in corpus_instances:
+        report = analyze(inst.group, inst.structure, inst.name)
+        assert report.exit_code() in (0, 3), inst.name
+
+
+def test_census_at_a_small_element_limit_writes_its_json(
+        corpus_dir, tmp_path, monkeypatch, capsys):
+    # the origin-blocks check enumerates the order-16 affine witness of
+    # symplectic-2-2, which limit 10 refuses
+    monkeypatch.setenv("PERMDESIGN_ELEMENT_LIMIT", "10")
+    out = tmp_path / "census.json"
+    assert main(["census", str(corpus_dir), "--json", str(out)]) == 3
+    reports = {r["instance_id"]: r
+               for r in json.loads(out.read_text())["instances"]}
+    symplectic = reports["symplectic-2-2"]
+    assert symplectic["checks"]["origin_blocks_are_subspaces"] == UNKNOWN
+    assert ("origin blocks unknown: group order 16 exceeds enumeration "
+            "limit 10 (PERMDESIGN_ELEMENT_LIMIT)") in symplectic["notes"]
+    assert "census by (point type, block action):" in capsys.readouterr().out
