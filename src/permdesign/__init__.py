@@ -9,9 +9,7 @@ from .analyzer import AnalysisReport, analyze
 from .cosets import (CosetSpace, coset_action, coset_graph_design,
                      double_coset_lambda, is_trivial_factorization,
                      lambda_constancy_crosscheck, subgroup_intersection)
-from .designgroup import (DesignAction, LocalPrimitivityReport,
-                          block_stabilizer, is_flag_transitive,
-                          is_locally_primitive, point_block_actions)
+from .designgroup import DesignAction, LocalPrimitivityReport
 from .geometry import (build_AG, build_PG, build_symplectic_subdesign,
                        classical_group_generators, enumerate_subspaces,
                        gaussian_coefficient)
@@ -29,16 +27,15 @@ __all__ = [
     "ActionImage", "AnalysisReport", "BlockSystem", "CosetSpace",
     "DesignAction", "DesignParameters", "FiniteField", "GroupWithChain",
     "IncidenceStructure", "LocalPrimitivityReport", "Permutation",
-    "TypeReport", "analyze", "block_stabilizer", "build_AG", "build_PG",
+    "TypeReport", "analyze", "build_AG", "build_PG",
     "build_symplectic_subdesign", "classical_group_generators",
     "classify_point_action", "complement", "coset_action",
-    "coset_graph_design", "double_coset_lambda", "dual",
-    "enumerate_subspaces", "field", "gaussian_coefficient",
-    "incidence_graph_diameter", "induced_action", "is_flag_transitive",
-    "is_locally_primitive", "is_primitive", "is_quasiprimitive",
+    "coset_graph_design", "double_coset_lambda", "dual", "enumerate_subspaces",
+    "field", "gaussian_coefficient", "incidence_graph_diameter",
+    "induced_action", "is_primitive", "is_quasiprimitive",
     "is_trivial_factorization", "lambda_constancy_crosscheck",
     "minimal_block_system", "minimal_normal_subgroups", "normal_closure",
-    "parse_permutation", "point_block_actions",
-    "prime_order_class_representatives", "primitivity_status",
-    "subgroup_intersection", "t_design_strength", "verify_design",
+    "parse_permutation", "prime_order_class_representatives",
+    "primitivity_status", "subgroup_intersection", "t_design_strength",
+    "verify_design",
 ]

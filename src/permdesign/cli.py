@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 all checks pass, 1 check failure or theorem violation,
+Exit codes: 0 all checks pass, 1 check failure (of a local-primitivity
+consequence only on a locally primitive design) or theorem violation,
 2 input error, 3 a resource limit left some check unknown.
 """
 

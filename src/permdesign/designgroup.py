@@ -164,11 +164,10 @@ class DesignAction:
         return (self.group.order() * g_alpha_beta ** 2
                 < self.point_stabilizer(alpha).order() ** 3)
 
-    def local_primitivity_report(self, *, strict=True):
-        """Full verdict record.  With strict=True (the default) a locally
-        primitive action that fails to be flag-transitive and point-primitive
-        raises, since that combination is mathematically impossible; the
-        analyzer passes strict=False and reports instead."""
+    def local_primitivity_report(self):
+        """Full verdict record.  It records what it finds: that a locally
+        primitive action is flag-transitive and point-primitive is judged
+        by the analyzer's local_primitivity_consequences check."""
         if self.structure.is_trivial():
             raise TrivialDesignError(
                 "every block is incident with every point")
@@ -194,45 +193,14 @@ class DesignAction:
                              "on its points")
                 break
 
-        point_primitive = primitivity_status(self.group) == "primitive"
-        block_quasiprimitive = is_quasiprimitive(self.block_action.image)
-        bound_ok = self.stabilizer_bound_holds()
-
-        report = LocalPrimitivityReport(
+        return LocalPrimitivityReport(
             flag_transitive=flag_transitive,
             point_transitive=point_transitive,
             block_transitive=block_transitive,
             point_local_primitive=point_local,
             block_local_primitive=block_local,
-            point_primitive=point_primitive,
-            block_quasiprimitive=block_quasiprimitive,
-            stabilizer_bound_ok=bound_ok,
+            point_primitive=primitivity_status(self.group) == "primitive",
+            block_quasiprimitive=is_quasiprimitive(self.block_action.image),
+            stabilizer_bound_ok=self.stabilizer_bound_holds(),
             notes=tuple(notes),
         )
-        if strict and report.locally_primitive and not (
-                flag_transitive and point_primitive):
-            raise StructureContradiction(
-                "locally primitive action that is not flag-transitive and "
-                "point-primitive")
-        return report
-
-
-def block_stabilizer(group, structure, block_index):
-    return DesignAction(group, structure).block_stabilizer(block_index)
-
-
-def point_block_actions(group, structure, point, block_index):
-    """Restricted actions (G_a on the blocks through a, G_b on the points
-    of b) as ActionImage objects."""
-    action = DesignAction(group, structure)
-    return (action.local_point_action(point),
-            action.local_block_action(block_index))
-
-
-def is_flag_transitive(group, structure):
-    return DesignAction(group, structure).is_flag_transitive()
-
-
-def is_locally_primitive(group, structure, *, strict=True):
-    return DesignAction(group, structure).local_primitivity_report(
-        strict=strict)

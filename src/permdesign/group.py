@@ -571,7 +571,8 @@ def induced_action(group, objects, act):
         if len(set(images)) != len(objects):
             raise ActionClosureError("action rule is not a bijection")
         image_gens.append(Permutation(images))
-    image = GroupWithChain(tuple(image_gens))
-    faithful = image.order() == group.order()
+    # the image is a quotient of the source, so |G| bounds its order
+    order = group.order()
+    image = GroupWithChain(tuple(image_gens), order_bound=order)
     return ActionImage(source=group, objects=objects, image=image,
-                       faithful=faithful)
+                       faithful=image.order() == order)

@@ -95,7 +95,8 @@ def mulclose_perms(group):
 
 def all_subgroups(group):
     """Every subgroup, as a dict {frozenset of image tuples: generator list},
-    grown one generator at a time from the trivial subgroup."""
+    grown one generator at a time from the trivial subgroup.  <H, x> is
+    <H, hx> for every h in H, so one x per right coset Hx is tried."""
     elems = mulclose_perms(group)
     identity = tuple(range(group.degree))
     trivial = frozenset([identity])
@@ -103,9 +104,11 @@ def all_subgroups(group):
     frontier = [(trivial, [])]
     while frontier:
         hset, gens = frontier.pop()
+        tried = set(hset)
         for x in elems:
-            if x.images in hset:
+            if x.images in tried:
                 continue
+            tried |= {_compose(h, x.images) for h in hset}
             new_gens = gens + [x]
             kset = frozenset(mulclose(new_gens))
             if kset not in subgroups:
@@ -138,8 +141,9 @@ _LATTICE_VERDICTS = {}
 def quasiprimitive_by_lattice(group):
     """Every nontrivial normal subgroup transitive, via the full lattice.
     The lattice is the slowest oracle and several tests ask it about one
-    group, so each verdict is kept, keyed by degree and generator images."""
-    key = (group.degree, tuple(g.images for g in group.generators))
+    group, often by different generators, so each verdict is kept, keyed by
+    degree and element set."""
+    key = (group.degree, frozenset(mulclose(group.generators)))
     if key not in _LATTICE_VERDICTS:
         _LATTICE_VERDICTS[key] = _quasiprimitive_by_lattice(group)
     return _LATTICE_VERDICTS[key]

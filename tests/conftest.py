@@ -14,6 +14,22 @@ def group(degree, *cycle_strings):
     return GroupWithChain(tuple(perm(s, degree) for s in cycle_strings))
 
 
+def orbit_design(g, block):
+    """The structure whose blocks are the images of `block` under g."""
+    from permdesign.incidence import IncidenceStructure
+    start = tuple(sorted(block))
+    seen = {start}
+    todo = [start]
+    while todo:
+        blk = todo.pop()
+        for x in g.generators:
+            image = tuple(sorted(x.images[p] for p in blk))
+            if image not in seen:
+                seen.add(image)
+                todo.append(image)
+    return IncidenceStructure(g.degree, seen)
+
+
 def a5_on_ordered_pairs():
     """A5 on the 20 ordered pairs of distinct points of 0..4, a fresh
     group each call: imprimitive (cells by first point, by second point,

@@ -334,7 +334,7 @@ def test_quasiprimitivity_is_exact_past_the_element_limit(corpus_instances,
     for g, action, expected in cases:
         assert is_quasiprimitive(GroupWithChain(g.generators)) is expected
         if action is not None:
-            report = action.local_primitivity_report(strict=False)
+            report = action.local_primitivity_report()
             assert report.block_quasiprimitive is expected
             assert not any("unknown" in note for note in report.notes)
     assert calls == []

@@ -1,8 +1,12 @@
+import dataclasses
 import gc
 import sys
 
-from conftest import group
-from permdesign.analyzer import (CHECK_NAMES, analyze,
+import pytest
+
+from conftest import group, orbit_design
+from permdesign.analyzer import (CHECK_NAMES, FAIL,
+                                 LOCALLY_PRIMITIVE_ONLY_CHECKS, analyze,
                                  reduction_pair_allowed)
 from permdesign.designgroup import DesignAction
 from permdesign.group import GroupWithChain
@@ -49,6 +53,37 @@ def test_symplectic_report(symplectic_pair):
     assert report.checks["local_primitivity_consequences"] == "not-applicable"
     assert not report.theorem_violation
     assert report.exit_code() == 0
+
+
+@pytest.mark.parametrize("degree, generators, k, failing", [
+    # AGL(1,5) on the 2-subsets of 5 points: a 2-(5,2,1) design
+    (5, ("(1 3 4 2)", "(1 3 5 2 4)"), 2,
+     {"normal_orbit_size", "origin_blocks_are_subspaces"}),
+    # a group of order 120 on the 3-subsets of 6 points: a 2-(6,3,4) design
+    (6, ("(2 4 3 5 6)", "(1 4 6 3)"), 3, {"normal_orbit_size"}),
+])
+def test_consequence_checks_do_not_fail_a_design_that_is_not_lp(
+        degree, generators, k, failing):
+    # both designs are flag-transitive, point-primitive and block-locally
+    # primitive, but their point stabilizers are not primitive on the
+    # blocks through the point; the identities need local primitivity
+    g = group(degree, *generators)
+    report = analyze(g, orbit_design(g, range(k)))
+    local = report.local
+    assert local.flag_transitive and local.point_primitive
+    assert local.block_local_primitive and not local.point_local_primitive
+    assert {n for n, v in report.checks.items() if v == FAIL} == failing
+    assert not report.theorem_violation
+    assert report.exit_code() == 0
+
+
+def test_consequence_checks_fail_a_locally_primitive_design(ag322_pair):
+    structure, g = ag322_pair
+    report = analyze(g, structure, "ag")
+    assert report.local.locally_primitive and report.exit_code() == 0
+    for name in LOCALLY_PRIMITIVE_ONLY_CHECKS:
+        checks = dict(report.checks, **{name: FAIL})
+        assert dataclasses.replace(report, checks=checks).exit_code() == 1
 
 
 def test_symplectic_witness_orbit_size_is_four(symplectic_pair):

@@ -166,9 +166,9 @@ def test_corpus_files_byte_stable(tmp_path):
 
 def test_cli_crosscheck(tmp_path, capsys, fano_pair):
     structure, g = fano_pair
-    from permdesign.designgroup import block_stabilizer
+    from permdesign.designgroup import DesignAction
     left = g.point_stabilizer(structure.blocks[0][0])
-    right = block_stabilizer(g, structure, 0)
+    right = DesignAction(g, structure).block_stabilizer(0)
     gp, lp, rp = (tmp_path / n for n in ("g.group", "l.group", "r.group"))
     write_group_file(gp, g)
     write_group_file(lp, left)
@@ -210,12 +210,12 @@ def test_cli_coset_builds_each_space_once(tmp_path, capsys, fano_pair,
     # the crosscheck, the faithfulness check and --out all read the one
     # coset graph and its two spaces
     from permdesign.cosets import CosetSpace
-    from permdesign.designgroup import block_stabilizer
+    from permdesign.designgroup import DesignAction
     structure, g = fano_pair
     gp, lp, rp = (tmp_path / n for n in ("g.group", "l.group", "r.group"))
     write_group_file(gp, g)
     write_group_file(lp, g.point_stabilizer(structure.blocks[0][0]))
-    write_group_file(rp, block_stabilizer(g, structure, 0))
+    write_group_file(rp, DesignAction(g, structure).block_stabilizer(0))
     built = []
     original = CosetSpace.__init__
 

@@ -134,8 +134,8 @@ def test_coset_graph_design_fano_parameters(fano_pair):
     structure, g = fano_pair
     alpha = structure.blocks[0][0]
     left = g.point_stabilizer(alpha)
-    from permdesign.designgroup import block_stabilizer
-    right = block_stabilizer(g, structure, 0)
+    from permdesign.designgroup import DesignAction
+    right = DesignAction(g, structure).block_stabilizer(0)
     rebuilt = coset_graph_design(g, left, right)
     params = verify_design(rebuilt)
     assert (params.v, params.b, params.r, params.k, params.lam) == (7, 7, 3, 3, 1)
@@ -222,19 +222,19 @@ def test_crosscheck_refuses_subgroups_outside_the_given_graph_group(right):
 
 def test_fano_pair_is_not_trivial_factorization(fano_pair):
     structure, g = fano_pair
-    from permdesign.designgroup import block_stabilizer
+    from permdesign.designgroup import DesignAction
     left = g.point_stabilizer(structure.blocks[0][0])
-    right = block_stabilizer(g, structure, 0)
+    right = DesignAction(g, structure).block_stabilizer(0)
     assert subgroup_intersection(left, right).order() == 8
     assert not is_trivial_factorization(g, left, right)  # 24*24/8 != 168
 
 
 def test_double_coset_lambda_fano(fano_pair):
     structure, g = fano_pair
-    from permdesign.designgroup import block_stabilizer
+    from permdesign.designgroup import DesignAction
     alpha = structure.blocks[0][0]
     left = g.point_stabilizer(alpha)
-    right = block_stabilizer(g, structure, 0)
+    right = DesignAction(g, structure).block_stabilizer(0)
     # identity gives the replication number
     assert double_coset_lambda(g, left, right, Permutation.identity(7)) == 3
     outside = next(x for x in g.elements() if not left.contains(x))
@@ -261,11 +261,11 @@ def _random_subgroup(rng, degree):
 
 
 def _oracle_cases(fano_pair, frobenius21, s4):
-    from permdesign.designgroup import block_stabilizer
+    from permdesign.designgroup import DesignAction
     structure, pgl32 = fano_pair
     cases = [
         (pgl32, pgl32.point_stabilizer(structure.blocks[0][0]),
-         block_stabilizer(pgl32, structure, 0)),
+         DesignAction(pgl32, structure).block_stabilizer(0)),
         # the two nontrivial suborbits of F21 are paired with each other
         (frobenius21, frobenius21.point_stabilizer(0),
          frobenius21.point_stabilizer(1)),
@@ -424,10 +424,10 @@ def test_trivial_factorization_bounded_by_index_limit(s4, monkeypatch):
 
 
 def test_crosscheck_enumerates_no_elements(pg132_pair, monkeypatch):
-    from permdesign.designgroup import block_stabilizer
+    from permdesign.designgroup import DesignAction
     structure, g = pg132_pair
     left = g.point_stabilizer(structure.blocks[0][0])
-    right = block_stabilizer(g, structure, 0)
+    right = DesignAction(g, structure).block_stabilizer(0)
     monkeypatch.setenv("PERMDESIGN_ELEMENT_LIMIT", "10")
     result = lambda_constancy_crosscheck(g, left, right)
     assert result.ok and result.value == 1
@@ -457,9 +457,9 @@ def test_crosscheck_agrees_with_design_acceptance(s4, fano_pair):
     from permdesign.incidence import DesignError
     cases = []
     structure, g = fano_pair
-    from permdesign.designgroup import block_stabilizer
+    from permdesign.designgroup import DesignAction
     cases.append((g, g.point_stabilizer(structure.blocks[0][0]),
-                  block_stabilizer(g, structure, 0)))
+                  DesignAction(g, structure).block_stabilizer(0)))
     cases.append((s4, group(4, "(1 2)"), group(4, "(3 4)")))
     for grp, left, right in cases:
         result = lambda_constancy_crosscheck(grp, left, right)

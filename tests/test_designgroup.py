@@ -3,9 +3,7 @@ import pytest
 from conftest import group
 from permdesign.analysis import primitivity_status
 from permdesign.designgroup import (DesignAction, PreservationError,
-                                    RepeatedBlockError, TrivialDesignError,
-                                    block_stabilizer, is_flag_transitive,
-                                    is_locally_primitive, point_block_actions)
+                                    RepeatedBlockError, TrivialDesignError)
 from permdesign.incidence import IncidenceStructure, complement
 
 # cyclic labeling: lines {i, i+1, i+3} mod 7
@@ -39,7 +37,7 @@ def test_repeated_blocks_rejected():
 
 def test_block_stabilizer_order_full_group(fano_pair):
     structure, g = fano_pair
-    stab = block_stabilizer(g, structure, 0)
+    stab = DesignAction(g, structure).block_stabilizer(0)
     assert stab.order() == 24  # 168 / 7
     blk = set(structure.blocks[0])
     for x in stab.generators:
@@ -79,13 +77,15 @@ def test_stabilizers_are_local_action_sources(fano_pair):
 
 def test_block_stabilizer_order_frobenius():
     g = group(7, *SINGER_F21)
-    stab = block_stabilizer(g, singer_fano(), 0)
+    stab = DesignAction(g, singer_fano()).block_stabilizer(0)
     assert stab.order() == 3  # 21 / 7
 
 
 def test_point_block_actions(fano_pair):
     structure, g = fano_pair
-    point_action, blk_action = point_block_actions(g, structure, 0, 0)
+    action = DesignAction(g, structure)
+    point_action = action.local_point_action(0)
+    blk_action = action.local_block_action(0)
     assert point_action.image.degree == 3   # three blocks through each point
     assert blk_action.image.degree == 3     # three points on each block
     assert point_action.image.is_transitive()
@@ -94,22 +94,23 @@ def test_point_block_actions(fano_pair):
 
 def test_flag_transitive_frobenius_on_its_plane():
     g = group(7, *SINGER_F21)
-    assert is_flag_transitive(g, singer_fano())
+    assert DesignAction(g, singer_fano()).is_flag_transitive()
 
 
 def test_not_flag_transitive_cyclic():
     z7 = group(7, "(1 2 3 4 5 6 7)")
-    assert not is_flag_transitive(z7, singer_fano())
+    assert not DesignAction(z7, singer_fano()).is_flag_transitive()
 
 
 def test_not_flag_transitive_frobenius_on_complement():
     g = group(7, *SINGER_F21)
-    assert not is_flag_transitive(g, complement(singer_fano()))
+    assert not DesignAction(g,
+                            complement(singer_fano())).is_flag_transitive()
 
 
 def test_locally_primitive_full_fano_group(fano_pair):
     structure, g = fano_pair
-    report = is_locally_primitive(g, structure)
+    report = DesignAction(g, structure).local_primitivity_report()
     assert report.locally_primitive
     assert report.flag_transitive and report.point_primitive
     assert report.block_quasiprimitive
@@ -118,7 +119,7 @@ def test_locally_primitive_full_fano_group(fano_pair):
 
 def test_locally_primitive_agl_on_affine_planes(ag322_pair):
     structure, g = ag322_pair
-    report = is_locally_primitive(g, structure)
+    report = DesignAction(g, structure).local_primitivity_report()
     assert report.locally_primitive
     assert report.point_primitive
     assert report.block_quasiprimitive is False
@@ -126,7 +127,7 @@ def test_locally_primitive_agl_on_affine_planes(ag322_pair):
 
 def test_cyclic_group_report_short_circuits():
     z7 = group(7, "(1 2 3 4 5 6 7)")
-    report = is_locally_primitive(z7, singer_fano())
+    report = DesignAction(z7, singer_fano()).local_primitivity_report()
     assert not report.flag_transitive
     assert not report.point_local_primitive  # trivial stabilizer on 3 blocks
     assert report.notes
@@ -135,7 +136,8 @@ def test_cyclic_group_report_short_circuits():
 def test_trivial_design_detected():
     s = IncidenceStructure(v=3, blocks=[[0, 1, 2]])
     with pytest.raises(TrivialDesignError):
-        is_locally_primitive(group(3, "(1 2 3)", "(1 2)"), s)
+        action = DesignAction(group(3, "(1 2 3)", "(1 2)"), s)
+        action.local_primitivity_report()
 
 
 def test_stabilizer_bound_on_fano(fano_pair):
@@ -166,10 +168,10 @@ def test_faithful_on_blocks_across_corpus(corpus_instances):
 
 
 def test_local_primitivity_consequences_never_violated(corpus_instances):
-    # strict mode raises if a locally primitive instance were not
-    # flag-transitive and point-primitive; it must not
+    # a locally primitive instance is flag-transitive and point-primitive
     for inst in corpus_instances:
-        report = is_locally_primitive(inst.group, inst.structure, strict=True)
+        action = DesignAction(inst.group, inst.structure)
+        report = action.local_primitivity_report()
         if report.locally_primitive:
             assert report.flag_transitive and report.point_primitive
 
@@ -217,7 +219,7 @@ def test_imprimitivity_cells_have_disjoint_blocks(corpus_instances):
     from permdesign.analysis import minimal_block_system
     for inst in corpus_instances:
         action = DesignAction(inst.group, inst.structure)
-        report = is_locally_primitive(inst.group, inst.structure)
+        report = action.local_primitivity_report()
         if not (report.locally_primitive
                 and report.block_quasiprimitive is False):
             continue
@@ -253,8 +255,7 @@ def test_quasiprimitivity_is_exact_at_a_small_element_limit(monkeypatch):
     structure, g = a5_flag_structure()
     with monkeypatch.context() as m:
         m.setenv("PERMDESIGN_ELEMENT_LIMIT", "10")
-        report = DesignAction(g, structure).local_primitivity_report(
-            strict=False)
+        report = DesignAction(g, structure).local_primitivity_report()
     assert report.block_quasiprimitive is True
     assert not any("unknown" in note for note in report.notes)
     assert report.to_json_dict()["block_quasiprimitive"] is True
@@ -286,3 +287,16 @@ def test_point_local_actions_match_the_union_reading(corpus_instances):
             assert (orbits_of(local.image.walk_generators, local.image.degree)
                     == orbits_of(union.image.walk_generators,
                                  union.image.degree)), (name, p)
+
+
+def test_every_export_resolves_and_is_listed_once():
+    import permdesign
+    names = permdesign.__all__
+    assert len(names) == len(set(names))
+    namespace = {}
+    exec("from permdesign import *", namespace)
+    assert all(namespace[name] is getattr(permdesign, name) for name in names)
+    # design verdicts come from one DesignAction per (group, design)
+    for gone in ("block_stabilizer", "point_block_actions",
+                 "is_flag_transitive", "is_locally_primitive"):
+        assert not hasattr(permdesign, gone)

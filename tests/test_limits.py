@@ -8,7 +8,7 @@ import pkgutil
 import pytest
 
 import permdesign
-from permdesign.analyzer import UNKNOWN, analyze
+from permdesign.analyzer import PASS, UNKNOWN, analyze
 from permdesign.cli import main
 
 
@@ -55,15 +55,20 @@ def test_small_limits_give_reports_not_crashes(corpus_instances, monkeypatch,
 
 def test_census_at_a_small_element_limit_writes_its_json(
         corpus_dir, tmp_path, monkeypatch, capsys):
-    # the origin-blocks check enumerates the order-16 affine witness of
-    # symplectic-2-2, which limit 10 refuses
+    # limit 10 refuses the walks that type the A7 actions; the origin-blocks
+    # check reads the order-16 affine witness of symplectic-2-2 off its
+    # chain, so it stays exact
     monkeypatch.setenv("PERMDESIGN_ELEMENT_LIMIT", "10")
     out = tmp_path / "census.json"
     assert main(["census", str(corpus_dir), "--json", str(out)]) == 3
     reports = {r["instance_id"]: r
                for r in json.loads(out.read_text())["instances"]}
     symplectic = reports["symplectic-2-2"]
-    assert symplectic["checks"]["origin_blocks_are_subspaces"] == UNKNOWN
-    assert ("origin blocks unknown: group order 16 exceeds enumeration "
-            "limit 10 (PERMDESIGN_ELEMENT_LIMIT)") in symplectic["notes"]
+    assert symplectic["checks"]["origin_blocks_are_subspaces"] == PASS
+    assert symplectic["notes"] == []
+    for name in ("a7-cos-15-3-1", "a7-cos-15-7-3"):
+        assert reports[name]["point_type"] == UNKNOWN
+        (note,) = reports[name]["notes"]
+        assert ("point type unknown: group order 2520 exceeds enumeration "
+                "limit 10 (PERMDESIGN_ELEMENT_LIMIT)") in note
     assert "census by (point type, block action):" in capsys.readouterr().out

@@ -3,6 +3,7 @@ small random groups, exercised through the chain, stabilizer, coset, and
 block-system code paths."""
 
 import random
+from types import SimpleNamespace
 
 from bruteforce import mulclose
 from permdesign.analysis import minimal_block_system
@@ -190,3 +191,128 @@ def test_quasiprimitivity_matches_walk_and_lattice_random_stress():
         if g.order() <= 60 and g.order() * g.degree <= 1200:
             assert verdict == quasiprimitive_by_lattice(g), g.generators
     assert verdicts == {True, False}
+
+
+def _generated_by(image_tuples, degree):
+    """A few of the given permutations (image tuples of a group) that
+    generate them all, picked greedily, as the generators-and-degree record
+    the brute-force oracles read."""
+    gens, closure = [], {tuple(range(degree))}
+    for t in sorted(image_tuples):
+        if t not in closure:
+            gens.append(Permutation(t))
+            closure = mulclose(gens)
+    return SimpleNamespace(degree=degree,
+                           generators=gens or [Permutation.identity(degree)])
+
+
+def _images_on(elements, objects, act):
+    """The permutations of the object list's indices that the elements
+    induce, as image tuples."""
+    index = {obj: i for i, obj in enumerate(objects)}
+    return {tuple(index[act(x, obj)] for obj in objects) for x in elements}
+
+
+def _orbit_representatives(elements, objects, act):
+    reps, seen = [], set()
+    for obj in objects:
+        if obj not in seen:
+            reps.append(obj)
+            seen |= {act(x, obj) for x in elements}
+    return reps
+
+
+def _primitive(group):
+    """Primitivity from element sets: the exhaustive partition search up to
+    degree 12, beyond it the union-find block cells of each pair (0, b)."""
+    from bruteforce import block_cells_by_union_find, primitive_by_partitions
+    n = group.degree
+    if n <= 12:
+        return primitive_by_partitions(group)
+    return (len({t[0] for t in mulclose(group.generators)}) == n
+            and all(len(block_cells_by_union_find(group.generators, n, 0, b))
+                    == 1 for b in range(1, n)))
+
+
+def test_design_verdicts_match_element_sets_random_stress():
+    # orbit designs of random groups of degree at most 8 and order at most
+    # 2 000: random permutations, and random subgroups of affine, projective
+    # and imprimitive groups; each analyze verdict is compared with a
+    # computation over the group's element set
+    from bruteforce import design_accepts, quasiprimitive_by_lattice
+    from conftest import group, orbit_design
+    from permdesign.analyzer import FAIL, analyze
+    rng = random.Random(6174)
+    ambients = (group(5, "(1 2 3 4 5)", "(2 3 5 4)"),            # AGL(1,5)
+                group(6, "(2 4 3 5 6)", "(1 4 6 3)"),            # PGL(2,5)
+                group(6, "(1 2)", "(1 2 3)", "(1 4)(2 5)(3 6)"),  # S3 wr S2
+                group(7, "(1 2 3 4 5 6 7)", "(2 4 3 7 5 6)"),    # AGL(1,7)
+                group(8, "(1 2)(3 4)(5 6)(7 8)", "(1 3)(2 4)(5 7)(6 8)",
+                      "(1 5)(2 6)(3 7)(4 8)", "(2 3 5)(4 7 6)",
+                      "(3 5)(4 6)"),                             # AGL(3,2)
+                group(8, "(1 2 3 4 5 6 7)", "(1 2)(3 6)",
+                      "(1 8)(2 4)(3 5)(6 7)"),                   # PGL(2,7)
+                group(8, "(1 2)", "(1 3 5 7)(2 4 6 8)"))         # S2 wr S4
+
+    def on_points(x, p):
+        return x[p]
+
+    def on_blocks(x, blk):
+        return tuple(sorted(x[p] for p in blk))
+
+    seen = {"lp": 0, "not lp": 0, "not flag-transitive": 0,
+            "failed check, not lp": 0}
+    designs = 0
+    while designs < 60:
+        if designs % 3:
+            ambient = ambients[rng.randrange(len(ambients))]
+            g = GroupWithChain(tuple(ambient.random_element(rng)
+                                     for _ in range(rng.randint(1, 3))))
+        else:
+            g = random_group(rng, rng.randrange(3, 9), rng.randint(1, 3))
+        if g.order() > 2000:
+            continue
+        v = g.degree
+        structure = orbit_design(g, rng.sample(range(v), rng.randrange(2, v)))
+        blocks = structure.blocks
+        if not design_accepts(v, blocks):
+            continue
+        designs += 1
+        report = analyze(g, structure)
+        local = report.local
+        elements = mulclose(g.generators)
+
+        flag = (blocks[0][0], blocks[0])
+        flags = {(x[flag[0]], on_blocks(x, flag[1])) for x in elements}
+        assert local.flag_transitive == (len(flags) == structure.flag_count)
+        assert local.point_primitive == _primitive(g)
+        point_local = block_local = True
+        for p in _orbit_representatives(elements, range(v), on_points):
+            through = [b for b in blocks if p in b]
+            stabilizer = [x for x in elements if x[p] == p]
+            point_local &= _primitive(_generated_by(
+                _images_on(stabilizer, through, on_blocks), len(through)))
+        for b in _orbit_representatives(elements, blocks, on_blocks):
+            stabilizer = [x for x in elements if on_blocks(x, b) == b]
+            block_local &= _primitive(_generated_by(
+                _images_on(stabilizer, b, on_points), len(b)))
+        assert local.point_local_primitive == point_local, g.generators
+        assert local.block_local_primitive == block_local, g.generators
+        if len(elements) <= 200:
+            index = {b: j for j, b in enumerate(blocks)}
+            image = SimpleNamespace(degree=len(blocks), generators=[
+                Permutation([index[on_blocks(x.images, b)] for b in blocks])
+                for x in g.generators])
+            assert (local.block_quasiprimitive
+                    == quasiprimitive_by_lattice(image)), g.generators
+
+        # exit code 1 means a theorem violation, or a failed check on a
+        # locally primitive design
+        failed = FAIL in report.checks.values()
+        if report.exit_code() == 1:
+            assert report.theorem_violation or (
+                local.locally_primitive and failed), g.generators
+        seen["lp" if local.locally_primitive else "not lp"] += 1
+        seen["not flag-transitive"] += not local.flag_transitive
+        seen["failed check, not lp"] += failed and not local.locally_primitive
+    assert all(seen.values()), seen
