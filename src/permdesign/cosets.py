@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .config import index_limit
 from .group import (ActionImage, GroupWithChain, MembershipError,
-                    StructureContradiction, restrict_to_points,
+                    StructureContradiction, restrict_to_points, union_action,
                     union_generators)
 from .incidence import IncidenceStructure
 from .perm import DegreeMismatchError, Permutation
@@ -64,7 +64,8 @@ class CosetSpace:
 
     Only the walk generators are walked; each reads its own table.  G is
     faithful on its points, so one chain of G on the points and the cosets
-    together, hinted with G's base, has that base, all of it on the points.
+    together (union_action, which sifts on the points alone), hinted with
+    G's base, has that base, all of it on the points.
     Lifted through that chain by its base images, any other given generator
     g becomes the element that agrees with g on the points: (g, g on the
     cosets), checked on the points.  That chain is built only when such a
@@ -85,9 +86,8 @@ class CosetSpace:
                     for g, t in zip(group.walk_generators, tables)}
         lifted = [g for g in group.generators if g.images not in table_of]
         if lifted:
-            chain = GroupWithChain(
-                union_generators(group.walk_generators, tables),
-                base_hint=group.base(), order_bound=group.order())._chain
+            chain = union_action(group.walk_generators, tables, group.base(),
+                                 group.order())._chain
             for g in lifted:
                 a = chain.lift(g)
                 if a.images[:n] != g.images:
@@ -251,7 +251,7 @@ def coset_graph_faithful(group, left, right):
 
 def _union_faithful(group, first, second):
     """Whether G acts faithfully on two domains, given the images of its
-    generators on each."""
+    generators on each: a plain chain, as neither need be faithful."""
     union = GroupWithChain(union_generators(first, second),
                            order_bound=group.order())
     return union.order() == group.order()
@@ -350,9 +350,8 @@ def subgroup_intersection(left, right):
     small, large = (left, right) if left.order() <= right.order() else (right, left)
     small._check_enumerable()
     degree = small.degree
-    union = GroupWithChain(union_generators(
-        small.generators, _coset_orbit(large, small)[2]), base_hint=(degree,),
-        order_bound=small.order())
+    union = union_action(small.generators, _coset_orbit(large, small)[2],
+                         (degree,), small.order())
     return restrict_to_points(union.point_stabilizer(degree), degree)
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from .analysis import is_quasiprimitive, primitivity_status
 from .group import (ActionImage, GroupWithChain, StructureContradiction,
                     check_index, induced_action, orbits_of,
-                    restrict_to_points, union_generators)
+                    restrict_to_points, union_action)
 from .perm import Permutation
 
 
@@ -92,9 +92,8 @@ class DesignAction:
         self.block_action = ActionImage(
             source=group, objects=structure.blocks, image=image,
             faithful=image.order() == order)
-        self.union_group = GroupWithChain(
-            union_generators(group.generators, image.generators),
-            base_hint=(structure.v,), order_bound=order)
+        self.union_group = union_action(group.generators, image.generators,
+                                        (structure.v,), order)
         self._point_local = {}  # point p -> G_p on the blocks through p
         self._block_local = {}  # block index -> G_B on the points of B
 

@@ -16,8 +16,14 @@ and otherwise b^r is the index of b^p in a's images.  No transversal
 element is inverted, and p^-1 is never formed.  It is the textbook
 residue, so every decision and every installed residue, and with them the
 chains, are unchanged.  A Schreier generator u_c*g*u_t^-1 starts as the
-pair (u_c*g, u_t); the one inversion left is a^-1 for a residue that is
-installed.
+pair (u_c*g, u_t); the one inversion left is a^-1, at full degree, for a
+residue that is installed.
+
+Where the group acts faithfully on an invariant prefix 0..m-1 of its
+domain (union_action; m is the degree otherwise), each pair is sifted on
+the prefix alone, at degree m: a residue fixing the prefix is the identity.
+Only a residue that is not is formed in full, by sifting its pair again
+with the same steps (Seress, Permutation Group Algorithms, 2003, ch. 4-5).
 
 A build may be given an upper bound on the order of the group it generates,
 where that order is already known (the same group on another base, or an
@@ -53,6 +59,7 @@ fresh chain, and a point stabilizer is a tail of one (see _Chain).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .config import element_limit
 from .perm import DegreeMismatchError, Permutation
@@ -93,8 +100,10 @@ class _Chain:
     neither may be extended once wrapped.  `grown` lists, in order, the
     arguments of extend() that grew the chain (a tail records none)."""
 
-    def __init__(self, degree, base_hint=()):
+    def __init__(self, degree, base_hint=(), prefix=None):
         self.degree = degree
+        # 0..prefix-1 is invariant and the group acts faithfully on it
+        self.prefix = degree if prefix is None else prefix
         self.identity = Permutation.identity(degree)
         self.levels = []
         self.grown = []
@@ -119,18 +128,23 @@ class _Chain:
     def _sift(self, p, a, start=0):
         """sift() of p*a^-1, with its residue r held as the pair (p, a):
         moving r down a level is a <- u*a, and b^r is the index of b^p in
-        a's images.  Returns None when r reduces to the identity (a == p),
-        else the final a, so that r = p*a^-1."""
+        a's images.  p and a may be read on an invariant prefix 0..m-1 that
+        holds every base point of levels[start:]; each u is read there too
+        (m > 1 wherever a product is formed: u moves a base point).
+        Returns None when r reduces to the identity (a == p), else the final
+        a, so that r = p*a^-1."""
         images = p.images
+        a = a.images
+        m = len(a)
         for level in self.levels[start:]:
             b = level.base
             c = images[b]
-            if c != a.images[b]:
-                u = level.orbit.get(a.images.index(c))
+            if c != a[b]:
+                u = level.orbit.get(a.index(c))
                 if u is None:
-                    return a
-                a = u * a
-        return None if a.images == images else a
+                    return Permutation._raw(a)
+                a = itemgetter(*u.images[:m])(a)  # u*a
+        return None if a == images else Permutation._raw(a)
 
     def contains(self, p):
         return self._sift(p, self.identity) is None
@@ -216,17 +230,27 @@ class _Chain:
         for gi, g in enumerate(level.gens):
             for c in level.points[checked[gi]:]:
                 checked[gi] += 1
-                # the Schreier generator u_c*g*u_t^-1, sifted as the pair
-                # (u_c*g, u_t)
-                u_cg = orbit[c] * g
-                a = self._sift(u_cg, orbit[g.images[c]], i + 1)
-                if a is not None:
-                    return u_cg * a.inverse()
+                residue = self._sift_schreier(orbit[c], g, orbit[g.images[c]],
+                                              i + 1)
+                if residue is not None:
+                    return residue
         return None
 
+    def _sift_schreier(self, u, g, t, start):
+        """The residue of the Schreier generator u*g*t^-1 through
+        levels[start:], or None: the pair (u*g, t) sifted on the prefix,
+        and again in full only when the residue is not the identity."""
+        m = self.prefix
+        p = Permutation._raw(itemgetter(*u.images[:m])(g.images))
+        if self._sift(p, Permutation._raw(t.images[:m]), start) is None:
+            return None
+        p = u * g
+        return p * self._sift(p, t, start).inverse()
 
-def _build_chain(degree, generators, base_hint=(), order_bound=None):
-    chain = _Chain(degree, base_hint)
+
+def _build_chain(degree, generators, base_hint=(), order_bound=None,
+                 prefix=None):
+    chain = _Chain(degree, base_hint, prefix)
     for g in generators:
         if g.degree != degree:
             raise DegreeMismatchError(
@@ -268,7 +292,7 @@ class GroupWithChain:
     """A finite permutation group with order/membership/stabilizer queries."""
 
     __slots__ = ("degree", "generators", "walk_generators", "_chain", "_order",
-                 "_elements", "_closures", "_block_systems")
+                 "_elements", "_closures", "_block_systems", "_stabilizer")
 
     def __init__(self, generators, base_hint=(), order_bound=None):
         """`order_bound`, when given, is a proven upper bound on the order of
@@ -295,6 +319,7 @@ class GroupWithChain:
         self._elements = None
         self._closures = None
         self._block_systems = None
+        self._stabilizer = None  # the tail below the first base point
 
     @classmethod
     def trivial(cls, degree):
@@ -331,14 +356,17 @@ class GroupWithChain:
 
     def point_stabilizer(self, point):
         """Stabilizer of a point, as the levels below the first base point of
-        a chain based at it: this group's own chain, or one built with the
-        point first.  The orbit-stabilizer identity is asserted."""
+        a chain based at it: this group's own chain, whose tail is made once
+        and kept, or one built with the point first.  The orbit-stabilizer
+        identity is asserted on each stabilizer made."""
         check_index("point", point, self.degree)
-        chain = self._chain
-        if self.base()[:1] != (point,):
-            chain = _build_chain(self.degree, self.generators, (point,),
-                                 self._order)
-        tail = _Chain(self.degree)
+        own = self.base()[:1] == (point,)
+        if own and self._stabilizer is not None:
+            return self._stabilizer
+        chain = self._chain if own else _build_chain(
+            self.degree, self.generators, (point,), self._order,
+            prefix=self._chain.prefix)
+        tail = _Chain(self.degree, prefix=chain.prefix)
         tail.levels = chain.levels[1:]
         gens = tail.levels[0].gens if tail.levels else ()
         # a hinted level can have no strong generators
@@ -346,6 +374,8 @@ class GroupWithChain:
             gens or (Permutation.identity(self.degree),), tail)
         if len(self.orbit(point)) * stab.order() != self._order:
             raise StructureContradiction("orbit-stabilizer identity violated")
+        if own:
+            self._stabilizer = stab
         return stab
 
     def random_element(self, rng):
@@ -407,14 +437,27 @@ def union_generators(first, second):
                  for p, q in zip(first, second))
 
 
+def union_action(first, second, base_hint=(), order_bound=None):
+    """The group on the union of two domains (union_generators), where
+    `second` holds the images of `first` under a homomorphism.  Each union
+    element is then x on the first domain and x's image on the second, so
+    one fixing every point of the first is the identity: the action there
+    is faithful.  The chain, the plain build's, sifts every Schreier
+    generator there; only a first base hint may lie past it."""
+    gens = union_generators(first, second)
+    return GroupWithChain._from_chain(gens, _build_chain(
+        gens[0].degree, gens, base_hint, order_bound,
+        prefix=first[0].degree))
+
+
 def restrict_to_points(group, degree):
     """A union action read on its first domain 0..degree-1, faithfully.
 
-    `group` is a chain tail below a hinted vertex, so every base point is
-    the smallest point moved by a residue: a point, unless a residue fixes
-    every point and the action is not faithful.  Each level's strong
-    generators and transversal elements are read on the points, so no
-    chain is built."""
+    `group` is a tail of a union_action chain below a hinted vertex, so
+    every base point is the smallest point moved by a residue: a point,
+    as the union acts faithfully on its points (see union_action).  Each
+    level's strong generators and transversal elements are read on the
+    points, so no chain is built."""
     chain = _Chain(degree)
     for level in group._chain.levels:
         if level.base >= degree:

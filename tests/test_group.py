@@ -249,17 +249,16 @@ def test_chain_build_inverts_only_installed_residues(monkeypatch,
                                                     inversions):
     """Sifting a Schreier generator inverts nothing; only a residue that is
     installed is formed as p*a^-1, one inversion each."""
-    sifts = []
-    sift = _Chain._sift
+    schreier = []
+    sift = _Chain._sift_schreier
 
-    def recording(self, p, a, start=0):
-        result = sift(self, p, a, start)
-        sifts.append((start, result))
+    def recording(self, u, g, t, start):
+        result = sift(self, u, g, t, start)
+        schreier.append(result)
         return result
-    monkeypatch.setattr(_Chain, "_sift", recording)
+    monkeypatch.setattr(_Chain, "_sift_schreier", recording)
     chain = _build_chain(7, (perm("(1 2 3 4 5 6 7)", 7), perm("(1 2)", 7)))
     assert chain.order() == 5040
-    schreier = [result for start, result in sifts if start > 0]
     residues = [result for result in schreier if result is not None]
     assert len(schreier) == sifted(chain) and residues
     assert len(inversions) == len(residues)
