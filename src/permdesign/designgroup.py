@@ -7,10 +7,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .analysis import is_quasiprimitive, primitivity_status
-from .group import (ActionImage, GroupWithChain, StructureContradiction,
-                    check_index, induced_action, orbits_of,
-                    restrict_to_points, union_action)
-from .perm import Permutation
+from .group import (SetAction, StructureContradiction, check_index,
+                    induced_action, orbits_of, restrict_to_points, set_action,
+                    union_action)
 
 
 class PreservationError(ValueError):
@@ -67,6 +66,15 @@ class DesignAction:
     the disjoint-union action (points 0..v-1, block j at vertex v+j) built
     once and shared by the verdict operations.
 
+    Both chains are built from G's walk generators.  The block action's
+    chain is built on the points (group.set_action) and read out on the
+    block indices; the block images of the given generators, the image's
+    generators, are formed only where something reads them (a type
+    witness, the block-type classification).  Every element maps a block
+    by one rule (group.SetAction).  G preserves the block set iff its walk
+    generators do, since they generate G, so preservation is checked on
+    them alone.
+
     Every stabilizer handed out acts on the points.  G_p is read from the
     group's own chain, a tail of it when p is its first base point; G_B is
     read from the one union chain, based at block 0's vertex, so G_B0 is a
@@ -82,27 +90,21 @@ class DesignAction:
                 "group verdicts require distinct blocks")
         self.group = group
         self.structure = structure
-        self._block_index = {blk: j for j, blk in enumerate(structure.blocks)}
-        # the block image is a quotient of G and the union action is
-        # faithful, so |G| bounds both chains
-        order = group.order()
-        image = GroupWithChain(tuple(self.block_image_of(g)
-                                     for g in group.generators),
-                               order_bound=order)
-        self.block_action = ActionImage(
-            source=group, objects=structure.blocks, image=image,
-            faithful=image.order() == order)
-        self.union_group = union_action(group.generators, image.generators,
-                                        (structure.v,), order)
+        self._blocks = SetAction(structure.v, structure.blocks)
+        walk = group.walk_generators
+        images = tuple(self.block_image_of(g) for g in walk)
+        self.block_action = set_action(group, self._blocks)
+        # the union action is faithful, so |G| bounds its chain
+        self.union_group = union_action(walk, images, (structure.v,),
+                                        group.order())
         self._point_local = {}  # point p -> G_p on the blocks through p
         self._block_local = {}  # block index -> G_B on the points of B
 
     def block_image_of(self, g):
-        """Index permutation induced on blocks by an arbitrary group element."""
+        """Index permutation induced on blocks by an arbitrary group element;
+        PreservationError when g maps a block outside the block set."""
         try:
-            return Permutation([
-                self._block_index[tuple(sorted(g.images[p] for p in blk))]
-                for blk in self.structure.blocks])
+            return self._blocks.perm(g)
         except KeyError:
             raise PreservationError(
                 "group does not preserve the block set") from None
@@ -116,15 +118,15 @@ class DesignAction:
         return self.local_block_action(block_index).source
 
     def local_point_action(self, point):
-        """Stabilizer of a point acting on the blocks through it."""
+        """Stabilizer of a point acting on the blocks through it, given by
+        their indices."""
         if point not in self._point_local:
             through = self.structure.blocks_through(point)
             if not through:
                 raise ValueError(f"point {point} lies on no block")
             self._point_local[point] = induced_action(
-                self.group.point_stabilizer(point),
-                [self.structure.blocks[j] for j in through],
-                lambda blk, g: tuple(sorted(g.images[x] for x in blk)))
+                self.group.point_stabilizer(point), through,
+                self._blocks.image)
         return self._point_local[point]
 
     def local_block_action(self, block_index):

@@ -58,10 +58,6 @@ def index_vector(idx, d, q):
     return tuple(out)
 
 
-def all_vectors(d, q):
-    return [index_vector(i, d, q) for i in range(q ** d)]
-
-
 @dataclass(frozen=True)
 class SubspaceList:
     """All i-subspaces of GF(q)^d as canonical reduced-row-echelon bases."""
@@ -223,10 +219,6 @@ def _symplectic_form(gf, u, v):
     return total
 
 
-def symplectic_form(u, v, q):
-    return _symplectic_form(field(q), u, v)
-
-
 def _sp_generator_maps(gf, m):
     """Symplectic transvections x -> x + lam*f(x, v)*v for every nonzero v
     and lam in a GF(p)-basis; correctness is enforced by the order assertion
@@ -323,21 +315,6 @@ def build_AG(d, q, i):
     structure = IncidenceStructure(v=q ** d, blocks=blocks)
     group = classical_group_generators("AGL", d, q)
     return structure, group
-
-
-def parallel_classes(structure, q, d):
-    """Partition of an affine design's blocks into coset families of one
-    subspace each: two blocks are parallel iff they are translates."""
-    gf = field(q)
-    classes = {}
-    for j, block in enumerate(structure.blocks):
-        base = index_vector(block[0], d, q)
-        key = frozenset(
-            vector_index(tuple(gf.sub(index_vector(p, d, q)[c], base[c])
-                               for c in range(d)), q)
-            for p in block)
-        classes.setdefault(key, []).append(j)
-    return sorted(classes.values())
 
 
 def build_symplectic_subdesign(m, q):

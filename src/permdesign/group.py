@@ -25,6 +25,20 @@ the prefix alone, at degree m: a residue fixing the prefix is the identity.
 Only a residue that is not is formed in full, by sifting its pair again
 with the same steps (Seress, Permutation Group Algorithms, 2003, ch. 4-5).
 
+A group of permutations of the points acting on a list of point sets, such
+as the blocks of a design, has its chain on the sets built on the points
+(SetAction, _SetChain): every strong generator and transversal element is
+kept as a permutation of the v points, and a set's image is formed only
+where the algorithm reads one: at a base set while sifting, along an orbit
+(each strong generator's image is formed once, on every set), and for a
+residue that fixes every base set, which acts as the identity when it fixes
+every set too (a kernel element).  Each decision is the one the build of
+the generators' set images makes, so the chain read out at the number of
+sets b is that build's, level by level; only the read-out forms products
+of degree b, one per transversal element (Seress, Permutation Group
+Algorithms, 2003, section 4.1 and ch. 5; Holt, Eick, O'Brien, Handbook of
+Computational Group Theory, 2005, section 4.4).
+
 A build may be given an upper bound on the order of the group it generates,
 where that order is already known (the same group on another base, or an
 action of a group whose chain is built).  It stops as soon as the chain's
@@ -45,9 +59,15 @@ Seress, Permutation Group Algorithms, 2003, section 4.5).  A walk whose
 result depends only on the group, such as an orbit, a minimal block system
 or a coset space read up to numbering, costs (domain size) x (number of
 generators), so it runs over these: 6 of the 84 generators of the
-symplectic design over GF(3) grow its chain.  Where the generator list
-itself reaches a result (a chain, a normal closure's generators, an
-induced action), the given generators are kept.  A coset action is still
+symplectic design over GF(3) grow its chain.  A chain of an action of G
+(set_action, and the design's union action) is built from them too: a
+given generator that did not grow G's chain lies in the group the walk
+generators before it generate, so the build of every given generator's
+image skips it, and the two chains are the same, level by level.  Where
+the generator list itself reaches a result (a point chain, a normal
+closure's generators, an induced action), the given generators are kept;
+an action's image is still given by the images of the given generators,
+formed where they are read.  A coset action is still
 numbered by the given generators, but computed from the walk: the walk
 finds the cosets, and every other generator's action is read off one
 chain of the group on its points and those cosets (cosets.CosetSpace).
@@ -248,16 +268,172 @@ class _Chain:
         return p * self._sift(p, t, start).inverse()
 
 
+class SetAction:
+    """Permutations of the points 0..degree-1 acting on a list of distinct
+    point sets, by index: set j goes to the index of its image.  This is
+    the one rule by which an element maps a block (DesignAction, and
+    _SetChain's build)."""
+
+    def __init__(self, degree, sets):
+        self.degree = degree
+        self.sets = tuple(sets)
+        self._index = {frozenset(s): j for j, s in enumerate(self.sets)}
+        self._perms = {}  # g.images -> perm(g)
+
+    def image(self, j, g):
+        """The index of the image of set j under g; KeyError when that
+        image is not in the list."""
+        return self._index[frozenset(map(g.images.__getitem__, self.sets[j]))]
+
+    def perm(self, g):
+        """g's action on the sets, as a permutation of their indices, formed
+        once per element; KeyError when g maps a set outside the list."""
+        p = self._perms.get(g.images)
+        if p is None:
+            p = self._perms[g.images] = Permutation._raw(
+                tuple(self.image(j, g) for j in range(len(self.sets))))
+        return p
+
+
+class _SetLevel(_Level):
+    __slots__ = ("images", "inverses", "parents")
+
+    def __init__(self, base, degree):
+        super().__init__(base, degree)
+        self.images = []  # the action of gens[i] on the sets
+        self.inverses = dict(self.orbit)  # set -> u^-1
+        self.parents = [None]  # (c, i): points[n] was reached as c^gens[i]
+
+
+class _SetChain:
+    """Schreier-Sims for the action of a group of point permutations on the
+    sets of a SetAction, keeping every strong generator and transversal
+    element on the points.  A set image is formed only at a base set while
+    sifting, for each strong generator (on every set, once: orbits are
+    extended over it and it is read out), and for a residue that fixes
+    every base set: one that fixes every set too acts as the identity (a
+    kernel element), and is dropped as the identity is.  The decisions,
+    bases and cursors are _Chain's, level by level, on the set images;
+    read() gives that chain.  A build-only engine: it never becomes a
+    group's chain itself."""
+
+    order = _Chain.order
+    reached = _Chain.reached
+    extend = _Chain.extend
+    schreier_sims = _Chain.schreier_sims
+    _fix_depth = _Chain._fix_depth
+
+    def __init__(self, sets, base_hint=()):
+        self.sets = sets
+        self.degree = sets.degree
+        self.identity = Permutation.identity(sets.degree)
+        self.levels = []
+        self.grown = []
+        for b in base_hint:
+            check_index("base set", b, len(sets.sets))
+            if all(level.base != b for level in self.levels):
+                self.levels.append(_SetLevel(b, self.degree))
+
+    def sift(self, r, start=0):
+        """Reduce r through levels[start:]: None when it reduces to an
+        element acting as the identity on the sets, else the residue, left
+        as it stands once a base image leaves its basic orbit."""
+        image = self.sets.image
+        for level in self.levels[start:]:
+            c = image(level.base, r)
+            if c != level.base:
+                u = level.inverses.get(c)
+                if u is None:
+                    return r
+                r = r * u
+        if r.images == self.identity.images or all(
+                image(j, r) == j for j in range(len(self.sets.sets))):
+            return None
+        return r
+
+    def contains(self, p):
+        return self.sift(p) is None
+
+    def install(self, h):
+        """_Chain.install, with h's action on the sets formed once and kept
+        beside it."""
+        image = self.sets.perm(h)
+        d = self._fix_depth(image)
+        if d == len(self.levels):
+            self.levels.append(_SetLevel(min(image.moved_points()),
+                                         self.degree))
+        for level in self.levels[:d + 1]:
+            level.gens.append(h)
+            level.images.append(image)
+            level.checked.append(0)
+            self._extend_orbit(level)
+        return d
+
+    def _extend_orbit(self, level):
+        # _Chain._extend_orbit, reading each orbit step off the generator's
+        # set image and recording where each transversal element came from
+        orbit = level.orbit
+        points = level.points
+        for c in points:
+            u = orbit[c]
+            for i, (g, image) in enumerate(zip(level.gens, level.images)):
+                d = image.images[c]
+                if d not in orbit:
+                    orbit[d] = t = u * g
+                    level.inverses[d] = t.inverse()
+                    points.append(d)
+                    level.parents.append((c, i))
+
+    def _check_level(self, i):
+        level = self.levels[i]
+        orbit = level.orbit
+        inverses = level.inverses
+        checked = level.checked
+        for gi, (g, image) in enumerate(zip(level.gens, level.images)):
+            for c in level.points[checked[gi]:]:
+                checked[gi] += 1
+                residue = self.sift(orbit[c] * g * inverses[image.images[c]],
+                                    i + 1)
+                if residue is not None:
+                    return residue
+        return None
+
+    def read(self):
+        """The chain on the set indices: bases, points and cursors as they
+        stand, strong generators as their set images, and each transversal
+        element its parent's times the generator's set image, the product
+        _Chain._extend_orbit forms."""
+        chain = _Chain(len(self.sets.sets))
+        for level in self.levels:
+            read = _Level(level.base, chain.degree)
+            read.gens = list(level.images)
+            orbit = read.orbit
+            for d, (c, i) in zip(level.points[1:], level.parents[1:]):
+                orbit[d] = orbit[c] * level.images[i]
+            read.points = list(level.points)
+            read.checked = list(level.checked)
+            chain.levels.append(read)
+        chain.grown = [self.sets.perm(g) for g in self.grown]
+        return chain
+
+
 def _build_chain(degree, generators, base_hint=(), order_bound=None,
-                 prefix=None):
-    chain = _Chain(degree, base_hint, prefix)
+                 prefix=None, sets=None):
+    """The chain of the generated group on 0..degree-1.  With `sets`, a
+    SetAction on the generators' points, it is the chain of their action
+    on the sets (degree: how many), built on the points by _SetChain and
+    read out as the build of the generators' set images makes it."""
+    if sets is None:
+        chain = _Chain(degree, base_hint, prefix)
+    else:
+        chain = _SetChain(sets, base_hint)
     for g in generators:
-        if g.degree != degree:
+        if g.degree != chain.degree:
             raise DegreeMismatchError(
-                f"generator degree {g.degree} != {degree}")
+                f"generator degree {g.degree} != {chain.degree}")
         if not chain.reached(order_bound):
             chain.extend(g, order_bound)
-    return chain
+    return chain if sets is None else chain.read()
 
 
 def orbit_of(generators, point):
@@ -291,8 +467,9 @@ def orbits_of(generators, degree):
 class GroupWithChain:
     """A finite permutation group with order/membership/stabilizer queries."""
 
-    __slots__ = ("degree", "generators", "walk_generators", "_chain", "_order",
-                 "_elements", "_closures", "_block_systems", "_stabilizer")
+    __slots__ = ("degree", "_generators", "walk_generators", "_chain",
+                 "_order", "_elements", "_closures", "_block_systems",
+                 "_stabilizer")
 
     def __init__(self, generators, base_hint=(), order_bound=None):
         """`order_bound`, when given, is a proven upper bound on the order of
@@ -305,15 +482,25 @@ class GroupWithChain:
 
     @classmethod
     def _from_chain(cls, generators, chain):
+        """The group of `chain`, given by `generators`: a sequence, or a
+        function that returns one, called on the first read."""
         g = object.__new__(cls)
-        g._set(tuple(generators), chain)
+        g._set(generators if callable(generators) else tuple(generators),
+               chain)
         return g
+
+    @property
+    def generators(self):
+        """The given generators, as a tuple."""
+        if callable(self._generators):
+            self._generators = tuple(self._generators())
+        return self._generators
 
     def _set(self, generators, chain):
         self.degree = chain.degree
-        self.generators = generators
+        self._generators = generators
         # the generators that grew the chain; a tail falls back to the given
-        self.walk_generators = tuple(chain.grown) or generators
+        self.walk_generators = tuple(chain.grown) or self.generators
         self._chain = chain
         self._order = chain.order()
         self._elements = None
@@ -344,15 +531,6 @@ class GroupWithChain:
 
     def is_transitive(self):
         return len(self.orbit(0)) == self.degree
-
-    def is_regular(self):
-        return self.is_transitive() and self._order == self.degree
-
-    def is_semiregular(self):
-        """True when every point stabilizer is trivial (all orbits have full
-        group size)."""
-        return all(len(o) == self._order
-                   for o in orbits_of(self.walk_generators, self.degree))
 
     def point_stabilizer(self, point):
         """Stabilizer of a point, as the levels below the first base point of
@@ -587,6 +765,26 @@ class ActionImage:
 
 class ActionClosureError(ValueError):
     """The action rule produced an object outside the given list."""
+
+
+def set_action(group, sets):
+    """Action of `group` on `sets`, a SetAction on its points, as an
+    ActionImage on the set indices.
+
+    The chain is built on the points (_SetChain), from the group's walk
+    generators: a given generator that did not grow the group's chain lies
+    in the group the walk generators before it generate, and so does its
+    set image, so the build skips it as the build of every given
+    generator's image does, and the two chains agree level by level.  The
+    image's generators are the set images of the given generators, aligned
+    with them; they are formed on first read (SetAction.perm)."""
+    order = group.order()
+    chain = _build_chain(len(sets.sets), group.walk_generators,
+                         order_bound=order, sets=sets)
+    image = GroupWithChain._from_chain(
+        lambda: tuple(sets.perm(g) for g in group.generators), chain)
+    return ActionImage(source=group, objects=sets.sets, image=image,
+                       faithful=image.order() == order)
 
 
 def induced_action(group, objects, act):

@@ -53,10 +53,6 @@ class IncidenceStructure:
     def b(self):
         return len(self.blocks)
 
-    @property
-    def flag_count(self):
-        return sum(len(block) for block in self.blocks)
-
     def has_repeated_blocks(self):
         return len(set(self.blocks)) != len(self.blocks)
 

@@ -7,6 +7,9 @@ paths they are checking."""
 
 from itertools import combinations
 
+from permdesign.geometry import index_vector, vector_index
+from permdesign.gf import field
+from permdesign.group import orbits_of
 from permdesign.perm import Permutation
 
 
@@ -241,3 +244,47 @@ def double_coset_ratios(group, left, right):
         if len(base & {r_coset[_compose(l, g)] for l in l_set}) != value:
             graph_agrees = False
     return tuple(sorted(ratios.items())), graph_agrees
+
+
+def is_regular(group):
+    return group.is_transitive() and group.order() == group.degree
+
+
+def is_semiregular(group):
+    """Every point stabilizer trivial: every orbit has the group's size."""
+    return all(len(o) == group.order()
+               for o in orbits_of(group.walk_generators, group.degree))
+
+
+def flag_count(structure):
+    return sum(len(block) for block in structure.blocks)
+
+
+def all_vectors(d, q):
+    return [index_vector(i, d, q) for i in range(q ** d)]
+
+
+def symplectic_form(u, v, q):
+    """The alternating form with hyperbolic pairs on coordinates
+    (2j, 2j+1), from the field's arithmetic."""
+    gf = field(q)
+    total = 0
+    for j in range(0, len(u), 2):
+        total = gf.add(total, gf.mul(u[j], v[j + 1]))
+        total = gf.sub(total, gf.mul(u[j + 1], v[j]))
+    return total
+
+
+def parallel_classes(structure, q, d):
+    """Partition of an affine design's blocks into coset families of one
+    subspace each: two blocks are parallel iff they are translates."""
+    gf = field(q)
+    classes = {}
+    for j, block in enumerate(structure.blocks):
+        base = index_vector(block[0], d, q)
+        key = frozenset(
+            vector_index(tuple(gf.sub(index_vector(p, d, q)[c], base[c])
+                               for c in range(d)), q)
+            for p in block)
+        classes.setdefault(key, []).append(j)
+    return sorted(classes.values())

@@ -1,6 +1,7 @@
 import pytest
 
-from bruteforce import (block_cells_by_union_find, primitive_by_partitions,
+from bruteforce import (block_cells_by_union_find, is_regular,
+                        is_semiregular, primitive_by_partitions,
                         quasiprimitive_by_lattice)
 from conftest import group, quasiprimitive_by_walk
 from permdesign.analysis import (IntransitiveError, classify_point_action,
@@ -134,8 +135,8 @@ def test_is_quasiprimitive_matches_lattice_bruteforce(name, deg, gens, expected)
 
 def test_regular_translation_group():
     z7 = group(7, "(1 2 3 4 5 6 7)")
-    assert z7.is_regular()
-    assert z7.is_semiregular()
+    assert is_regular(z7)
+    assert is_semiregular(z7)
 
 
 def test_regular_translations_of_agl32():
@@ -145,13 +146,13 @@ def test_regular_translations_of_agl32():
     witness = minimal_normal_subgroups(agl32)
     assert len(witness) == 1
     assert witness[0].order() == 8
-    assert witness[0].is_regular()
+    assert is_regular(witness[0])
 
 
 def test_s3_not_regular():
     s3 = group(3, "(1 2)", "(1 2 3)")
-    assert not s3.is_regular()
-    assert not s3.is_semiregular()
+    assert not is_regular(s3)
+    assert not is_semiregular(s3)
 
 
 def test_minimal_normal_subgroups_f21(frobenius21):
@@ -176,7 +177,7 @@ def test_classify_frobenius21_affine(frobenius21):
     report = classify_point_action(frobenius21)
     assert report.tag == "HA"
     assert report.witness.order() == 7
-    assert report.witness.is_regular()
+    assert is_regular(report.witness)
 
 
 def test_classify_pgl42_almost_simple(pg132_pair):

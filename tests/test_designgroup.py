@@ -24,6 +24,21 @@ def test_preservation_error():
         DesignAction(s3, s)
 
 
+@pytest.mark.parametrize("gens", [
+    ("(1 2 3 4 5 6 7)", "(1 3 5 7 2 4 6)", "(1 4 7 3 6 2 5)", "(1 2)"),
+    ("(1 2)(3 6)", "(1 2 3 4 5 6 7)", "(1 3)(2 6)", "(1 2 3)"),
+])
+def test_preservation_error_from_a_later_walk_generator(gens):
+    """Preservation is checked over the walk generators: here the one that
+    breaks it is the last, after walk generators that preserve the lines
+    and redundant generators that lie in the group they generate."""
+    grp = group(7, *gens)
+    assert grp.walk_generators[-1] == grp.generators[-1]
+    assert 1 < len(grp.walk_generators) < len(grp.generators)
+    with pytest.raises(PreservationError):
+        DesignAction(grp, singer_fano())
+
+
 def test_degree_mismatch_is_preservation_error():
     with pytest.raises(PreservationError):
         DesignAction(group(4, "(1 2)"), singer_fano())

@@ -2,14 +2,13 @@ import random
 
 import pytest
 
-from permdesign.geometry import (SizeLimitError, agl_order, all_vectors,
-                                 build_AG, build_PG,
-                                 build_symplectic_subdesign,
+from bruteforce import all_vectors, parallel_classes, symplectic_form
+from permdesign.geometry import (SizeLimitError, agl_order, build_AG,
+                                 build_PG, build_symplectic_subdesign,
                                  classical_group_generators,
                                  enumerate_subspaces, gaussian_coefficient,
-                                 gl_order, index_vector, parallel_classes,
-                                 pgl_order, sp_order, span_vectors,
-                                 symplectic_form, vector_index)
+                                 gl_order, index_vector, pgl_order, sp_order,
+                                 span_vectors, vector_index)
 from permdesign.gf import (SUPPORTED_PRIME_POWERS, FiniteField,
                            UnsupportedFieldError, field)
 from permdesign.incidence import t_design_strength, verify_design

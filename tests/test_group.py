@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from bruteforce import mulclose
+from bruteforce import is_semiregular, mulclose
 from conftest import a5_on_ordered_pairs, group, perm
 from permdesign.analysis import is_quasiprimitive
 from permdesign.analyzer import analyze
@@ -343,8 +343,8 @@ def test_orbits_of_come_in_order_of_smallest_point():
         frozenset({0}), frozenset({1, 4}), frozenset({2, 6}),
         frozenset({3, 5})]
     assert orbit_of(g.generators, 6) == g.orbit(6) == frozenset({2, 6})
-    assert not g.is_semiregular()
-    assert group(4, "(1 2)(3 4)").is_semiregular()
+    assert not is_semiregular(g)
+    assert is_semiregular(group(4, "(1 2)(3 4)"))
 
 
 def test_orbit_out_of_range(a7):
@@ -642,5 +642,5 @@ def test_walks_over_walk_generators_match_the_given_generators(walk_cases):
         orbits = orbits_of(g.generators, g.degree)
         assert orbits_of(g.walk_generators, g.degree) == orbits, name
         assert g.is_transitive() == (len(orbits) == 1), name
-        assert g.is_semiregular() == all(len(o) == g.order()
+        assert is_semiregular(g) == all(len(o) == g.order()
                                          for o in orbits), name

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from bruteforce import design_accepts, pair_count
+from bruteforce import design_accepts, flag_count, pair_count
 from permdesign.incidence import (DesignError, IncidenceStructure, complement,
                                   dual, incidence_graph_diameter,
                                   t_design_strength, verify_design)
@@ -33,7 +33,7 @@ def test_block_validation():
 
 
 def test_flag_count():
-    assert fano().flag_count == 21
+    assert flag_count(fano()) == 21
 
 
 def test_incidence_index_matches_block_scan():

@@ -5,7 +5,7 @@ block-system code paths."""
 import random
 from types import SimpleNamespace
 
-from bruteforce import mulclose
+from bruteforce import flag_count, mulclose
 from permdesign.analysis import minimal_block_system
 from permdesign.cosets import CosetSpace, canonical_coset_representative
 from permdesign.group import GroupWithChain
@@ -284,7 +284,7 @@ def test_design_verdicts_match_element_sets_random_stress():
 
         flag = (blocks[0][0], blocks[0])
         flags = {(x[flag[0]], on_blocks(x, flag[1])) for x in elements}
-        assert local.flag_transitive == (len(flags) == structure.flag_count)
+        assert local.flag_transitive == (len(flags) == flag_count(structure))
         assert local.point_primitive == _primitive(g)
         point_local = block_local = True
         for p in _orbit_representatives(elements, range(v), on_points):

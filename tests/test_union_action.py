@@ -1,5 +1,6 @@
 """Chains of union actions (group.union_action), which sift every Schreier
-generator on the first domain alone, against plain builds of the same
+generator on the first domain alone, and of actions on point sets
+(group.set_action), built on the points, against plain builds of the same
 generators, base hint and order bound."""
 
 import operator
@@ -8,6 +9,7 @@ import random
 
 import pytest
 
+from bruteforce import mulclose
 from conftest import group, orbit_design
 from permdesign import group as chains
 from permdesign import perm as perms
@@ -42,8 +44,9 @@ def prefix_builds(monkeypatch):
     build = chains._build_chain
 
     def recording(degree, generators, base_hint=(), order_bound=None,
-                  prefix=None):
-        chain = build(degree, generators, base_hint, order_bound, prefix)
+                  prefix=None, sets=None):
+        chain = build(degree, generators, base_hint, order_bound, prefix,
+                      sets)
         if prefix is not None and prefix < degree:
             builds.append((degree, tuple(generators), tuple(base_hint),
                            order_bound, prefix, chain))
@@ -95,6 +98,111 @@ def test_design_union_chains_equal_plain_builds(prefix_builds):
         assert action.union_group._chain.prefix == structure.v, name
     assert len(prefix_builds) == len(design_cases())
     assert_plain(prefix_builds)
+
+
+@pytest.fixture
+def set_builds(monkeypatch):
+    """(degree, generators, base hint, order bound, point sets, chain) of
+    every chain of an action on point sets built from here on."""
+    builds = []
+    build = chains._build_chain
+
+    def recording(degree, generators, base_hint=(), order_bound=None,
+                  prefix=None, sets=None):
+        chain = build(degree, generators, base_hint, order_bound, prefix,
+                      sets)
+        if sets is not None:
+            builds.append((degree, tuple(generators), tuple(base_hint),
+                           order_bound, sets.sets, chain))
+        return chain
+    monkeypatch.setattr(chains, "_build_chain", recording)
+    return builds
+
+
+def set_images(sets, g):
+    """g's action on the sets by index, from sorted image tuples."""
+    index = {tuple(s): j for j, s in enumerate(sets)}
+    return Permutation([index[tuple(sorted(g.images[p] for p in s))]
+                        for s in sets])
+
+
+def sifted(chain):
+    return sum(sum(level.checked) for level in chain.levels)
+
+
+def assert_plain_images(builds):
+    """Each recorded chain equals the plain build of its generators' set
+    images."""
+    assert builds
+    for degree, gens, hint, bound, sets, chain in builds:
+        assert degree == len(sets)
+        images = [set_images(sets, g) for g in gens]
+        plain = _build_chain(degree, images, hint, bound)
+        assert full_levels(chain) == full_levels(plain)
+        assert ([g.images for g in chain.grown]
+                == [g.images for g in plain.grown])
+        assert sifted(chain) == sifted(plain)
+
+
+def test_design_block_chains_equal_plain_builds(set_builds):
+    for seed, (name, structure, grp) in enumerate(design_cases()):
+        structure, grp = relabelled(structure, grp, seed)
+        image = DesignAction(grp, structure).block_action.image
+        assert callable(image._generators), name  # not formed until read
+        assert image.generators == tuple(set_images(structure.blocks, g)
+                                         for g in grp.generators), name
+    assert len(set_builds) == len(design_cases())
+    assert_plain_images(set_builds)
+
+
+def test_random_orbit_block_chains_equal_plain_builds(set_builds):
+    """Orbit designs of random groups on at most 8 points, from random
+    permutations and random subgroups of imprimitive groups, where a
+    block made of whole cells is fixed by every element moving points
+    only within cells: some block actions are not faithful, and their
+    image order is |G| over the kernel's.  Each block action is built
+    again from all given generators at a random first base block."""
+    rng = random.Random(8128)
+    ambients = (group(6, "(1 2)", "(1 2 3)", "(1 4)(2 5)(3 6)"),   # S3 wr S2
+                group(8, "(1 2)", "(1 3 5 7)(2 4 6 8)"),           # S2 wr S4
+                group(8, "(1 2 3 4 5 6 7)", "(1 2)(3 6)",
+                      "(1 8)(2 4)(3 5)(6 7)"))                     # PGL(2,7)
+    designs = unfaithful = 0
+    while designs < 300:
+        if designs % 2:
+            ambient = ambients[rng.randrange(len(ambients))]
+            grp = GroupWithChain(tuple(ambient.random_element(rng)
+                                       for _ in range(rng.randint(1, 3))))
+        else:
+            degree = rng.randrange(2, 9)
+            gens = []
+            for _ in range(rng.randint(1, 3)):
+                images = list(range(degree))
+                rng.shuffle(images)
+                gens.append(Permutation(images))
+            grp = GroupWithChain(gens)
+        if grp.order() > 2000:
+            continue
+        v = grp.degree
+        structure = orbit_design(grp, rng.sample(range(v),
+                                                 rng.randrange(1, v)))
+        action = DesignAction(grp, structure)
+        elements = mulclose(grp.generators)
+        kernel = [x for x in elements
+                  if all(tuple(sorted(x[p] for p in blk)) == blk
+                         for blk in structure.blocks)]
+        image = action.block_action.image
+        assert image.order() * len(kernel) == len(elements)
+        assert action.block_action.faithful == (len(kernel) == 1)
+        unfaithful += len(kernel) > 1
+        designs += 1
+        b = structure.b
+        assert chains._build_chain(
+            b, grp.generators, (rng.randrange(b),), grp.order(),
+            sets=action._blocks).order() == image.order()
+    assert len(set_builds) == 2 * designs
+    assert unfaithful >= 10
+    assert_plain_images(set_builds)
 
 
 def test_coset_union_chains_equal_plain_builds(prefix_builds):
