@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 from .analysis import (IntransitiveError, TypeReport, base_block_systems,
                        classify_point_action, primitivity_status)
-from .cosets import IndexLimitError, lambda_constancy_crosscheck
 from .designgroup import DesignAction, LocalPrimitivityReport
 from .group import EnumerationLimitError, class_closures, orbits_of
 from .incidence import incidence_graph_diameter, verify_design
@@ -257,23 +256,11 @@ def analyze(group, structure, instance_id="instance", *,
         block_type = UNKNOWN if block_report is None else block_report.tag
 
     # incidence-count constancy through the double-coset ratio, against the
-    # independently built coset graph
+    # design's own incidence
     if local.flag_transitive:
-        alpha = structure.blocks[0][0]
-        left = action.point_stabilizer(alpha)
-        right = action.block_stabilizer(0)
-
-        def run_crosscheck():
-            try:
-                result = lambda_constancy_crosscheck(group, left, right)
-            except IndexLimitError as exc:
-                notes.append(f"lambda constancy unknown: {exc}")
-                return UNKNOWN
-            if result.ok and result.value == params.lam:
-                return PASS
-            return FAIL
-
-        checks["lambda_constancy"] = timed("lambda_constancy", run_crosscheck)
+        result = timed("lambda_constancy", action.lambda_crosscheck)
+        checks["lambda_constancy"] = (
+            PASS if result.ok and result.value == params.lam else FAIL)
 
     # automorphisms preserve distances: one BFS per orbit of the union action
     starts = [min(o) for o in orbits_of(action.union_group.walk_generators,

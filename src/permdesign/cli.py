@@ -145,7 +145,7 @@ def cmd_crosscheck(args):
             print("vacuously constant: the left subgroup is the whole group")
         else:
             print(f"constant ratio {result.value} (exhaustive over the "
-                  f"{result.sample_count} elements outside L); matches the "
+                  f"{result.ratios[0][1]} elements outside L); matches the "
                   f"coset-graph neighborhood counts")
         return EXIT_OK
     if not result.constant:

@@ -164,10 +164,11 @@ def coset_action(group, subgroup):
 
 
 class CosetGraph:
-    """Coset graph data: the two coset spaces, the point neighborhoods, and
-    the incidence structure on (points=[G:L], blocks=[G:R]).  Block 0 is the
-    L-cosets inside LR; the cosets meeting R*y*g are those meeting R*y moved
-    by g, so the two action tables carry block 0 to every other block."""
+    """Coset graph data: the two coset spaces, the blocks in R-coset order,
+    and the incidence structure on (points=[G:L], blocks=[G:R]) that the
+    lambda crosscheck reads.  Block 0 is the L-cosets inside LR; the cosets
+    meeting R*y*g are those meeting R*y moved by g, so the two action
+    tables carry block 0 to every other block."""
 
     def __init__(self, group, left, right):
         self.space_points = CosetSpace(group, left)
@@ -176,10 +177,7 @@ class CosetGraph:
         blocks = [None] * self.space_blocks.index
         blocks[0] = sorted(position[key] for key in _coset_orbit(left, right)[0])
         moves = tuple(zip(self.space_points.action, self.space_blocks.action))
-        point_neighbors = [set() for _ in range(self.space_points.index)]
         for j, members in enumerate(blocks):
-            for i in members:
-                point_neighbors[i].add(j)
             for on_points, on_blocks in moves:
                 target = on_blocks.images[j]
                 if blocks[target] is None:
@@ -188,7 +186,6 @@ class CosetGraph:
             raise StructureContradiction(
                 "the trivial cosets of L and R are not adjacent")
         self.blocks = tuple(tuple(b) for b in blocks)
-        self.point_neighbors = tuple(frozenset(s) for s in point_neighbors)
         self.structure = IncidenceStructure(
             v=self.space_points.index, blocks=[list(b) for b in blocks])
 
@@ -282,8 +279,6 @@ class CrosscheckResult:
     value: int | None
     ratios: tuple
     graph_agrees: bool
-    exhaustive: bool
-    sample_count: int
 
     @property
     def ok(self):
@@ -293,12 +288,9 @@ class CrosscheckResult:
 def lambda_constancy_crosscheck(group, left, right, *, graph=None):
     """Check that |RL n RLg| / |R| is one constant over g outside L, and that
     each value equals the independently computed neighborhood intersection
-    |N(a) n N(a^g)| in the coset graph.
-
-    Both counts depend only on the double coset LgL, so one g per L-orbit on
-    the nontrivial cosets of L covers every g outside L exactly; its value
-    is weighted by the |orbit| * |L| elements it stands for.  No element is
-    enumerated: only the index limit applies.  L and R must lie in G.
+    |N(a) n N(a^g)| in the coset graph (see incidence_crosscheck).  The
+    weights in the ratios sum to |G| - |L|.  L and R must lie in G; the
+    index limit applies to both coset spaces.
 
     Without `graph`, the coset graph is built over G's walk generators:
     they generate G, and every count read here is independent of how the
@@ -310,36 +302,41 @@ def lambda_constancy_crosscheck(group, left, right, *, graph=None):
     _check_subgroup(group, right)
     if graph is None:
         graph = CosetGraph(_walk_view(group), left, right)
-    if left.order() == group.order():
-        # no element lies outside L; the constancy claim is vacuous
-        return CrosscheckResult(constant=True, value=None, ratios=(),
-                                graph_agrees=True, exhaustive=True,
-                                sample_count=0)
+    return incidence_crosscheck(left, right, graph.structure,
+                                graph.space_points.representatives)
+
+
+def incidence_crosscheck(left, right, structure, representatives):
+    """|RL n RLg| / |R| against the blocks through both L and L*g of an
+    incidence structure whose point p is the L-coset of the canonical
+    representative representatives[p], on the block R*y iff the cosets
+    meet.  Both counts depend only on LgL, so one point per L-orbit on the
+    other points covers every g outside L, weighted by the |orbit| * |L|
+    elements it stands for.  No element is enumerated; L, R unchecked."""
+    point_blocks = structure.point_blocks()
+    base = next(p for p, x in enumerate(representatives) if left.contains(x))
+    base_blocks = set(point_blocks[base])
+    seen = {representatives[base].images}
     rl = _coset_orbit(right, left)
-    neighbors = graph.point_neighbors
-    base_neighbors = neighbors[0]
-    if len(rl[0]) != len(base_neighbors):
+    if len(rl[0]) != len(base_blocks):
         raise StructureContradiction(
             "the R-cosets in RL do not match the degree of the trivial coset")
-    space = graph.space_points
-    seen = {space.representatives[0].images}
     ratios = {}
     graph_agrees = True
-    for i, x in enumerate(space.representatives):
+    for x, blocks in zip(representatives, point_blocks):
         if x.images in seen:
             continue
         orbit = _coset_orbit(left, left, x)[0]
         seen.update(orbit)
         value = _rl_count(right, rl, x)
-        if len(base_neighbors & neighbors[i]) != value:
+        if len(base_blocks.intersection(blocks)) != value:
             graph_agrees = False
         ratios[value] = ratios.get(value, 0) + len(orbit) * left.order()
-    constant = len(ratios) == 1
-    value = next(iter(ratios)) if constant else None
+    constant = len(ratios) <= 1  # vacuous when L = G: no g lies outside L
+    value = next(iter(ratios), None) if constant else None
     return CrosscheckResult(constant=constant, value=value,
                             ratios=tuple(sorted(ratios.items())),
-                            graph_agrees=graph_agrees, exhaustive=True,
-                            sample_count=group.order() - left.order())
+                            graph_agrees=graph_agrees)
 
 
 def subgroup_intersection(left, right):

@@ -222,7 +222,10 @@ def double_coset_ratios(group, left, right):
 
     ratios is the sorted tuple of (|RL n RLg| / |R|, number of such g);
     graph_agrees says that every value equals |N(L) n N(Lg)| in the coset
-    graph, whose cosets Lx and Ry are adjacent when they meet."""
+    graph, whose cosets Lx and Ry are adjacent when they meet.
+
+    RL n RLg is the set of x*g with x and x*g in RL.  Those x form a union
+    of right R-cosets, so the count takes one x from each R-coset in RL."""
     g_set = mulclose(group.generators)
     l_set = mulclose(left.generators)
     r_set = mulclose(right.generators)
@@ -233,13 +236,12 @@ def double_coset_ratios(group, left, right):
             for r in r_set:
                 r_coset[_compose(r, x)] = x
     base = {r_coset[l] for l in l_set}
+    if len(rl) != len(base) * len(r_set):
+        raise AssertionError("RL is not a union of right R-cosets")
     ratios = {}
     graph_agrees = True
     for g in g_set - l_set:
-        hits = sum(1 for x in rl if _compose(x, g) in rl)
-        if hits % len(r_set):
-            raise AssertionError("|RL n RLg| is not a multiple of |R|")
-        value = hits // len(r_set)
+        value = sum(1 for x in base if _compose(x, g) in rl)
         ratios[value] = ratios.get(value, 0) + 1
         if len(base & {r_coset[_compose(l, g)] for l in l_set}) != value:
             graph_agrees = False

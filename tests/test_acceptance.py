@@ -122,7 +122,8 @@ def test_criterion_3_a7_coset_suite():
         check((params.v, params.b, params.r, params.k, params.lam) ==
               (15, 35, 7, 3, 1), f"coset design parameters {params}")
         cross = lambda_constancy_crosscheck(a7, left, right)
-        check(cross.exhaustive and cross.ok and cross.value == 1,
+        check(sum(c for _, c in cross.ratios) == 2520 - 168
+              and cross.ok and cross.value == 1,
               f"exhaustive ratio check: {cross}")
 
         from permdesign.discovery import subgroups_conjugate_in
@@ -135,7 +136,8 @@ def test_criterion_3_a7_coset_suite():
                params2.symmetric) == (15, 15, 7, 3, True),
               f"symmetric design parameters {params2}")
         cross2 = lambda_constancy_crosscheck(a7, left, other)
-        check(cross2.exhaustive and cross2.ok and cross2.value == 3,
+        check(sum(c for _, c in cross2.ratios) == 2520 - 168
+              and cross2.ok and cross2.value == 3,
               f"symmetric exhaustive ratio check: {cross2}")
 
         point_group = coset_action(a7, left).image

@@ -348,11 +348,12 @@ def test_coset_matches_golden(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("variable,value,argv", [
-    # GF(3)^3 has 27 vectors; the cosets of L in A7 number 15
+    # GF(3)^3 has 27 vectors; the cosets of L in A7 number 15.  Both
+    # coset-triple commands build the coset graph, so both meet the limit
     ("PERMDESIGN_POINT_LIMIT", "10", ["build", "pg", "2", "3", "1"]),
-    ("PERMDESIGN_INDEX_LIMIT", "3", ["coset"] + [
+    *(("PERMDESIGN_INDEX_LIMIT", "3", [command] + [
         os.path.join(COSET_INPUTS, f"a7-cos-15-3-1.{role}.group")
-        for role in "GLR"]),
+        for role in "GLR"]) for command in ("coset", "crosscheck")),
 ])
 def test_cli_limit_exit_names_the_variable(variable, value, argv, tmp_path,
                                            capsys, monkeypatch):

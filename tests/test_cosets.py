@@ -1,5 +1,7 @@
+import importlib.util
 import os
 import random
+import sys
 
 import pytest
 
@@ -246,9 +248,7 @@ def _oracle_result(grp, left, right):
     constant = len(ratios) == 1
     return CrosscheckResult(constant=constant,
                             value=ratios[0][0] if constant else None,
-                            ratios=ratios, graph_agrees=graph_agrees,
-                            exhaustive=True,
-                            sample_count=sum(c for _, c in ratios))
+                            ratios=ratios, graph_agrees=graph_agrees)
 
 
 def _random_subgroup(rng, degree):
@@ -304,9 +304,8 @@ def test_coset_graph_blocks_match_element_oracle(fano_pair, frobenius21, s4):
                                    graph.blocks)}
         assert got == coset_graph_blocks(grp, left, right)
         assert all(list(block) == sorted(block) for block in graph.blocks)
-        assert graph.point_neighbors == tuple(
-            frozenset(j for j, block in enumerate(graph.blocks) if i in block)
-            for i in range(len(points)))
+        # the incidence structure the crosscheck reads holds these blocks
+        assert graph.structure.blocks == tuple(sorted(graph.blocks))
 
 
 def test_faithfulness_and_factorization_match_element_oracle(
@@ -431,7 +430,7 @@ def test_crosscheck_enumerates_no_elements(pg132_pair, monkeypatch):
     monkeypatch.setenv("PERMDESIGN_ELEMENT_LIMIT", "10")
     result = lambda_constancy_crosscheck(g, left, right)
     assert result.ok and result.value == 1
-    assert result.sample_count == 20160 - left.order()
+    assert sum(c for _, c in result.ratios) == 20160 - left.order()
 
 
 def test_crosscheck_trivial_factorization(s4):
@@ -522,7 +521,7 @@ def test_discovery_retry_cap(s4):
 def test_crosscheck_vacuous_when_left_is_whole_group(s4):
     a4 = group(4, "(1 2 3)", "(2 3 4)")
     result = lambda_constancy_crosscheck(s4, s4, a4)
-    assert result.ok and result.value is None and result.sample_count == 0
+    assert result.ok and result.value is None and result.ratios == ()
 
 
 def test_non_corefree_subgroup_marks_action_unfaithful():
@@ -561,7 +560,121 @@ def test_crosscheck_over_walk_generators_matches_given_generator_graph(
         given = lambda_constancy_crosscheck(
             g, left, right, graph=CosetGraph(g, left, right))
         assert walked == given
-        assert walked.ok and walked.sample_count == g.order() - left.order()
+        assert walked.ok
+        assert sum(c for _, c in walked.ratios) == g.order() - left.order()
+
+
+def _relabel(monkeypatch):
+    """perfbench/workloads.relabel, which renames a design's points by a
+    seeded permutation as the beyond-limit benchmark does."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", os.path.join(os.path.dirname(COSET_INPUTS),
+                                  "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # dataclasses
+    spec.loader.exec_module(workloads)
+    return workloads.relabel
+
+
+def _triangles_of_k5():
+    """S5 on the 10 edges of K5, the blocks the 10 triangles: flag-
+    transitive, and no 2-design, as two edges share one triangle when they
+    meet and none when they are disjoint."""
+    from itertools import combinations
+
+    from permdesign.group import induced_action
+    from permdesign.incidence import IncidenceStructure
+    edges = [frozenset(e) for e in combinations(range(5), 2)]
+    s5 = group(5, "(1 2)", "(1 2 3 4 5)")
+    g = induced_action(s5, edges, lambda e, x: frozenset(
+        x.images[p] for p in e)).image
+    blocks = [[edges.index(frozenset(e)) for e in combinations(t, 2)]
+              for t in combinations(range(5), 3)]
+    return IncidenceStructure(10, blocks), g
+
+
+def test_design_crosscheck_matches_coset_triple_crosscheck(corpus_instances,
+                                                           monkeypatch):
+    """DesignAction.lambda_crosscheck reads the design's own incidence; on
+    the corpus and on both beyond-limit designs, relabelled, it equals the
+    crosscheck of (G, G_a, G_B0) as a coset triple, field for field.  So it
+    does on the triangles of K5, whose incidence side is not one constant,
+    and on the corpus and K5 again with G's first base point moved off a,
+    so that each point's element u_a^-1 * u_p is no plain transversal
+    element."""
+    from permdesign.designgroup import DesignAction
+    from permdesign.geometry import build_PG, build_symplectic_subdesign
+    relabel = _relabel(monkeypatch)
+    cases = [(inst.group, inst.structure) for inst in corpus_instances]
+    cases.append(_triangles_of_k5()[::-1])
+    cases += [(GroupWithChain(g.generators, base_hint=(structure.v - 1,)),
+               structure) for g, structure in cases]
+    for seed, (structure, g) in enumerate(
+            (build_symplectic_subdesign(2, 3), build_PG(4, 2, 1)), 1):
+        cases.append(relabel(g, structure, random.Random(seed)))
+    for g, structure in cases:
+        action = DesignAction(g, structure)
+        left = action.point_stabilizer(structure.blocks[0][0])
+        right = action.block_stabilizer(0)
+        design_side = action.lambda_crosscheck()
+        assert design_side == lambda_constancy_crosscheck(g, left, right)
+        assert design_side.graph_agrees
+        assert design_side.ok == (g.degree != 10)
+    assert len(cases) == 20
+
+
+def test_analyze_builds_no_coset_space(corpus_instances, monkeypatch):
+    from permdesign.analyzer import analyze
+    from permdesign.designgroup import DesignAction
+    original = CosetSpace.__init__
+    built = []
+
+    def counting(self, *args):
+        built.append(args)
+        original(self, *args)
+
+    monkeypatch.setattr(CosetSpace, "__init__", counting)
+    for inst in corpus_instances:
+        report = analyze(inst.group, inst.structure, inst.name)
+        assert report.checks["lambda_constancy"] == "pass", inst.name
+    assert built == []
+    # the coset-triple entry point still builds both spaces
+    inst = corpus_instances[0]
+    action = DesignAction(inst.group, inst.structure)
+    lambda_constancy_crosscheck(
+        inst.group, action.point_stabilizer(inst.structure.blocks[0][0]),
+        action.block_stabilizer(0))
+    assert len(built) == 2
+
+
+def test_lambda_off_by_one_on_one_suborbit_fails_both_paths(
+        corpus_instances, monkeypatch):
+    """A group-side count one too high on one suborbit.  On a 2-design the
+    incidence side reads lambda for every pair, so only the group side can
+    be miscounted.  PGL(4,2) is 2-transitive on the 15 points: one
+    nontrivial suborbit."""
+    from permdesign import cosets
+    from permdesign.analyzer import analyze
+    from permdesign.designgroup import DesignAction
+    inst = next(i for i in corpus_instances if i.name == "pg1-3-2-pgl42")
+    original = cosets._rl_count
+    calls = []
+
+    def off_by_one(right, rl, g):
+        calls.append(g)
+        return original(right, rl, g) + (len(calls) == 1)
+
+    monkeypatch.setattr(cosets, "_rl_count", off_by_one)
+    report = analyze(inst.group, inst.structure, inst.name)
+    assert report.checks["lambda_constancy"] == "fail"
+    assert report.exit_code() == 1
+    assert len(calls) == 1
+    action = DesignAction(inst.group, inst.structure)
+    left = action.point_stabilizer(inst.structure.blocks[0][0])
+    right = action.block_stabilizer(0)
+    calls.clear()
+    result = lambda_constancy_crosscheck(inst.group, left, right)
+    assert not result.graph_agrees and len(calls) == 1
 
 
 def _conjugated(grp, left, right, seed):

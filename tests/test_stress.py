@@ -238,10 +238,13 @@ def test_design_verdicts_match_element_sets_random_stress():
     # orbit designs of random groups of degree at most 8 and order at most
     # 2 000: random permutations, and random subgroups of affine, projective
     # and imprimitive groups; each analyze verdict is compared with a
-    # computation over the group's element set
-    from bruteforce import design_accepts, quasiprimitive_by_lattice
+    # computation over the group's element set; on a flag-transitive
+    # design, lambda against the double-coset counts of (G, G_a, G_B0)
+    from bruteforce import (design_accepts, double_coset_ratios,
+                            quasiprimitive_by_lattice)
     from conftest import group, orbit_design
-    from permdesign.analyzer import FAIL, analyze
+    from permdesign.analyzer import FAIL, PASS, analyze
+    from permdesign.designgroup import DesignAction
     rng = random.Random(6174)
     ambients = (group(5, "(1 2 3 4 5)", "(2 3 5 4)"),            # AGL(1,5)
                 group(6, "(2 4 3 5 6)", "(1 4 6 3)"),            # PGL(2,5)
@@ -261,7 +264,7 @@ def test_design_verdicts_match_element_sets_random_stress():
         return tuple(sorted(x[p] for p in blk))
 
     seen = {"lp": 0, "not lp": 0, "not flag-transitive": 0,
-            "failed check, not lp": 0}
+            "failed check, not lp": 0, "lambda checked": 0}
     designs = 0
     while designs < 60:
         if designs % 3:
@@ -305,6 +308,18 @@ def test_design_verdicts_match_element_sets_random_stress():
                 for x in g.generators])
             assert (local.block_quasiprimitive
                     == quasiprimitive_by_lattice(image)), g.generators
+
+        if local.flag_transitive:
+            action = DesignAction(g, structure)
+            left = action.point_stabilizer(blocks[0][0])
+            ratios, agrees = double_coset_ratios(
+                g, left, action.block_stabilizer(0))
+            expected = ((report.parameters.lam,
+                         len(elements) - left.order()),)
+            assert ((report.checks["lambda_constancy"] == PASS)
+                    == (ratios == expected and agrees)), g.generators
+            assert action.lambda_crosscheck().ratios == ratios, g.generators
+            seen["lambda checked"] += 1
 
         # exit code 1 means a theorem violation, or a failed check on a
         # locally primitive design
