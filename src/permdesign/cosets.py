@@ -12,11 +12,15 @@ action, the coset graph and the faithfulness check read that table.
 
 The walk costs one canonical representative per (coset, generator) pair,
 so it runs over the group's walk generators, the ones that grew its chain
-(see group.py).  The other given generators' coset actions are read off
-one chain of the group on its points and the cosets together, and the
-cosets are then numbered as a walk over all given generators numbers them.
-Faithfulness depends only on the group and is decided over the walk
-generators alone.
+(see group.py).  It depends only on H and on G's chain, so it is made once
+per (G, H) and kept on H, keyed by that chain (_walk); every reader still
+checks H against G, the index limit and the coset count.  The other given
+generators' coset actions are read off one chain of the group on its
+points and the cosets together, and the cosets are then numbered as a walk
+over all given generators numbers them.  Faithfulness depends only on the
+group: it reads the walk generators' tables and is decided on one coset
+space when that one is faithful, on the disjoint union of both only when
+neither is.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ from dataclasses import dataclass
 
 from .config import index_limit
 from .group import (ActionImage, GroupWithChain, MembershipError,
-                    StructureContradiction, restrict_to_points, union_action,
-                    union_generators)
+                    StructureContradiction, orbits_of, restrict_to_points,
+                    union_action, union_generators)
 from .incidence import IncidenceStructure
 from .perm import DegreeMismatchError, Permutation
 
@@ -75,12 +79,8 @@ class CosetSpace:
     nothing."""
 
     def __init__(self, group, subgroup):
-        _check_subgroup(group, subgroup)
-        index = _checked_index(group, subgroup)
-        _, reps, tables = _coset_orbit(subgroup, _walk_view(group))
-        if len(reps) != index:
-            raise StructureContradiction(
-                f"coset enumeration found {len(reps)} cosets, expected {index}")
+        reps, tables = _walk(group, subgroup)
+        index = len(reps)
         n = group.degree
         table_of = {g.images: t.images
                     for g, t in zip(group.walk_generators, tables)}
@@ -123,6 +123,28 @@ class CosetSpace:
         if i is None:
             raise MembershipError(f"{x} is not in the group")
         return i
+
+
+def _walk(group, subgroup):
+    """The representatives and tables of _coset_orbit(subgroup,
+    _walk_view(group)): the cosets of H in G and the images of G's walk
+    generators on them.  The walk reads only H and G's chain, whose walk
+    generators it runs over (a walk view shares that chain), so it is made
+    once per (G's chain, H) and kept on H.  Every call checks that H lies
+    in G, the index limit, and that the walk found |G:H| cosets."""
+    _check_subgroup(group, subgroup)
+    index = _checked_index(group, subgroup)
+    if subgroup._walks is None:
+        subgroup._walks = {}
+    walk = subgroup._walks.get(group._chain)
+    if walk is None:
+        walk = subgroup._walks[group._chain] = _coset_orbit(
+            subgroup, _walk_view(group))[1:]
+    reps, tables = walk
+    if len(reps) != index:
+        raise StructureContradiction(
+            f"coset enumeration found {len(reps)} cosets, expected {index}")
+    return reps, tables
 
 
 def _check_subgroup(group, subgroup):
@@ -196,21 +218,21 @@ class CosetGraph:
         return len(self.blocks[0]) == self.space_points.index
 
     def is_faithful(self):
-        """coset_graph_faithful, read from this graph's two spaces."""
-        return _union_faithful(self.space_points.group,
-                               self.space_points.action,
-                               self.space_blocks.action)
+        """coset_graph_faithful of this graph's (G, L, R), reading the walks
+        its two spaces were read from."""
+        return coset_graph_faithful(self.space_points.group,
+                                    self.space_points.subgroup,
+                                    self.space_blocks.subgroup)
 
 
-def _coset_orbit(subgroup, acting, start=None):
-    """One breadth-first walk over the right cosets H*x*a for a in A, where
-    H = subgroup, A = acting and x = start (the identity by default).  Returns
-    a dict from the canonical representatives' image tuples to their order of
-    discovery, the representatives in that order, and the images of A's
-    generators on the cosets.  With x = 1, z is in HA iff H*z's key is."""
-    if start is None:
-        start = Permutation.identity(subgroup.degree)
-    start = canonical_coset_representative(subgroup, start)
+def _coset_orbit(subgroup, acting):
+    """One breadth-first walk over the right cosets H*a for a in A, where
+    H = subgroup and A = acting.  Returns a dict from the canonical
+    representatives' image tuples to their order of discovery, the
+    representatives in that order, and the images of A's generators on the
+    cosets.  z is in HA iff H*z's key is."""
+    start = canonical_coset_representative(
+        subgroup, Permutation.identity(subgroup.degree))
     position = {start.images: 0}
     reps = [start]
     table = [[] for _ in acting.generators]
@@ -237,21 +259,29 @@ def coset_graph_design(group, left, right):
 
 def coset_graph_faithful(group, left, right):
     """Whether the action on both coset spaces together is faithful, i.e.
-    whether the intersection of the two subgroups is core-free: one chain,
-    of the action on the disjoint union of the two spaces, has order |G|.
-    The answer depends only on the group, so both spaces and that chain
-    are built over G's walk generators."""
-    walk = _walk_view(group)
-    return _union_faithful(walk, CosetSpace(walk, left).action,
-                           CosetSpace(walk, right).action)
+    whether the intersection of the two subgroups is core-free
+    (_union_faithful).  The answer depends only on the group, so it reads
+    the tables of G's walk generators off the two walks a CosetSpace reads
+    (_walk), made once per (G, L) and (G, R), and builds no coset space."""
+    return _union_faithful(group, _walk(group, left)[1],
+                           _walk(group, right)[1])
 
 
 def _union_faithful(group, first, second):
-    """Whether G acts faithfully on two domains, given the images of its
-    generators on each: a plain chain, as neither need be faithful."""
-    union = GroupWithChain(union_generators(first, second),
-                           order_bound=group.order())
-    return union.order() == group.order()
+    """Whether G acts faithfully on two domains, given the images of one
+    generating sequence of G on each.  The kernel on the union lies in the
+    kernel on each domain, so G is faithful on the union once it is on
+    either: the image chain on the smaller domain is built first, then on
+    the other, and the union's only when neither has order |G|.  Each is a
+    plain chain bounded by |G|, as no domain need be faithful."""
+    order = group.order()
+    if second[0].degree < first[0].degree:
+        first, second = second, first
+    if any(GroupWithChain(images, order_bound=order).order() == order
+           for images in (first, second)):
+        return True
+    union = GroupWithChain(union_generators(first, second), order_bound=order)
+    return union.order() == order
 
 
 def double_coset_lambda(group, left, right, g):
@@ -302,34 +332,38 @@ def lambda_constancy_crosscheck(group, left, right, *, graph=None):
     _check_subgroup(group, right)
     if graph is None:
         graph = CosetGraph(_walk_view(group), left, right)
-    return incidence_crosscheck(left, right, graph.structure,
-                                graph.space_points.representatives)
+    space = graph.space_points
+    reps = space.representatives
+    moves = [Permutation(space.position_of(x * h) for x in reps)
+             for h in left.walk_generators]
+    return incidence_crosscheck(left, right, graph.structure, 0, moves,
+                                reps.__getitem__)
 
 
-def incidence_crosscheck(left, right, structure, representatives):
+def incidence_crosscheck(left, right, structure, base, moves, element_of):
     """|RL n RLg| / |R| against the blocks through both L and L*g of an
-    incidence structure whose point p is the L-coset of the canonical
-    representative representatives[p], on the block R*y iff the cosets
-    meet.  Both counts depend only on LgL, so one point per L-orbit on the
-    other points covers every g outside L, weighted by the |orbit| * |L|
-    elements it stands for.  No element is enumerated; L, R unchecked."""
+    incidence structure whose point p is the L-coset of element_of(p), the
+    point `base` being L itself, on the block R*y iff the cosets meet.
+    `moves` are the images on the points of generators of L, acting on the
+    cosets by right multiplication.  Both counts depend only on LgL, so one
+    point per L-orbit on the other points, read off `moves`, covers every
+    g outside L, weighted by the |orbit| * |L| elements it stands for; an
+    element of its coset is formed for that point alone.  No element is
+    enumerated; L, R unchecked."""
     point_blocks = structure.point_blocks()
-    base = next(p for p, x in enumerate(representatives) if left.contains(x))
     base_blocks = set(point_blocks[base])
-    seen = {representatives[base].images}
     rl = _coset_orbit(right, left)
     if len(rl[0]) != len(base_blocks):
         raise StructureContradiction(
             "the R-cosets in RL do not match the degree of the trivial coset")
     ratios = {}
     graph_agrees = True
-    for x, blocks in zip(representatives, point_blocks):
-        if x.images in seen:
+    for orbit in orbits_of(moves, structure.v):
+        if base in orbit:
             continue
-        orbit = _coset_orbit(left, left, x)[0]
-        seen.update(orbit)
-        value = _rl_count(right, rl, x)
-        if len(base_blocks.intersection(blocks)) != value:
+        p = min(orbit)
+        value = _rl_count(right, rl, element_of(p))
+        if len(base_blocks.intersection(point_blocks[p])) != value:
             graph_agrees = False
         ratios[value] = ratios.get(value, 0) + len(orbit) * left.order()
     constant = len(ratios) <= 1  # vacuous when L = G: no g lies outside L

@@ -73,7 +73,11 @@ finds the cosets, and every other generator's action is read off one
 chain of the group on its points and those cosets (cosets.CosetSpace).
 
 A GroupWithChain is immutable once constructed: a normal closure grows a
-fresh chain, and a point stabilizer is a tail of one (see _Chain).
+fresh chain, and a point stabilizer is a tail of one (see _Chain).  What
+is derived from it is kept on it, computed on first use: its elements,
+class closures, block systems, first point stabilizer and, as a subgroup
+H, the walk of its cosets in each group G it lies in, keyed by G's chain
+(_walks, read by cosets._walk).
 """
 
 from __future__ import annotations
@@ -278,12 +282,17 @@ class SetAction:
         self.degree = degree
         self.sets = tuple(sets)
         self._index = {frozenset(s): j for j, s in enumerate(self.sets)}
+        # reads a set's images in one call; itemgetter of one index returns
+        # the item itself, so a one-point set is read as a slice
+        self._read = tuple(itemgetter(*s) if len(s) > 1
+                           else itemgetter(slice(s[0], s[0] + 1))
+                           for s in self.sets)
         self._perms = {}  # g.images -> perm(g)
 
     def image(self, j, g):
         """The index of the image of set j under g; KeyError when that
         image is not in the list."""
-        return self._index[frozenset(map(g.images.__getitem__, self.sets[j]))]
+        return self._index[frozenset(self._read[j](g.images))]
 
     def perm(self, g):
         """g's action on the sets, as a permutation of their indices, formed
@@ -469,7 +478,7 @@ class GroupWithChain:
 
     __slots__ = ("degree", "_generators", "walk_generators", "_chain",
                  "_order", "_elements", "_closures", "_block_systems",
-                 "_stabilizer")
+                 "_stabilizer", "_walks")
 
     def __init__(self, generators, base_hint=(), order_bound=None):
         """`order_bound`, when given, is a proven upper bound on the order of
@@ -507,6 +516,7 @@ class GroupWithChain:
         self._closures = None
         self._block_systems = None
         self._stabilizer = None  # the tail below the first base point
+        self._walks = None  # ambient chain -> coset walk (cosets._walk)
 
     @classmethod
     def trivial(cls, degree):

@@ -313,15 +313,25 @@ def test_faithfulness_and_factorization_match_element_oracle(
     from permdesign.cosets import coset_graph_faithful
     c4 = group(4, "(1 2 3 4)")
     center = group(4, "(1 3)(2 4)")
+    # the Klein four-group is faithful on neither space alone, but on both
+    a, b = "(1 2)(3 4)", "(1 3)(2 4)"
     cases = _oracle_cases(fano_pair, frobenius21, s4) + [
-        (c4, center, center), (c4, center, GroupWithChain.trivial(4))]
+        (c4, center, center), (c4, center, GroupWithChain.trivial(4)),
+        (group(4, a, b), group(4, a), group(4, b))]
     faithful = []
+    builds = set()
     for grp, left, right in cases:
         chain_builds.clear()
         faithful.append(coset_graph_faithful(grp, left, right))
-        # one chain, of the action on both coset spaces together
-        assert len(chain_builds) == 1
         assert faithful[-1] == (len(coset_kernel(grp, left, right)) == 1)
+        # the image chain on the smaller space, on the other one only when
+        # that is not faithful, on the union only when neither is
+        small, large = ((left, right) if left.order() >= right.order()
+                        else (right, left))
+        builds.add(len(chain_builds))
+        assert len(chain_builds) == (
+            1 if len(coset_kernel(grp, small)) == 1 else
+            2 if len(coset_kernel(grp, large)) == 1 else 3)
         g_set = mulclose(grp.generators)
         l_set = mulclose(left.generators)
         r_set = mulclose(right.generators)
@@ -329,6 +339,7 @@ def test_faithfulness_and_factorization_match_element_oracle(
         assert is_trivial_factorization(grp, left, right) == trivial
         assert CosetGraph(grp, left, right).trivial == trivial
     assert True in faithful and False in faithful
+    assert builds == {1, 2, 3}
 
 
 def _table_cases(fano_pair, frobenius21, s4):
@@ -357,10 +368,11 @@ def test_coset_space_action_table(fano_pair, frobenius21, s4):
 
 def test_coset_actions_read_the_walk(fano_pair, frobenius21, s4,
                                      monkeypatch):
-    # coset_graph_faithful canonicalizes each (coset, walk generator) pair
-    # of both spaces once, plus each walk's start; CosetGraph adds only the
-    # walk over the L-cosets in LR.  The other given generators' actions
-    # need no canonical representative.
+    # coset_graph_design canonicalizes each (coset, walk generator) pair of
+    # both spaces once, plus each walk's start, and walks the L-cosets in
+    # LR; coset_graph_faithful then reads the walks kept on L and R and
+    # canonicalizes nothing.  The other given generators' actions need no
+    # canonical representative.
     from permdesign import cosets
     from permdesign.cosets import coset_graph_faithful
     original = cosets.canonical_coset_representative
@@ -371,23 +383,56 @@ def test_coset_actions_read_the_walk(fano_pair, frobenius21, s4,
         return original(*args)
 
     monkeypatch.setattr(cosets, "canonical_coset_representative", counting)
-    for grp, left, right in _table_cases(fano_pair, frobenius21, s4):
+    for case in _table_cases(fano_pair, frobenius21, s4):
+        # fresh copies: the fixtures may already keep walks
+        grp, left, right = (GroupWithChain(g.generators) for g in case)
         order = grp.order()
         spaces = ((order // left.order() + order // right.order())
                   * len(grp.walk_generators) + 2)
         walk = len(_coset_orbit(left, right)[0]) * len(right.generators) + 1
         calls.clear()
-        coset_graph_faithful(grp, left, right)
-        assert len(calls) == spaces
-        calls.clear()
-        CosetGraph(grp, left, right)
+        coset_graph_design(grp, left, right)
         assert len(calls) == spaces + walk
+        calls.clear()
+        coset_graph_faithful(grp, left, right)
+        assert calls == []
+        # a second graph walks only the L-cosets in LR again
+        CosetGraph(grp, left, right)
+        assert len(calls) == walk
     # 6 of symplectic-2-3's 84 generators grow its chain
     grp, _, right = _coset_triple("symplectic-2-3")
     assert (len(grp.walk_generators), len(grp.generators)) == (6, 84)
     calls.clear()
     assert CosetSpace(grp, right).index == 810
     assert len(calls) == 6 * 810 + 1
+    assert CosetSpace(grp, right).index == 810
+    assert len(calls) == 6 * 810 + 1
+
+
+def test_one_subgroup_keeps_a_walk_per_group(monkeypatch):
+    """A walk is kept on the subgroup for each group it is walked in, and
+    the subgroup check and the index limit still run when it is read."""
+    h = group(4, "(1 2)(3 4)")
+    a4 = group(4, "(1 2 3)", "(2 3 4)")
+    s4 = group(4, "(1 2)", "(1 2 3 4)")
+    h_set = mulclose(h.generators)
+    for grp, index in ((a4, 6), (s4, 12), (a4, 6), (s4, 12)):
+        space = CosetSpace(grp, h)
+        assert space.index == index
+        cosets = [right_coset(h_set, x.images)
+                  for x in space.representatives]
+        assert len(set(cosets)) == index
+        assert set(cosets) == {right_coset(h_set, x)
+                               for x in mulclose(grp.generators)}
+        for i, x in enumerate(space.representatives):
+            assert space.position_of(x) == i
+    assert len(h._walks) == 2
+    with pytest.raises(SubgroupError):
+        CosetSpace(group(4, "(1 2 3 4)"), h)
+    monkeypatch.setenv("PERMDESIGN_INDEX_LIMIT", "11")
+    with pytest.raises(IndexLimitError):
+        CosetSpace(s4, h)
+    assert CosetSpace(a4, h).index == 6
 
 
 def test_subgroup_intersection_matches_element_oracle(fano_pair, frobenius21,

@@ -12,7 +12,7 @@ from permdesign.corpus import bundled_corpus
 from permdesign.cosets import coset_action
 from permdesign.designgroup import DesignAction
 from permdesign.group import (ActionClosureError, EnumerationLimitError,
-                              GroupWithChain, MembershipError,
+                              GroupWithChain, MembershipError, SetAction,
                               StructureContradiction, _build_chain, _Chain,
                               class_closures, induced_action, normal_closure,
                               orbit_of, orbits_of,
@@ -644,3 +644,17 @@ def test_walks_over_walk_generators_match_the_given_generators(walk_cases):
         assert g.is_transitive() == (len(orbits) == 1), name
         assert is_semiregular(g) == all(len(o) == g.order()
                                          for o in orbits), name
+
+
+def test_set_images_read_one_point_sets_and_refuse_outside_images():
+    # sets of one point (read as a slice, not a single item) and larger ones
+    sets = [(0,), (1,), (2,), (3,), (0, 1), (2, 3), (0, 2), (1, 3)]
+    action = SetAction(4, sets)
+    for text in ("(1 2)(3 4)", "(1 3)(2 4)", "(1 4)(2 3)"):
+        g = perm(text, 4)
+        for j, s in enumerate(sets):
+            assert sets[action.image(j, g)] == tuple(
+                sorted(g.images[p] for p in s))
+    with pytest.raises(KeyError):
+        action.image(4, perm("(2 4)", 4))  # {0, 3} is no set of the list
+    assert SetAction(2, [(0,), (1,)]).perm(perm("(1 2)", 2)).images == (1, 0)
