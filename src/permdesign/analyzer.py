@@ -262,9 +262,11 @@ def analyze(group, structure, instance_id="instance", *,
         checks["lambda_constancy"] = (
             PASS if result.ok and result.value == params.lam else FAIL)
 
-    # automorphisms preserve distances: one BFS per orbit of the union action
-    starts = [min(o) for o in orbits_of(action.union_group.walk_generators,
-                                        structure.v + structure.b)]
+    # automorphisms preserve distances: one BFS per orbit of the points and
+    # one per orbit of the blocks, block j at vertex v + j
+    starts = ([min(o) for o in orbits_of(group.walk_generators, structure.v)]
+              + [structure.v + min(o) for o in orbits_of(
+                  image.walk_generators, structure.b)])
     diameter = timed("diameter",
                      lambda: incidence_graph_diameter(structure, starts))
     if params.symmetric:

@@ -9,8 +9,7 @@ from dataclasses import dataclass
 from .analysis import is_quasiprimitive, primitivity_status
 from .cosets import incidence_crosscheck
 from .group import (SetAction, StructureContradiction, check_index,
-                    induced_action, orbits_of, restrict_to_points, set_action,
-                    union_action)
+                    induced_action, orbits_of, set_action, set_stabilizer)
 
 
 class PreservationError(ValueError):
@@ -63,13 +62,12 @@ def _orbit_minima(group):
 
 
 class DesignAction:
-    """A group acting on an incidence structure, with the block action and
-    the disjoint-union action (points 0..v-1, block j at vertex v+j) built
-    once and shared by the verdict operations.
+    """A group acting on an incidence structure, with the block action
+    built once and shared by the verdict operations.
 
-    Both chains are built from G's walk generators.  The block action's
-    chain is built on the points (group.set_action) and read out on the
-    block indices; the block images of the given generators, the image's
+    Every chain is built from G's walk generators, on the points.  The
+    block action's chain (group.set_action) is read out on the block
+    indices; the block images of the given generators, the image's
     generators, are formed only where something reads them (a type
     witness, the block-type classification).  Every element maps a block
     by one rule (group.SetAction).  G preserves the block set iff its walk
@@ -78,9 +76,10 @@ class DesignAction:
 
     Every stabilizer handed out acts on the points.  G_p is read from the
     group's own chain, a tail of it when p is its first base point; G_B is
-    read from the one union chain, based at block 0's vertex, so G_B0 is a
-    tail of it.  Each local action is built once and kept, and its source
-    is the stabilizer that every verdict reads."""
+    the tail below block B of one chain of G on the points and the blocks
+    (group.set_stabilizer), which keeps every element on the points.  Each
+    local action is built once and kept, and its source is the stabilizer
+    that every verdict reads."""
 
     def __init__(self, group, structure):
         if group.degree != structure.v:
@@ -92,12 +91,9 @@ class DesignAction:
         self.group = group
         self.structure = structure
         self._blocks = SetAction(structure.v, structure.blocks)
-        walk = group.walk_generators
-        images = tuple(self.block_image_of(g) for g in walk)
+        for g in group.walk_generators:
+            self.block_image_of(g)  # raises unless g preserves the blocks
         self.block_action = set_action(group, self._blocks)
-        # the union action is faithful, so |G| bounds its chain
-        self.union_group = union_action(walk, images, (structure.v,),
-                                        group.order())
         self._point_local = {}  # point p -> G_p on the blocks through p
         self._block_local = {}  # block index -> G_B on the points of B
 
@@ -134,11 +130,9 @@ class DesignAction:
         """Stabilizer of a block acting on the points of that block."""
         check_index("block index", block_index, self.structure.b)
         if block_index not in self._block_local:
-            v = self.structure.v
-            stabilizer = restrict_to_points(
-                self.union_group.point_stabilizer(v + block_index), v)
             self._block_local[block_index] = induced_action(
-                stabilizer, self.structure.blocks[block_index],
+                set_stabilizer(self.group, self._blocks, block_index),
+                self.structure.blocks[block_index],
                 lambda x, g: g.images[x])
         return self._block_local[block_index]
 

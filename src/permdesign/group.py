@@ -25,19 +25,21 @@ the prefix alone, at degree m: a residue fixing the prefix is the identity.
 Only a residue that is not is formed in full, by sifting its pair again
 with the same steps (Seress, Permutation Group Algorithms, 2003, ch. 4-5).
 
-A group of permutations of the points acting on a list of point sets, such
-as the blocks of a design, has its chain on the sets built on the points
-(SetAction, _SetChain): every strong generator and transversal element is
-kept as a permutation of the v points, and a set's image is formed only
-where the algorithm reads one: at a base set while sifting, along an orbit
-(each strong generator's image is formed once, on every set), and for a
-residue that fixes every base set, which acts as the identity when it fixes
-every set too (a kernel element).  Each decision is the one the build of
-the generators' set images makes, so the chain read out at the number of
-sets b is that build's, level by level; only the read-out forms products
-of degree b, one per transversal element (Seress, Permutation Group
-Algorithms, 2003, section 4.1 and ch. 5; Holt, Eick, O'Brien, Handbook of
-Computational Group Theory, 2005, section 4.4).
+The same engine builds the chain of an action on point sets (SetAction),
+such as the blocks of a design, on the sets alone (set_action) or on the
+points followed by the sets (set_stabilizer), keeping every element a
+permutation of the v points.  A level based at a set steps its orbit by
+the strong generators' set images, each formed once, and sifts by the pair
+rule read on the sets: r fixes the base set B iff B^p = B^a, and otherwise
+B^r is the set a^-1(p(B)).  On the sets alone a residue fixing every set
+is trivial (a kernel element), a new level is based at the smallest set a
+residue moves, and the chain is read out at degree b; on the points and
+the sets, every level below the hinted sets is based at the smallest point
+a residue moves.  Each decision is the one the build of the images on that
+domain makes, so the chains are equal level by level, and no permutation
+of degree v + b is formed (Seress, Permutation Group Algorithms, 2003,
+section 4.1 and ch. 5; Holt, Eick, O'Brien, Handbook of Computational
+Group Theory, 2005, section 4.4).
 
 A build may be given an upper bound on the order of the group it generates,
 where that order is already known (the same group on another base, or an
@@ -60,7 +62,7 @@ result depends only on the group, such as an orbit, a minimal block system
 or a coset space read up to numbering, costs (domain size) x (number of
 generators), so it runs over these: 6 of the 84 generators of the
 symplectic design over GF(3) grow its chain.  A chain of an action of G
-(set_action, and the design's union action) is built from them too: a
+on point sets (set_action, set_stabilizer) is built from them too: a
 given generator that did not grow G's chain lies in the group the walk
 generators before it generate, so the build of every given generator's
 image skips it, and the two chains are the same, level by level.  Where
@@ -108,33 +110,54 @@ def check_index(kind, value, count):
 
 
 class _Level:
-    __slots__ = ("base", "gens", "orbit", "points", "checked")
+    __slots__ = ("base", "gens", "orbit", "points", "checked", "images",
+                 "parents")
 
-    def __init__(self, base, degree):
+    def __init__(self, base, identity, on_sets=False):
         self.base = base
         self.gens = []  # strong generators fixing all earlier base points
-        self.orbit = {base: Permutation.identity(degree)}  # point -> u, base^u = point
+        self.orbit = {base: identity}  # point -> u, base^u = point
         self.points = [base]  # the orbit in insertion order
         self.checked = []  # gens[i] has been sifted against points[:checked[i]]
+        # on sets: gens[i]'s set image; points[n + 1] was c^gens[i], (c, i)
+        self.images = [] if on_sets else None
+        self.parents = [] if on_sets else None
 
 
 class _Chain:
     """Mutable Schreier-Sims engine; wrapped read-only by GroupWithChain.
     A stabilizer's chain is a tail sharing its parent's _Level objects, so
     neither may be extended once wrapped.  `grown` lists, in order, the
-    arguments of extend() that grew the chain (a tail records none)."""
+    arguments of extend() that grew the chain (a tail records none).
+    Given `sets`, a SetAction on the points 0..v-1, the domain is the sets
+    (degree b) or the points followed by them (degree v + b, set j at
+    v + j); the base hint names sets, whose levels lead and are kept on
+    the set indices."""
 
-    def __init__(self, degree, base_hint=(), prefix=None):
+    def __init__(self, degree, base_hint=(), prefix=None, sets=None):
         self.degree = degree
-        # 0..prefix-1 is invariant and the group acts faithfully on it
-        self.prefix = degree if prefix is None else prefix
-        self.identity = Permutation.identity(degree)
+        self.sets = sets
         self.levels = []
         self.grown = []
+        if sets is None:
+            # 0..prefix-1 is invariant and the group acts faithfully on it
+            self.prefix = degree if prefix is None else prefix
+            self.identity = Permutation.identity(degree)
+            first = degree
+        else:  # each pair is sifted on the points; set 0 is at `first`
+            self.prefix = sets.degree
+            self.identity = Permutation.identity(sets.degree)
+            first = degree - len(sets.sets)
+        # the domain is the sets alone: an element fixing each is trivial
+        self.on_sets = first == 0
         for b in base_hint:
             check_index("base point", b, degree)
+            if sets is not None:
+                b -= first
+                check_index("base set", b, len(sets.sets))
             if all(level.base != b for level in self.levels):
-                self.levels.append(_Level(b, degree))
+                self.levels.append(_Level(b, self.identity, sets is not None))
+        self.nsets = 0 if sets is None else len(self.levels)  # set levels
 
     def order(self):
         n = 1
@@ -154,13 +177,29 @@ class _Chain:
         moving r down a level is a <- u*a, and b^r is the index of b^p in
         a's images.  p and a may be read on an invariant prefix 0..m-1 that
         holds every base point of levels[start:]; each u is read there too
-        (m > 1 wherever a product is formed: u moves a base point).
+        (m > 1 wherever a product is formed: u moves a base point).  At a
+        level of sets, r fixes the base set B iff B^p = B^a, and otherwise
+        B^r is the set a^-1(p(B)).  On the sets alone, a residue fixing
+        every set is trivial.
         Returns None when r reduces to the identity (a == p), else the final
         a, so that r = p*a^-1."""
         images = p.images
         a = a.images
         m = len(a)
-        for level in self.levels[start:]:
+        levels = self.levels
+        if start < self.nsets:
+            read = self.sets._read
+            index = self.sets._index
+            for level in levels[start:self.nsets]:
+                at = read[level.base]
+                c = at(images)
+                if frozenset(c) != frozenset(at(a)):
+                    u = level.orbit.get(index[frozenset(map(a.index, c))])
+                    if u is None:
+                        return Permutation._raw(a)
+                    a = itemgetter(*u.images)(a)  # u*a
+            start = self.nsets
+        for level in levels[start:]:
             b = level.base
             c = images[b]
             if c != a[b]:
@@ -168,7 +207,11 @@ class _Chain:
                 if u is None:
                     return Permutation._raw(a)
                 a = itemgetter(*u.images[:m])(a)  # u*a
-        return None if a == images else Permutation._raw(a)
+        if a == images or self.on_sets and all(
+                frozenset(r(images)) == frozenset(r(a))
+                for r in self.sets._read):
+            return None
+        return Permutation._raw(a)
 
     def contains(self, p):
         return self._sift(p, self.identity) is None
@@ -182,22 +225,27 @@ class _Chain:
         a = self._sift(p, self.identity)
         return p if a is None else a
 
-    def _fix_depth(self, h):
-        d = 0
-        levels = self.levels
-        while d < len(levels) and h.images[levels[d].base] == levels[d].base:
-            d += 1
-        return d
-
     def install(self, h):
         """Record h as a strong generator on every level whose base prefix it
-        fixes, extending the base when h fixes all current base points."""
-        d = self._fix_depth(h)
-        if d == len(self.levels):
-            b = min(h.moved_points())
-            self.levels.append(_Level(b, self.degree))
-        for level in self.levels[:d + 1]:
+        fixes, extending the base when h fixes all current base points.  On
+        sets, h's action on them is formed once and kept beside it."""
+        levels = self.levels
+        image = h if self.sets is None else self.sets.perm(h)
+        d = 0
+        while d < len(levels) and (image if d < self.nsets else h).images[
+                levels[d].base] == levels[d].base:
+            d += 1
+        if d == len(levels):
+            if self.on_sets:
+                levels.append(_Level(min(image.moved_points()),
+                                     self.identity, True))
+                self.nsets += 1
+            else:
+                levels.append(_Level(min(h.moved_points()), self.identity))
+        for level in levels[:d + 1]:
             level.gens.append(h)
+            if level.images is not None:
+                level.images.append(image)
             level.checked.append(0)
             self._extend_orbit(level)
         return d
@@ -225,17 +273,30 @@ class _Chain:
 
     def _extend_orbit(self, level):
         # one breadth-first pass that appends what it finds, so points and
-        # transversals only grow and every _check_level cursor stays valid
+        # transversals only grow and every _check_level cursor stays valid;
+        # a level of sets steps by the generators' set images and records
+        # where each transversal element came from
         orbit = level.orbit
         points = level.points
         gens = level.gens
+        if level.images is None:
+            for c in points:
+                u = orbit[c]
+                for g in gens:
+                    d = g.images[c]
+                    if d not in orbit:
+                        orbit[d] = u * g
+                        points.append(d)
+            return
+        steps = [image.images for image in level.images]
         for c in points:
             u = orbit[c]
-            for g in gens:
-                d = g.images[c]
+            for i, step in enumerate(steps):
+                d = step[c]
                 if d not in orbit:
-                    orbit[d] = u * g
+                    orbit[d] = u * gens[i]
                     points.append(d)
+                    level.parents.append((c, i))
 
     def schreier_sims(self, order_bound=None):
         i = len(self.levels) - 1
@@ -244,17 +305,24 @@ class _Chain:
             if residue is None:
                 i -= 1
             else:
+                # a residue sends a base point out of its basic orbit, or
+                # fixes the whole base and starts a level: the order grows
+                n = self.order()
                 i = self.install(residue)
+                if self.order() == n:
+                    raise StructureContradiction("a residue grew no orbit")
 
     def _check_level(self, i):
         # install() has already closed every orbit it changed
         level = self.levels[i]
         orbit = level.orbit
         checked = level.checked
+        steps = level.gens if level.images is None else level.images
         for gi, g in enumerate(level.gens):
+            step = steps[gi].images
             for c in level.points[checked[gi]:]:
                 checked[gi] += 1
-                residue = self._sift_schreier(orbit[c], g, orbit[g.images[c]],
+                residue = self._sift_schreier(orbit[c], g, orbit[step[c]],
                                               i + 1)
                 if residue is not None:
                     return residue
@@ -271,12 +339,30 @@ class _Chain:
         p = u * g
         return p * self._sift(p, t, start).inverse()
 
+    def read(self):
+        """A chain on the sets alone, read on the set indices: strong
+        generators as their set images, and each transversal element as
+        its parent's times a generator's set image, as that build forms
+        it."""
+        chain = _Chain(self.degree)
+        for level in self.levels:
+            read = _Level(level.base, chain.identity)
+            read.gens = list(level.images)
+            orbit = read.orbit
+            for d, (c, i) in zip(level.points[1:], level.parents):
+                orbit[d] = orbit[c] * level.images[i]
+            read.points = list(level.points)
+            read.checked = list(level.checked)
+            chain.levels.append(read)
+        chain.grown = [self.sets.perm(g) for g in self.grown]
+        return chain
+
 
 class SetAction:
     """Permutations of the points 0..degree-1 acting on a list of distinct
     point sets, by index: set j goes to the index of its image.  This is
-    the one rule by which an element maps a block (DesignAction, and
-    _SetChain's build)."""
+    the one rule by which an element maps a block (DesignAction, and the
+    chains on sets)."""
 
     def __init__(self, degree, sets):
         self.degree = degree
@@ -304,145 +390,20 @@ class SetAction:
         return p
 
 
-class _SetLevel(_Level):
-    __slots__ = ("images", "inverses", "parents")
-
-    def __init__(self, base, degree):
-        super().__init__(base, degree)
-        self.images = []  # the action of gens[i] on the sets
-        self.inverses = dict(self.orbit)  # set -> u^-1
-        self.parents = [None]  # (c, i): points[n] was reached as c^gens[i]
-
-
-class _SetChain:
-    """Schreier-Sims for the action of a group of point permutations on the
-    sets of a SetAction, keeping every strong generator and transversal
-    element on the points.  A set image is formed only at a base set while
-    sifting, for each strong generator (on every set, once: orbits are
-    extended over it and it is read out), and for a residue that fixes
-    every base set: one that fixes every set too acts as the identity (a
-    kernel element), and is dropped as the identity is.  The decisions,
-    bases and cursors are _Chain's, level by level, on the set images;
-    read() gives that chain.  A build-only engine: it never becomes a
-    group's chain itself."""
-
-    order = _Chain.order
-    reached = _Chain.reached
-    extend = _Chain.extend
-    schreier_sims = _Chain.schreier_sims
-    _fix_depth = _Chain._fix_depth
-
-    def __init__(self, sets, base_hint=()):
-        self.sets = sets
-        self.degree = sets.degree
-        self.identity = Permutation.identity(sets.degree)
-        self.levels = []
-        self.grown = []
-        for b in base_hint:
-            check_index("base set", b, len(sets.sets))
-            if all(level.base != b for level in self.levels):
-                self.levels.append(_SetLevel(b, self.degree))
-
-    def sift(self, r, start=0):
-        """Reduce r through levels[start:]: None when it reduces to an
-        element acting as the identity on the sets, else the residue, left
-        as it stands once a base image leaves its basic orbit."""
-        image = self.sets.image
-        for level in self.levels[start:]:
-            c = image(level.base, r)
-            if c != level.base:
-                u = level.inverses.get(c)
-                if u is None:
-                    return r
-                r = r * u
-        if r.images == self.identity.images or all(
-                image(j, r) == j for j in range(len(self.sets.sets))):
-            return None
-        return r
-
-    def contains(self, p):
-        return self.sift(p) is None
-
-    def install(self, h):
-        """_Chain.install, with h's action on the sets formed once and kept
-        beside it."""
-        image = self.sets.perm(h)
-        d = self._fix_depth(image)
-        if d == len(self.levels):
-            self.levels.append(_SetLevel(min(image.moved_points()),
-                                         self.degree))
-        for level in self.levels[:d + 1]:
-            level.gens.append(h)
-            level.images.append(image)
-            level.checked.append(0)
-            self._extend_orbit(level)
-        return d
-
-    def _extend_orbit(self, level):
-        # _Chain._extend_orbit, reading each orbit step off the generator's
-        # set image and recording where each transversal element came from
-        orbit = level.orbit
-        points = level.points
-        for c in points:
-            u = orbit[c]
-            for i, (g, image) in enumerate(zip(level.gens, level.images)):
-                d = image.images[c]
-                if d not in orbit:
-                    orbit[d] = t = u * g
-                    level.inverses[d] = t.inverse()
-                    points.append(d)
-                    level.parents.append((c, i))
-
-    def _check_level(self, i):
-        level = self.levels[i]
-        orbit = level.orbit
-        inverses = level.inverses
-        checked = level.checked
-        for gi, (g, image) in enumerate(zip(level.gens, level.images)):
-            for c in level.points[checked[gi]:]:
-                checked[gi] += 1
-                residue = self.sift(orbit[c] * g * inverses[image.images[c]],
-                                    i + 1)
-                if residue is not None:
-                    return residue
-        return None
-
-    def read(self):
-        """The chain on the set indices: bases, points and cursors as they
-        stand, strong generators as their set images, and each transversal
-        element its parent's times the generator's set image, the product
-        _Chain._extend_orbit forms."""
-        chain = _Chain(len(self.sets.sets))
-        for level in self.levels:
-            read = _Level(level.base, chain.degree)
-            read.gens = list(level.images)
-            orbit = read.orbit
-            for d, (c, i) in zip(level.points[1:], level.parents[1:]):
-                orbit[d] = orbit[c] * level.images[i]
-            read.points = list(level.points)
-            read.checked = list(level.checked)
-            chain.levels.append(read)
-        chain.grown = [self.sets.perm(g) for g in self.grown]
-        return chain
-
-
 def _build_chain(degree, generators, base_hint=(), order_bound=None,
                  prefix=None, sets=None):
     """The chain of the generated group on 0..degree-1.  With `sets`, a
-    SetAction on the generators' points, it is the chain of their action
-    on the sets (degree: how many), built on the points by _SetChain and
-    read out as the build of the generators' set images makes it."""
-    if sets is None:
-        chain = _Chain(degree, base_hint, prefix)
-    else:
-        chain = _SetChain(sets, base_hint)
+    SetAction on the generators' points, the domain holds the sets (see
+    _Chain), and a chain on the sets alone is read out on their indices,
+    as the build of the generators' set images makes it."""
+    chain = _Chain(degree, base_hint, prefix, sets)
     for g in generators:
-        if g.degree != chain.degree:
+        if g.degree != chain.identity.degree:
             raise DegreeMismatchError(
-                f"generator degree {g.degree} != {chain.degree}")
+                f"generator degree {g.degree} != {chain.identity.degree}")
         if not chain.reached(order_bound):
             chain.extend(g, order_bound)
-    return chain if sets is None else chain.read()
+    return chain.read() if chain.on_sets else chain
 
 
 def orbit_of(generators, point):
@@ -554,14 +515,8 @@ class GroupWithChain:
         chain = self._chain if own else _build_chain(
             self.degree, self.generators, (point,), self._order,
             prefix=self._chain.prefix)
-        tail = _Chain(self.degree, prefix=chain.prefix)
-        tail.levels = chain.levels[1:]
-        gens = tail.levels[0].gens if tail.levels else ()
-        # a hinted level can have no strong generators
-        stab = GroupWithChain._from_chain(
-            gens or (Permutation.identity(self.degree),), tail)
-        if len(self.orbit(point)) * stab.order() != self._order:
-            raise StructureContradiction("orbit-stabilizer identity violated")
+        stab = _stabilizer(chain, self.degree, len(self.orbit(point)),
+                           self._order)
         if own:
             self._stabilizer = stab
         return stab
@@ -613,8 +568,26 @@ class GroupWithChain:
             other.contains(g) for g in self.generators)
 
     def __repr__(self):
+        # deferred generators are not formed to be counted
+        ngens = ("deferred" if callable(self._generators)
+                 else len(self._generators))
         return (f"GroupWithChain(degree={self.degree}, order={self._order}, "
-                f"ngens={len(self.generators)})")
+                f"ngens={ngens})")
+
+
+def _stabilizer(chain, degree, orbit_length, order):
+    """The stabilizer of chain's first base point, as the group on
+    0..degree-1 of the levels below it, asserting the orbit-stabilizer
+    identity against the group's order and that point's orbit length."""
+    tail = _Chain(degree, prefix=chain.prefix)
+    tail.levels = chain.levels[1:]
+    gens = tail.levels[0].gens if tail.levels else ()
+    # a hinted level can have no strong generators
+    stab = GroupWithChain._from_chain(
+        gens or (Permutation.identity(degree),), tail)
+    if orbit_length * stab.order() != order:
+        raise StructureContradiction("orbit-stabilizer identity violated")
+    return stab
 
 
 def union_generators(first, second):
@@ -639,7 +612,8 @@ def union_action(first, second, base_hint=(), order_bound=None):
 
 
 def restrict_to_points(group, degree):
-    """A union action read on its first domain 0..degree-1, faithfully.
+    """A union action read on its first domain 0..degree-1, faithfully
+    (cosets.subgroup_intersection, on a subgroup and cosets).
 
     `group` is a tail of a union_action chain below a hinted vertex, so
     every base point is the smallest point moved by a residue: a point,
@@ -650,7 +624,7 @@ def restrict_to_points(group, degree):
     for level in group._chain.levels:
         if level.base >= degree:
             raise StructureContradiction("action not faithful on points")
-        read = _Level(level.base, degree)
+        read = _Level(level.base, chain.identity)
         read.gens = [Permutation(g.images[:degree]) for g in level.gens]
         read.orbit = {c: Permutation(u.images[:degree])
                       for c, u in level.orbit.items()}
@@ -781,13 +755,14 @@ def set_action(group, sets):
     """Action of `group` on `sets`, a SetAction on its points, as an
     ActionImage on the set indices.
 
-    The chain is built on the points (_SetChain), from the group's walk
-    generators: a given generator that did not grow the group's chain lies
-    in the group the walk generators before it generate, and so does its
-    set image, so the build skips it as the build of every given
-    generator's image does, and the two chains agree level by level.  The
-    image's generators are the set images of the given generators, aligned
-    with them; they are formed on first read (SetAction.perm)."""
+    The chain is built on the points (_Chain, on the sets alone), from the
+    group's walk generators: a given generator that did not grow the
+    group's chain lies in the group the walk generators before it
+    generate, and so does its set image, so the build skips it as the
+    build of every given generator's image does, and the two chains agree
+    level by level.  The image's generators are the set images of the
+    given generators, aligned with them; they are formed on first read
+    (SetAction.perm)."""
     order = group.order()
     chain = _build_chain(len(sets.sets), group.walk_generators,
                          order_bound=order, sets=sets)
@@ -795,6 +770,21 @@ def set_action(group, sets):
         lambda: tuple(sets.perm(g) for g in group.generators), chain)
     return ActionImage(source=group, objects=sets.sets, image=image,
                        faithful=image.order() == order)
+
+
+def set_stabilizer(group, sets, j):
+    """The stabilizer in `group` of set j of `sets`, a SetAction on its
+    points, as a group on the points: the tail below set j of the chain,
+    built on the points from the walk generators, of the group on the
+    points and the sets, hinted at set j.  That chain is union_action's
+    at set j's vertex, level by level (_Chain)."""
+    degree = group.degree
+    walk = group.walk_generators
+    chain = _build_chain(degree + len(sets.sets), walk, (degree + j,),
+                         group.order(), sets=sets)
+    return _stabilizer(chain, degree,
+                       len(orbit_of([sets.perm(g) for g in walk], j)),
+                       group.order())
 
 
 def induced_action(group, objects, act):

@@ -70,6 +70,38 @@ def a5_flag_structure():
     return IncidenceStructure(15, blocks), on_points
 
 
+def full_levels(chain):
+    """Everything a chain holds, level by level: base, strong generators,
+    orbit insertion order, transversal elements and Schreier cursors.  A
+    chain on the points and the sets of a SetAction is read as
+    union_action's chain holds it: each element as its point images
+    followed by v + its set images, and set j as v + j."""
+    sets = chain.sets
+
+    def read(u):
+        if sets is None:
+            return u.images
+        return u.images + tuple(sets.degree + j for j in sets.perm(u).images)
+
+    def vertex(level, c):  # only a chain on sets has levels of sets
+        return c if level.images is None else sets.degree + c
+    return [(vertex(level, level.base), [read(g) for g in level.gens],
+             [vertex(level, c) for c in level.points],
+             [read(u) for u in level.orbit.values()], list(level.checked))
+            for level in chain.levels]
+
+
+def design_union(g, structure, block=0):
+    """Oracle: the plain chain of g on the points and the blocks, block j at
+    vertex v + j, built by union_action from g's walk generators and their
+    block images, hinted at the vertex of `block`."""
+    from permdesign.group import SetAction, union_action
+    blocks = SetAction(structure.v, structure.blocks)
+    walk = g.walk_generators
+    return union_action(walk, [blocks.perm(x) for x in walk],
+                        (structure.v + block,), g.order())
+
+
 @pytest.fixture
 def chain_builds(monkeypatch):
     """The arguments of every stabilizer-chain build made from here on."""
@@ -118,7 +150,7 @@ def corpus_instances():
 def walk_cases(corpus_instances):
     """(name, group) for each corpus group, the symplectic design over GF(3)
     and the lines of PG(4,2), each with its design action's block image and
-    point/block union group."""
+    the plain point/block union group (design_union)."""
     from permdesign.designgroup import DesignAction
     pairs = [(inst.name, inst.structure, inst.group)
              for inst in corpus_instances]
@@ -128,7 +160,7 @@ def walk_cases(corpus_instances):
     for name, structure, g in pairs:
         action = DesignAction(g, structure)
         cases += [(name, g), (f"{name}/blocks", action.block_action.image),
-                  (f"{name}/union", action.union_group)]
+                  (f"{name}/union", design_union(g, structure))]
     return cases
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import group
+from conftest import design_union, group
 from permdesign.analysis import primitivity_status
 from permdesign.designgroup import (DesignAction, PreservationError,
                                     RepeatedBlockError, TrivialDesignError)
@@ -70,7 +70,8 @@ def test_block_stabilizer_order_full_group(fano_pair):
 def test_design_action_rejects_out_of_range_indices(fano_pair, method, index,
                                                     kind):
     """A point of at least v would otherwise be read as a block vertex of
-    the union action, and a negative block index as a point."""
+    the chain of the points and the blocks, and a negative block index as
+    a point."""
     structure, g = fano_pair
     action = DesignAction(g, structure)
     with pytest.raises(ValueError, match=kind):
@@ -292,7 +293,7 @@ def test_point_local_actions_match_the_union_reading(corpus_instances):
             p = min(orbit)
             local = action.local_point_action(p)
             union = induced_action(
-                action.union_group.point_stabilizer(p),
+                design_union(g, structure).point_stabilizer(p),
                 [v + j for j in structure.blocks_through(p)],
                 lambda x, h: h.images[x])
             assert local.source.order() == union.source.order(), (name, p)

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from bruteforce import is_semiregular, mulclose
-from conftest import a5_on_ordered_pairs, group, perm
+from conftest import (a5_on_ordered_pairs, design_union, full_levels, group,
+                      perm)
 from permdesign.analysis import is_quasiprimitive
 from permdesign.analyzer import analyze
 from permdesign.corpus import bundled_corpus
@@ -78,10 +79,18 @@ def test_chain_order_equals_bruteforce_closure(name, deg, gens, expected):
 
 def chain_levels(chain):
     """Base point, strong generators, orbit insertion order and transversal
-    images of every level."""
-    return [(level.base, [g.images for g in level.gens], list(level.orbit),
-             [u.images for u in level.orbit.values()])
-            for level in chain.levels]
+    images of every level, a chain on points and sets read as the union's
+    (full_levels)."""
+    return [level[:4] for level in full_levels(chain)]
+
+
+def points_and_blocks(action, block=0):
+    """The chain the design action builds for the stabilizer of `block`:
+    G on the points and the blocks, hinted at the block, on the points."""
+    g, structure = action.group, action.structure
+    return _build_chain(structure.v + structure.b, g.walk_generators,
+                        (structure.v + block,), g.order(),
+                        sets=action._blocks)
 
 
 def sifted(chain):
@@ -117,11 +126,11 @@ def test_bounded_design_action_chains_equal_full_ones(corpus_instances):
     for inst in corpus_instances:
         action = DesignAction(inst.group, inst.structure)
         image = action.block_action.image
-        union = action.union_group
+        union = design_union(inst.group, inst.structure)
         assert chain_levels(image._chain) == chain_levels(
             GroupWithChain(image.generators)._chain), inst.name
         hint = (inst.structure.v,)
-        assert chain_levels(union._chain) == chain_levels(
+        assert chain_levels(points_and_blocks(action)) == chain_levels(
             GroupWithChain(union.generators, base_hint=hint)._chain), inst.name
 
 
@@ -145,7 +154,7 @@ def test_bound_below_the_order_is_a_contradiction(s4):
 
 def test_bounded_build_sifts_fewer_schreier_generators(symplectic_pair):
     structure, g = symplectic_pair
-    union = DesignAction(g, structure).union_group
+    union = design_union(g, structure)
     vertex = structure.v + 1
     assert union.base()[0] != vertex  # point_stabilizer would rebuild
     full = _build_chain(union.degree, union.generators, (vertex,))
@@ -153,6 +162,10 @@ def test_bounded_build_sifts_fewer_schreier_generators(symplectic_pair):
                            union.order())
     assert chain_levels(bounded) == chain_levels(full)
     assert sifted(bounded) < sifted(full)
+    # the design action's bounded build on the points, at block 1
+    on_points = points_and_blocks(DesignAction(g, structure), 1)
+    assert chain_levels(on_points) == chain_levels(bounded)
+    assert sifted(on_points) == sifted(bounded)
 
 
 def test_membership_of_100_random_words(a7):
@@ -272,7 +285,7 @@ def test_schreier_pairs_sifted_once(a7):
     assert sifted(a7._chain) == 105
 
 
-SIFTED_PER_INSTANCE = {  # group / block image / union
+SIFTED_PER_INSTANCE = {  # group / block image / points and blocks
     "fano-pgl32": (74, 19, 26),
     "fano-frobenius21": (24, 8, 8),
     "pg1-3-2-pgl42": (402, 265, 289),
@@ -291,7 +304,7 @@ def test_schreier_pairs_sifted_per_corpus_chain(corpus_instances):
         action = DesignAction(inst.group, inst.structure)
         counts = (sifted(inst.group._chain),
                   sifted(action.block_action.image._chain),
-                  sifted(action.union_group._chain))
+                  sifted(points_and_blocks(action)))
         assert counts == SIFTED_PER_INSTANCE[inst.name], inst.name
 
 
@@ -644,6 +657,15 @@ def test_walks_over_walk_generators_match_the_given_generators(walk_cases):
         assert g.is_transitive() == (len(orbits) == 1), name
         assert is_semiregular(g) == all(len(o) == g.order()
                                          for o in orbits), name
+
+
+def test_repr_leaves_deferred_generators_unformed(symplectic_pair):
+    structure, g = symplectic_pair
+    image = DesignAction(g, structure).block_action.image
+    assert repr(image) == (f"GroupWithChain(degree={structure.b}, "
+                           f"order={image.order()}, ngens=deferred)")
+    assert callable(image._generators)
+    assert repr(g).endswith(f"ngens={len(g.generators)})")
 
 
 def test_set_images_read_one_point_sets_and_refuse_outside_images():

@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from bruteforce import design_accepts, flag_count, pair_count
+from conftest import design_union
 from permdesign.incidence import (DesignError, IncidenceStructure, complement,
                                   dual, incidence_graph_diameter,
                                   t_design_strength, verify_design)
@@ -221,8 +222,15 @@ def test_diameter_refuses_a_start_out_of_range(start):
 def _union_orbit_minima(g, structure):
     from permdesign.designgroup import DesignAction
     from permdesign.group import orbits_of
-    union = DesignAction(g, structure).union_group
-    return [min(o) for o in orbits_of(union.generators, union.degree)]
+    union = design_union(g, structure)
+    starts = [min(o) for o in orbits_of(union.generators, union.degree)]
+    # analyze takes them from the orbits of the points and of the blocks
+    image = DesignAction(g, structure).block_action.image
+    v = structure.v
+    assert starts == (
+        [min(o) for o in orbits_of(g.walk_generators, v)]
+        + [v + min(o) for o in orbits_of(image.walk_generators, structure.b)])
+    return starts
 
 
 def test_diameter_from_one_vertex_per_orbit(corpus_instances, fano_pair):

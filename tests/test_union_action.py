@@ -1,7 +1,8 @@
 """Chains of union actions (group.union_action), which sift every Schreier
-generator on the first domain alone, and of actions on point sets
-(group.set_action), built on the points, against plain builds of the same
-generators, base hint and order bound."""
+generator on the first domain alone, and chains built on the points of
+actions on point sets (group.set_action) and of the points with the sets
+(group.set_stabilizer), against plain builds of the same generators, base
+hint and order bound."""
 
 import operator
 import os
@@ -10,14 +11,15 @@ import random
 import pytest
 
 from bruteforce import mulclose
-from conftest import group, orbit_design
+from conftest import design_union, full_levels, group, orbit_design
 from permdesign import group as chains
 from permdesign import perm as perms
 from permdesign.corpus import bundled_corpus
 from permdesign.cosets import CosetSpace, subgroup_intersection
 from permdesign.designgroup import DesignAction
 from permdesign.geometry import build_PG, build_symplectic_subdesign
-from permdesign.group import GroupWithChain, _build_chain, _Chain, union_action
+from permdesign.group import (GroupWithChain, _build_chain, _Chain,
+                              restrict_to_points, union_action)
 from permdesign.incidence import IncidenceStructure
 from permdesign.io import read_group_file
 from permdesign.perm import Permutation
@@ -26,14 +28,6 @@ COSET_INPUTS = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench", "coset_inputs")
 COSET_TRIPLES = ("a7-cos-15-3-1", "a7-cos-15-7-3", "agl-3-3-lines",
                  "pgl-4-3-lines", "symplectic-2-3")
-
-
-def full_levels(chain):
-    """Everything a chain holds, level by level: base, strong generators,
-    orbit insertion order, transversal elements and Schreier cursors."""
-    return [(level.base, [g.images for g in level.gens], list(level.points),
-             [u.images for u in level.orbit.values()], list(level.checked))
-            for level in chain.levels]
 
 
 @pytest.fixture
@@ -90,20 +84,10 @@ def design_cases():
     return cases
 
 
-def test_design_union_chains_equal_plain_builds(prefix_builds):
-    for seed, (name, structure, grp) in enumerate(design_cases()):
-        structure, grp = relabelled(structure, grp, seed)
-        action = DesignAction(grp, structure)
-        action.local_block_action(0)
-        assert action.union_group._chain.prefix == structure.v, name
-    assert len(prefix_builds) == len(design_cases())
-    assert_plain(prefix_builds)
-
-
-@pytest.fixture
-def set_builds(monkeypatch):
+def set_recorder(monkeypatch, alone):
     """(degree, generators, base hint, order bound, point sets, chain) of
-    every chain of an action on point sets built from here on."""
+    every chain built from here on on point sets: on the sets alone, or on
+    the points and the sets."""
     builds = []
     build = chains._build_chain
 
@@ -111,12 +95,58 @@ def set_builds(monkeypatch):
                   prefix=None, sets=None):
         chain = build(degree, generators, base_hint, order_bound, prefix,
                       sets)
-        if sets is not None:
+        if sets is not None and (degree == len(sets.sets)) == alone:
             builds.append((degree, tuple(generators), tuple(base_hint),
                            order_bound, sets.sets, chain))
         return chain
     monkeypatch.setattr(chains, "_build_chain", recording)
     return builds
+
+
+@pytest.fixture
+def set_builds(monkeypatch):
+    return set_recorder(monkeypatch, alone=True)
+
+
+@pytest.fixture
+def stabilizer_builds(monkeypatch):
+    return set_recorder(monkeypatch, alone=False)
+
+
+def assert_union_tails(action, minima, builds):
+    """The block stabilizers of `minima`, built on the points, against the
+    plain union build at each block's vertex: each recorded chain of the
+    points and the blocks equals it level by level, read as the union's,
+    and G_Bj equals restrict_to_points of its tail, generators included."""
+    v = action.structure.v
+    assert len(builds) == len(minima)
+    for j, (_, gens, hint, _, _, chain) in zip(minima, builds):
+        assert hint == (v + j,) and gens == action.group.walk_generators
+        union = design_union(action.group, action.structure, j)
+        assert full_levels(chain) == full_levels(union._chain), j
+        expected = restrict_to_points(union.point_stabilizer(v + j), v)
+        stabilizer = action.block_stabilizer(j)
+        assert full_levels(stabilizer._chain) == full_levels(
+            expected._chain), j
+        assert ([g.images for g in stabilizer.generators]
+                == [g.images for g in expected.generators]), j
+
+
+def block_orbit_minima(action):
+    image = action.block_action.image
+    return [min(o) for o in chains.orbits_of(image.walk_generators,
+                                             image.degree)]
+
+
+def test_design_union_chains_equal_plain_builds(stabilizer_builds):
+    for seed, (name, structure, grp) in enumerate(design_cases()):
+        structure, grp = relabelled(structure, grp, seed)
+        action = DesignAction(grp, structure)
+        minima = block_orbit_minima(action)
+        builds = len(stabilizer_builds)
+        for j in minima:
+            action.local_block_action(j)
+        assert_union_tails(action, minima, stabilizer_builds[builds:])
 
 
 def set_images(sets, g):
@@ -155,13 +185,16 @@ def test_design_block_chains_equal_plain_builds(set_builds):
     assert_plain_images(set_builds)
 
 
-def test_random_orbit_block_chains_equal_plain_builds(set_builds):
+def test_random_orbit_block_chains_equal_plain_builds(monkeypatch):
     """Orbit designs of random groups on at most 8 points, from random
     permutations and random subgroups of imprimitive groups, where a
     block made of whole cells is fixed by every element moving points
     only within cells: some block actions are not faithful, and their
     image order is |G| over the kernel's.  Each block action is built
-    again from all given generators at a random first base block."""
+    again from all given generators at a random first base block, and
+    each block-orbit minimum's stabilizer is checked against the union."""
+    set_builds = set_recorder(monkeypatch, alone=True)
+    stabilizers = set_recorder(monkeypatch, alone=False)
     rng = random.Random(8128)
     ambients = (group(6, "(1 2)", "(1 2 3)", "(1 4)(2 5)(3 6)"),   # S3 wr S2
                 group(8, "(1 2)", "(1 3 5 7)(2 4 6 8)"),           # S2 wr S4
@@ -200,6 +233,11 @@ def test_random_orbit_block_chains_equal_plain_builds(set_builds):
         assert chains._build_chain(
             b, grp.generators, (rng.randrange(b),), grp.order(),
             sets=action._blocks).order() == image.order()
+        builds = len(stabilizers)
+        minima = block_orbit_minima(action)
+        for j in minima:
+            action.local_block_action(j)
+        assert_union_tails(action, minima, stabilizers[builds:])
     assert len(set_builds) == 2 * designs
     assert unfaithful >= 10
     assert_plain_images(set_builds)
@@ -228,7 +266,8 @@ def two_orbit_structure(grp, first, second):
     return IncidenceStructure(grp.degree, blocks)
 
 
-def test_stabilizer_rebuilds_and_tails_equal_plain_builds(prefix_builds):
+def test_stabilizer_rebuilds_and_tails_equal_plain_builds(prefix_builds,
+                                                          stabilizer_builds):
     cases = [
         (group(7, "(1 2 3 4 5 6 7)", "(1 2)(3 6)"), (0, 1, 3), (0, 1, 2)),
         (group(6, "(1 2)", "(1 2 3 4 5 6)"), (0, 1), (0, 1, 2)),
@@ -237,15 +276,18 @@ def test_stabilizer_rebuilds_and_tails_equal_plain_builds(prefix_builds):
     for grp, first, second in cases:
         structure = two_orbit_structure(grp, first, second)
         action = DesignAction(grp, structure)
-        union = action.union_group
         v = structure.v
-        minima = [min(o) for o in chains.orbits_of(
-            action.block_action.image.walk_generators, structure.b)]
+        minima = block_orbit_minima(action)
         assert len(minima) == 2 and minima[1] > 0
+        builds = len(stabilizer_builds)
         for j in minima:
             action.local_block_action(j)
-        # the tail below block 0's vertex keeps the prefix, and so does a
-        # rebuild of it at a point that is not its first base point
+        assert_union_tails(action, minima, stabilizer_builds[builds:])
+        # the plain union's tail below block 0's vertex keeps the prefix,
+        # and so does a rebuild of it at a point that is not its first
+        # base point
+        union = design_union(grp, structure)
+        union.point_stabilizer(v + minima[1])
         tail = union.point_stabilizer(v)
         assert tail is union.point_stabilizer(v)
         assert tail._chain.prefix == v
@@ -319,3 +361,30 @@ def test_union_chain_forms_few_products_past_the_points(monkeypatch):
     bound = (transversal + len(levels) * len(memberships)
              + (len(levels) + 2) * len(residues))
     assert residues and len(products) <= bound < 2000
+
+
+def test_design_action_forms_no_product_past_the_points(monkeypatch):
+    """No product of degree v + b while the design action and the block
+    stabilizer of every block-orbit minimum are built, on the relabelled
+    symplectic design over GF(3) and on a design with two block orbits:
+    the chain of the points and the blocks keeps them on the points."""
+    grp = group(7, "(1 2 3 4 5 6 7)", "(1 2)(3 6)")
+    cases = [(*relabelled(*build_symplectic_subdesign(2, 3), 1), 1),
+             (two_orbit_structure(grp, (0, 1, 3), (0, 1, 2)), grp, 2)]
+    real = operator.itemgetter
+    for structure, g, orbits in cases:
+        degree = structure.v + structure.b
+        products = []
+
+        def counting(*items):
+            if len(items) == degree:
+                products.append(1)
+            return real(*items)
+        with monkeypatch.context() as m:
+            m.setattr(perms, "itemgetter", counting)
+            m.setattr(chains, "itemgetter", counting)
+            action = DesignAction(g, structure)
+            minima = block_orbit_minima(action)
+            for j in minima:
+                action.local_block_action(j)
+        assert len(minima) == orbits and products == []
