@@ -299,7 +299,7 @@ def _socle_witness(group, socle):
     of it sending the first base point to the second point of the first
     basic orbit: the first socle element that iter_elements yields, so
     the closure matches the class-representative walk's."""
-    orbit = list(group._chain.levels[0].orbit)
+    orbit = group._chain.levels[0].points
     (level,) = socle._chain.levels  # regular: one level
     t = level.orbit[orbit[0]].inverse() * level.orbit[orbit[1]]
     witness = normal_closure(group, [t])

@@ -153,22 +153,24 @@ def _check_origin_blocks(action, witness):
     test that every block through point 0 is closed under the group
     operation, i.e. is a subgroup, hence a subspace of the elementary
     abelian witness.  A regular witness has a one-level chain, and the
-    element sending 0 to p is u_0^-1 * u_p for its transversal u."""
+    element n_p sending 0 to p is u_0^-1 * u_p for its transversal u.
+    n_a * n_c is then the element sending 0 to a^(n_c), so the block is
+    closed iff it holds a^(n_c) for all a and c in it: no product of two
+    points' elements is formed."""
     levels = witness._chain.levels
-    if len(levels) != 1 or len(levels[0].orbit) != action.structure.v:
+    if len(levels) != 1 or len(levels[0].points) != action.structure.v:
         return FAIL  # witness not regular after all
     transversal = levels[0].orbit
     to_origin = transversal[0].inverse()
-    to_element = {p: to_origin * u for p, u in transversal.items()}
+    to_element = {p: (to_origin * u).images for p, u in transversal.items()}
     for block in action.structure.blocks:
         if 0 not in block:
             continue
-        members = {to_element[p].images for p in block}
-        for a in block:
-            na = to_element[a]
-            for c in block:
-                if (na * to_element[c]).images not in members:
-                    return FAIL
+        members = frozenset(block)
+        for c in block:
+            nc = to_element[c]
+            if any(nc[a] not in members for a in block):
+                return FAIL
     return PASS
 
 

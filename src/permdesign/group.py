@@ -39,7 +39,10 @@ a residue moves.  Each decision is the one the build of the images on that
 domain makes, so the chains are equal level by level, and no permutation
 of degree v + b is formed (Seress, Permutation Group Algorithms, 2003,
 section 4.1 and ch. 5; Holt, Eick, O'Brien, Handbook of Computational
-Group Theory, 2005, section 4.4).
+Group Theory, 2005, section 4.4).  A read-out level keeps its transversal
+as a Schreier tree, each orbit point's parent and generator, and forms the
+elements of degree b on the first read of its orbit, as that build forms
+them: the order, the base, the walk generators and the tails form none.
 
 A build may be given an upper bound on the order of the group it generates,
 where that order is already known (the same group on another base, or an
@@ -124,6 +127,36 @@ class _Level:
         self.parents = [] if on_sets else None
 
 
+class _ReadLevel(_Level):
+    """A level of a chain on the sets alone, read on the set indices
+    (_Chain.read): its strong generators are the set images, and its
+    transversal is formed on the first read of `orbit`, each element as its
+    parent's times a generator, in insertion order, as the build of the set
+    images forms it.  The order (len(points)), the base and the tails are
+    read without it.  The property shadows _Level's `orbit` slot."""
+    __slots__ = ("_identity", "_transversal")
+
+    def __init__(self, level, identity):
+        self.base = level.base
+        self.gens = list(level.images)
+        self.points = list(level.points)
+        self.checked = list(level.checked)
+        self.images = None
+        self.parents = level.parents
+        self._identity = identity
+        self._transversal = None
+
+    @property
+    def orbit(self):
+        if self._transversal is None:
+            orbit = {self.base: self._identity}
+            gens = self.gens
+            for d, (c, i) in zip(self.points[1:], self.parents):
+                orbit[d] = orbit[c] * gens[i]
+            self._transversal = orbit
+        return self._transversal
+
+
 class _Chain:
     """Mutable Schreier-Sims engine; wrapped read-only by GroupWithChain.
     A stabilizer's chain is a tail sharing its parent's _Level objects, so
@@ -162,7 +195,7 @@ class _Chain:
     def order(self):
         n = 1
         for level in self.levels:
-            n *= len(level.orbit)
+            n *= len(level.points)
         return n
 
     def sift(self, p, start=0):
@@ -343,17 +376,10 @@ class _Chain:
         """A chain on the sets alone, read on the set indices: strong
         generators as their set images, and each transversal element as
         its parent's times a generator's set image, as that build forms
-        it."""
+        it, formed when its level's orbit is first read (_ReadLevel)."""
         chain = _Chain(self.degree)
-        for level in self.levels:
-            read = _Level(level.base, chain.identity)
-            read.gens = list(level.images)
-            orbit = read.orbit
-            for d, (c, i) in zip(level.points[1:], level.parents):
-                orbit[d] = orbit[c] * level.images[i]
-            read.points = list(level.points)
-            read.checked = list(level.checked)
-            chain.levels.append(read)
+        chain.levels = [_ReadLevel(level, chain.identity)
+                        for level in self.levels]
         chain.grown = [self.sets.perm(g) for g in self.grown]
         return chain
 
@@ -762,7 +788,7 @@ def set_action(group, sets):
     build of every given generator's image does, and the two chains agree
     level by level.  The image's generators are the set images of the
     given generators, aligned with them; they are formed on first read
-    (SetAction.perm)."""
+    (SetAction.perm), and so is each level's transversal (_ReadLevel)."""
     order = group.order()
     chain = _build_chain(len(sets.sets), group.walk_generators,
                          order_bound=order, sets=sets)

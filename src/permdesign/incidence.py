@@ -131,8 +131,7 @@ def verify_design(structure):
                           "every block is incident with every point")
     pair_counts = Counter()
     for block in structure.blocks:
-        for pair in combinations(block, 2):
-            pair_counts[pair] += 1
+        pair_counts.update(combinations(block, 2))
     expected_pairs = comb(v, 2)
     if len(pair_counts) != expected_pairs:
         missing = next(p for p in combinations(range(v), 2)

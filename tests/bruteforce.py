@@ -183,6 +183,26 @@ def _compose(a, b):
     return tuple(b[i] for i in a)
 
 
+def origin_blocks_are_subgroups(witness, blocks):
+    """Points identified with the elements of a regular group (point p with
+    the element sending 0 to p): whether every block through 0 is closed
+    under the group's product, with every product of two of its elements
+    formed in full.  False when the group is not regular."""
+    group = mulclose(witness.generators)
+    elements = {x[0]: x for x in group}
+    if len(group) != len(elements) or len(elements) != witness.degree:
+        return False
+    for block in blocks:
+        if 0 not in block:
+            continue
+        members = {elements[p] for p in block}
+        for a in block:
+            for c in block:
+                if _compose(elements[a], elements[c]) not in members:
+                    return False
+    return True
+
+
 def right_coset(subgroup_set, x):
     """The right coset H*x of a subgroup given as a set of image tuples."""
     return frozenset(_compose(h, x) for h in subgroup_set)

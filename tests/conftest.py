@@ -30,6 +30,26 @@ def orbit_design(g, block):
     return IncidenceStructure(g.degree, seen)
 
 
+def relabelled(structure, grp, seed):
+    """The same design and group with points renamed by a seeded random
+    permutation."""
+    import random
+
+    from permdesign.incidence import IncidenceStructure
+    rng = random.Random(seed)
+    v = structure.v
+    name = list(range(v))
+    rng.shuffle(name)
+    gens = []
+    for g in grp.generators:
+        images = [0] * v
+        for x, y in enumerate(g.images):
+            images[name[x]] = name[y]
+        gens.append(Permutation(images))
+    blocks = [sorted(name[p] for p in blk) for blk in structure.blocks]
+    return IncidenceStructure(v, blocks), GroupWithChain(gens)
+
+
 def a5_on_ordered_pairs():
     """A5 on the 20 ordered pairs of distinct points of 0..4, a fresh
     group each call: imprimitive (cells by first point, by second point,

@@ -1,16 +1,25 @@
 import dataclasses
 import gc
+import os
+import subprocess
 import sys
 
 import pytest
 
-from conftest import group, orbit_design
+from bruteforce import origin_blocks_are_subgroups
+from conftest import group, orbit_design, relabelled
+from permdesign.analysis import classify_point_action
 from permdesign.analyzer import (CHECK_NAMES, FAIL,
-                                 LOCALLY_PRIMITIVE_ONLY_CHECKS, analyze,
+                                 LOCALLY_PRIMITIVE_ONLY_CHECKS, PASS,
+                                 _check_origin_blocks, analyze,
                                  reduction_pair_allowed)
 from permdesign.designgroup import DesignAction
+from permdesign.geometry import build_symplectic_subdesign
 from permdesign.group import GroupWithChain
 from permdesign.incidence import IncidenceStructure
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
 
 
 def test_fano_full_group_report(fano_pair):
@@ -84,6 +93,57 @@ def test_consequence_checks_fail_a_locally_primitive_design(ag322_pair):
     for name in LOCALLY_PRIMITIVE_ONLY_CHECKS:
         checks = dict(report.checks, **{name: FAIL})
         assert dataclasses.replace(report, checks=checks).exit_code() == 1
+
+
+def test_origin_blocks_check_matches_product_oracle(corpus_instances):
+    """_check_origin_blocks against every product of two elements of each
+    block through 0, formed in full: on the HA corpus designs, the
+    relabelled symplectic design over GF(3), AGL(1,5) on the 2-subsets of
+    5 points, and the 3-subsets of GF(2)^2 with its translations, where
+    each block through 0 holds c + c = 0 but not every a + c."""
+    cases = [(inst.structure, inst.group) for inst in corpus_instances]
+    cases.append(relabelled(*build_symplectic_subdesign(2, 3), 1))
+    agl15 = group(5, "(1 3 4 2)", "(1 3 5 2 4)")
+    cases.append((orbit_design(agl15, (0, 1)), agl15))
+    verdicts = []
+    for structure, g in cases:
+        report = classify_point_action(g)
+        if report.tag == "HA":
+            witness = report.witness
+            verdicts.append(_check_origin_blocks(
+                DesignAction(g, structure), witness))
+            assert verdicts[-1] == (PASS if origin_blocks_are_subgroups(
+                witness, structure.blocks) else FAIL)
+    assert verdicts == [FAIL, PASS, PASS, PASS, FAIL]
+    # x -> x XOR 1 and x -> x XOR 2 on GF(2)^2 numbered 0..3
+    translations = group(4, "(1 2)(3 4)", "(1 3)(2 4)")
+    s4 = group(4, "(1 2)", "(1 2 3 4)")
+    triples = orbit_design(s4, (0, 1, 2))
+    assert not origin_blocks_are_subgroups(translations, triples.blocks)
+    assert _check_origin_blocks(DesignAction(s4, triples),
+                                translations) == FAIL
+
+
+def test_analyze_memory_on_symplectic_3_2():
+    """analyze on the symplectic design over GF(2) with m = 3 (v = 64,
+    b = 5 376), in a fresh process, grows its peak RSS by less than 100 MB:
+    no chain of the block action holds b permutations of degree b."""
+    script = (
+        "import resource, sys\n"
+        "from permdesign.analyzer import analyze\n"
+        "from permdesign.geometry import build_symplectic_subdesign\n"
+        "structure, g = build_symplectic_subdesign(3, 2)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "code = analyze(g, structure).exit_code()\n"
+        "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "kb = 1024 if sys.platform == 'darwin' else 1\n"  # bytes there
+        "print(code, (after - before) / kb / 1024)\n")
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         env=dict(os.environ, PYTHONPATH=SRC), timeout=120)
+    assert run.returncode == 0, run.stderr.decode()
+    code, grown_mb = run.stdout.split()
+    assert int(code) == 0
+    assert float(grown_mb) < 100
 
 
 def test_symplectic_witness_orbit_size_is_four(symplectic_pair):

@@ -11,9 +11,11 @@ import random
 import pytest
 
 from bruteforce import mulclose
-from conftest import design_union, full_levels, group, orbit_design
+from conftest import (design_union, full_levels, group, orbit_design,
+                      relabelled)
 from permdesign import group as chains
 from permdesign import perm as perms
+from permdesign.analyzer import analyze
 from permdesign.corpus import bundled_corpus
 from permdesign.cosets import CosetSpace, subgroup_intersection
 from permdesign.designgroup import DesignAction
@@ -59,23 +61,6 @@ def assert_plain(builds):
         assert full_levels(chain) == full_levels(plain), (degree, hint)
 
 
-def relabelled(structure, grp, seed):
-    """The same design and group with points renamed by a seeded random
-    permutation."""
-    rng = random.Random(seed)
-    v = structure.v
-    name = list(range(v))
-    rng.shuffle(name)
-    gens = []
-    for g in grp.generators:
-        images = [0] * v
-        for x, y in enumerate(g.images):
-            images[name[x]] = name[y]
-        gens.append(Permutation(images))
-    blocks = [sorted(name[p] for p in blk) for blk in structure.blocks]
-    return IncidenceStructure(v, blocks), GroupWithChain(gens)
-
-
 def design_cases():
     cases = [(inst.name, inst.structure, inst.group)
              for inst in bundled_corpus()]
@@ -111,6 +96,61 @@ def set_builds(monkeypatch):
 @pytest.fixture
 def stabilizer_builds(monkeypatch):
     return set_recorder(monkeypatch, alone=False)
+
+
+def read_recorder(monkeypatch):
+    """(chain on the sets alone, its read-out on the set indices) for every
+    such chain read out from here on."""
+    pairs = []
+    read = _Chain.read
+
+    def recording(self):
+        chain = read(self)
+        pairs.append((self, chain))
+        return chain
+    monkeypatch.setattr(_Chain, "read", recording)
+    return pairs
+
+
+@pytest.fixture
+def read_outs(monkeypatch):
+    return read_recorder(monkeypatch)
+
+
+def eager_read_out(chain):
+    """The transversals of a chain on the sets alone, read on the set
+    indices all at once: each element its BFS parent's times the set image
+    of the generator that reached it, in insertion order."""
+    out = []
+    for level in chain.levels:
+        orbit = {level.base: Permutation.identity(chain.degree)}
+        for d, (c, i) in zip(level.points[1:], level.parents):
+            orbit[d] = orbit[c] * level.images[i]
+        out.append([(c, u.images) for c, u in orbit.items()])
+    return out
+
+
+def assert_read_on_demand(monkeypatch, pairs):
+    """No read-out has formed a transversal yet.  The first read of each
+    level's orbit forms the eager read-out's transversal, element for
+    element and in insertion order, and a second read forms no product."""
+    assert pairs
+    for chain, read in pairs:
+        assert all(level._transversal is None for level in read.levels)
+        formed = [level.orbit for level in read.levels]
+        assert [[(c, u.images) for c, u in orbit.items()]
+                for orbit in formed] == eager_read_out(chain)
+        products = []
+        real = operator.itemgetter
+
+        def counting(*items):
+            products.append(1)
+            return real(*items)
+        with monkeypatch.context() as m:
+            m.setattr(perms, "itemgetter", counting)
+            again = [level.orbit for level in read.levels]
+        assert products == []
+        assert all(x is y for x, y in zip(again, formed))
 
 
 def assert_union_tails(action, minima, builds):
@@ -174,14 +214,16 @@ def assert_plain_images(builds):
         assert sifted(chain) == sifted(plain)
 
 
-def test_design_block_chains_equal_plain_builds(set_builds):
+def test_design_block_chains_equal_plain_builds(monkeypatch, set_builds,
+                                               read_outs):
     for seed, (name, structure, grp) in enumerate(design_cases()):
         structure, grp = relabelled(structure, grp, seed)
         image = DesignAction(grp, structure).block_action.image
         assert callable(image._generators), name  # not formed until read
         assert image.generators == tuple(set_images(structure.blocks, g)
                                          for g in grp.generators), name
-    assert len(set_builds) == len(design_cases())
+    assert len(set_builds) == len(read_outs) == len(design_cases())
+    assert_read_on_demand(monkeypatch, read_outs)
     assert_plain_images(set_builds)
 
 
@@ -195,6 +237,7 @@ def test_random_orbit_block_chains_equal_plain_builds(monkeypatch):
     each block-orbit minimum's stabilizer is checked against the union."""
     set_builds = set_recorder(monkeypatch, alone=True)
     stabilizers = set_recorder(monkeypatch, alone=False)
+    read_outs = read_recorder(monkeypatch)
     rng = random.Random(8128)
     ambients = (group(6, "(1 2)", "(1 2 3)", "(1 4)(2 5)(3 6)"),   # S3 wr S2
                 group(8, "(1 2)", "(1 3 5 7)(2 4 6 8)"),           # S2 wr S4
@@ -238,8 +281,9 @@ def test_random_orbit_block_chains_equal_plain_builds(monkeypatch):
         for j in minima:
             action.local_block_action(j)
         assert_union_tails(action, minima, stabilizers[builds:])
-    assert len(set_builds) == 2 * designs
+    assert len(set_builds) == len(read_outs) == 2 * designs
     assert unfaithful >= 10
+    assert_read_on_demand(monkeypatch, read_outs)
     assert_plain_images(set_builds)
 
 
@@ -388,3 +432,27 @@ def test_design_action_forms_no_product_past_the_points(monkeypatch):
             for j in minima:
                 action.local_block_action(j)
         assert len(minima) == orbits and products == []
+
+
+def test_analyze_forms_no_product_of_degree_b(monkeypatch, read_outs):
+    """analyze on the relabelled symplectic design over GF(3) forms no
+    product of degree b, and no level of the block action's read-out has
+    formed its transversal afterwards: nothing there reads one of its
+    elements."""
+    structure, grp = relabelled(*build_symplectic_subdesign(2, 3), 1)
+    b = structure.b
+    products = []
+    real = operator.itemgetter
+
+    def counting(*items):
+        if len(items) == b:
+            products.append(1)
+        return real(*items)
+    with monkeypatch.context() as m:
+        m.setattr(perms, "itemgetter", counting)
+        m.setattr(chains, "itemgetter", counting)
+        report = analyze(grp, structure)
+    assert report.exit_code() == 0 and products == []
+    assert read_outs and all(read.degree == b for _, read in read_outs)
+    assert all(level._transversal is None
+               for _, read in read_outs for level in read.levels)
