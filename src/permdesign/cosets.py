@@ -15,12 +15,13 @@ so it runs over the group's walk generators, the ones that grew its chain
 (see group.py).  It depends only on H and on G's chain, so it is made once
 per (G, H) and kept on H, keyed by that chain (_walk); every reader still
 checks H against G, the index limit and the coset count.  The other given
-generators' coset actions are read off one chain of the group on its
-points and the cosets together, and the cosets are then numbered as a walk
-over all given generators numbers them.  Faithfulness depends only on the
-group: it reads the walk generators' tables and is decided on one coset
-space when that one is faithful, on the disjoint union of both only when
-neither is.
+generators' coset actions are read off one plain chain of the group on its
+points and, after them, the cosets (union_generators), and the cosets are
+then numbered as a walk over all given generators numbers them.  A coset
+graph numbers only its points so; its blocks stay in R's walk order.
+Faithfulness depends only on the group: it reads the walk generators'
+tables and is decided on one coset space when that one is faithful, on the
+disjoint union of both only when neither is.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ from dataclasses import dataclass
 
 from .config import index_limit
 from .group import (ActionImage, GroupWithChain, MembershipError,
-                    StructureContradiction, orbits_of, restrict_to_points,
-                    union_action, union_generators)
+                    StructureContradiction, _Chain, _Level, orbits_of)
 from .incidence import IncidenceStructure
 from .perm import DegreeMismatchError, Permutation
 
@@ -67,9 +67,9 @@ class CosetSpace:
     returns.
 
     Only the walk generators are walked; each reads its own table.  G is
-    faithful on its points, so one chain of G on the points and the cosets
-    together (union_action, which sifts on the points alone), hinted with
-    G's base, has that base, all of it on the points.
+    faithful on its points, so the plain chain of G on the points and the
+    cosets together (union_generators), hinted with G's base, has that
+    base, all of it on the points.
     Lifted through that chain by its base images, any other given generator
     g becomes the element that agrees with g on the points: (g, g on the
     cosets), checked on the points.  That chain is built only when such a
@@ -86,8 +86,9 @@ class CosetSpace:
                     for g, t in zip(group.walk_generators, tables)}
         lifted = [g for g in group.generators if g.images not in table_of]
         if lifted:
-            chain = union_action(group.walk_generators, tables, group.base(),
-                                 group.order())._chain
+            chain = GroupWithChain(
+                union_generators(group.walk_generators, tables), group.base(),
+                group.order())._chain
             for g in lifted:
                 a = chain.lift(g)
                 if a.images[:n] != g.images:
@@ -186,24 +187,30 @@ def coset_action(group, subgroup):
 
 
 class CosetGraph:
-    """Coset graph data: the two coset spaces, the blocks in R-coset order,
-    and the incidence structure on (points=[G:L], blocks=[G:R]) that the
-    lambda crosscheck reads.  Block 0 is the L-cosets inside LR; the cosets
-    meeting R*y*g are those meeting R*y moved by g, so the two action
-    tables carry block 0 to every other block."""
+    """Coset graph data: the point space [G:L], the blocks in the order of
+    R's walk (_walk), and the incidence structure on (points=[G:L],
+    blocks=[G:R]) that the lambda crosscheck reads; it sorts the blocks, so
+    the R-cosets are not numbered.  Block 0 is the L-cosets inside LR; the
+    cosets meeting R*y*g are those meeting R*y moved by g, so each walk
+    generator's R table and its row of the point action carry block 0 to
+    every other block."""
 
     def __init__(self, group, left, right):
         self.space_points = CosetSpace(group, left)
-        self.space_blocks = CosetSpace(group, right)
+        self.right = right
+        reps, tables = _walk(group, right)
+        rows = {g.images: row.images for g, row in
+                zip(group.generators, self.space_points.action)}
+        moves = tuple((rows[g.images], t.images)
+                      for g, t in zip(group.walk_generators, tables))
         position = self.space_points._position
-        blocks = [None] * self.space_blocks.index
+        blocks = [None] * len(reps)
         blocks[0] = sorted(position[key] for key in _coset_orbit(left, right)[0])
-        moves = tuple(zip(self.space_points.action, self.space_blocks.action))
         for j, members in enumerate(blocks):
             for on_points, on_blocks in moves:
-                target = on_blocks.images[j]
+                target = on_blocks[j]
                 if blocks[target] is None:
-                    blocks[target] = sorted(on_points.images[i] for i in members)
+                    blocks[target] = sorted(on_points[i] for i in members)
         if 0 not in blocks[0]:
             raise StructureContradiction(
                 "the trivial cosets of L and R are not adjacent")
@@ -219,10 +226,9 @@ class CosetGraph:
 
     def is_faithful(self):
         """coset_graph_faithful of this graph's (G, L, R), reading the walks
-        its two spaces were read from."""
+        its point space and its blocks were read from."""
         return coset_graph_faithful(self.space_points.group,
-                                    self.space_points.subgroup,
-                                    self.space_blocks.subgroup)
+                                    self.space_points.subgroup, self.right)
 
 
 def _coset_orbit(subgroup, acting):
@@ -282,6 +288,37 @@ def _union_faithful(group, first, second):
         return True
     union = GroupWithChain(union_generators(first, second), order_bound=order)
     return union.order() == order
+
+
+def union_generators(first, second):
+    """Aligned generators of two actions of one group, combined into its
+    action on the disjoint union, the second domain shifted past the first."""
+    offset = first[0].degree
+    return tuple(Permutation(p.images + tuple(offset + j for j in q.images))
+                 for p, q in zip(first, second))
+
+
+def restrict_to_points(group, degree):
+    """A union action (union_generators) read on its first domain
+    0..degree-1 (subgroup_intersection, on a subgroup and cosets).  `group`
+    is a tail below a hinted vertex of the union's chain, whose second
+    domain holds the images of the first under a homomorphism: a union
+    element fixing every point is the identity, so every base point, the
+    smallest point a residue moves, is a point.  Each level is read on the
+    points, so no chain is built."""
+    chain = _Chain(degree)
+    for level in group._chain.levels:
+        if level.base >= degree:
+            raise StructureContradiction("action not faithful on points")
+        read = _Level(level.base, chain.identity)
+        read.gens = [Permutation(g.images[:degree]) for g in level.gens]
+        read.orbit = {c: Permutation(u.images[:degree])
+                      for c, u in level.orbit.items()}
+        read.points = list(level.points)
+        read.checked = list(level.checked)
+        chain.levels.append(read)
+    return GroupWithChain._from_chain(
+        tuple(Permutation(g.images[:degree]) for g in group.generators), chain)
 
 
 def double_coset_lambda(group, left, right, g):
@@ -381,8 +418,9 @@ def subgroup_intersection(left, right):
     small, large = (left, right) if left.order() <= right.order() else (right, left)
     small._check_enumerable()
     degree = small.degree
-    union = union_action(small.generators, _coset_orbit(large, small)[2],
-                         (degree,), small.order())
+    union = GroupWithChain(union_generators(
+        small.generators, _coset_orbit(large, small)[2]), (degree,),
+        small.order())
     return restrict_to_points(union.point_stabilizer(degree), degree)
 
 

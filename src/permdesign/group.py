@@ -15,15 +15,9 @@ level is the product u*a, r fixes the base point b exactly when b^p = b^a,
 and otherwise b^r is the index of b^p in a's images.  No transversal
 element is inverted, and p^-1 is never formed.  It is the textbook
 residue, so every decision and every installed residue, and with them the
-chains, are unchanged.  A Schreier generator u_c*g*u_t^-1 starts as the
-pair (u_c*g, u_t); the one inversion left is a^-1, at full degree, for a
-residue that is installed.
-
-Where the group acts faithfully on an invariant prefix 0..m-1 of its
-domain (union_action; m is the degree otherwise), each pair is sifted on
-the prefix alone, at degree m: a residue fixing the prefix is the identity.
-Only a residue that is not is formed in full, by sifting its pair again
-with the same steps (Seress, Permutation Group Algorithms, 2003, ch. 4-5).
+chains, are unchanged.  A Schreier generator u_c*g*u_t^-1 is sifted once,
+as the pair (u_c*g, u_t); the one inversion left is a^-1, for a residue
+that is installed.
 
 The same engine builds the chain of an action on point sets (SetAction),
 such as the blocks of a design, on the sets alone (set_action) or on the
@@ -75,7 +69,7 @@ an action's image is still given by the images of the given generators,
 formed where they are read.  A coset action is still
 numbered by the given generators, but computed from the walk: the walk
 finds the cosets, and every other generator's action is read off one
-chain of the group on its points and those cosets (cosets.CosetSpace).
+plain chain of the group on its points and those cosets (cosets.CosetSpace).
 
 A GroupWithChain is immutable once constructed: a normal closure grows a
 fresh chain, and a point stabilizer is a tail of one (see _Chain).  What
@@ -162,23 +156,21 @@ class _Chain:
     A stabilizer's chain is a tail sharing its parent's _Level objects, so
     neither may be extended once wrapped.  `grown` lists, in order, the
     arguments of extend() that grew the chain (a tail records none).
+    Each Schreier generator is sifted once, as a pair (_sift_schreier).
     Given `sets`, a SetAction on the points 0..v-1, the domain is the sets
     (degree b) or the points followed by them (degree v + b, set j at
     v + j); the base hint names sets, whose levels lead and are kept on
     the set indices."""
 
-    def __init__(self, degree, base_hint=(), prefix=None, sets=None):
+    def __init__(self, degree, base_hint=(), sets=None):
         self.degree = degree
         self.sets = sets
         self.levels = []
         self.grown = []
         if sets is None:
-            # 0..prefix-1 is invariant and the group acts faithfully on it
-            self.prefix = degree if prefix is None else prefix
             self.identity = Permutation.identity(degree)
             first = degree
-        else:  # each pair is sifted on the points; set 0 is at `first`
-            self.prefix = sets.degree
+        else:  # elements are permutations of the points; set 0 is at `first`
             self.identity = Permutation.identity(sets.degree)
             first = degree - len(sets.sets)
         # the domain is the sets alone: an element fixing each is trivial
@@ -208,17 +200,14 @@ class _Chain:
     def _sift(self, p, a, start=0):
         """sift() of p*a^-1, with its residue r held as the pair (p, a):
         moving r down a level is a <- u*a, and b^r is the index of b^p in
-        a's images.  p and a may be read on an invariant prefix 0..m-1 that
-        holds every base point of levels[start:]; each u is read there too
-        (m > 1 wherever a product is formed: u moves a base point).  At a
-        level of sets, r fixes the base set B iff B^p = B^a, and otherwise
-        B^r is the set a^-1(p(B)).  On the sets alone, a residue fixing
-        every set is trivial.
+        a's images.  p is read at the base points, and compared with a
+        whole only at the end.  At a level of sets, r fixes the base set B
+        iff B^p = B^a, and otherwise B^r is the set a^-1(p(B)).  On the
+        sets alone, a residue fixing every set is trivial.
         Returns None when r reduces to the identity (a == p), else the final
         a, so that r = p*a^-1."""
         images = p.images
         a = a.images
-        m = len(a)
         levels = self.levels
         if start < self.nsets:
             read = self.sets._read
@@ -239,7 +228,7 @@ class _Chain:
                 u = level.orbit.get(a.index(c))
                 if u is None:
                     return Permutation._raw(a)
-                a = itemgetter(*u.images[:m])(a)  # u*a
+                a = itemgetter(*u.images)(a)  # u*a
         if a == images or self.on_sets and all(
                 frozenset(r(images)) == frozenset(r(a))
                 for r in self.sets._read):
@@ -252,9 +241,10 @@ class _Chain:
     def lift(self, p):
         """The product a of transversal elements that _sift reaches for p:
         b^a = b^p on every base point when p's base images lie in the basic
-        orbits.  p may act on just a prefix of the domain holding the base,
-        since the pair rule reads p only there; a caller compares a with p
-        on that prefix to know that the sift went through."""
+        orbits.  _sift reads p at the base points alone until it compares
+        p with a, so p may be given on a part of the domain that holds the
+        base, such as the points of a union of the points with cosets; a
+        caller compares a with p there to know that the sift went through."""
         a = self._sift(p, self.identity)
         return p if a is None else a
 
@@ -363,14 +353,10 @@ class _Chain:
 
     def _sift_schreier(self, u, g, t, start):
         """The residue of the Schreier generator u*g*t^-1 through
-        levels[start:], or None: the pair (u*g, t) sifted on the prefix,
-        and again in full only when the residue is not the identity."""
-        m = self.prefix
-        p = Permutation._raw(itemgetter(*u.images[:m])(g.images))
-        if self._sift(p, Permutation._raw(t.images[:m]), start) is None:
-            return None
+        levels[start:], or None: the pair (u*g, t), sifted once."""
         p = u * g
-        return p * self._sift(p, t, start).inverse()
+        a = self._sift(p, t, start)
+        return None if a is None else p * a.inverse()
 
     def read(self):
         """A chain on the sets alone, read on the set indices: strong
@@ -417,12 +403,12 @@ class SetAction:
 
 
 def _build_chain(degree, generators, base_hint=(), order_bound=None,
-                 prefix=None, sets=None):
+                 sets=None):
     """The chain of the generated group on 0..degree-1.  With `sets`, a
     SetAction on the generators' points, the domain holds the sets (see
     _Chain), and a chain on the sets alone is read out on their indices,
     as the build of the generators' set images makes it."""
-    chain = _Chain(degree, base_hint, prefix, sets)
+    chain = _Chain(degree, base_hint, sets)
     for g in generators:
         if g.degree != chain.identity.degree:
             raise DegreeMismatchError(
@@ -539,8 +525,7 @@ class GroupWithChain:
         if own and self._stabilizer is not None:
             return self._stabilizer
         chain = self._chain if own else _build_chain(
-            self.degree, self.generators, (point,), self._order,
-            prefix=self._chain.prefix)
+            self.degree, self.generators, (point,), self._order)
         stab = _stabilizer(chain, self.degree, len(self.orbit(point)),
                            self._order)
         if own:
@@ -605,7 +590,7 @@ def _stabilizer(chain, degree, orbit_length, order):
     """The stabilizer of chain's first base point, as the group on
     0..degree-1 of the levels below it, asserting the orbit-stabilizer
     identity against the group's order and that point's orbit length."""
-    tail = _Chain(degree, prefix=chain.prefix)
+    tail = _Chain(degree)
     tail.levels = chain.levels[1:]
     gens = tail.levels[0].gens if tail.levels else ()
     # a hinted level can have no strong generators
@@ -614,51 +599,6 @@ def _stabilizer(chain, degree, orbit_length, order):
     if orbit_length * stab.order() != order:
         raise StructureContradiction("orbit-stabilizer identity violated")
     return stab
-
-
-def union_generators(first, second):
-    """Aligned generators of two actions of one group, combined into its
-    action on the disjoint union, the second domain shifted past the first."""
-    offset = first[0].degree
-    return tuple(Permutation(p.images + tuple(offset + j for j in q.images))
-                 for p, q in zip(first, second))
-
-
-def union_action(first, second, base_hint=(), order_bound=None):
-    """The group on the union of two domains (union_generators), where
-    `second` holds the images of `first` under a homomorphism.  Each union
-    element is then x on the first domain and x's image on the second, so
-    one fixing every point of the first is the identity: the action there
-    is faithful.  The chain, the plain build's, sifts every Schreier
-    generator there; only a first base hint may lie past it."""
-    gens = union_generators(first, second)
-    return GroupWithChain._from_chain(gens, _build_chain(
-        gens[0].degree, gens, base_hint, order_bound,
-        prefix=first[0].degree))
-
-
-def restrict_to_points(group, degree):
-    """A union action read on its first domain 0..degree-1, faithfully
-    (cosets.subgroup_intersection, on a subgroup and cosets).
-
-    `group` is a tail of a union_action chain below a hinted vertex, so
-    every base point is the smallest point moved by a residue: a point,
-    as the union acts faithfully on its points (see union_action).  Each
-    level's strong generators and transversal elements are read on the
-    points, so no chain is built."""
-    chain = _Chain(degree)
-    for level in group._chain.levels:
-        if level.base >= degree:
-            raise StructureContradiction("action not faithful on points")
-        read = _Level(level.base, chain.identity)
-        read.gens = [Permutation(g.images[:degree]) for g in level.gens]
-        read.orbit = {c: Permutation(u.images[:degree])
-                      for c, u in level.orbit.items()}
-        read.points = list(level.points)
-        read.checked = list(level.checked)
-        chain.levels.append(read)
-    return GroupWithChain._from_chain(
-        tuple(Permutation(g.images[:degree]) for g in group.generators), chain)
 
 
 def normal_closure(group, seeds):
@@ -802,8 +742,9 @@ def set_stabilizer(group, sets, j):
     """The stabilizer in `group` of set j of `sets`, a SetAction on its
     points, as a group on the points: the tail below set j of the chain,
     built on the points from the walk generators, of the group on the
-    points and the sets, hinted at set j.  That chain is union_action's
-    at set j's vertex, level by level (_Chain)."""
+    points and the sets, hinted at set j.  That chain is the plain build
+    of the union of the points and the sets (cosets.union_generators) at
+    set j's vertex, level by level (_Chain)."""
     degree = group.degree
     walk = group.walk_generators
     chain = _build_chain(degree + len(sets.sets), walk, (degree + j,),

@@ -208,6 +208,19 @@ def right_coset(subgroup_set, x):
     return frozenset(_compose(h, x) for h in subgroup_set)
 
 
+def right_cosets(subgroup_set, group_set):
+    """Every right coset H*x for x in G, each formed once: an x already in
+    a formed coset gives that coset again."""
+    cosets = set()
+    covered = set()
+    for x in group_set:
+        if x not in covered:
+            coset = right_coset(subgroup_set, x)
+            cosets.add(coset)
+            covered |= coset
+    return cosets
+
+
 def coset_kernel(group, *subgroups):
     """The kernel of the action on the right cosets of all the subgroups
     together: the elements common to them whose every conjugate is too."""
@@ -227,8 +240,8 @@ def coset_graph_blocks(group, left, right):
     g_set = mulclose(group.generators)
     l_set = mulclose(left.generators)
     r_set = mulclose(right.generators)
-    l_cosets = {right_coset(l_set, x) for x in g_set}
-    r_cosets = {right_coset(r_set, x) for x in g_set}
+    l_cosets = right_cosets(l_set, g_set)
+    r_cosets = right_cosets(r_set, g_set)
     return {ry: frozenset(lx for lx in l_cosets if lx & ry)
             for ry in r_cosets}
 

@@ -94,7 +94,7 @@ def full_levels(chain):
     """Everything a chain holds, level by level: base, strong generators,
     orbit insertion order, transversal elements and Schreier cursors.  A
     chain on the points and the sets of a SetAction is read as
-    union_action's chain holds it: each element as its point images
+    the union's plain chain holds it: each element as its point images
     followed by v + its set images, and set j as v + j."""
     sets = chain.sets
 
@@ -113,13 +113,15 @@ def full_levels(chain):
 
 def design_union(g, structure, block=0):
     """Oracle: the plain chain of g on the points and the blocks, block j at
-    vertex v + j, built by union_action from g's walk generators and their
+    vertex v + j, built from the union of g's walk generators and their
     block images, hinted at the vertex of `block`."""
-    from permdesign.group import SetAction, union_action
+    from permdesign.cosets import union_generators
+    from permdesign.group import GroupWithChain, SetAction
     blocks = SetAction(structure.v, structure.blocks)
     walk = g.walk_generators
-    return union_action(walk, [blocks.perm(x) for x in walk],
-                        (structure.v + block,), g.order())
+    return GroupWithChain(
+        union_generators(walk, [blocks.perm(x) for x in walk]),
+        (structure.v + block,), g.order())
 
 
 @pytest.fixture

@@ -208,7 +208,7 @@ def test_cli_coset_record(tmp_path, capsys, s4):
 def test_cli_coset_builds_each_space_once(tmp_path, capsys, fano_pair,
                                           monkeypatch):
     # the crosscheck, the faithfulness check and --out all read the one
-    # coset graph and its two spaces
+    # coset graph and its point space
     from permdesign.cosets import CosetSpace
     from permdesign.designgroup import DesignAction
     structure, g = fano_pair
@@ -229,14 +229,14 @@ def test_cli_coset_builds_each_space_once(tmp_path, capsys, fano_pair,
     assert json.loads(out) == {"faithful": True, "index_L": 7, "index_R": 7,
                                "lambda_constant": 1,
                                "trivial_factorization": False}
-    assert len(built) == 2
+    assert len(built) == 1
     built.clear()
     assert main(["coset", str(gp), str(lp), str(rp),
                  "--out", str(tmp_path / "out")]) == 0
     out = capsys.readouterr().out
     assert json.loads(out[out.index("{"):])["faithful"] is True
     assert (tmp_path / "out" / "coset.design").exists()
-    assert len(built) == 2
+    assert len(built) == 1
 
 
 def test_cli_build_unsupported_field(capsys, tmp_path):

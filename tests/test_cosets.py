@@ -10,7 +10,8 @@ from bruteforce import (coset_graph_blocks, coset_kernel,
 from conftest import group, perm
 from permdesign.cosets import (CosetGraph, CosetSpace, CrosscheckResult,
                                IndexLimitError, SubgroupError,
-                               _coset_orbit, canonical_coset_representative,
+                               _coset_orbit, _walk,
+                               canonical_coset_representative,
                                coset_action, coset_graph_design,
                                double_coset_lambda, is_trivial_factorization,
                                lambda_constancy_crosscheck,
@@ -300,8 +301,7 @@ def test_coset_graph_blocks_match_element_oracle(fano_pair, frobenius21, s4):
         points = [right_coset(l_set, x.images)
                   for x in graph.space_points.representatives]
         got = {right_coset(r_set, y.images): frozenset(points[i] for i in block)
-               for y, block in zip(graph.space_blocks.representatives,
-                                   graph.blocks)}
+               for y, block in zip(_walk(grp, right)[0], graph.blocks)}
         assert got == coset_graph_blocks(grp, left, right)
         assert all(list(block) == sorted(block) for block in graph.blocks)
         # the incidence structure the crosscheck reads holds these blocks
@@ -683,13 +683,13 @@ def test_analyze_builds_no_coset_space(corpus_instances, monkeypatch):
         report = analyze(inst.group, inst.structure, inst.name)
         assert report.checks["lambda_constancy"] == "pass", inst.name
     assert built == []
-    # the coset-triple entry point still builds both spaces
+    # the coset-triple entry point still builds the point space
     inst = corpus_instances[0]
     action = DesignAction(inst.group, inst.structure)
     lambda_constancy_crosscheck(
         inst.group, action.point_stabilizer(inst.structure.blocks[0][0]),
         action.block_stabilizer(0))
-    assert len(built) == 2
+    assert len(built) == 1
 
 
 def test_lambda_off_by_one_on_one_suborbit_fails_both_paths(
@@ -755,10 +755,10 @@ def _redundant_generator_cases():
 
 
 def _assert_matches_given_generator_walk(grp, left, right):
-    """CosetSpace, CosetGraph.blocks and the coset_action image against
-    _coset_orbit over the given generators, the blocks read by element
-    arithmetic: R*y meets L*x*y for each L*x meeting R."""
-    oracle = {}
+    """CosetSpace and the coset_action image against _coset_orbit over the
+    given generators, and CosetGraph.blocks, in the order of R's walk,
+    read by element arithmetic: R*y meets L*x*y for each L*x meeting R."""
+    positions = []
     for sub in (left, right):
         space = CosetSpace(grp, sub)
         position, reps, action = _coset_orbit(sub, grp)
@@ -767,13 +767,12 @@ def _assert_matches_given_generator_walk(grp, left, right):
         assert space._position == position
         assert space.action == action
         assert coset_action(grp, sub).image.generators == action
-        oracle[sub] = position, reps
-    position, _ = oracle[left]
+        positions.append(position)
     block0 = [Permutation(key) for key in _coset_orbit(left, right)[0]]
     assert CosetGraph(grp, left, right).blocks == tuple(
-        tuple(sorted(position[canonical_coset_representative(
+        tuple(sorted(positions[0][canonical_coset_representative(
             left, x * y).images] for x in block0))
-        for y in oracle[right][1])
+        for y in _walk(grp, right)[0])
 
 
 @pytest.mark.parametrize("name", COSET_TRIPLES)
@@ -786,3 +785,74 @@ def test_coset_spaces_match_the_given_generator_walk(name):
 def test_coset_spaces_match_the_given_generator_walk_on_redundant_lists():
     for grp, left, right in _redundant_generator_cases():
         _assert_matches_given_generator_walk(grp, left, right)
+
+
+def _two_space_structure(grp, left, right):
+    """The coset graph as two numbered coset spaces make it: block 0, the
+    L-cosets in LR, carried to block j by the given generators' actions
+    on both spaces, the blocks in the R-space's order."""
+    from permdesign.incidence import IncidenceStructure
+    points, cosets_of_r = CosetSpace(grp, left), CosetSpace(grp, right)
+    blocks = [None] * cosets_of_r.index
+    blocks[0] = [points._position[key]
+                 for key in _coset_orbit(left, right)[0]]
+    for j, members in enumerate(blocks):
+        for on_points, on_blocks in zip(points.action, cosets_of_r.action):
+            target = on_blocks.images[j]
+            if blocks[target] is None:
+                blocks[target] = [on_points.images[i] for i in members]
+    return IncidenceStructure(points.index, blocks)
+
+
+def _assert_structure_matches_oracles(grp, left, right):
+    """CosetGraph's structure against the two-space construction and, for
+    groups small enough to enumerate, against the element oracle with the
+    L-cosets numbered as the point space numbers them."""
+    graph = CosetGraph(grp, left, right)
+    assert graph.structure.blocks == _two_space_structure(
+        grp, left, right).blocks
+    if grp.order() > 5040:
+        return False
+    l_set = mulclose(left.generators)
+    index = {right_coset(l_set, x.images): i
+             for i, x in enumerate(graph.space_points.representatives)}
+    assert graph.structure.blocks == tuple(sorted(
+        tuple(sorted(index[lx] for lx in block))
+        for block in coset_graph_blocks(grp, left, right).values()))
+    return True
+
+
+@pytest.mark.parametrize("name", COSET_TRIPLES)
+def test_coset_graph_structure_matches_both_constructions(name):
+    """On a committed triple and its copies with L and R conjugated for
+    seeds 1 to 3; the A7 triples are small enough for the element
+    oracle."""
+    grp, left, right = _coset_triple(name)
+    cases = [(grp, left, right)] + [_conjugated(grp, left, right, seed)
+                                    for seed in (1, 2, 3)]
+    enumerated = [_assert_structure_matches_oracles(*case) for case in cases]
+    assert all(enumerated) == name.startswith("a7-")
+
+
+def test_coset_graph_structure_matches_both_constructions_on_redundant_lists():
+    for grp, left, right in _redundant_generator_cases():
+        assert _assert_structure_matches_oracles(grp, left, right)
+
+
+def test_coset_graph_numbers_only_the_point_space(chain_builds):
+    """coset_graph_design on the symplectic triple over GF(3) lifts the
+    given generators through G's chain on the 81 points and the 81
+    L-cosets, and builds no chain on the points and the 810 R-cosets."""
+    grp, left, right = _coset_triple("symplectic-2-3")
+    coset_graph_design(grp, left, right)
+    degrees = {args[0] for args in chain_builds}
+    assert 81 + 81 in degrees and 81 + 810 not in degrees
+
+
+@pytest.mark.parametrize("name", COSET_TRIPLES)
+def test_subgroup_intersection_order_on_coset_triples(name):
+    """|L n R| = |L| / (number of R-cosets in RL), and L n R lies in both."""
+    _, left, right = _coset_triple(name)
+    common = subgroup_intersection(left, right)
+    assert common.order() * len(_coset_orbit(right, left)[0]) == left.order()
+    assert common.is_subgroup_of(left) and common.is_subgroup_of(right)

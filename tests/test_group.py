@@ -308,6 +308,43 @@ def test_schreier_pairs_sifted_per_corpus_chain(corpus_instances):
         assert counts == SIFTED_PER_INSTANCE[inst.name], inst.name
 
 
+def test_each_schreier_pair_is_sifted_once(monkeypatch):
+    """While the corpus is built and analyzed, and the chains of
+    SIFTED_PER_INSTANCE are built, each chain build runs _Chain._sift
+    once per Schreier pair it sifts and once per membership test of a
+    generator in extend()."""
+    from permdesign import group as chains
+    calls = {"_sift": 0, "extend": 0}
+    for name in calls:
+        def counting(self, *args, method=getattr(_Chain, name), name=name):
+            calls[name] += 1
+            return method(self, *args)
+        monkeypatch.setattr(_Chain, name, counting)
+    builds = []
+
+    def measured(build, *args, **kwargs):
+        before = dict(calls)
+        chain = build(*args, **kwargs)
+        builds.append((sifted(chain), calls["_sift"] - before["_sift"],
+                       calls["extend"] - before["extend"]))
+        return chain
+    build = chains._build_chain
+    monkeypatch.setattr(chains, "_build_chain",
+                        lambda *args, **kwargs: measured(build, *args,
+                                                         **kwargs))
+    counts = {}
+    for inst in bundled_corpus():
+        analyze(inst.group, inst.structure, inst.name)
+        action = DesignAction(inst.group, inst.structure)
+        counts[inst.name] = (
+            sifted(inst.group._chain),
+            sifted(action.block_action.image._chain),
+            sifted(measured(points_and_blocks, action)))
+    assert counts == SIFTED_PER_INSTANCE
+    assert builds and all(sift == pairs + extended
+                          for pairs, sift, extended in builds)
+
+
 CHAINS_DIGEST = os.path.join(os.path.dirname(__file__), "golden",
                              "chains.sha256")
 

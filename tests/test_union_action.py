@@ -1,11 +1,9 @@
-"""Chains of union actions (group.union_action), which sift every Schreier
-generator on the first domain alone, and chains built on the points of
-actions on point sets (group.set_action) and of the points with the sets
-(group.set_stabilizer), against plain builds of the same generators, base
-hint and order bound."""
+"""Chains built on the points of actions on point sets (group.set_action)
+and of the points with the sets (group.set_stabilizer), against plain
+builds of the same generators, base hint and order bound, and against the
+plain chain of the union of the points and the sets."""
 
 import operator
-import os
 import random
 
 import pytest
@@ -17,48 +15,12 @@ from permdesign import group as chains
 from permdesign import perm as perms
 from permdesign.analyzer import analyze
 from permdesign.corpus import bundled_corpus
-from permdesign.cosets import CosetSpace, subgroup_intersection
+from permdesign.cosets import restrict_to_points
 from permdesign.designgroup import DesignAction
 from permdesign.geometry import build_PG, build_symplectic_subdesign
-from permdesign.group import (GroupWithChain, _build_chain, _Chain,
-                              restrict_to_points, union_action)
+from permdesign.group import GroupWithChain, _build_chain, _Chain
 from permdesign.incidence import IncidenceStructure
-from permdesign.io import read_group_file
 from permdesign.perm import Permutation
-
-COSET_INPUTS = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "perfbench", "coset_inputs")
-COSET_TRIPLES = ("a7-cos-15-3-1", "a7-cos-15-7-3", "agl-3-3-lines",
-                 "pgl-4-3-lines", "symplectic-2-3")
-
-
-@pytest.fixture
-def prefix_builds(monkeypatch):
-    """(degree, generators, base hint, order bound, prefix, chain) of every
-    chain built on a prefix shorter than its degree from here on."""
-    builds = []
-    build = chains._build_chain
-
-    def recording(degree, generators, base_hint=(), order_bound=None,
-                  prefix=None, sets=None):
-        chain = build(degree, generators, base_hint, order_bound, prefix,
-                      sets)
-        if prefix is not None and prefix < degree:
-            builds.append((degree, tuple(generators), tuple(base_hint),
-                           order_bound, prefix, chain))
-        return chain
-    monkeypatch.setattr(chains, "_build_chain", recording)
-    return builds
-
-
-def assert_plain(builds):
-    """Each recorded chain equals the plain build of its arguments."""
-    assert builds
-    for degree, gens, hint, bound, prefix, chain in builds:
-        assert chain.prefix == prefix
-        plain = _build_chain(degree, gens, hint, bound)
-        assert plain.prefix == degree
-        assert full_levels(chain) == full_levels(plain), (degree, hint)
 
 
 def design_cases():
@@ -77,9 +39,8 @@ def set_recorder(monkeypatch, alone):
     build = chains._build_chain
 
     def recording(degree, generators, base_hint=(), order_bound=None,
-                  prefix=None, sets=None):
-        chain = build(degree, generators, base_hint, order_bound, prefix,
-                      sets)
+                  sets=None):
+        chain = build(degree, generators, base_hint, order_bound, sets)
         if sets is not None and (degree == len(sets.sets)) == alone:
             builds.append((degree, tuple(generators), tuple(base_hint),
                            order_bound, sets.sets, chain))
@@ -287,21 +248,6 @@ def test_random_orbit_block_chains_equal_plain_builds(monkeypatch):
     assert_plain_images(set_builds)
 
 
-def test_coset_union_chains_equal_plain_builds(prefix_builds):
-    intersections = 0
-    for name in COSET_TRIPLES:
-        grp, left, right = (read_group_file(os.path.join(
-            COSET_INPUTS, f"{name}.{role}.group")) for role in "GLR")
-        CosetSpace(grp, left)
-        CosetSpace(grp, right)
-        builds = len(prefix_builds)
-        assert subgroup_intersection(left, right).is_subgroup_of(left)
-        intersections += len(prefix_builds) - builds
-    # every triple's intersection, and at least one lifting chain
-    assert intersections == len(COSET_TRIPLES) < len(prefix_builds)
-    assert_plain(prefix_builds)
-
-
 def two_orbit_structure(grp, first, second):
     """The blocks of two orbit designs of grp together: not block-
     transitive, so the second orbit's block is not block 0."""
@@ -310,7 +256,7 @@ def two_orbit_structure(grp, first, second):
     return IncidenceStructure(grp.degree, blocks)
 
 
-def test_stabilizer_rebuilds_and_tails_equal_plain_builds(prefix_builds,
+def test_stabilizer_rebuilds_and_tails_equal_plain_builds(chain_builds,
                                                           stabilizer_builds):
     cases = [
         (group(7, "(1 2 3 4 5 6 7)", "(1 2)(3 6)"), (0, 1, 3), (0, 1, 2)),
@@ -327,84 +273,19 @@ def test_stabilizer_rebuilds_and_tails_equal_plain_builds(prefix_builds,
         for j in minima:
             action.local_block_action(j)
         assert_union_tails(action, minima, stabilizer_builds[builds:])
-        # the plain union's tail below block 0's vertex keeps the prefix,
-        # and so does a rebuild of it at a point that is not its first
-        # base point
+        # the plain union's tail below block 0's vertex is kept, and a
+        # rebuild of it at a point that is not its first base point
         union = design_union(grp, structure)
         union.point_stabilizer(v + minima[1])
         tail = union.point_stabilizer(v)
         assert tail is union.point_stabilizer(v)
-        assert tail._chain.prefix == v
         moved = [p for p in range(v)
                  if p != tail.base()[0] and len(tail.orbit(p)) > 1]
-        assert tail.point_stabilizer(moved[0])._chain.prefix == v
+        tail.point_stabilizer(moved[0])
         # the union chain at block 0's vertex, the rebuild at the second
         # orbit's vertex, and the rebuild of the tail
-        hints = [hint for _, _, hint, _, _, _ in prefix_builds[-3:]]
+        hints = [args[2] for args in chain_builds[-3:]]
         assert hints == [(v,), (v + minima[1],), (moved[0],)]
-    assert_plain(prefix_builds)
-
-
-def test_unions_of_one_point_prefix_equal_plain_builds(prefix_builds):
-    """A group faithful on one point is trivial: nothing is sifted, so no
-    product of degree 1 is formed (an itemgetter of one index would
-    return a scalar)."""
-    one = Permutation.identity(1)
-    for hint in ((), (0,), (1,), (1, 0)):
-        union = union_action((one,), (one,), hint, 1)
-        assert union.order() == 1 and union.degree == 2
-        assert union.point_stabilizer(0).order() == 1
-        assert union.point_stabilizer(1).order() == 1
-    swap = Permutation((1, 0))
-    union = union_action((swap,), (Permutation.identity(1),), (2,), 2)
-    assert union.order() == 2 and union.base() == (2, 0)
-    assert union.point_stabilizer(2).order() == 2
-    assert union.point_stabilizer(0).order() == 1
-    assert_plain(prefix_builds)
-
-
-def test_union_chain_forms_few_products_past_the_points(monkeypatch):
-    """Products of degree v + b while the union chain of the relabelled
-    symplectic design over GF(3) is built: one per transversal element,
-    at most one per base point for each membership test of a given
-    generator, and a few for each installed residue.  At the plain build
-    every Schreier generator formed them: 14 527."""
-    structure, grp = relabelled(*build_symplectic_subdesign(2, 3), 1)
-    image = DesignAction(grp, structure).block_action.image
-    degree = structure.v + structure.b
-    products = []
-    real = operator.itemgetter
-
-    def counting(*items):
-        if len(items) == degree:
-            products.append(1)
-        return real(*items)
-    residues = []
-    sift = _Chain._sift_schreier
-
-    def recording(self, u, g, t, start):
-        result = sift(self, u, g, t, start)
-        if result is not None:
-            residues.append(result)
-        return result
-    memberships = []
-    contains = _Chain.contains
-
-    def testing(self, p):
-        memberships.append(p)
-        return contains(self, p)
-    monkeypatch.setattr(perms, "itemgetter", counting)
-    monkeypatch.setattr(chains, "itemgetter", counting)
-    monkeypatch.setattr(_Chain, "_sift_schreier", recording)
-    monkeypatch.setattr(_Chain, "contains", testing)
-    union = union_action(grp.generators, image.generators, (structure.v,),
-                         grp.order())
-    monkeypatch.undo()
-    levels = union._chain.levels
-    transversal = sum(len(level.orbit) - 1 for level in levels)
-    bound = (transversal + len(levels) * len(memberships)
-             + (len(levels) + 2) * len(residues))
-    assert residues and len(products) <= bound < 2000
 
 
 def test_design_action_forms_no_product_past_the_points(monkeypatch):
