@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import prod
+from operator import getitem
 
 from .config import point_limit
 from .gf import field
@@ -93,30 +94,26 @@ def enumerate_subspaces(d, q, i):
     return SubspaceList(d=d, i=i, q=q, canonical_matrices=tuple(matrices))
 
 
+def _coordinate_vectors(d, q):
+    """The q^d vectors of GF(q)^d as coordinate tuples, in index order."""
+    return [vec[::-1] for vec in product(range(q), repeat=d)]
+
+
 def span_vectors(gf, rows):
     """All vectors in the row space, as a sorted tuple (by index)."""
-    d = len(rows[0])
-    out = set()
-    for coeffs in product(range(gf.q), repeat=len(rows)):
-        vec = [0] * d
-        for c, row in zip(coeffs, rows):
-            if c:
-                for j in range(d):
-                    vec[j] = gf.add(vec[j], gf.mul(c, row[j]))
-        out.add(tuple(vec))
+    out = {_mat_vec(gf, coeffs, rows)
+           for coeffs in product(range(gf.q), repeat=len(rows))}
     return tuple(sorted(out, key=lambda v: vector_index(v, gf.q)))
 
 
 def _mat_vec(gf, vec, mat):
     # row vector times matrix (right action)
-    d = len(mat)
+    add, mul = gf._add, gf._mul
     out = [0] * len(mat[0])
-    for r in range(d):
-        c = vec[r]
+    for c, row in zip(vec, mat):
         if c:
-            row = mat[r]
-            for j in range(len(row)):
-                out[j] = gf.add(out[j], gf.mul(c, row[j]))
+            times_c = mul[c]
+            out = [add[a][times_c[b]] for a, b in zip(out, row)]
     return tuple(out)
 
 
@@ -161,24 +158,27 @@ def sp_order(m, q):
     return q ** (m * m) * prod(q ** (2 * j) - 1 for j in range(1, m + 1))
 
 
-def _vector_perm(gf, d, image_of):
-    return Permutation([vector_index(image_of(index_vector(i, d, gf.q)), gf.q)
-                        for i in range(gf.q ** d)])
+def _vector_perm(gf, vectors, image_of):
+    """The permutation of the vector indices that image_of induces, given
+    the coordinate vectors in index order."""
+    return Permutation([vector_index(image_of(x), gf.q) for x in vectors])
 
 
 def _line_key(gf, vec):
     """Index of the minimal-index vector on the line through a nonzero
-    vector: the projective point it spans."""
-    return min(vector_index(tuple(gf.mul(c, x) for x in vec), gf.q)
-               for c in range(1, gf.q))
+    vector: the projective point it spans.  The last nonzero coordinate is
+    the top digit of the index, and 1 is the smallest nonzero element, so
+    that vector is the multiple whose last nonzero coordinate is 1."""
+    top = next(c for c in reversed(vec) if c)
+    times_inverse = gf._mul[gf._inv[top]]
+    return vector_index([times_inverse[x] for x in vec], gf.q)
 
 
 def _line_representatives(gf, d):
     """Projective points as minimal-index vector representatives, in index
-    order."""
+    order: the indices whose top base-q digit is 1."""
     q = gf.q
-    return [i for i in range(1, q ** d)
-            if _line_key(gf, index_vector(i, d, q)) == i]
+    return [i for j in range(d) for i in range(q ** j, 2 * q ** j)]
 
 
 def _checked_group(perms, expected_order, name):
@@ -191,58 +191,68 @@ def _checked_group(perms, expected_order, name):
     return group
 
 
-def _subspace_cosets(gf, d, matrices):
+def _subspace_cosets(gf, vectors, matrices):
     """Every coset U + t of the row space U of each matrix, as a sorted
-    point list: per subspace, in order of the first shift t reaching it."""
+    point list: per subspace, in order of the first shift t reaching it.
+
+    Since 0 is in U, that shift is the coset's smallest point, so each
+    coset is formed once, from its smallest point, and the shifts it
+    covers are skipped."""
     q = gf.q
+    # shifted[j][c][a]: coordinate j's share of the index of a + c
+    shifted = [[[s * q ** j for s in row] for row in gf._add]
+               for j in range(len(vectors[0]))]
     blocks = []
     for mat in matrices:
         base = span_vectors(gf, mat)
-        seen = set()
-        for shift_idx in range(q ** d):
-            t = index_vector(shift_idx, d, q)
-            coset = frozenset(
-                vector_index(tuple(gf.add(a, b) for a, b in zip(vec, t)), q)
-                for vec in base)
-            if coset not in seen:
-                seen.add(coset)
-                blocks.append(sorted(coset))
+        covered = bytearray(len(vectors))
+        for t, shift in enumerate(vectors):
+            if covered[t]:
+                continue
+            rows = [share[c] for share, c in zip(shifted, shift)]
+            block = [sum(map(getitem, rows, vec)) for vec in base]
+            block.sort()
+            for point in block:
+                covered[point] = 1
+            blocks.append(block)
     return blocks
 
 
 def _symplectic_form(gf, u, v):
     """Alternating form with hyperbolic pairs on coordinates (2j, 2j+1)."""
+    add, sub, mul = gf._add, gf._sub, gf._mul
     total = 0
     for j in range(0, len(u), 2):
-        total = gf.add(total, gf.mul(u[j], v[j + 1]))
-        total = gf.sub(total, gf.mul(u[j + 1], v[j]))
+        total = add[total][sub[mul[u[j]][v[j + 1]]][mul[u[j + 1]][v[j]]]]
     return total
 
 
-def _sp_generator_maps(gf, m):
+def _sp_generator_maps(gf, vectors):
     """Symplectic transvections x -> x + lam*f(x, v)*v for every nonzero v
-    and lam in a GF(p)-basis; correctness is enforced by the order assertion
-    on the generated group."""
-    d = 2 * m
+    of the given coordinate vectors and lam in a GF(p)-basis; correctness is
+    enforced by the order assertion on the generated group."""
+    add, mul = gf._add, gf._mul
     basis = [gf.p ** j for j in range(gf.e)]
     maps = []
-    for vi in range(1, gf.q ** d):
-        v = index_vector(vi, d, gf.q)
+    for v in vectors[1:]:
         for lam in basis:
-            def image(x, v=v, lam=lam):
-                c = gf.mul(lam, _symplectic_form(gf, x, v))
-                return tuple(gf.add(a, gf.mul(c, b)) for a, b in zip(x, v))
+            def image(x, v=v, times_lam=mul[lam]):
+                c = times_lam[_symplectic_form(gf, x, v)]
+                if not c:
+                    return x
+                times_c = mul[c]
+                return tuple(add[a][times_c[b]] for a, b in zip(x, v))
             maps.append(image)
     return maps
 
 
 def _translations(gf, d):
+    """x -> x + e_j for each coordinate j."""
+    plus_one = [row[1] for row in gf._add]
     maps = []
     for j in range(d):
-        e_j = tuple(1 if c == j else 0 for c in range(d))
-
-        def image(x, t=e_j):
-            return tuple(gf.add(a, b) for a, b in zip(x, t))
+        def image(x, j=j):
+            return x[:j] + (plus_one[x[j]],) + x[j + 1:]
         maps.append(image)
     return maps
 
@@ -263,6 +273,7 @@ def classical_group_generators(family, dim, q):
             rep_pos[_line_key(gf, _mat_vec(gf, index_vector(r, dim, q), m))]
             for r in reps]) for m in _gl_generator_matrices(dim, q)]
         return _checked_group(perms, pgl_order(dim, q), name)
+    vectors = _coordinate_vectors(dim, q)
     if family in ("GL", "AGL"):
         maps = [lambda x, m=m: _mat_vec(gf, x, m)
                 for m in _gl_generator_matrices(dim, q)]
@@ -273,12 +284,12 @@ def classical_group_generators(family, dim, q):
     elif family == "Sp":
         if dim % 2:
             raise ValueError("symplectic groups need even dimension")
-        maps = _sp_generator_maps(gf, dim // 2)
+        maps = _sp_generator_maps(gf, vectors)
         expected = sp_order(dim // 2, q)
     else:
         raise ValueError(f"unknown family {family!r}")
-    return _checked_group([_vector_perm(gf, dim, f) for f in maps], expected,
-                          name)
+    return _checked_group([_vector_perm(gf, vectors, f) for f in maps],
+                          expected, name)
 
 
 def projective_design(d, q, i):
@@ -311,7 +322,8 @@ def build_AG(d, q, i):
         raise ValueError(f"need d >= 2 and 1 <= i <= d-1, got d={d}, i={i}")
     gf = field(q)
     subs = enumerate_subspaces(d, q, i)
-    blocks = _subspace_cosets(gf, d, subs.canonical_matrices)
+    blocks = _subspace_cosets(gf, _coordinate_vectors(d, q),
+                              subs.canonical_matrices)
     structure = IncidenceStructure(v=q ** d, blocks=blocks)
     group = classical_group_generators("AGL", d, q)
     return structure, group
@@ -336,10 +348,11 @@ def build_symplectic_subdesign(m, q):
     # the non-degenerate planes: the form does not vanish on the basis
     planes = [mat for mat in subs.canonical_matrices
               if _symplectic_form(gf, mat[0], mat[1]) != 0]
+    vectors = _coordinate_vectors(d, q)
     structure = IncidenceStructure(v=q ** d,
-                                   blocks=_subspace_cosets(gf, d, planes))
-    maps = _sp_generator_maps(gf, m) + _translations(gf, d)
-    group = _checked_group([_vector_perm(gf, d, f) for f in maps],
+                                   blocks=_subspace_cosets(gf, vectors, planes))
+    maps = _sp_generator_maps(gf, vectors) + _translations(gf, d)
+    group = _checked_group([_vector_perm(gf, vectors, f) for f in maps],
                            q ** d * sp_order(m, q),
                            "translation-symplectic group")
     return structure, group

@@ -39,8 +39,10 @@ def _factor_prime_power(q):
 
 
 class FiniteField:
-    """GF(q) with precomputed addition/multiplication tables and a verified
-    generator of the cyclic multiplicative group."""
+    """GF(q) with precomputed addition, subtraction, negation,
+    multiplication and inverse tables and a verified generator of the
+    cyclic multiplicative group.  Hot loops may read the tables (`_add`,
+    `_sub`, `_neg`, `_mul`, `_inv`) directly."""
 
     def __init__(self, q):
         pe = _factor_prime_power(q)
@@ -73,6 +75,10 @@ class FiniteField:
             else:
                 raise UnsupportedFieldError(
                     f"modulus for q={q} is not irreducible")
+        self._neg = [self._encode([(-c) % p for c in self._digits(a)])
+                     for a in range(q)]
+        self._sub = [[self._add[a][self._neg[b]] for b in range(q)]
+                     for a in range(q)]
         self.generator = self._find_generator()
 
     def _digits(self, a):
@@ -126,11 +132,10 @@ class FiniteField:
         return self._add[a][b]
 
     def sub(self, a, b):
-        return self._add[a][self.neg(b)]
+        return self._sub[a][b]
 
     def neg(self, a):
-        digits = [(-c) % self.p for c in self._digits(a)]
-        return self._encode(digits)
+        return self._neg[a]
 
     def mul(self, a, b):
         return self._mul[a][b]

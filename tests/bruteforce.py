@@ -1,11 +1,12 @@
 """Independent brute-force oracles used to cross-check the library: plain
 closure enumeration, exhaustive partition search, block systems by a
 union-find over joined pairs, the full subgroup lattice, direct pair
-counting, and double-coset counts and coset-graph adjacency from element
-sets.  These deliberately avoid the stabilizer-chain code
-paths they are checking."""
+counting, double-coset counts and coset-graph adjacency from element
+sets, and the geometry families from every shift and every multiple.  These
+deliberately avoid the stabilizer-chain and builder code paths they are
+checking."""
 
-from itertools import combinations
+from itertools import combinations, product
 
 from permdesign.geometry import index_vector, vector_index
 from permdesign.gf import field
@@ -323,3 +324,102 @@ def parallel_classes(structure, q, d):
             for p in block)
         classes.setdefault(key, []).append(j)
     return sorted(classes.values())
+
+
+def row_space(rows, q):
+    """Every vector of the row space: each combination of the rows."""
+    gf = field(q)
+    out = set()
+    for coeffs in product(range(q), repeat=len(rows)):
+        vec = (0,) * len(rows[0])
+        for c, row in zip(coeffs, rows):
+            vec = tuple(gf.add(a, gf.mul(c, b)) for a, b in zip(vec, row))
+        out.add(vec)
+    return out
+
+
+def every_shift_cosets(matrices, d, q):
+    """The cosets U + t of each row space U, formed from every shift t and
+    kept once each as a frozenset; sorted point lists, per subspace in order
+    of their first shift."""
+    gf = field(q)
+    blocks = []
+    for mat in matrices:
+        space = row_space(mat, q)
+        seen = set()
+        for t in all_vectors(d, q):
+            coset = frozenset(
+                vector_index(tuple(gf.add(a, b) for a, b in zip(u, t)), q)
+                for u in space)
+            if coset not in seen:
+                seen.add(coset)
+                blocks.append(sorted(coset))
+    return blocks
+
+
+def vector_images(d, q, image_of):
+    """The image list of the permutation x -> image_of(x) of GF(q)^d."""
+    return [vector_index(image_of(x), q) for x in all_vectors(d, q)]
+
+
+def matrix_image(x, mat, q):
+    """The row vector x times the matrix."""
+    gf = field(q)
+    out = (0,) * len(mat[0])
+    for c, row in zip(x, mat):
+        out = tuple(gf.add(a, gf.mul(c, b)) for a, b in zip(out, row))
+    return out
+
+
+def translation_images(d, q):
+    """x -> x + e_j for each coordinate j."""
+    gf = field(q)
+    return [vector_images(d, q, lambda x, j=j: tuple(
+        gf.add(a, 1 if c == j else 0) for c, a in enumerate(x)))
+        for j in range(d)]
+
+
+def transvection_images(m, q):
+    """x -> x + lam*f(x, v)*v, with f from symplectic_form, for every
+    nonzero v in index order and lam = 1, p, p^2, ...: the symplectic
+    subdesign's generators before the translations."""
+    gf = field(q)
+    d = 2 * m
+    out = []
+    for v in all_vectors(d, q)[1:]:
+        for j in range(gf.e):
+            def image(x, v=v, lam=gf.p ** j):
+                c = gf.mul(lam, symplectic_form(x, v, q))
+                return tuple(gf.add(a, gf.mul(c, b)) for a, b in zip(x, v))
+            out.append(vector_images(d, q, image))
+    return out
+
+
+def line_key(vec, q):
+    """The smallest index among the nonzero multiples of a nonzero vector."""
+    gf = field(q)
+    return min(vector_index(tuple(gf.mul(c, x) for x in vec), q)
+               for c in range(1, q))
+
+
+def projective_points(dim, q):
+    """The indices that are their own line key, in index order."""
+    return [i for i in range(1, q ** dim)
+            if line_key(index_vector(i, dim, q), q) == i]
+
+
+def projective_blocks(matrices, dim, q):
+    """Each row space as the sorted positions of its projective points."""
+    position = {p: j for j, p in enumerate(projective_points(dim, q))}
+    return [sorted({position[line_key(u, q)]
+                    for u in row_space(mat, q) if any(u)})
+            for mat in matrices]
+
+
+def projective_matrix_images(mat, dim, q):
+    """The permutation of the projective points induced by a matrix."""
+    points = projective_points(dim, q)
+    position = {p: j for j, p in enumerate(points)}
+    return [position[line_key(matrix_image(index_vector(p, dim, q), mat, q),
+                              q)]
+            for p in points]

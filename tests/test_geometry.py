@@ -2,8 +2,14 @@ import random
 
 import pytest
 
-from bruteforce import all_vectors, parallel_classes, symplectic_form
-from permdesign.geometry import (SizeLimitError, agl_order, build_AG,
+from bruteforce import (all_vectors, every_shift_cosets, matrix_image,
+                        parallel_classes, projective_blocks,
+                        projective_matrix_images, symplectic_form,
+                        translation_images, transvection_images,
+                        vector_images)
+from permdesign import geometry
+from permdesign.geometry import (SizeLimitError, _checked_group,
+                                 _gl_generator_matrices, agl_order, build_AG,
                                  build_PG, build_symplectic_subdesign,
                                  classical_group_generators,
                                  enumerate_subspaces, gaussian_coefficient,
@@ -11,7 +17,10 @@ from permdesign.geometry import (SizeLimitError, agl_order, build_AG,
                                  span_vectors, vector_index)
 from permdesign.gf import (SUPPORTED_PRIME_POWERS, FiniteField,
                            UnsupportedFieldError, field)
-from permdesign.incidence import t_design_strength, verify_design
+from permdesign.group import StructureContradiction
+from permdesign.incidence import (IncidenceStructure, t_design_strength,
+                                  verify_design)
+from permdesign.perm import Permutation
 
 ALL_Q = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27)
 
@@ -30,6 +39,25 @@ def test_field_axioms_spot_check(q):
         assert gf.add(a, gf.neg(a)) == 0
         if a:
             assert gf.mul(a, gf.inv(a)) == 1
+
+
+@pytest.mark.parametrize("q", ALL_Q)
+def test_negation_and_subtraction_tables_match_digit_arithmetic(q):
+    gf = field(q)
+    p = gf.p
+
+    def digits(a):
+        return [a // p ** j % p for j in range(gf.e)]
+
+    def encode(ds):
+        return sum(c * p ** j for j, c in enumerate(ds))
+
+    for a in range(q):
+        assert gf.neg(a) == encode([-c % p for c in digits(a)])
+        for b in range(q):
+            assert gf.sub(a, b) == encode(
+                [(x - y) % p for x, y in zip(digits(a), digits(b))])
+            assert gf.add(gf.sub(a, b), b) == a
 
 
 @pytest.mark.parametrize("q", ALL_Q)
@@ -264,3 +292,76 @@ def test_affine_design_parameter_formula(d, q, i):
     expected_lam = gaussian_coefficient(d - 1, i - 1, q) if i >= 2 else 1
     assert params.lam == expected_lam
     assert g.order() == agl_order(d, q)
+
+
+def _oracle_family(family, args):
+    """The blocks in the order a builder forms them and the generator image
+    lists, from the brute-force oracles: cosets from every shift, line keys
+    as minima over every multiple, transvections from symplectic_form."""
+    if family == "AG":
+        d, q, i = args
+        matrices = enumerate_subspaces(d, q, i).canonical_matrices
+        linear = [vector_images(d, q, lambda x, m=m: matrix_image(x, m, q))
+                  for m in _gl_generator_matrices(d, q)]
+        return (every_shift_cosets(matrices, d, q),
+                linear + translation_images(d, q))
+    if family == "symplectic":
+        m, q = args
+        planes = [mat for mat in enumerate_subspaces(2 * m, q, 2)
+                  .canonical_matrices if symplectic_form(mat[0], mat[1], q)]
+        return (every_shift_cosets(planes, 2 * m, q),
+                transvection_images(m, q) + translation_images(2 * m, q))
+    d, q, i = args
+    matrices = enumerate_subspaces(d + 1, q, i + 1).canonical_matrices
+    return (projective_blocks(matrices, d + 1, q),
+            [projective_matrix_images(m, d + 1, q)
+             for m in _gl_generator_matrices(d + 1, q)])
+
+
+ORACLE_FAMILIES = (
+    ("AG", (2, 3, 1)), ("AG", (2, 4, 1)), ("AG", (2, 9, 1)),
+    ("AG", (3, 2, 2)), ("AG", (3, 3, 1)),
+    ("symplectic", (2, 2)), ("symplectic", (2, 3)), ("symplectic", (3, 2)),
+    ("PG", (2, 4, 1)), ("PG", (2, 7, 1)), ("PG", (2, 8, 1)),
+    ("PG", (3, 3, 1)),
+)
+
+
+@pytest.mark.parametrize(
+    "family,args", ORACLE_FAMILIES,
+    ids=["-".join(map(str, (f,) + a)) for f, a in ORACLE_FAMILIES])
+def test_builders_match_brute_force_oracles(monkeypatch, family, args):
+    """The blocks each builder hands to IncidenceStructure, in order, and
+    its generators' images equal the oracles'."""
+    handed = []
+
+    def recording(v, blocks):
+        handed.append([list(block) for block in blocks])
+        return IncidenceStructure(v=v, blocks=blocks)
+
+    monkeypatch.setattr(geometry, "IncidenceStructure", recording)
+    build = {"AG": build_AG, "PG": build_PG,
+             "symplectic": build_symplectic_subdesign}[family]
+    _, group = build(*args)
+    blocks, images = _oracle_family(family, args)
+    assert handed == [blocks]
+    assert [list(g.images) for g in group.generators] == images
+
+
+@pytest.mark.parametrize("build,args,expected,translations", [
+    (build_symplectic_subdesign, (2, 2), 2 ** 4 * sp_order(2, 2), 4),
+    (build_AG, (2, 3, 1), agl_order(2, 3), 2),
+], ids=["symplectic-2-2", "AG-2-3-1"])
+def test_checked_group_rejects_a_wrong_generator_list(build, args, expected,
+                                                      translations):
+    """A builder's generators, with a transposition appended (a larger
+    group) or the translations dropped (a smaller one), fail the order
+    check against the formula."""
+    gens = list(build(*args)[1].generators)
+    assert _checked_group(gens, expected, "given").order() == expected
+    swap = list(range(gens[0].degree))
+    swap[0], swap[1] = 1, 0
+    with pytest.raises(StructureContradiction):
+        _checked_group(gens + [Permutation(swap)], expected, "larger")
+    with pytest.raises(StructureContradiction):
+        _checked_group(gens[:-translations], expected, "smaller")
