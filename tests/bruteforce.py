@@ -328,14 +328,8 @@ def parallel_classes(structure, q, d):
 
 def row_space(rows, q):
     """Every vector of the row space: each combination of the rows."""
-    gf = field(q)
-    out = set()
-    for coeffs in product(range(q), repeat=len(rows)):
-        vec = (0,) * len(rows[0])
-        for c, row in zip(coeffs, rows):
-            vec = tuple(gf.add(a, gf.mul(c, b)) for a, b in zip(vec, row))
-        out.add(vec)
-    return out
+    return {matrix_image(coeffs, rows, q)
+            for coeffs in product(range(q), repeat=len(rows))}
 
 
 def every_shift_cosets(matrices, d, q):
