@@ -16,7 +16,7 @@ import sys
 from .analyzer import AnalysisReport, analyze
 from .corpus import write_corpus
 from .cosets import (CosetGraph, IndexLimitError, SubgroupError,
-                     lambda_constancy_crosscheck)
+                     coset_graph_faithful, lambda_constancy_crosscheck)
 from .designgroup import PreservationError, RepeatedBlockError
 from .geometry import (SizeLimitError, build_AG, build_PG,
                        build_symplectic_subdesign)
@@ -65,15 +65,15 @@ def cmd_coset(args):
     left = read_group_file(args.left)
     right = read_group_file(args.right)
     # building the coset graph validates the input; the crosscheck, the
-    # factorization (G = LR iff block 0 is full), the faithfulness check
-    # and --out all read it
+    # factorization (G = LR iff block 0 is full) and --out read it, and the
+    # faithfulness check reads the two walks it was built from
     graph = CosetGraph(group, left, right)
     crosscheck = lambda_constancy_crosscheck(group, left, right, graph=graph)
     record = {
         "index_L": group.order() // left.order(),
         "index_R": group.order() // right.order(),
         "trivial_factorization": graph.trivial,
-        "faithful": graph.is_faithful(),
+        "faithful": coset_graph_faithful(group, left, right),
         "lambda_constant": crosscheck.value if crosscheck.ok else None,
     }
     if args.out:

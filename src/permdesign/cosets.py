@@ -7,18 +7,17 @@ Cosets are identified by a canonical representative: the element of Lx
 whose base-image sequence under L's stabilizer chain is lexicographically
 minimal, found by walking the chain transversals.  This gives constant-time
 coset keys without backtrack searches.  One breadth-first walk enumerates
-a coset space and records where each generator sends each coset; the coset
-action, the coset graph and the faithfulness check read that table.
+a coset space, numbers the cosets in the order it finds them, and records
+where each generator sends each coset; the coset action, the coset graph
+and the faithfulness check read that table.
 
 The walk costs one canonical representative per (coset, generator) pair,
 so it runs over the group's walk generators, the ones that grew its chain
-(see group.py).  It depends only on H and on G's chain, so it is made once
-per (G, H) and kept on H, keyed by that chain (_walk); every reader still
-checks H against G, the index limit and the coset count.  The other given
-generators' coset actions are read off one plain chain of the group on its
-points and, after them, the cosets (union_generators), and the cosets are
-then numbered as a walk over all given generators numbers them.  A coset
-graph numbers only its points so; its blocks stay in R's walk order.
+(see group.py); they generate G, so they reach every coset.  The walk
+depends only on H and on G's chain, so it is made once per (G, H) and kept
+on H, keyed by that chain (_walk); every reader still checks H against G,
+the index limit and the coset count.  Both coset spaces of a coset graph
+are walked over the same generators, so their tables pair up.
 Faithfulness depends only on the group: it reads the walk generators'
 tables and is decided on one coset space when that one is faithful, on the
 disjoint union of both only when neither is.
@@ -60,59 +59,19 @@ def canonical_coset_representative(subgroup, x):
 
 
 class CosetSpace:
-    """The right cosets of a subgroup, with canonical representatives in
-    breadth-first discovery order over the group's given generators (the
-    trivial coset is index 0), and as `action` the images of those
-    generators on the coset indices: what _coset_orbit(subgroup, group)
-    returns.
-
-    Only the walk generators are walked; each reads its own table.  G is
-    faithful on its points, so the plain chain of G on the points and the
-    cosets together (union_generators), hinted with G's base, has that
-    base, all of it on the points.
-    Lifted through that chain by its base images, any other given generator
-    g becomes the element that agrees with g on the points: (g, g on the
-    cosets), checked on the points.  That chain is built only when such a
-    generator exists.  A breadth-first walk over the given generators'
-    tables from the trivial coset then meets the cosets in _coset_orbit's
-    order; when every given generator grew the chain, it renumbers
-    nothing."""
+    """The right cosets of a subgroup, numbered as the walk over G's walk
+    generators finds them (_walk; the trivial coset is index 0), with
+    canonical representatives, and as `action` the images of those
+    generators on the coset indices."""
 
     def __init__(self, group, subgroup):
         reps, tables = _walk(group, subgroup)
-        index = len(reps)
-        n = group.degree
-        table_of = {g.images: t.images
-                    for g, t in zip(group.walk_generators, tables)}
-        lifted = [g for g in group.generators if g.images not in table_of]
-        if lifted:
-            chain = GroupWithChain(
-                union_generators(group.walk_generators, tables), group.base(),
-                group.order())._chain
-            for g in lifted:
-                a = chain.lift(g)
-                if a.images[:n] != g.images:
-                    raise StructureContradiction(
-                        "a generator does not lift to the coset action")
-                table_of[g.images] = tuple(j - n for j in a.images[n:])
-        rows = [table_of[g.images] for g in group.generators]
-        renumber = [None] * index
-        renumber[0] = 0
-        order = [0]
-        for i in order:
-            for row in rows:
-                j = row[i]
-                if renumber[j] is None:
-                    renumber[j] = len(order)
-                    order.append(j)
         self.group = group
         self.subgroup = subgroup
-        self.representatives = tuple(reps[i] for i in order)
-        self.index = index
-        self.action = tuple(Permutation(renumber[row[i]] for i in order)
-                            for row in rows)
-        self._position = {rep.images: k
-                          for k, rep in enumerate(self.representatives)}
+        self.representatives = reps
+        self.index = len(reps)
+        self.action = tables
+        self._position = {rep.images: k for k, rep in enumerate(reps)}
 
     def position_of(self, x):
         """Index of the coset (subgroup)*x, for x in the group."""
@@ -128,9 +87,8 @@ class CosetSpace:
 
 def _walk(group, subgroup):
     """The representatives and tables of _coset_orbit(subgroup,
-    _walk_view(group)): the cosets of H in G and the images of G's walk
-    generators on them.  The walk reads only H and G's chain, whose walk
-    generators it runs over (a walk view shares that chain), so it is made
+    group.walk_generators): the cosets of H in G and the images of G's walk
+    generators on them.  The walk reads only H and G's chain, so it is made
     once per (G's chain, H) and kept on H.  Every call checks that H lies
     in G, the index limit, and that the walk found |G:H| cosets."""
     _check_subgroup(group, subgroup)
@@ -140,7 +98,7 @@ def _walk(group, subgroup):
     walk = subgroup._walks.get(group._chain)
     if walk is None:
         walk = subgroup._walks[group._chain] = _coset_orbit(
-            subgroup, _walk_view(group))[1:]
+            subgroup, group.walk_generators)[1:]
     reps, tables = walk
     if len(reps) != index:
         raise StructureContradiction(
@@ -167,7 +125,9 @@ def _checked_index(group, subgroup):
 
 
 def coset_action(group, subgroup):
-    """Transitive action of the group on [G:L] by right multiplication.
+    """Transitive action of the group on [G:L] by right multiplication, the
+    cosets numbered as CosetSpace numbers them; the image is generated by
+    the images of G's walk generators.
 
     Asserted: the point stabilizer of the trivial coset is exactly L (every
     L generator fixes index 0 and the orbit-stabilizer count matches)."""
@@ -189,23 +149,20 @@ def coset_action(group, subgroup):
 class CosetGraph:
     """Coset graph data: the point space [G:L], the blocks in the order of
     R's walk (_walk), and the incidence structure on (points=[G:L],
-    blocks=[G:R]) that the lambda crosscheck reads; it sorts the blocks, so
-    the R-cosets are not numbered.  Block 0 is the L-cosets inside LR; the
-    cosets meeting R*y*g are those meeting R*y moved by g, so each walk
-    generator's R table and its row of the point action carry block 0 to
-    every other block."""
+    blocks=[G:R]) that the lambda crosscheck reads; it sorts the blocks.
+    Block 0 is the L-cosets inside LR; the cosets meeting R*y*g are those
+    meeting R*y moved by g, so each walk generator's tables on the two
+    walks, over the same generators, carry block 0 to every other block."""
 
     def __init__(self, group, left, right):
         self.space_points = CosetSpace(group, left)
-        self.right = right
         reps, tables = _walk(group, right)
-        rows = {g.images: row.images for g, row in
-                zip(group.generators, self.space_points.action)}
-        moves = tuple((rows[g.images], t.images)
-                      for g, t in zip(group.walk_generators, tables))
+        moves = tuple((p.images, t.images)
+                      for p, t in zip(self.space_points.action, tables))
         position = self.space_points._position
         blocks = [None] * len(reps)
-        blocks[0] = sorted(position[key] for key in _coset_orbit(left, right)[0])
+        blocks[0] = sorted(position[key] for key in
+                           _coset_orbit(left, right.generators)[0])
         for j, members in enumerate(blocks):
             for on_points, on_blocks in moves:
                 target = on_blocks[j]
@@ -224,38 +181,27 @@ class CosetGraph:
         it every block, as G moves block 0 to each)."""
         return len(self.blocks[0]) == self.space_points.index
 
-    def is_faithful(self):
-        """coset_graph_faithful of this graph's (G, L, R), reading the walks
-        its point space and its blocks were read from."""
-        return coset_graph_faithful(self.space_points.group,
-                                    self.space_points.subgroup, self.right)
 
-
-def _coset_orbit(subgroup, acting):
+def _coset_orbit(subgroup, generators):
     """One breadth-first walk over the right cosets H*a for a in A, where
-    H = subgroup and A = acting.  Returns a dict from the canonical
-    representatives' image tuples to their order of discovery, the
-    representatives in that order, and the images of A's generators on the
-    cosets.  z is in HA iff H*z's key is."""
+    H = subgroup and A is the group the sequence `generators` generates.
+    Returns a dict from the canonical representatives' image tuples to
+    their order of discovery, the representatives in that order, and the
+    images of the generators on the cosets.  z is in HA iff H*z's key is."""
     start = canonical_coset_representative(
         subgroup, Permutation.identity(subgroup.degree))
     position = {start.images: 0}
     reps = [start]
-    table = [[] for _ in acting.generators]
+    table = [[] for _ in generators]
     for rep in reps:
-        for g, row in zip(acting.generators, table):
+        for g, row in zip(generators, table):
             c = canonical_coset_representative(subgroup, rep * g)
             i = position.get(c.images)
             if i is None:
                 i = position[c.images] = len(reps)
                 reps.append(c)
             row.append(i)
-    return position, reps, tuple(Permutation(row) for row in table)
-
-
-def _walk_view(group):
-    """G over the generators that grew its chain, sharing that chain."""
-    return GroupWithChain._from_chain(group.walk_generators, group._chain)
+    return position, tuple(reps), tuple(Permutation(row) for row in table)
 
 
 def coset_graph_design(group, left, right):
@@ -330,11 +276,12 @@ def double_coset_lambda(group, left, right, g):
     _check_subgroup(group, right)
     if not group.contains(g):
         raise MembershipError(f"{g} is not in the group")
-    return _rl_count(right, _coset_orbit(right, left), g)
+    return _rl_count(right, _coset_orbit(right, left.generators), g)
 
 
 def _rl_count(right, rl, g):
-    """|RL n RLg| / |R| from rl = _coset_orbit(R, L), unchecked."""
+    """|RL n RLg| / |R| from rl = _coset_orbit(R, L.generators),
+    unchecked."""
     position, reps, _ = rl
     return sum(1 for t in reps
                if canonical_coset_representative(right, t * g).images in position)
@@ -359,16 +306,13 @@ def lambda_constancy_crosscheck(group, left, right, *, graph=None):
     weights in the ratios sum to |G| - |L|.  L and R must lie in G; the
     index limit applies to both coset spaces.
 
-    Without `graph`, the coset graph is built over G's walk generators:
-    they generate G, and every count read here is independent of how the
-    cosets are numbered.  A caller that has built the coset graph of
-    (G, L, R) passes it as `graph`; `permdesign coset` does, since the
-    numbering it writes comes from the given generators.
+    Without `graph`, the coset graph of (G, L, R) is built; a caller that
+    has built it passes it as `graph`, as `permdesign coset` does.
     """
     _check_subgroup(group, left)
     _check_subgroup(group, right)
     if graph is None:
-        graph = CosetGraph(_walk_view(group), left, right)
+        graph = CosetGraph(group, left, right)
     space = graph.space_points
     reps = space.representatives
     moves = [Permutation(space.position_of(x * h) for x in reps)
@@ -389,7 +333,7 @@ def incidence_crosscheck(left, right, structure, base, moves, element_of):
     enumerated; L, R unchecked."""
     point_blocks = structure.point_blocks()
     base_blocks = set(point_blocks[base])
-    rl = _coset_orbit(right, left)
+    rl = _coset_orbit(right, left.generators)
     if len(rl[0]) != len(base_blocks):
         raise StructureContradiction(
             "the R-cosets in RL do not match the degree of the trivial coset")
@@ -418,9 +362,9 @@ def subgroup_intersection(left, right):
     small, large = (left, right) if left.order() <= right.order() else (right, left)
     small._check_enumerable()
     degree = small.degree
-    union = GroupWithChain(union_generators(
-        small.generators, _coset_orbit(large, small)[2]), (degree,),
-        small.order())
+    tables = _coset_orbit(large, small.generators)[2]
+    union = GroupWithChain(union_generators(small.generators, tables),
+                           (degree,), small.order())
     return restrict_to_points(union.point_stabilizer(degree), degree)
 
 
@@ -431,4 +375,4 @@ def is_trivial_factorization(group, left, right):
     _check_subgroup(group, left)
     _check_subgroup(group, right)
     index = _checked_index(group, right)
-    return len(_coset_orbit(right, left)[0]) == index
+    return len(_coset_orbit(right, left.generators)[0]) == index

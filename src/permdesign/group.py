@@ -56,9 +56,9 @@ reached the known order, so the walk generators generate the same group;
 that is exact and needs no further build (the known-order argument of
 Seress, Permutation Group Algorithms, 2003, section 4.5).  A walk whose
 result depends only on the group, such as an orbit, a minimal block system
-or a coset space read up to numbering, costs (domain size) x (number of
-generators), so it runs over these: 6 of the 84 generators of the
-symplectic design over GF(3) grow its chain.  A chain of an action of G
+or a coset space, costs (domain size) x (number of generators), so it runs
+over these: 6 of the 84 generators of the symplectic design over GF(3)
+grow its chain.  A chain of an action of G
 on point sets (set_action, set_stabilizer) is built from them too: a
 given generator that did not grow G's chain lies in the group the walk
 generators before it generate, so the build of every given generator's
@@ -66,10 +66,9 @@ image skips it, and the two chains are the same, level by level.  Where
 the generator list itself reaches a result (a point chain, a normal
 closure's generators, an induced action), the given generators are kept;
 an action's image is still given by the images of the given generators,
-formed where they are read.  A coset action is still
-numbered by the given generators, but computed from the walk: the walk
-finds the cosets, and every other generator's action is read off one
-plain chain of the group on its points and those cosets (cosets.CosetSpace).
+formed where they are read.  A coset action is the exception: its cosets
+are numbered by the walk that finds them, and its image is given by the
+walk generators' images (cosets.CosetSpace).
 
 A GroupWithChain is immutable once constructed: a normal closure grows a
 fresh chain, and a point stabilizer is a tail of one (see _Chain).  What
@@ -237,16 +236,6 @@ class _Chain:
 
     def contains(self, p):
         return self._sift(p, self.identity) is None
-
-    def lift(self, p):
-        """The product a of transversal elements that _sift reaches for p:
-        b^a = b^p on every base point when p's base images lie in the basic
-        orbits.  _sift reads p at the base points alone until it compares
-        p with a, so p may be given on a part of the domain that holds the
-        base, such as the points of a union of the points with cosets; a
-        caller compares a with p there to know that the sift went through."""
-        a = self._sift(p, self.identity)
-        return p if a is None else a
 
     def install(self, h):
         """Record h as a strong generator on every level whose base prefix it

@@ -11,6 +11,7 @@ import pytest
 from conftest import group
 from permdesign.analyzer import analyze
 from permdesign.cli import main
+from permdesign.incidence import IncidenceStructure
 from permdesign.io import (FileFormatError, format_design, parse_design_text,
                            parse_group_text, read_design_file,
                            read_group_file, write_design_file,
@@ -207,8 +208,8 @@ def test_cli_coset_record(tmp_path, capsys, s4):
 
 def test_cli_coset_builds_each_space_once(tmp_path, capsys, fano_pair,
                                           monkeypatch):
-    # the crosscheck, the faithfulness check and --out all read the one
-    # coset graph and its point space
+    # the crosscheck and --out read the one coset graph and its point
+    # space, and the faithfulness check the walks it was built from
     from permdesign.cosets import CosetSpace
     from permdesign.designgroup import DesignAction
     structure, g = fano_pair
@@ -323,7 +324,7 @@ COSET_INPUTS = os.path.join(os.path.dirname(os.path.dirname(__file__)),
 
 
 def test_coset_matches_golden(tmp_path, capsys):
-    """`permdesign coset G L R --out DIR --prefix NAME` on three committed
+    """`permdesign coset G L R --out DIR --prefix NAME` on four committed
     (G, L, R) triples: SHA-256 of the JSON record it prints (without the
     `wrote <path>` line) and of the design file it writes."""
     expected = {}
@@ -343,8 +344,49 @@ def test_coset_matches_golden(tmp_path, capsys):
         got[f"{name}.json"] = hashlib.sha256(record.encode()).hexdigest()
         design = (tmp_path / f"{name}.design").read_bytes()
         got[f"{name}.design"] = hashlib.sha256(design).hexdigest()
-    assert len(expected) == 6
+    assert len(expected) == 8
     assert got == expected
+
+
+# SHA-256 of the design files `permdesign coset` wrote when it numbered the
+# points as a breadth-first walk over all of G's given generators finds the
+# L-cosets; symplectic-2-3 was not pinned then, and its digest is the one
+# that numbering gives
+GIVEN_GENERATOR_DESIGNS = {
+    "a7-cos-15-3-1":
+        "f07b429ff0ec7ca12eafb0226ba655007c9046e11bfd3eee594bf2181d0ec719",
+    "agl-3-3-lines":
+        "ace57e909ea6601414550f8b32677d3932c91bacfd8743217205f0d9014d8374",
+    "pgl-4-3-lines":
+        "b989bd6470f21dea2fc3020b5a8643f22a239cde60f0cc7eaec16eb037fbf3a6",
+    "symplectic-2-3":
+        "21995bbb2a9425db2b154c98518aec89d54dc697895a72798a0060ab0ddccc9b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GIVEN_GENERATOR_DESIGNS))
+def test_coset_design_relabels_to_the_given_generator_numbering(name,
+                                                                tmp_path):
+    """The design `permdesign coset` writes, its points numbered by the walk
+    over G's walk generators, renamed point by point into the order in which
+    a walk over the given generators finds the L-cosets, each coset keyed by
+    its canonical representative: the file is the one that numbering wrote."""
+    from permdesign.cosets import (CosetSpace, _coset_orbit,
+                                   canonical_coset_representative)
+    grp, left, right = (read_group_file(os.path.join(
+        COSET_INPUTS, f"{name}.{role}.group")) for role in "GLR")
+    assert main(["coset", *(os.path.join(COSET_INPUTS, f"{name}.{role}.group")
+                            for role in "GLR"),
+                 "--out", str(tmp_path), "--prefix", name]) == 0
+    written = read_design_file(tmp_path / f"{name}.design")
+    given = _coset_orbit(left, grp.generators)[0]
+    rename = [given[canonical_coset_representative(left, x).images]
+              for x in CosetSpace(grp, left).representatives]
+    assert sorted(rename) == list(range(written.v))
+    renamed = IncidenceStructure(
+        written.v, [[rename[i] for i in block] for block in written.blocks])
+    assert hashlib.sha256(format_design(renamed).encode()).hexdigest() == \
+        GIVEN_GENERATOR_DESIGNS[name]
 
 
 @pytest.mark.parametrize("variable,value,argv", [
