@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .config import index_limit
 from .group import (ActionImage, GroupWithChain, MembershipError,
-                    StructureContradiction, _Chain, _Level, orbits_of)
+                    StructureContradiction, orbits_of)
 from .incidence import IncidenceStructure
 from .perm import DegreeMismatchError, Permutation
 
@@ -61,17 +61,17 @@ def canonical_coset_representative(subgroup, x):
 class CosetSpace:
     """The right cosets of a subgroup, numbered as the walk over G's walk
     generators finds them (_walk; the trivial coset is index 0), with
-    canonical representatives, and as `action` the images of those
-    generators on the coset indices."""
+    canonical representatives, the walk's own position map, and as
+    `action` the images of those generators on the coset indices."""
 
     def __init__(self, group, subgroup):
-        reps, tables = _walk(group, subgroup)
+        position, reps, tables = _walk(group, subgroup)
         self.group = group
         self.subgroup = subgroup
         self.representatives = reps
         self.index = len(reps)
         self.action = tables
-        self._position = {rep.images: k for k, rep in enumerate(reps)}
+        self._position = position
 
     def position_of(self, x):
         """Index of the coset (subgroup)*x, for x in the group."""
@@ -86,8 +86,8 @@ class CosetSpace:
 
 
 def _walk(group, subgroup):
-    """The representatives and tables of _coset_orbit(subgroup,
-    group.walk_generators): the cosets of H in G and the images of G's walk
+    """_coset_orbit(subgroup, group.walk_generators): the position map, the
+    representatives of the cosets of H in G and the images of G's walk
     generators on them.  The walk reads only H and G's chain, so it is made
     once per (G's chain, H) and kept on H.  Every call checks that H lies
     in G, the index limit, and that the walk found |G:H| cosets."""
@@ -98,12 +98,11 @@ def _walk(group, subgroup):
     walk = subgroup._walks.get(group._chain)
     if walk is None:
         walk = subgroup._walks[group._chain] = _coset_orbit(
-            subgroup, group.walk_generators)[1:]
-    reps, tables = walk
-    if len(reps) != index:
+            subgroup, group.walk_generators)
+    if len(walk[1]) != index:
         raise StructureContradiction(
-            f"coset enumeration found {len(reps)} cosets, expected {index}")
-    return reps, tables
+            f"coset enumeration found {len(walk[1])} cosets, expected {index}")
+    return walk
 
 
 def _check_subgroup(group, subgroup):
@@ -156,7 +155,7 @@ class CosetGraph:
 
     def __init__(self, group, left, right):
         self.space_points = CosetSpace(group, left)
-        reps, tables = _walk(group, right)
+        _, reps, tables = _walk(group, right)
         moves = tuple((p.images, t.images)
                       for p, t in zip(self.space_points.action, tables))
         position = self.space_points._position
@@ -174,12 +173,6 @@ class CosetGraph:
         self.blocks = tuple(tuple(b) for b in blocks)
         self.structure = IncidenceStructure(
             v=self.space_points.index, blocks=[list(b) for b in blocks])
-
-    @property
-    def trivial(self):
-        """Whether G = LR: block 0, the L-cosets in LR, is full (and with
-        it every block, as G moves block 0 to each)."""
-        return len(self.blocks[0]) == self.space_points.index
 
 
 def _coset_orbit(subgroup, generators):
@@ -210,22 +203,13 @@ def coset_graph_design(group, left, right):
 
 
 def coset_graph_faithful(group, left, right):
-    """Whether the action on both coset spaces together is faithful, i.e.
-    whether the intersection of the two subgroups is core-free
-    (_union_faithful).  The answer depends only on the group, so it reads
-    the tables of G's walk generators off the two walks a CosetSpace reads
-    (_walk), made once per (G, L) and (G, R), and builds no coset space."""
-    return _union_faithful(group, _walk(group, left)[1],
-                           _walk(group, right)[1])
-
-
-def _union_faithful(group, first, second):
-    """Whether G acts faithfully on two domains, given the images of one
-    generating sequence of G on each.  The kernel on the union lies in the
-    kernel on each domain, so G is faithful on the union once it is on
-    either: the image chain on the smaller domain is built first, then on
-    the other, and the union's only when neither has order |G|.  Each is a
-    plain chain bounded by |G|, as no domain need be faithful."""
+    """Whether G is faithful on both coset spaces together, i.e. whether
+    L n R is core-free, read off the walk generators' tables of the two
+    walks a CosetSpace reads (_walk), with no coset space built.  The kernel
+    on the union lies in the kernel on each space: the image chain on the
+    smaller space is built first, then on the other, and the union's only
+    when neither has order |G|, each a plain chain bounded by |G|."""
+    first, second = _walk(group, left)[2], _walk(group, right)[2]
     order = group.order()
     if second[0].degree < first[0].degree:
         first, second = second, first
@@ -242,29 +226,6 @@ def union_generators(first, second):
     offset = first[0].degree
     return tuple(Permutation(p.images + tuple(offset + j for j in q.images))
                  for p, q in zip(first, second))
-
-
-def restrict_to_points(group, degree):
-    """A union action (union_generators) read on its first domain
-    0..degree-1 (subgroup_intersection, on a subgroup and cosets).  `group`
-    is a tail below a hinted vertex of the union's chain, whose second
-    domain holds the images of the first under a homomorphism: a union
-    element fixing every point is the identity, so every base point, the
-    smallest point a residue moves, is a point.  Each level is read on the
-    points, so no chain is built."""
-    chain = _Chain(degree)
-    for level in group._chain.levels:
-        if level.base >= degree:
-            raise StructureContradiction("action not faithful on points")
-        read = _Level(level.base, chain.identity)
-        read.gens = [Permutation(g.images[:degree]) for g in level.gens]
-        read.orbit = {c: Permutation(u.images[:degree])
-                      for c, u in level.orbit.items()}
-        read.points = list(level.points)
-        read.checked = list(level.checked)
-        chain.levels.append(read)
-    return GroupWithChain._from_chain(
-        tuple(Permutation(g.images[:degree]) for g in group.generators), chain)
 
 
 def double_coset_lambda(group, left, right, g):
@@ -357,15 +318,22 @@ def incidence_crosscheck(left, right, structure, base, moves, element_of):
 def subgroup_intersection(left, right):
     """L n R, the stabilizer of the trivial coset in the smaller subgroup S
     acting on the cosets of the other: the tail of one chain of S on its
-    points and the cosets its walk reaches, read on the points.  The walk
-    visits at most |S| cosets, so the element limit bounds |S|."""
+    points and the cosets its walk reaches, rebuilt on the points from its
+    generators and bounded by its order, which the rebuild must reach.
+    The walk visits at most |S| cosets, so the element limit bounds |S|."""
     small, large = (left, right) if left.order() <= right.order() else (right, left)
     small._check_enumerable()
     degree = small.degree
     tables = _coset_orbit(large, small.generators)[2]
     union = GroupWithChain(union_generators(small.generators, tables),
                            (degree,), small.order())
-    return restrict_to_points(union.point_stabilizer(degree), degree)
+    tail = union.point_stabilizer(degree)
+    common = GroupWithChain(
+        (Permutation(g.images[:degree]) for g in tail.generators),
+        order_bound=tail.order())
+    if common.order() != tail.order():
+        raise StructureContradiction("action not faithful on points")
+    return common
 
 
 def is_trivial_factorization(group, left, right):

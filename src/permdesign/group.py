@@ -151,11 +151,13 @@ class _ReadLevel(_Level):
 
 
 class _Chain:
-    """Mutable Schreier-Sims engine; wrapped read-only by GroupWithChain.
+    """Mutable Schreier-Sims engine; wrapped read-only by GroupWithChain,
+    and built, with its levels, in this module alone.
     A stabilizer's chain is a tail sharing its parent's _Level objects, so
     neither may be extended once wrapped.  `grown` lists, in order, the
     arguments of extend() that grew the chain (a tail records none).
-    Each Schreier generator is sifted once, as a pair (_sift_schreier).
+    Each Schreier generator is sifted once, as a pair, and _sift_schreier
+    is the one place a residue p*a^-1 is formed.
     Given `sets`, a SetAction on the points 0..v-1, the domain is the sets
     (degree b) or the points followed by them (degree v + b, set j at
     v + j); the base hint names sets, whose levels lead and are kept on
@@ -189,17 +191,12 @@ class _Chain:
             n *= len(level.points)
         return n
 
-    def sift(self, p, start=0):
-        """Reduce p through levels[start:].  Returns None if p reduces to the
-        identity, else the non-identity residue r = p*u1^-1*u2^-1*..., left
-        as it stands once a base image leaves its basic orbit."""
-        a = self._sift(p, self.identity, start)
-        return None if a is None else p * a.inverse()
-
     def _sift(self, p, a, start=0):
-        """sift() of p*a^-1, with its residue r held as the pair (p, a):
-        moving r down a level is a <- u*a, and b^r is the index of b^p in
-        a's images.  p is read at the base points, and compared with a
+        """Reduce p*a^-1 through levels[start:] to the residue
+        r = p*a^-1*u1^-1*u2^-1*..., left as it stands once a base image
+        leaves its basic orbit, with r held as the pair (p, a): moving r
+        down a level is a <- u*a, and b^r is the index of b^p in a's
+        images.  p is read at the base points, and compared with a
         whole only at the end.  At a level of sets, r fixes the base set B
         iff B^p = B^a, and otherwise B^r is the set a^-1(p(B)).  On the
         sets alone, a residue fixing every set is trivial.

@@ -448,6 +448,22 @@ def test_census_isolates_corrupted_instance(tmp_path, capsys, fano_pair):
     assert "good: 2-(7,3,1)" in out
 
 
+def test_repeated_block_is_an_input_error(tmp_path, capsys, fano_pair):
+    # the Fano plane twice over is a 2-(7,3,2) design that its group
+    # preserves, but group verdicts need distinct blocks
+    structure, g = fano_pair
+    doubled = IncidenceStructure(v=structure.v,
+                                 blocks=list(structure.blocks) * 2)
+    write_group_file(tmp_path / "twice.group", g)
+    write_design_file(tmp_path / "twice.design", doubled)
+    assert main(["analyze", str(tmp_path / "twice.group"),
+                 str(tmp_path / "twice.design")]) == 2
+    assert "distinct blocks" in capsys.readouterr().err
+    assert main(["census", str(tmp_path)]) == 2
+    assert "twice: ERROR group verdicts require distinct blocks" in \
+        capsys.readouterr().out
+
+
 def test_census_json_output(tmp_path, capsys, fano_pair):
     structure, g = fano_pair
     write_group_file(tmp_path / "fano.group", g)
