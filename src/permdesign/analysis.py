@@ -7,9 +7,10 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .config import element_limit
-from .group import (GroupWithChain, StructureContradiction, check_index,
-                    class_closures, is_prime, normal_closure, orbits_of)
+from .gf import prime_power
+from .group import (EnumerationLimitError, GroupWithChain,
+                    StructureContradiction, check_index, class_closures,
+                    is_prime, normal_closure, orbits_of)
 from .perm import Permutation
 
 # The Iwasawa and affine-socle searches draw random elements from a
@@ -100,29 +101,32 @@ def minimal_block_system(group, a, b):
 
 
 def base_block_systems(group):
-    """Block systems minimal_block_system(b0, x) for the first base point
-    b0 and one point x of each other orbit of the stabilizer G_b0, which is
-    the chain tail (no build).  The system depends only on the G_b0-orbit of
-    x, so the group is primitive iff every one is trivial.  Needs a
-    transitive group; empty on one point.  The tuple is computed once per
-    group and kept on it, so the primitivity, quasiprimitivity and
-    cell-disjointness checks of one group share it."""
+    """The distinct nontrivial block systems among minimal_block_system(b0,
+    x), for the first base point b0 and one point x of each other orbit of
+    the stabilizer G_b0, which is the chain tail (no build), in the order
+    of those orbits; a system met again is dropped.  The system depends
+    only on the G_b0-orbit of x, and every nontrivial system is coarser
+    than or equal to one of them, so the group is primitive iff the tuple
+    is empty.  Needs a transitive group; empty on one point.  The tuple is
+    computed once per group and kept on it, so the primitivity,
+    quasiprimitivity and cell-disjointness checks of one group share it."""
     if group._block_systems is None:
-        systems = ()
+        systems = {}
         if group.degree > 1:
             b0 = group.base()[0]
             stabilizer = group.point_stabilizer(b0)
-            systems = tuple(
-                minimal_block_system(group, b0, min(orbit))
-                for orbit in orbits_of(stabilizer.walk_generators,
-                                       group.degree)
-                if b0 not in orbit)
-        group._block_systems = systems
+            for orbit in orbits_of(stabilizer.walk_generators, group.degree):
+                if b0 not in orbit:
+                    system = minimal_block_system(group, b0, min(orbit))
+                    if not system.is_trivial:
+                        systems.setdefault(system.cells, system)
+        group._block_systems = tuple(systems.values())
     return group._block_systems
 
 
 def primitivity_status(group):
-    """"primitive", "imprimitive", or "intransitive".
+    """"primitive", "imprimitive", or "intransitive": a transitive group is
+    primitive iff base_block_systems lists no system.
 
     Intransitivity is a distinguished status rather than an error because
     stabilizer restrictions probed by the design pipeline are often
@@ -130,7 +134,7 @@ def primitivity_status(group):
     """
     if not group.is_transitive():
         return "intransitive"
-    if any(not s.is_trivial for s in base_block_systems(group)):
+    if base_block_systems(group):
         return "imprimitive"
     return "primitive"
 
@@ -162,17 +166,14 @@ def is_quasiprimitive(group):
     coarser than, or equal to, one of base_block_systems(G), and when G
     acts faithfully on the cells of a system S, the systems coarser than S
     are the nontrivial systems of G on those cells.  So G is quasiprimitive
-    iff, for each nontrivial S there, G is faithful on S's cells and
-    quasiprimitive on them (Dixon-Mortimer, Permutation Groups, ch. 1 and
-    4).  The cells are fewer than the points, so the recursion ends.
+    iff, for each S in base_block_systems(G), which lists each nontrivial
+    system once, G is faithful on S's cells and quasiprimitive on them
+    (Dixon-Mortimer, Permutation Groups, ch. 1 and 4).  The cells are
+    fewer than the points, so the recursion ends.
     """
     if not group.is_transitive():
         return False
-    seen = set()
     for system in base_block_systems(group):
-        if system.is_trivial or system.cells in seen:
-            continue
-        seen.add(system.cells)
         on_cells = _cell_action(group, system)
         if (on_cells.order() != group.order()
                 or not is_quasiprimitive(on_cells)):
@@ -268,12 +269,10 @@ def _affine_socle(group):
     transitive and of order p^d.  In a primitive group such an N is regular
     and the unique minimal normal subgroup.  None when the search finds
     none, at once when the stabilizer order does not divide |GL(d, p)|."""
-    primes = _prime_divisors(group.degree)
-    if len(primes) != 1:
+    pd = prime_power(group.degree)
+    if pd is None:
         return None
-    p, d, rest = primes[0], 0, group.degree
-    while rest > 1:
-        rest, d = rest // p, d + 1
+    p, d = pd
     gl_order = math.prod(p ** d - p ** i for i in range(d))
     if gl_order * group.degree % group.order():
         return None
@@ -346,14 +345,17 @@ def _simple_stabilizer_certificate(group):
     n; for n < 60 it is solvable, so its minimal characteristic subgroup
     is elementary abelian, normal in G, transitive, hence N, and n is a
     prime power.  So n < 60 and not a prime power leave G simple, and
-    nonabelian, as G_b0 is nontrivial.  The stabilizer is walked, so a
-    stabilizer past the element limit declines and leaves the refusal to
+    nonabelian, as G_b0 is nontrivial.  The stabilizer is walked; a
+    stabilizer past the element limit makes that walk refuse before it
+    starts, and then the certificate declines and leaves the refusal to
     the walk of G."""
     n = group.degree
-    if n >= 60 or len(_prime_divisors(n)) < 2:
+    if n >= 60 or prime_power(n) is not None:
         return False
-    stabilizer = group.point_stabilizer(group.base()[0])
-    return stabilizer.order() <= element_limit() and _is_simple(stabilizer)
+    try:
+        return _is_simple(group.point_stabilizer(group.base()[0]))
+    except EnumerationLimitError:
+        return False
 
 
 def classify_point_action(group):

@@ -119,32 +119,28 @@ class AnalysisReport:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def _find_intransitive_normal(action, point_type_report):
-    """The canonical intransitive-on-blocks normal subgroup: the affine
-    witness when the point type is affine, otherwise the first prime-order
-    normal closure that is intransitive on blocks."""
+def _intransitive_normal_orbits(action, point_type_report):
+    """The block orbits of the canonical intransitive-on-blocks normal
+    subgroup, or None when there is none: the affine witness when the
+    point type is affine, otherwise the first prime-order normal closure
+    that is intransitive on blocks."""
     if point_type_report is not None and point_type_report.tag == "HA":
         candidates = [point_type_report.witness]
     else:
         candidates = class_closures(action.group)
     for n in candidates:
-        if len(_block_orbits_of(action, n)) > 1:
-            return n
+        orbits = orbits_of([action.block_image_of(g)
+                            for g in n.walk_generators], action.structure.b)
+        if len(orbits) > 1:
+            return orbits
     return None
 
 
-def _block_orbits_of(action, subgroup):
-    return orbits_of([action.block_image_of(g)
-                      for g in subgroup.walk_generators],
-                     action.structure.b)
-
-
-def _check_normal_orbit_size(action, witness, params):
+def _check_normal_orbit_size(orbits, params):
     v, k, b, r = params.v, params.k, params.b, params.r
     if v % k or b % r or v // k != b // r:
         return FAIL
     expected = v // k
-    orbits = _block_orbits_of(action, witness)
     return PASS if all(len(o) == expected for o in orbits) else FAIL
 
 
@@ -175,12 +171,11 @@ def _check_origin_blocks(action, witness):
 
 
 def _check_cell_disjointness(action):
+    """Whether, in each nontrivial block system of the block action
+    (base_block_systems, each listed once), the blocks of every cell are
+    pairwise disjoint."""
     blocks = action.structure.blocks
-    seen_systems = set()
     for system in base_block_systems(action.block_action.image):
-        if system.is_trivial or system.cells in seen_systems:
-            continue
-        seen_systems.add(system.cells)
         for cell in system.cells:
             covered = set()
             for idx in cell:
@@ -297,16 +292,16 @@ def analyze(group, structure, instance_id="instance", *,
     # on a locally primitive one (LOCALLY_PRIMITIVE_ONLY_CHECKS)
     if block_type == "non-quasiprimitive" and local.flag_transitive:
         try:
-            witness = timed(
+            orbits = timed(
                 "normal_witness",
-                lambda: _find_intransitive_normal(action, point_report))
+                lambda: _intransitive_normal_orbits(action, point_report))
         except EnumerationLimitError as exc:
-            witness = None
+            orbits = None
             checks["normal_orbit_size"] = UNKNOWN
             notes.append(f"normal orbit size unknown: {exc}")
-        if witness is not None:
+        if orbits is not None:
             checks["normal_orbit_size"] = _check_normal_orbit_size(
-                action, witness, params)
+                orbits, params)
             if point_type == "HA":
                 checks["origin_blocks_are_subspaces"] = timed(
                     "origin_blocks", lambda: _check_origin_blocks(

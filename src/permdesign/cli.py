@@ -85,11 +85,7 @@ def cmd_coset(args):
 
 def cmd_verify(args):
     structure = read_design_file(args.design)
-    try:
-        params = verify_design(structure)
-    except DesignError as exc:
-        print(f"not a 2-design [{exc.code}]: {exc}")
-        return EXIT_FAIL
+    params = verify_design(structure)
     t_max, lambdas = t_design_strength(structure)
     print(f"2-({params.v},{params.k},{params.lam}) design: b={params.b}, "
           f"r={params.r}, symmetric={params.symmetric}")
@@ -158,9 +154,8 @@ def cmd_census(args):
         return _fail(f"{args.directory} is not a directory", EXIT_INPUT)
     designs = sorted(f for f in os.listdir(args.directory)
                      if f.endswith(".design"))
-    rows = []
     reports = []
-    any_fail = any_error = any_unknown = False
+    errors = []
     for fname in designs:
         stem = fname[:-len(".design")]
         dpath = os.path.join(args.directory, fname)
@@ -172,17 +167,11 @@ def cmd_census(args):
             structure = read_design_file(dpath)
             report = analyze(group, structure, instance_id=stem)
         except ValueError as exc:
-            any_error = True
-            rows.append((stem, "error", str(exc)))
+            errors.append({"instance_id": stem, "message": str(exc)})
             print(f"{stem}: ERROR {exc}")
             continue
         reports.append(report)
         _print_report(report)
-        if report.failed:
-            any_fail = True
-        if report.has_unknown:
-            any_unknown = True
-        rows.append((stem, report.point_type, report.block_type))
     table = {}
     for report in reports:
         key = (report.point_type, report.block_type)
@@ -197,19 +186,18 @@ def cmd_census(args):
     if args.json:
         payload = {
             "instances": [r.to_json_dict() for r in reports],
-            "errors": [{"instance_id": s, "message": m}
-                       for s, kind, m in rows if kind == "error"],
+            "errors": errors,
             "table": {f"{k[0]}/{k[1]}": sorted(v) for k, v in table.items()},
         }
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, sort_keys=True, indent=2)
             fh.write("\n")
         print(f"wrote {args.json}")
-    if any_fail:
+    if any(r.failed for r in reports):
         return EXIT_FAIL
-    if any_error:
+    if errors:
         return EXIT_INPUT
-    if any_unknown:
+    if any(r.has_unknown for r in reports):
         return EXIT_UNKNOWN
     return EXIT_OK
 

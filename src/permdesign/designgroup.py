@@ -4,7 +4,7 @@ local-primitivity verdict."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .analysis import is_quasiprimitive, primitivity_status
 from .cosets import incidence_crosscheck
@@ -43,17 +43,7 @@ class LocalPrimitivityReport:
         return self.point_local_primitive and self.block_local_primitive
 
     def to_json_dict(self):
-        return {
-            "flag_transitive": self.flag_transitive,
-            "point_transitive": self.point_transitive,
-            "block_transitive": self.block_transitive,
-            "point_local_primitive": self.point_local_primitive,
-            "block_local_primitive": self.block_local_primitive,
-            "point_primitive": self.point_primitive,
-            "block_quasiprimitive": self.block_quasiprimitive,
-            "stabilizer_bound_ok": self.stabilizer_bound_ok,
-            "notes": list(self.notes),
-        }
+        return dict(asdict(self), notes=list(self.notes))
 
 
 def _orbit_minima(group):

@@ -7,6 +7,8 @@ integers mod p; prime-power fields use a hard-coded primitive polynomial.
 
 from __future__ import annotations
 
+import math
+
 # coefficient tuples (constant term first, leading 1 included)
 _PRIMITIVE_POLYS = {
     4: (1, 1, 1),          # x^2 + x + 1 over GF(2)
@@ -24,18 +26,16 @@ class UnsupportedFieldError(ValueError):
     """q is not prime and has no primitive polynomial in the built-in table."""
 
 
-def _factor_prime_power(q):
+def prime_power(q):
+    """(p, e) with q = p^e for a prime p, or None."""
     if q < 2:
         return None
-    for p in range(2, q + 1):
-        if q % p == 0:
-            e = 0
-            n = q
-            while n % p == 0:
-                n //= p
-                e += 1
-            return (p, e) if n == 1 else None
-    return None
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    e = 0
+    while q % p == 0:
+        q //= p
+        e += 1
+    return (p, e) if q == 1 else None
 
 
 class FiniteField:
@@ -45,7 +45,7 @@ class FiniteField:
     `_sub`, `_neg`, `_mul`, `_inv`) directly."""
 
     def __init__(self, q):
-        pe = _factor_prime_power(q)
+        pe = prime_power(q)
         if pe is None:
             raise UnsupportedFieldError(f"{q} is not a prime power")
         p, e = pe

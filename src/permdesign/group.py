@@ -694,7 +694,6 @@ class ActionImage:
     group plus a faithfulness flag (order comparison with the source)."""
 
     source: GroupWithChain
-    objects: tuple
     image: GroupWithChain
     faithful: bool
 
@@ -720,7 +719,7 @@ def set_action(group, sets):
                          order_bound=order, sets=sets)
     image = GroupWithChain._from_chain(
         lambda: tuple(sets.perm(g) for g in group.generators), chain)
-    return ActionImage(source=group, objects=sets.sets, image=image,
+    return ActionImage(source=group, image=image,
                        faithful=image.order() == order)
 
 
@@ -768,5 +767,5 @@ def induced_action(group, objects, act):
     # the image is a quotient of the source, so |G| bounds its order
     order = group.order()
     image = GroupWithChain(tuple(image_gens), order_bound=order)
-    return ActionImage(source=group, objects=objects, image=image,
+    return ActionImage(source=group, image=image,
                        faithful=image.order() == order)

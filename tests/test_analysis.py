@@ -295,16 +295,16 @@ def test_unfaithful_cell_action_decides_non_quasiprimitive(ag322_pair,
         image = DesignAction(g, structure).block_action.image
         assert primitivity_status(image) == "imprimitive"
         assert any(analysis._cell_action(image, s).order() < image.order()
-                   for s in analysis.base_block_systems(image)
-                   if not s.is_trivial)
+                   for s in analysis.base_block_systems(image))
         assert is_quasiprimitive(image) is False
 
 
 def test_quasiprimitivity_is_exact_past_the_element_limit(corpus_instances,
                                                          monkeypatch):
     # the block-system recursion walks and draws nothing, so an element
-    # limit of 1 changes no verdict: A4 regular on 12 points, whose 11 base
-    # block systems are all faithful, A5 on ordered pairs, and every
+    # limit of 1 changes no verdict: A4 regular on 12 points, whose 7 base
+    # block systems (one per subgroup of order 2 or 3) are all faithful, A5
+    # on ordered pairs, and every
     # corpus block image, also in the local-primitivity report
     from conftest import a5_on_ordered_pairs
     from permdesign import analysis
@@ -312,7 +312,7 @@ def test_quasiprimitivity_is_exact_past_the_element_limit(corpus_instances,
     from permdesign.designgroup import DesignAction
     a4 = group(12, *A4_REGULAR)
     systems = analysis.base_block_systems(a4)
-    assert len(systems) == 11
+    assert len(systems) == 7
     assert all(analysis._cell_action(a4, s).order() == 12 for s in systems)
     cases = [(a4, None, False), (a5_on_ordered_pairs(), None, True)]
     for inst in corpus_instances:
@@ -383,6 +383,33 @@ def test_block_systems_match_union_find_over_the_given_generators(
         for x in seeds:
             expected = block_cells_by_union_find(g.generators, g.degree, b0, x)
             assert minimal_block_system(g, b0, x).cells == expected, (name, x)
+
+
+def test_base_block_systems_are_the_distinct_nontrivial_oracle_systems(
+        walk_cases):
+    """base_block_systems against the oracle's union-find over the given
+    generators, for one x per orbit of G_b0: the systems with more than
+    one cell, each kept where first seen."""
+    from conftest import a5_on_ordered_pairs
+    from permdesign import analysis
+    from permdesign.group import orbits_of
+    cases = [*walk_cases, ("a4_regular", group(12, *A4_REGULAR)),
+             ("a5_on_ordered_pairs", a5_on_ordered_pairs())]
+    for name, g in cases:
+        if not g.is_transitive():
+            continue
+        b0 = g.base()[0]
+        stabilizer = g.point_stabilizer(b0)
+        expected = []
+        for orbit in orbits_of(stabilizer.generators, g.degree):
+            if b0 in orbit:
+                continue
+            cells = block_cells_by_union_find(g.generators, g.degree, b0,
+                                              min(orbit))
+            if len(cells) > 1 and cells not in expected:
+                expected.append(cells)
+        assert [s.cells for s in analysis.base_block_systems(g)] == expected, \
+            name
 
 
 def test_analyze_computes_each_block_system_once(corpus_instances,

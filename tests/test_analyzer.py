@@ -242,6 +242,26 @@ def test_refused_normal_witness_reads_unknown(ag322_pair, monkeypatch):
     assert report.exit_code() == 3
 
 
+def test_normal_witness_block_orbits_are_formed_once(ag322_pair,
+                                                     monkeypatch):
+    # the affine witness is intransitive on the blocks, and the orbits
+    # that show it are the ones the orbit-size check reads
+    from permdesign import analyzer
+    structure, g = ag322_pair
+    calls = []
+    original = analyzer.orbits_of
+
+    def counting(generators, degree):
+        calls.append(degree)
+        return original(generators, degree)
+    monkeypatch.setattr(analyzer, "orbits_of", counting)
+    report = analyze(GroupWithChain(g.generators), structure, "ag")
+    assert (report.point_type, report.block_type) == \
+           ("HA", "non-quasiprimitive")
+    assert report.checks["normal_orbit_size"] == "pass"
+    assert calls == [structure.b]
+
+
 def test_intransitive_group_reports_other(fano_pair):
     structure, g = fano_pair
     stab = g.point_stabilizer(0)  # preserves the design, fixes a point

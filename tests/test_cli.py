@@ -448,6 +448,43 @@ def test_census_isolates_corrupted_instance(tmp_path, capsys, fano_pair):
     assert "good: 2-(7,3,1)" in out
 
 
+def _mark_failed(report):
+    report.theorem_violation = True
+
+
+def _mark_unknown(report):
+    report.checks["lambda_constancy"] = "unknown"
+
+
+@pytest.mark.parametrize("mark, alone, with_error", [
+    (_mark_failed, 1, 1),    # a failing pair outranks an unreadable one
+    (_mark_unknown, 3, 2),   # an unreadable pair outranks an unknown one
+])
+def test_census_exit_precedence(mark, alone, with_error, tmp_path, capsys,
+                                fano_pair, monkeypatch):
+    import permdesign.cli as cli
+    structure, g = fano_pair
+    write_group_file(tmp_path / "fano.group", g)
+    write_design_file(tmp_path / "fano.design", structure)
+
+    def marking(*args, **kwargs):
+        report = analyze(*args, **kwargs)
+        mark(report)
+        return report
+    monkeypatch.setattr(cli, "analyze", marking)
+    jpath = tmp_path / "census.json"
+    assert main(["census", str(tmp_path), "--json", str(jpath)]) == alone
+    assert json.loads(jpath.read_text())["errors"] == []
+    (tmp_path / "broken.group").write_text("degree nope\n")
+    (tmp_path / "broken.design").write_text("points 3\n1 2\n1 3\n2 3\n")
+    assert main(["census", str(tmp_path), "--json", str(jpath)]) == with_error
+    payload = json.loads(jpath.read_text())
+    (error,) = payload["errors"]
+    assert error["instance_id"] == "broken" and error["message"]
+    assert [r["instance_id"] for r in payload["instances"]] == ["fano"]
+    assert "broken: ERROR" in capsys.readouterr().out
+
+
 def test_repeated_block_is_an_input_error(tmp_path, capsys, fano_pair):
     # the Fano plane twice over is a 2-(7,3,2) design that its group
     # preserves, but group verdicts need distinct blocks

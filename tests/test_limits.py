@@ -1,8 +1,10 @@
 """Each resource limit has one source: its PERMDESIGN_* variable."""
 
+import ast
 import importlib
 import inspect
 import json
+import os
 import pkgutil
 
 import pytest
@@ -40,6 +42,29 @@ def test_no_function_takes_a_limit_parameter():
                 if "limit" in inspect.signature(fn).parameters:
                     offenders.append(f"{module.__name__}.{fn.__qualname__}")
     assert offenders == []
+
+
+# each limit reader and the one module that may import it
+READERS = {"element_limit": "group.py", "index_limit": "cosets.py",
+           "point_limit": "geometry.py"}
+
+
+def _limit_imports(path):
+    """The limit readers that the module at `path` imports."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    return {alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names if alias.name in READERS}
+
+
+def test_each_limit_has_one_reading_module():
+    package = os.path.dirname(permdesign.__file__)
+    found = {name: _limit_imports(os.path.join(package, name))
+             for name in sorted(os.listdir(package)) if name.endswith(".py")}
+    for reader, module in READERS.items():
+        assert [name for name, readers in found.items()
+                if reader in readers] == [module], reader
 
 
 @pytest.mark.parametrize("index_limit", [1, 5, 10, 30])
