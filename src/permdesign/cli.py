@@ -15,7 +15,7 @@ import sys
 
 from .analyzer import AnalysisReport, analyze
 from .corpus import write_corpus
-from .cosets import (CosetGraph, IndexLimitError, coset_graph_faithful,
+from .cosets import (IndexLimitError, coset_graph_design, coset_graph_faithful,
                      is_trivial_factorization, lambda_constancy_crosscheck)
 from .geometry import (SizeLimitError, build_AG, build_PG,
                        build_symplectic_subdesign)
@@ -62,10 +62,9 @@ def cmd_coset(args):
     group = read_group_file(args.group)
     left = read_group_file(args.left)
     right = read_group_file(args.right)
-    # building the coset graph validates the input; the crosscheck and --out
-    # read it, and the faithfulness check the two walks it was built from
-    graph = CosetGraph(group, left, right)
-    crosscheck = lambda_constancy_crosscheck(group, left, right, graph=graph)
+    # the crosscheck builds the coset graph, which validates the input; the
+    # other questions and --out read the coset walks kept on L and R
+    crosscheck = lambda_constancy_crosscheck(group, left, right)
     record = {
         "index_L": group.order() // left.order(),
         "index_R": group.order() // right.order(),
@@ -77,7 +76,7 @@ def cmd_coset(args):
         os.makedirs(args.out, exist_ok=True)
         stem = args.prefix or "coset"
         dpath = os.path.join(args.out, f"{stem}.design")
-        write_design_file(dpath, graph.structure)
+        write_design_file(dpath, coset_graph_design(group, left, right))
         print(f"wrote {dpath}")
     print(json.dumps(record, sort_keys=True, indent=2))
     return EXIT_OK

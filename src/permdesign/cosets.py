@@ -7,20 +7,20 @@ Cosets are identified by a canonical representative: the element of Lx
 whose base-image sequence under L's stabilizer chain is lexicographically
 minimal, found by walking the chain transversals.  This gives constant-time
 coset keys without backtrack searches.  One breadth-first walk enumerates
-a coset space, numbers the cosets in the order it finds them, and records
-where each generator sends each coset; the coset action, the coset graph
-and the faithfulness check read that table.
+the cosets H*a of a subgroup H for a in a group A, numbers them in the
+order it finds them, and records where each of A's walk generators (the
+ones that grew its chain, see group.py) sends each coset: one canonical
+representative per (coset, generator) pair.  The walk depends only on H
+and A's chain, so it is made once per (H, A) and kept on H (_cosets), and
+each question about a triple (G, L, R) reads the same walks: the coset
+spaces [G:L] and [G:R], the L-cosets in LR and the R-cosets in RL.
 
-The walk costs one canonical representative per (coset, generator) pair,
-so it runs over the group's walk generators, the ones that grew its chain
-(see group.py); they generate G, so they reach every coset.  The walk
-depends only on H and on G's chain, so it is made once per (G, H) and kept
-on H, keyed by that chain (_walk); every reader still checks H against G,
-the index limit and the coset count.  Both coset spaces of a coset graph
-are walked over the same generators, so their tables pair up.
-Faithfulness depends only on the group: it reads the walk generators'
-tables and is decided on one coset space when that one is faithful, on the
-disjoint union of both only when neither is.
+A coset graph numbers only its points, [G:L]: g carries the block of R*y,
+the L-cosets meeting it, to the block of R*y*g, so the blocks are the
+orbit of block 0 (the L-cosets in LR), each repeated |G:R| / |orbit|
+times.  Faithfulness depends only on the group: it is decided on the
+smaller coset space when that one is faithful, walking the other only
+when it is not, and on the disjoint union only when neither is.
 """
 
 from __future__ import annotations
@@ -59,13 +59,19 @@ def canonical_coset_representative(subgroup, x):
 
 
 class CosetSpace:
-    """The right cosets of a subgroup, numbered as the walk over G's walk
-    generators finds them (_walk; the trivial coset is index 0), with
-    canonical representatives, the walk's own position map, and as
-    `action` the images of those generators on the coset indices."""
+    """The right cosets of a subgroup H of G, numbered as the walk over G's
+    walk generators finds them (_cosets; the trivial coset is index 0),
+    with canonical representatives, the walk's own position map, and as
+    `action` the images of those generators on the coset indices.  It
+    checks that H lies in G, the index limit and the coset count."""
 
     def __init__(self, group, subgroup):
-        position, reps, tables = _walk(group, subgroup)
+        _check_subgroup(group, subgroup)
+        index = _checked_index(group, subgroup)
+        position, reps, tables = _cosets(subgroup, group)
+        if len(reps) != index:
+            raise StructureContradiction(
+                f"coset enumeration found {len(reps)} cosets, expected {index}")
         self.group = group
         self.subgroup = subgroup
         self.representatives = reps
@@ -85,23 +91,16 @@ class CosetSpace:
         return i
 
 
-def _walk(group, subgroup):
-    """_coset_orbit(subgroup, group.walk_generators): the position map, the
-    representatives of the cosets of H in G and the images of G's walk
-    generators on them.  The walk reads only H and G's chain, so it is made
-    once per (G's chain, H) and kept on H.  Every call checks that H lies
-    in G, the index limit, and that the walk found |G:H| cosets."""
-    _check_subgroup(group, subgroup)
-    index = _checked_index(group, subgroup)
+def _cosets(subgroup, acting):
+    """_coset_orbit(H, A.walk_generators) for H = subgroup and A = acting:
+    the cosets H*a for a in A.  The walk reads only H and A's chain, so it
+    is made once per (H, A's chain) and kept on H.  Unchecked."""
     if subgroup._walks is None:
         subgroup._walks = {}
-    walk = subgroup._walks.get(group._chain)
+    walk = subgroup._walks.get(acting._chain)
     if walk is None:
-        walk = subgroup._walks[group._chain] = _coset_orbit(
-            subgroup, group.walk_generators)
-    if len(walk[1]) != index:
-        raise StructureContradiction(
-            f"coset enumeration found {len(walk[1])} cosets, expected {index}")
+        walk = subgroup._walks[acting._chain] = _coset_orbit(
+            subgroup, acting.walk_generators)
     return walk
 
 
@@ -146,33 +145,35 @@ def coset_action(group, subgroup):
 
 
 class CosetGraph:
-    """Coset graph data: the point space [G:L], the blocks in the order of
-    R's walk (_walk), and the incidence structure on (points=[G:L],
-    blocks=[G:R]) that the lambda crosscheck reads; it sorts the blocks.
-    Block 0 is the L-cosets inside LR; the cosets meeting R*y*g are those
-    meeting R*y moved by g, so each walk generator's tables on the two
-    walks, over the same generators, carry block 0 to every other block."""
+    """The coset graph of (G, L, R) on its point space [G:L] alone: block 0
+    is the L-cosets in LR, and the blocks are its orbit under the walk
+    generators' tables on the points, each held |G:R| / |orbit| times in
+    the incidence structure (which sorts them).  R is checked against G
+    and the index limit."""
 
     def __init__(self, group, left, right):
-        self.space_points = CosetSpace(group, left)
-        _, reps, tables = _walk(group, right)
-        moves = tuple((p.images, t.images)
-                      for p, t in zip(self.space_points.action, tables))
-        position = self.space_points._position
-        blocks = [None] * len(reps)
-        blocks[0] = sorted(position[key] for key in
-                           _coset_orbit(left, right.generators)[0])
-        for j, members in enumerate(blocks):
-            for on_points, on_blocks in moves:
-                target = on_blocks[j]
-                if blocks[target] is None:
-                    blocks[target] = sorted(on_points[i] for i in members)
-        if 0 not in blocks[0]:
+        self.space_points = points = CosetSpace(group, left)
+        _check_subgroup(group, right)
+        index = _checked_index(group, right)
+        block = tuple(sorted(points._position[key]
+                             for key in _cosets(left, right)[0]))
+        if 0 not in block:
             raise StructureContradiction(
                 "the trivial cosets of L and R are not adjacent")
-        self.blocks = tuple(tuple(b) for b in blocks)
-        self.structure = IncidenceStructure(
-            v=self.space_points.index, blocks=[list(b) for b in blocks])
+        moves = tuple(g.images for g in points.action)
+        blocks = [block]
+        seen = {block}
+        for members in blocks:
+            for images in moves:
+                image = tuple(sorted(images[i] for i in members))
+                if image not in seen:
+                    seen.add(image)
+                    blocks.append(image)
+        copies, rest = divmod(index, len(blocks))
+        if rest:
+            raise StructureContradiction(
+                f"{len(blocks)} blocks do not divide the {index} cosets of R")
+        self.structure = IncidenceStructure(points.index, blocks * copies)
 
 
 def _coset_orbit(subgroup, generators):
@@ -204,19 +205,21 @@ def coset_graph_design(group, left, right):
 
 def coset_graph_faithful(group, left, right):
     """Whether G is faithful on both coset spaces together, i.e. whether
-    L n R is core-free, read off the walk generators' tables of the two
-    walks a CosetSpace reads (_walk), with no coset space built.  The kernel
-    on the union lies in the kernel on each space: the image chain on the
-    smaller space is built first, then on the other, and the union's only
-    when neither has order |G|, each a plain chain bounded by |G|."""
-    first, second = _walk(group, left)[2], _walk(group, right)[2]
+    L n R is core-free; both subgroups and index limits are checked first.
+    The kernel on the union lies in the kernel on each space: the image
+    chain on the smaller space (L's on a tie) is built first, the other
+    space walked only when that is not faithful, and the union's chain only
+    when neither has order |G|, each bounded by |G|."""
+    for sub in (left, right):
+        _check_subgroup(group, sub)
+        _checked_index(group, sub)
     order = group.order()
-    if second[0].degree < first[0].degree:
-        first, second = second, first
-    if any(GroupWithChain(images, order_bound=order).order() == order
-           for images in (first, second)):
-        return True
-    union = GroupWithChain(union_generators(first, second), order_bound=order)
+    tables = []
+    for sub in sorted((left, right), key=lambda h: order // h.order()):
+        tables.append(CosetSpace(group, sub).action)
+        if GroupWithChain(tables[-1], order_bound=order).order() == order:
+            return True
+    union = GroupWithChain(union_generators(*tables), order_bound=order)
     return union.order() == order
 
 
@@ -237,12 +240,12 @@ def double_coset_lambda(group, left, right, g):
     _check_subgroup(group, right)
     if not group.contains(g):
         raise MembershipError(f"{g} is not in the group")
-    return _rl_count(right, _coset_orbit(right, left.generators), g)
+    return _rl_count(right, _cosets(right, left), g)
 
 
 def _rl_count(right, rl, g):
-    """|RL n RLg| / |R| from rl = _coset_orbit(R, L.generators),
-    unchecked."""
+    """|RL n RLg| / |R| from rl = _cosets(R, L), the walk of the R-cosets
+    in RL; unchecked."""
     position, reps, _ = rl
     return sum(1 for t in reps
                if canonical_coset_representative(right, t * g).images in position)
@@ -260,20 +263,13 @@ class CrosscheckResult:
         return self.constant and self.graph_agrees
 
 
-def lambda_constancy_crosscheck(group, left, right, *, graph=None):
+def lambda_constancy_crosscheck(group, left, right):
     """Check that |RL n RLg| / |R| is one constant over g outside L, and that
     each value equals the independently computed neighborhood intersection
     |N(a) n N(a^g)| in the coset graph (see incidence_crosscheck).  The
-    weights in the ratios sum to |G| - |L|.  L and R must lie in G; the
-    index limit applies to both coset spaces.
-
-    Without `graph`, the coset graph of (G, L, R) is built; a caller that
-    has built it passes it as `graph`, as `permdesign coset` does.
-    """
-    _check_subgroup(group, left)
-    _check_subgroup(group, right)
-    if graph is None:
-        graph = CosetGraph(group, left, right)
+    weights in the ratios sum to |G| - |L|.  L and R must lie in G, and the
+    index limit applies to both coset spaces: the coset graph checks them."""
+    graph = CosetGraph(group, left, right)
     space = graph.space_points
     reps = space.representatives
     moves = [Permutation(space.position_of(x * h) for x in reps)
@@ -294,7 +290,7 @@ def incidence_crosscheck(left, right, structure, base, moves, element_of):
     enumerated; L, R unchecked."""
     point_blocks = structure.point_blocks()
     base_blocks = set(point_blocks[base])
-    rl = _coset_orbit(right, left.generators)
+    rl = _cosets(right, left)
     if len(rl[0]) != len(base_blocks):
         raise StructureContradiction(
             "the R-cosets in RL do not match the degree of the trivial coset")
@@ -318,14 +314,15 @@ def incidence_crosscheck(left, right, structure, base, moves, element_of):
 def subgroup_intersection(left, right):
     """L n R, the stabilizer of the trivial coset in the smaller subgroup S
     acting on the cosets of the other: the tail of one chain of S on its
-    points and the cosets its walk reaches, rebuilt on the points from its
-    generators and bounded by its order, which the rebuild must reach.
-    The walk visits at most |S| cosets, so the element limit bounds |S|."""
+    points and the cosets its walk generators reach, rebuilt on the points
+    from its generators and bounded by its order, which the rebuild must
+    reach.  The walk visits at most |S| cosets, so the element limit bounds
+    |S|."""
     small, large = (left, right) if left.order() <= right.order() else (right, left)
     small._check_enumerable()
     degree = small.degree
-    tables = _coset_orbit(large, small.generators)[2]
-    union = GroupWithChain(union_generators(small.generators, tables),
+    tables = _cosets(large, small)[2]
+    union = GroupWithChain(union_generators(small.walk_generators, tables),
                            (degree,), small.order())
     tail = union.point_stabilizer(degree)
     common = GroupWithChain(
@@ -343,4 +340,4 @@ def is_trivial_factorization(group, left, right):
     _check_subgroup(group, left)
     _check_subgroup(group, right)
     index = _checked_index(group, right)
-    return len(_coset_orbit(right, left.generators)[0]) == index
+    return len(_cosets(right, left)[0]) == index

@@ -74,8 +74,8 @@ A GroupWithChain is immutable once constructed: a normal closure grows a
 fresh chain, and a point stabilizer is a tail of one (see _Chain).  What
 is derived from it is kept on it, computed on first use: its elements,
 class closures, block systems, first point stabilizer and, as a subgroup
-H, the walk of its cosets in each group G it lies in, keyed by G's chain
-(_walks, read by cosets._walk).
+H, the walk of its cosets H*a under each group A it is walked in, keyed
+by A's chain (_walks, read by cosets._cosets).
 """
 
 from __future__ import annotations
@@ -475,7 +475,7 @@ class GroupWithChain:
         self._closures = None
         self._block_systems = None
         self._stabilizer = None  # the tail below the first base point
-        self._walks = None  # ambient chain -> coset walk (cosets._walk)
+        self._walks = None  # acting chain -> coset walk (cosets._cosets)
 
     @classmethod
     def trivial(cls, degree):

@@ -208,36 +208,41 @@ def test_cli_coset_record(tmp_path, capsys, s4):
 
 def test_cli_coset_builds_each_space_once(tmp_path, capsys, fano_pair,
                                           monkeypatch):
-    # the crosscheck and --out read the one coset graph and its point
-    # space, and the faithfulness check the walks it was built from
-    from permdesign.cosets import CosetSpace
+    # every question about the triple, and --out, reads one walk per
+    # (subgroup, acting group): the L-cosets in G, in LR and the R-cosets
+    # in RL; L's coset space is faithful, so R's is never walked
+    from permdesign import cosets
     from permdesign.designgroup import DesignAction
     structure, g = fano_pair
     gp, lp, rp = (tmp_path / n for n in ("g.group", "l.group", "r.group"))
     write_group_file(gp, g)
     write_group_file(lp, g.point_stabilizer(structure.blocks[0][0]))
     write_group_file(rp, DesignAction(g, structure).block_stabilizer(0))
-    built = []
-    original = CosetSpace.__init__
+    walks = []
+    original = cosets._coset_orbit
 
-    def counting(self, *args, **kwargs):
-        built.append(self)
-        original(self, *args, **kwargs)
+    def counting(subgroup, generators):
+        walks.append((id(subgroup), tuple(x.images for x in generators)))
+        return original(subgroup, generators)
 
-    monkeypatch.setattr(CosetSpace, "__init__", counting)
-    assert main(["coset", str(gp), str(lp), str(rp)]) == 0
-    out = capsys.readouterr().out
-    assert json.loads(out) == {"faithful": True, "index_L": 7, "index_R": 7,
-                               "lambda_constant": 1,
-                               "trivial_factorization": False}
-    assert len(built) == 1
-    built.clear()
-    assert main(["coset", str(gp), str(lp), str(rp),
-                 "--out", str(tmp_path / "out")]) == 0
-    out = capsys.readouterr().out
-    assert json.loads(out[out.index("{"):])["faithful"] is True
+    monkeypatch.setattr(cosets, "_coset_orbit", counting)
+    triples = [(gp, lp, rp)] + [
+        [os.path.join(COSET_INPUTS, f"symplectic-2-3.{role}.group")
+         for role in "GLR"]]
+    records = []
+    for files in triples:
+        for extra in ([], ["--out", str(tmp_path / "out")]):
+            walks.clear()
+            assert main(["coset", *map(str, files), *extra]) == 0
+            out = capsys.readouterr().out
+            records.append(json.loads(out[out.index("{"):]))
+            assert len(walks) == len(set(walks)) == 3
     assert (tmp_path / "out" / "coset.design").exists()
-    assert len(built) == 1
+    assert records[0] == records[1] == {
+        "faithful": True, "index_L": 7, "index_R": 7, "lambda_constant": 1,
+        "trivial_factorization": False}
+    assert records[2] == records[3]
+    assert (records[2]["index_L"], records[2]["index_R"]) == (81, 810)
 
 
 def test_cli_build_unsupported_field(capsys, tmp_path):

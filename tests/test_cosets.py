@@ -2,6 +2,7 @@ import importlib.util
 import os
 import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -10,9 +11,10 @@ from bruteforce import (coset_graph_blocks, coset_kernel,
 from conftest import group, perm
 from permdesign.cosets import (CosetGraph, CosetSpace, CrosscheckResult,
                                IndexLimitError, SubgroupError,
-                               _coset_orbit, _walk,
+                               _coset_orbit,
                                canonical_coset_representative,
                                coset_action, coset_graph_design,
+                               coset_graph_faithful,
                                double_coset_lambda, is_trivial_factorization,
                                lambda_constancy_crosscheck,
                                subgroup_intersection)
@@ -155,9 +157,9 @@ def test_coset_graph_design_a7(a7, a7_subgroups):
 def test_coset_graph_invariance(a7, a7_subgroups):
     left, right = a7_subgroups
     graph = CosetGraph(a7, left, right)
-    blocks = {frozenset(b) for b in graph.blocks}
+    blocks = {frozenset(b) for b in graph.structure.blocks}
     for g in a7.generators:
-        for block in graph.blocks:
+        for block in blocks:
             image = frozenset(
                 graph.space_points.position_of(
                     graph.space_points.representatives[i] * g)
@@ -210,15 +212,16 @@ def test_double_coset_lambda_refuses_subgroups_outside_the_group():
 
 @pytest.mark.parametrize("right", ["(1 2 3)", "(1 2)(3 4)"])
 def test_crosscheck_refuses_subgroups_outside_the_given_graph_group(right):
-    # a passed graph skips the coset spaces' own subgroup checks
+    # the coset graph the crosscheck builds checks both subgroups, also
+    # after the walks of a valid triple are kept on them
     a4 = group(4, "(1 2 3)", "(2 3 4)")
     c3, r = group(4, "(1 2 3)"), group(4, right)
-    graph = CosetGraph(a4, c3, r)
+    assert lambda_constancy_crosscheck(a4, c3, r).ok
     with pytest.raises(SubgroupError):
-        lambda_constancy_crosscheck(a4, group(4, "(1 2)"), r, graph=graph)
+        lambda_constancy_crosscheck(a4, group(4, "(1 2)"), r)
     with pytest.raises(SubgroupError):
-        lambda_constancy_crosscheck(a4, c3, group(4, "(1 2)"), graph=graph)
-    assert lambda_constancy_crosscheck(a4, c3, r, graph=graph).ok
+        lambda_constancy_crosscheck(a4, c3, group(4, "(1 2)"))
+    assert lambda_constancy_crosscheck(a4, c3, r).ok
 
 
 def test_fano_pair_is_not_trivial_factorization(fano_pair):
@@ -291,19 +294,36 @@ def test_crosscheck_matches_element_oracle(fano_pair, frobenius21, s4):
     assert 2 <= non_constant < len(cases)
 
 
+def _assert_blocks_match_element_oracle(grp, left, right):
+    """The coset graph's blocks, as sets of L-cosets, against the element
+    oracle's, one block per R-coset: equal as multisets."""
+    graph = CosetGraph(grp, left, right)
+    l_set = mulclose(left.generators)
+    points = [right_coset(l_set, x.images)
+              for x in graph.space_points.representatives]
+    assert Counter(frozenset(points[i] for i in block)
+                   for block in graph.structure.blocks) == \
+        Counter(coset_graph_blocks(grp, left, right).values())
+    return graph.structure
+
+
 def test_coset_graph_blocks_match_element_oracle(fano_pair, frobenius21, s4):
     for grp, left, right in _oracle_cases(fano_pair, frobenius21, s4):
-        graph = CosetGraph(grp, left, right)
-        l_set = mulclose(left.generators)
-        r_set = mulclose(right.generators)
-        points = [right_coset(l_set, x.images)
-                  for x in graph.space_points.representatives]
-        got = {right_coset(r_set, y.images): frozenset(points[i] for i in block)
-               for y, block in zip(_walk(grp, right)[1], graph.blocks)}
-        assert got == coset_graph_blocks(grp, left, right)
-        assert all(list(block) == sorted(block) for block in graph.blocks)
-        # the incidence structure the crosscheck reads holds these blocks
-        assert graph.structure.blocks == tuple(sorted(graph.blocks))
+        _assert_blocks_match_element_oracle(grp, left, right)
+
+
+def test_repeated_block_coset_graphs_match_element_oracle(s4):
+    """When several R-cosets meet the same L-cosets, the orbit of block 0
+    is shorter than |G:R|, and each block is held once per R-coset."""
+    c4 = group(4, "(1 2 3 4)")
+    a4 = group(4, "(1 2 3)", "(2 3 4)")
+    cases = [(c4, group(4, "(1 3)(2 4)"), GroupWithChain.trivial(4),
+              ((0,), (0,), (1,), (1,))),
+             (s4, a4, group(4, "(1 2 3)"), ((0,),) * 4 + ((1,),) * 4),
+             (s4, s4, a4, ((0,), (0,)))]
+    for grp, left, right, blocks in cases:
+        structure = _assert_blocks_match_element_oracle(grp, left, right)
+        assert structure.blocks == blocks
 
 
 def test_faithfulness_and_factorization_match_element_oracle(
@@ -339,6 +359,84 @@ def test_faithfulness_and_factorization_match_element_oracle(
     assert builds == {1, 2, 3}
 
 
+def _counting_walks(monkeypatch):
+    """The (subgroup, generators) of every coset walk made from here on,
+    and the number of canonical representatives formed."""
+    from permdesign import cosets
+    walks, reps = [], [0]
+    walk, canonical = cosets._coset_orbit, cosets.canonical_coset_representative
+
+    def counting_walk(subgroup, generators):
+        walks.append((subgroup, generators))
+        return walk(subgroup, generators)
+
+    def counting_rep(*args):
+        reps[0] += 1
+        return canonical(*args)
+
+    monkeypatch.setattr(cosets, "_coset_orbit", counting_walk)
+    monkeypatch.setattr(cosets, "canonical_coset_representative", counting_rep)
+    return walks, reps
+
+
+@pytest.mark.parametrize("name", COSET_TRIPLES)
+def test_faithfulness_after_the_design_walks_nothing(name, monkeypatch):
+    """On a committed triple L's coset space is the smaller and faithful:
+    coset_graph_design walks [G:L] and the L-cosets in LR, and then
+    coset_graph_faithful reads the walk kept on L and walks nothing of R."""
+    grp, left, right = _coset_triple(name)
+    walks, reps = _counting_walks(monkeypatch)
+    coset_graph_design(grp, left, right)
+    assert walks == [(left, grp.walk_generators),
+                     (left, right.walk_generators)]
+    if name == "symplectic-2-3":  # 81 * 6 + 1 on [G:L], 46 in LR
+        assert reps[0] == 533
+    walks.clear()
+    reps[0] = 0
+    assert coset_graph_faithful(grp, left, right)
+    assert walks == [] and reps == [0]
+
+
+def test_faithfulness_walks_the_other_space_only_when_needed(monkeypatch,
+                                                             chain_builds):
+    """C4 is not faithful on the cosets of its center but is on those of
+    the trivial group: both spaces are walked, the center's first, and no
+    union is formed.  The Klein four-group is faithful on neither cosets of
+    two of its order-2 subgroups, and only the union is faithful."""
+    c4 = group(4, "(1 2 3 4)")
+    center, trivial = group(4, "(1 3)(2 4)"), GroupWithChain.trivial(4)
+    a, b = "(1 2)(3 4)", "(1 3)(2 4)"
+    klein, first, second = group(4, a, b), group(4, a), group(4, b)
+    walks, _ = _counting_walks(monkeypatch)
+    # the order of the walks as positions in (L, R), and the chain degrees
+    for case, order, degrees in (((c4, center, trivial), [0, 1], [2, 4]),
+                                 ((c4, trivial, center), [1, 0], [2, 4]),
+                                 ((klein, first, second), [0, 1], [2, 2, 4])):
+        # fresh copies keep no walk
+        grp, *subgroups = (GroupWithChain(h.generators) for h in case)
+        walks.clear()
+        chain_builds.clear()
+        assert coset_graph_faithful(grp, *subgroups)
+        assert [h for h, _ in walks] == [subgroups[i] for i in order]
+        assert [args[0] for args in chain_builds] == degrees
+
+
+def test_faithfulness_checks_both_subgroups_first(s4, monkeypatch):
+    """S4 is faithful on the 4 cosets of S3, the smaller space; a bad R
+    still raises before that decides."""
+    s3 = group(4, "(1 2)", "(1 2 3)")
+    assert coset_graph_faithful(s4, s3, group(4, "(1 2)"))
+    with pytest.raises(SubgroupError):
+        coset_graph_faithful(s4, s3, group(5, "(1 2)"))
+    with pytest.raises(SubgroupError):
+        coset_graph_faithful(group(4, "(1 2 3)", "(2 3 4)"),
+                             group(4, "(1 2 3)"), group(4, "(1 2)"))
+    monkeypatch.setenv("PERMDESIGN_INDEX_LIMIT", "11")
+    with pytest.raises(IndexLimitError):
+        coset_graph_faithful(s4, s3, group(4, "(1 2)"))
+    assert coset_graph_faithful(s4, s3, group(4, "(1 2)", "(3 4)"))
+
+
 def _table_cases(fano_pair, frobenius21, s4):
     """The oracle cases, the two C4 cases with a normal subgroup, and the
     two A7 pairs behind the 15-point corpus designs."""
@@ -366,9 +464,10 @@ def test_coset_space_action_table(fano_pair, frobenius21, s4):
 def test_coset_actions_read_the_walk(fano_pair, frobenius21, s4,
                                      monkeypatch):
     # coset_graph_design canonicalizes each (coset, walk generator) pair of
-    # both spaces once, plus each walk's start, and walks the L-cosets in
-    # LR; coset_graph_faithful then reads the walks kept on L and R and
-    # canonicalizes nothing.
+    # the point space once, plus the walk's start, and walks the L-cosets
+    # in LR over R's walk generators; coset_graph_faithful then reads the
+    # walk kept on L, and walks R's space only when L's is not faithful or
+    # R's is the smaller; a second graph canonicalizes nothing.
     from permdesign import cosets
     from permdesign.cosets import coset_graph_faithful
     original = cosets.canonical_coset_representative
@@ -383,19 +482,24 @@ def test_coset_actions_read_the_walk(fano_pair, frobenius21, s4,
         # fresh copies: the fixtures may already keep walks
         grp, left, right = (GroupWithChain(g.generators) for g in case)
         order = grp.order()
-        spaces = ((order // left.order() + order // right.order())
-                  * len(grp.walk_generators) + 2)
-        walk = (len(_coset_orbit(left, right.generators)[0])
-                * len(right.generators) + 1)
+        walk_gens = len(grp.walk_generators)
+        points = order // left.order() * walk_gens + 1
+        walk = (len(_coset_orbit(left, right.walk_generators)[0])
+                * len(right.walk_generators) + 1)
         calls.clear()
         coset_graph_design(grp, left, right)
-        assert len(calls) == spaces + walk
+        assert len(calls) == points + walk
         calls.clear()
         coset_graph_faithful(grp, left, right)
-        assert calls == []
-        # a second graph walks only the L-cosets in LR again
+        on_left = GroupWithChain(CosetSpace(grp, left).action).order()
+        walks_right = (order // right.order() < order // left.order()
+                       or on_left < order)
+        assert len(calls) == walks_right * (
+            order // right.order() * walk_gens + 1)
+        assert all(args[0] is right for args in calls)
+        calls.clear()
         CosetGraph(grp, left, right)
-        assert len(calls) == walk
+        assert calls == []
     # 6 of symplectic-2-3's 84 generators grow its chain
     grp, _, right = _coset_triple("symplectic-2-3")
     assert (len(grp.walk_generators), len(grp.generators)) == (6, 84)
@@ -589,10 +693,8 @@ def test_non_corefree_subgroup_marks_action_unfaithful():
 
 def test_crosscheck_over_walk_generators_matches_given_generator_graph(
         symplectic_pair):
-    """Without a graph the crosscheck builds the coset graph of G; the
-    result equals the one read from the coset graph of G given by its
-    generators in reverse order, which numbers the cosets by another
-    walk."""
+    """The crosscheck on G equals the one on G given by its generators in
+    reverse order, whose coset graph numbers the cosets by another walk."""
     from permdesign.designgroup import DesignAction
     from permdesign.geometry import build_symplectic_subdesign
     for structure, g in (symplectic_pair, build_symplectic_subdesign(2, 3)):
@@ -602,8 +704,7 @@ def test_crosscheck_over_walk_generators_matches_given_generator_graph(
         walked = lambda_constancy_crosscheck(g, left, right)
         reverse = GroupWithChain(g.generators[::-1])
         assert reverse.walk_generators != g.walk_generators
-        given = lambda_constancy_crosscheck(
-            g, left, right, graph=CosetGraph(reverse, left, right))
+        given = lambda_constancy_crosscheck(reverse, left, right)
         assert walked == given
         assert walked.ok
         assert sum(c for _, c in walked.ratios) == g.order() - left.order()
@@ -758,9 +859,8 @@ def _assert_matches_given_generator_walk(grp, left, right):
     """CosetSpace and the coset_action image against _coset_orbit over G's
     walk generators; every given generator g, walk generator or not, sends
     coset i to position_of(rep_i * g), a permutation in the coset action's
-    image; and CosetGraph.blocks, in the order of R's walk, read by element
-    arithmetic: R*y meets L*x*y for each L*x meeting R."""
-    positions = []
+    image; and the coset graph's structure equals the one two numbered
+    coset spaces make (_two_space_structure)."""
     for sub in (left, right):
         space = CosetSpace(grp, sub)
         position, reps, action = _coset_orbit(sub, grp.walk_generators)
@@ -776,13 +876,8 @@ def _assert_matches_given_generator_walk(grp, left, right):
                                 for rep in space.representatives)
             assert tables.get(g, moved) == moved
             assert image.contains(moved)
-        positions.append(position)
-    block0 = [Permutation(key)
-              for key in _coset_orbit(left, right.generators)[0]]
-    assert CosetGraph(grp, left, right).blocks == tuple(
-        tuple(sorted(positions[0][canonical_coset_representative(
-            left, x * y).images] for x in block0))
-        for y in _walk(grp, right)[1])
+    assert CosetGraph(grp, left, right).structure.blocks == \
+        _two_space_structure(grp, left, right).blocks
 
 
 @pytest.mark.parametrize("name", COSET_TRIPLES)

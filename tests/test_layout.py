@@ -1,6 +1,8 @@
 """The chain engine's classes stay inside group.py: every other module of
 the package reads chains through GroupWithChain and the functions of
-group.py, and forms no chain or level of its own."""
+group.py, and forms no chain or level of its own.  Likewise every coset
+walk goes through the one cache, cosets._cosets: no other function of the
+package names cosets._coset_orbit."""
 
 import ast
 import os
@@ -27,3 +29,32 @@ def test_only_group_py_imports_the_chain_engine():
     offenders = {name: sorted(found) for name in modules
                  if (found := _engine_imports(os.path.join(package, name)))}
     assert offenders == {}
+
+
+def _referrers(path, name):
+    """The functions of the module at `path` that name `name`, each as the
+    innermost def around it, or "<module>" outside any; one per use."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if name in (getattr(child, "id", None),
+                        getattr(child, "attr", None)):
+                found.append(scope)
+            visit(child, scope)
+    visit(tree, "<module>")
+    return found
+
+
+def test_only_the_walk_cache_walks_cosets():
+    package = os.path.dirname(permdesign.__file__)
+    found = {name: users for name in sorted(os.listdir(package))
+             if name.endswith(".py")
+             and (users := _referrers(os.path.join(package, name),
+                                      "_coset_orbit"))}
+    assert found == {"cosets.py": ["_cosets"]}
