@@ -107,11 +107,11 @@ def base_block_systems(group):
     of those orbits; a system met again is dropped.  The system depends
     only on the G_b0-orbit of x, and every nontrivial system is coarser
     than or equal to one of them, so the group is primitive iff the tuple
-    is empty.  Needs a transitive group; empty on one point.  The tuple is
-    computed once per group and kept on it, so the primitivity,
-    quasiprimitivity and cell-disjointness checks of one group share it."""
-    if group._block_systems is None:
-        systems = {}
+    is empty.  Needs a transitive group; empty on one point.  Kept on the
+    group (GroupWithChain.derived), so the primitivity, quasiprimitivity
+    and cell-disjointness checks of one group share the tuple."""
+    def systems():
+        found = {}
         if group.degree > 1:
             b0 = group.base()[0]
             stabilizer = group.point_stabilizer(b0)
@@ -119,9 +119,9 @@ def base_block_systems(group):
                 if b0 not in orbit:
                     system = minimal_block_system(group, b0, min(orbit))
                     if not system.is_trivial:
-                        systems.setdefault(system.cells, system)
-        group._block_systems = tuple(systems.values())
-    return group._block_systems
+                        found.setdefault(system.cells, system)
+        return tuple(found.values())
+    return group.derived(base_block_systems, systems)
 
 
 def primitivity_status(group):
@@ -298,9 +298,8 @@ def _socle_witness(group, socle):
     of it sending the first base point to the second point of the first
     basic orbit: the first socle element that iter_elements yields, so
     the closure matches the class-representative walk's."""
-    orbit = group._chain.levels[0].points
-    (level,) = socle._chain.levels  # regular: one level
-    t = level.orbit[orbit[0]].inverse() * level.orbit[orbit[1]]
+    orbit = group.first_basic_orbit()
+    t = socle.transporter(orbit[0])(orbit[1])
     witness = normal_closure(group, [t])
     if witness.order() != socle.order() or not witness.is_subgroup_of(socle):
         raise StructureContradiction("socle element does not close to the socle")

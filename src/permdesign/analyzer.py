@@ -148,17 +148,15 @@ def _check_origin_blocks(action, witness):
     """Identify points with the regular witness (point 0 <-> identity) and
     test that every block through point 0 is closed under the group
     operation, i.e. is a subgroup, hence a subspace of the elementary
-    abelian witness.  A regular witness has a one-level chain, and the
-    element n_p sending 0 to p is u_0^-1 * u_p for its transversal u.
-    n_a * n_c is then the element sending 0 to a^(n_c), so the block is
-    closed iff it holds a^(n_c) for all a and c in it: no product of two
-    points' elements is formed."""
-    levels = witness._chain.levels
-    if len(levels) != 1 or len(levels[0].points) != action.structure.v:
+    abelian witness.  A transitive witness of order v is regular, and its
+    element n_p sending 0 to p is witness.transporter(0)(p).  n_a * n_c
+    sends 0 to a^(n_c), so the block is closed iff it holds a^(n_c) for
+    all a and c in it: no product of two points' elements is formed."""
+    v = action.structure.v
+    if witness.order() != v or not witness.is_transitive():
         return FAIL  # witness not regular after all
-    transversal = levels[0].orbit
-    to_origin = transversal[0].inverse()
-    to_element = {p: (to_origin * u).images for p, u in transversal.items()}
+    transport = witness.transporter(0)
+    to_element = {p: transport(p).images for p in range(v)}
     for block in action.structure.blocks:
         if 0 not in block:
             continue

@@ -4,16 +4,16 @@ double-coset count |RL n RLg| / |R| that equals the pair count of the
 corresponding design.
 
 Cosets are identified by a canonical representative: the element of Lx
-whose base-image sequence under L's stabilizer chain is lexicographically
-minimal, found by walking the chain transversals.  This gives constant-time
-coset keys without backtrack searches.  One breadth-first walk enumerates
-the cosets H*a of a subgroup H for a in a group A, numbers them in the
-order it finds them, and records where each of A's walk generators (the
-ones that grew its chain, see group.py) sends each coset: one canonical
-representative per (coset, generator) pair.  The walk depends only on H
-and A's chain, so it is made once per (H, A) and kept on H (_cosets), and
-each question about a triple (G, L, R) reads the same walks: the coset
-spaces [G:L] and [G:R], the L-cosets in LR and the R-cosets in RL.
+whose images of L's base are lexicographically least, found by walking
+L's chain transversals in group.py (canonical_coset_representative), with
+no backtrack search.  One breadth-first walk enumerates the cosets H*a of
+a subgroup H for a in a group A, numbers them in the order it finds them,
+and records where each of A's walk generators (the ones that grew its
+chain, see group.py) sends each coset: one canonical representative per
+(coset, generator) pair.  The walk depends only on H and A, so it is made
+once per (H, A) and kept on H (_cosets), and each question about a
+triple (G, L, R) reads the same walks: the coset spaces [G:L] and [G:R],
+the L-cosets in LR and the R-cosets in RL.
 
 A coset graph numbers only its points, [G:L]: g carries the block of R*y,
 the L-cosets meeting it, to the block of R*y*g, so the blocks are the
@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 from .config import index_limit
 from .group import (ActionImage, GroupWithChain, MembershipError,
-                    StructureContradiction, orbits_of)
+                    StructureContradiction, canonical_coset_representative,
+                    orbits_of)
 from .incidence import IncidenceStructure
 from .perm import DegreeMismatchError, Permutation
 
@@ -40,22 +41,6 @@ class SubgroupError(ValueError):
 
 class IndexLimitError(RuntimeError):
     """The coset space is larger than PERMDESIGN_INDEX_LIMIT."""
-
-
-def canonical_coset_representative(subgroup, x):
-    """The chain-minimal element of the right coset (subgroup)*x."""
-    h = x
-    for level in subgroup._chain.levels:
-        best_pt = None
-        best_img = None
-        for c in level.orbit:
-            img = h.images[c]
-            if best_img is None or img < best_img:
-                best_img = img
-                best_pt = c
-        if best_pt != level.base:
-            h = level.orbit[best_pt] * h
-    return h
 
 
 class CosetSpace:
@@ -93,15 +78,10 @@ class CosetSpace:
 
 def _cosets(subgroup, acting):
     """_coset_orbit(H, A.walk_generators) for H = subgroup and A = acting:
-    the cosets H*a for a in A.  The walk reads only H and A's chain, so it
-    is made once per (H, A's chain) and kept on H.  Unchecked."""
-    if subgroup._walks is None:
-        subgroup._walks = {}
-    walk = subgroup._walks.get(acting._chain)
-    if walk is None:
-        walk = subgroup._walks[acting._chain] = _coset_orbit(
-            subgroup, acting.walk_generators)
-    return walk
+    the cosets H*a for a in A, made once and kept on H, keyed by the
+    generators it walks: a key that holds no reference to A.  Unchecked."""
+    gens = acting.walk_generators
+    return subgroup.derived(gens, lambda: _coset_orbit(subgroup, gens))
 
 
 def _check_subgroup(group, subgroup):

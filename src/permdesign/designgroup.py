@@ -129,18 +129,15 @@ class DesignAction:
     def lambda_crosscheck(self):
         """cosets.incidence_crosscheck of (G_a, G_B0) on this flag-transitive
         design, a the first point of block 0: the point p is the G_a-coset
-        of the elements sending a to p, such as u_a^-1 * u_p (u the
-        transversal of G's first basic orbit), so G_a moves those cosets as
-        it moves the points, and the block B is the G_B0-coset of the
-        elements sending B0 to B."""
+        of the elements sending a to p, such as G.transporter(a)(p), so
+        G_a moves those cosets as it moves the points, and the block B is
+        the G_B0-coset of the elements sending B0 to B."""
         alpha = self.structure.blocks[0][0]
         left = self.point_stabilizer(alpha)
-        u = self.group._chain.levels[0].orbit
-        to_alpha = u[alpha].inverse()
         return incidence_crosscheck(left, self.block_stabilizer(0),
                                     self.structure, alpha,
                                     left.walk_generators,
-                                    lambda p: to_alpha * u[p])
+                                    self.group.transporter(alpha))
 
     def is_flag_transitive(self):
         """Computed along both local routes (block-transitive with transitive

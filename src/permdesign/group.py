@@ -71,11 +71,13 @@ are numbered by the walk that finds them, and its image is given by the
 walk generators' images (cosets.CosetSpace).
 
 A GroupWithChain is immutable once constructed: a normal closure grows a
-fresh chain, and a point stabilizer is a tail of one (see _Chain).  What
-is derived from it is kept on it, computed on first use: its elements,
-class closures, block systems, first point stabilizer and, as a subgroup
-H, the walk of its cosets H*a under each group A it is walked in, keyed
-by A's chain (_walks, read by cosets._cosets).
+fresh chain, and a point stabilizer is a tail of one (see _Chain).  Only
+this module reads a chain: the others ask for a coset's canonical
+representative, the first basic orbit and its transporter.  What is
+derived from a group is kept on it, computed on first use: its elements,
+class closures and first point stabilizer, and in one store (derived)
+its block systems and, as a subgroup H, the walk of its cosets H*a under
+each group A, keyed by A's walk generators (cosets._cosets).
 """
 
 from __future__ import annotations
@@ -436,8 +438,8 @@ class GroupWithChain:
     """A finite permutation group with order/membership/stabilizer queries."""
 
     __slots__ = ("degree", "_generators", "walk_generators", "_chain",
-                 "_order", "_elements", "_closures", "_block_systems",
-                 "_stabilizer", "_walks")
+                 "_order", "_elements", "_closures", "_stabilizer",
+                 "_derived")
 
     def __init__(self, generators, base_hint=(), order_bound=None):
         """`order_bound`, when given, is a proven upper bound on the order of
@@ -473,9 +475,8 @@ class GroupWithChain:
         self._order = chain.order()
         self._elements = None
         self._closures = None
-        self._block_systems = None
         self._stabilizer = None  # the tail below the first base point
-        self._walks = None  # acting chain -> coset walk (cosets._cosets)
+        self._derived = None  # key -> value (derived)
 
     @classmethod
     def trivial(cls, degree):
@@ -492,6 +493,29 @@ class GroupWithChain:
 
     def base(self):
         return tuple(level.base for level in self._chain.levels)
+
+    def first_basic_orbit(self):
+        """The orbit of the first base point, in the order in which
+        iter_elements multiplies by its transversal (empty when trivial)."""
+        levels = self._chain.levels
+        return tuple(levels[0].points) if levels else ()
+
+    def transporter(self, a):
+        """p -> u_a^-1 * u_p, the element sending a to p, for a and p in
+        the first basic orbit and u its transversal."""
+        u = self._chain.levels[0].orbit
+        to_base = u[a].inverse()
+        return lambda p: to_base * u[p]
+
+    def derived(self, key, compute):
+        """compute(), made on the first call with `key` and kept on the
+        group, for a fact that depends only on the group."""
+        store = self._derived
+        if store is None:
+            store = self._derived = {}
+        if key not in store:
+            store[key] = compute()
+        return store[key]
 
     def orbit(self, point):
         """Orbit of a point under the whole group."""
@@ -585,6 +609,23 @@ def _stabilizer(chain, degree, orbit_length, order):
     if orbit_length * stab.order() != order:
         raise StructureContradiction("orbit-stabilizer identity violated")
     return stab
+
+
+def canonical_coset_representative(subgroup, x):
+    """The chain-minimal element of the right coset (subgroup)*x: the one
+    whose images of subgroup.base() are lexicographically least."""
+    h = x
+    for level in subgroup._chain.levels:
+        best_pt = None
+        best_img = None
+        for c in level.orbit:
+            img = h.images[c]
+            if best_img is None or img < best_img:
+                best_img = img
+                best_pt = c
+        if best_pt != level.base:
+            h = level.orbit[best_pt] * h
+    return h
 
 
 def normal_closure(group, seeds):

@@ -18,48 +18,53 @@ class FileFormatError(ValueError):
     pass
 
 
-def _content_lines(text):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield lineno, line
+def _parse(text, kind, form, count, items):
+    """The header's positive integer and the content lines after it, each
+    as (line number, stripped text), skipping '#' comments and blank lines;
+    `kind` names the file, `form` shows the header ("<keyword> <symbol>"),
+    `count` names its integer and `items` what the later lines list."""
+    lines = [(lineno, line) for lineno, raw in
+             enumerate(text.splitlines(), start=1)
+             if (line := raw.strip()) and not line.startswith("#")]
+    if not lines:
+        raise FileFormatError(f"empty {kind} file")
+    lineno, header = lines[0]
+    parts = header.split()
+    if len(parts) != 2 or parts[0] != form.split()[0]:
+        raise FileFormatError(
+            f"line {lineno}: expected '{form}', got {header!r}")
+    try:
+        n = int(parts[1])
+    except ValueError:
+        raise FileFormatError(f"line {lineno}: bad {count} {parts[1]!r}") from None
+    if n < 1:
+        raise FileFormatError(f"line {lineno}: {count} must be positive")
+    if len(lines) == 1:
+        raise FileFormatError(f"{kind} file lists no {items}")
+    return n, lines[1:]
+
+
+def _layout(comment, header, lines):
+    """The file text: the comment's lines behind '# ', the header, then
+    the lines, each ended by a newline."""
+    out = [f"# {line}" for line in comment.splitlines()] if comment else []
+    return "\n".join([*out, header, *lines]) + "\n"
 
 
 def parse_group_text(text):
-    lines = list(_content_lines(text))
-    if not lines:
-        raise FileFormatError("empty group file")
-    lineno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 2 or parts[0] != "degree":
-        raise FileFormatError(
-            f"line {lineno}: expected 'degree N', got {header!r}")
-    try:
-        degree = int(parts[1])
-    except ValueError:
-        raise FileFormatError(f"line {lineno}: bad degree {parts[1]!r}") from None
-    if degree < 1:
-        raise FileFormatError(f"line {lineno}: degree must be positive")
+    degree, lines = _parse(text, "group", "degree N", "degree", "generators")
     gens = []
-    for lineno, line in lines[1:]:
+    for lineno, line in lines:
         try:
             gens.append(Permutation.from_cycles(line, degree))
         except ValueError as exc:
             raise FileFormatError(f"line {lineno}: {exc}") from exc
-    if not gens:
-        raise FileFormatError("group file lists no generators")
     return GroupWithChain(tuple(gens))
 
 
 def format_group(group, comment=None):
-    out = []
-    if comment:
-        for line in comment.splitlines():
-            out.append(f"# {line}")
-    out.append(f"degree {group.degree}")
-    out.extend(str(g) for g in group.generators)
-    return "\n".join(out) + "\n"
+    return _layout(comment, f"degree {group.degree}",
+                   (str(g) for g in group.generators))
 
 
 def read_group_file(path):
@@ -73,22 +78,9 @@ def write_group_file(path, group, comment=None):
 
 
 def parse_design_text(text):
-    lines = list(_content_lines(text))
-    if not lines:
-        raise FileFormatError("empty design file")
-    lineno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 2 or parts[0] != "points":
-        raise FileFormatError(
-            f"line {lineno}: expected 'points V', got {header!r}")
-    try:
-        v = int(parts[1])
-    except ValueError:
-        raise FileFormatError(f"line {lineno}: bad point count {parts[1]!r}") from None
-    if v < 1:
-        raise FileFormatError(f"line {lineno}: point count must be positive")
+    v, lines = _parse(text, "design", "points V", "point count", "blocks")
     blocks = []
-    for lineno, line in lines[1:]:
+    for lineno, line in lines:
         try:
             points = [int(tok) for tok in line.split()]
         except ValueError:
@@ -97,8 +89,6 @@ def parse_design_text(text):
             raise FileFormatError(
                 f"line {lineno}: point outside 1..{v}")
         blocks.append([p - 1 for p in points])
-    if not blocks:
-        raise FileFormatError("design file lists no blocks")
     try:
         return IncidenceStructure(v=v, blocks=blocks)
     except ValueError as exc:
@@ -106,14 +96,9 @@ def parse_design_text(text):
 
 
 def format_design(structure, comment=None):
-    out = []
-    if comment:
-        for line in comment.splitlines():
-            out.append(f"# {line}")
-    out.append(f"points {structure.v}")
-    for block in structure.blocks:
-        out.append(" ".join(str(p + 1) for p in block))
-    return "\n".join(out) + "\n"
+    return _layout(comment, f"points {structure.v}",
+                   (" ".join(str(p + 1) for p in block)
+                    for block in structure.blocks))
 
 
 def read_design_file(path):

@@ -124,6 +124,17 @@ def test_origin_blocks_check_matches_product_oracle(corpus_instances):
                                 translations) == FAIL
 
 
+def test_origin_blocks_check_fails_on_a_witness_that_is_not_regular(s4):
+    """A witness that is not regular fails before any block is read: S4 on
+    4 points, of order 24, and <(1 2), (3 4)>, of order 4 but
+    intransitive; the product oracle refuses both."""
+    triples = orbit_design(s4, (0, 1, 2))
+    action = DesignAction(s4, triples)
+    for witness in (s4, group(4, "(1 2)", "(3 4)")):
+        assert not origin_blocks_are_subgroups(witness, triples.blocks)
+        assert _check_origin_blocks(action, witness) == FAIL
+
+
 def test_analyze_memory_on_symplectic_3_2():
     """analyze on the symplectic design over GF(2) with m = 3 (v = 64,
     b = 5 376), in a fresh process, grows its peak RSS by less than 100 MB:

@@ -62,6 +62,31 @@ def test_design_file_rejects_bad_points():
         parse_design_text("blocks 3\n1 2\n")
 
 
+@pytest.mark.parametrize("parse,text,message", [
+    (parse_group_text, "", "^empty group file$"),
+    (parse_group_text, "# only comments\n\n", "^empty group file$"),
+    (parse_group_text, "# c\n(1 2)\n",
+     r"^line 2: expected 'degree N', got '\(1 2\)'$"),
+    (parse_group_text, "degree 3 4\n(1 2)\n",
+     "^line 1: expected 'degree N', got 'degree 3 4'$"),
+    (parse_group_text, "degree x\n(1 2)\n", "^line 1: bad degree 'x'$"),
+    (parse_group_text, "degree 0\n(1 2)\n",
+     "^line 1: degree must be positive$"),
+    (parse_group_text, "degree 3\n# none\n",
+     "^group file lists no generators$"),
+    (parse_design_text, "", "^empty design file$"),
+    (parse_design_text, "# only comments\n", "^empty design file$"),
+    (parse_design_text, "\nblocks 3\n1 2\n",
+     "^line 2: expected 'points V', got 'blocks 3'$"),
+    (parse_design_text, "points 3.0\n1 2\n",
+     "^line 1: bad point count '3.0'$"),
+    (parse_design_text, "points 3\n\n", "^design file lists no blocks$"),
+])
+def test_file_headers_are_refused_with_their_message(parse, text, message):
+    with pytest.raises(FileFormatError, match=message):
+        parse(text)
+
+
 @pytest.mark.parametrize("count", ["0", "-2"])
 def test_design_file_rejects_non_positive_point_count(count):
     # refused on the header line, not at the first block

@@ -86,6 +86,37 @@ def test_canonical_representative_full_subgroup_sweep(fano_pair):
         assert left.contains(Permutation(next(iter(reps))) * x.inverse())
 
 
+def _least_base_images(subgroup, x):
+    """Every element of (subgroup)*x whose images of subgroup.base() are
+    lexicographically least, from the coset formed in full."""
+    base = subgroup.base()
+    coset = right_coset(mulclose(subgroup.generators), x.images)
+    least = min([t[b] for b in base] for t in coset)
+    return [t for t in coset if [t[b] for b in base] == least]
+
+
+def test_coset_key_is_the_least_base_image_element(s4):
+    """The coset key is the one element of H*x whose images of H's base are
+    lexicographically least, against the coset formed in full: subgroups
+    of S4 and A4, a tail of S4's chain, and a stabilizer built on a chain
+    of its own, for every x of the ambient group."""
+    a4 = group(4, "(1 2 3)", "(2 3 4)")
+    b0 = s4.base()[0]
+    other = next(p for p in range(4) if p != b0)
+    cases = [(s4, a4), (s4, group(4, "(1 2 3 4)", "(1 3)")),
+             (s4, group(4, "(1 2)(3 4)", "(1 3)(2 4)")),
+             (s4, group(4, "(2 3)")), (a4, group(4, "(1 2 3)")),
+             (a4, group(4, "(1 2)(3 4)")),
+             (s4, s4.point_stabilizer(b0)), (s4, s4.point_stabilizer(other)),
+             (a4, a4.point_stabilizer(other))]
+    for ambient, sub in cases:
+        assert sub.is_subgroup_of(ambient)
+        for t in mulclose(ambient.generators):
+            x = Permutation(t)
+            (least,) = _least_base_images(sub, x)
+            assert canonical_coset_representative(sub, x).images == least
+
+
 def test_position_of_refuses_permutations_outside_the_group():
     a4 = group(4, "(1 2 3)", "(2 3 4)")
     space = CosetSpace(a4, group(4, "(1 2)(3 4)"))
@@ -510,6 +541,22 @@ def test_coset_actions_read_the_walk(fano_pair, frobenius21, s4,
     assert len(calls) == 6 * 810 + 1
 
 
+def test_walks_kept_on_two_subgroups_form_no_reference_cycle():
+    """After a crosscheck L keeps its walk in R and R its walk in L; the
+    walks are keyed by the generators walked, not by the groups, so the
+    three groups are freed without the cyclic collector."""
+    import gc
+    gc.collect()
+    gc.disable()
+    try:
+        grp, left, right = _coset_triple("symplectic-2-3")
+        assert lambda_constancy_crosscheck(grp, left, right).ok
+        del grp, left, right
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_one_subgroup_keeps_a_walk_per_group(monkeypatch):
     """A walk is kept on the subgroup for each group it is walked in, and
     the subgroup check and the index limit still run when it is read."""
@@ -517,6 +564,7 @@ def test_one_subgroup_keeps_a_walk_per_group(monkeypatch):
     a4 = group(4, "(1 2 3)", "(2 3 4)")
     s4 = group(4, "(1 2)", "(1 2 3 4)")
     h_set = mulclose(h.generators)
+    walks, _ = _counting_walks(monkeypatch)
     for grp, index in ((a4, 6), (s4, 12), (a4, 6), (s4, 12)):
         space = CosetSpace(grp, h)
         assert space.index == index
@@ -527,7 +575,7 @@ def test_one_subgroup_keeps_a_walk_per_group(monkeypatch):
                                for x in mulclose(grp.generators)}
         for i, x in enumerate(space.representatives):
             assert space.position_of(x) == i
-    assert len(h._walks) == 2
+    assert walks == [(h, a4.walk_generators), (h, s4.walk_generators)]
     with pytest.raises(SubgroupError):
         CosetSpace(group(4, "(1 2 3 4)"), h)
     monkeypatch.setenv("PERMDESIGN_INDEX_LIMIT", "11")

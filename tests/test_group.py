@@ -55,6 +55,32 @@ def test_chain_is_deterministic(a7):
            [len(l.orbit) for l in a7._chain.levels]
 
 
+def test_transporter_sends_a_to_p_on_every_corpus_group(corpus_instances):
+    """transporter(a)(p) is an element of the group sending a to p, for
+    every pair of points of the first basic orbit, which is the orbit of
+    the first base point."""
+    for inst in corpus_instances:
+        g = inst.group
+        orbit = g.first_basic_orbit()
+        assert set(orbit) == g.orbit(g.base()[0]), inst.name
+        for a in orbit:
+            send = g.transporter(a)
+            for p in orbit:
+                assert send(p).images[a] == p, inst.name
+            assert g.contains(send(orbit[-1])), inst.name
+
+
+def test_first_basic_orbit_is_in_element_order(s4, frobenius21, a7):
+    """iter_elements runs through the first basic orbit in the order
+    first_basic_orbit gives, one block of |G_b0| elements per point."""
+    for g in (s4, frobenius21, a7):
+        b0 = g.base()[0]
+        step = g.order() // len(g.first_basic_orbit())
+        assert tuple(x.images[b0] for x in list(g.iter_elements())[::step]) \
+            == g.first_basic_orbit()
+    assert GroupWithChain.trivial(3).first_basic_orbit() == ()
+
+
 CLOSURE_CASES = [
     ("s4", 4, ("(1 2)", "(1 2 3 4)"), 24),
     ("d4", 4, ("(1 2 3 4)", "(1 3)"), 8),

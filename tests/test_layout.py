@@ -1,13 +1,15 @@
 """The chain engine's classes stay inside group.py: every other module of
 the package reads chains through GroupWithChain and the functions of
-group.py, and forms no chain or level of its own.  Likewise every coset
-walk goes through the one cache, cosets._cosets: no other function of the
-package names cosets._coset_orbit."""
+group.py, and forms no chain or level of its own, nor reads one or what a
+group keeps.  Likewise every coset walk goes through the one cache,
+cosets._cosets: no other function of the package names
+cosets._coset_orbit."""
 
 import ast
 import os
 
 import permdesign
+from permdesign.group import GroupWithChain
 
 ENGINE = {"_Chain", "_Level", "_ReadLevel"}
 
@@ -58,3 +60,30 @@ def test_only_the_walk_cache_walks_cosets():
              and (users := _referrers(os.path.join(package, name),
                                       "_coset_orbit"))}
     assert found == {"cosets.py": ["_cosets"]}
+
+
+def _names(path):
+    """Every identifier, attribute, parameter and string constant of the
+    module at `path`."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    found = set()
+    for node in ast.walk(tree):
+        for field in ("id", "attr", "arg", "value"):
+            name = getattr(node, field, None)
+            if isinstance(name, str):
+                found.add(name)
+    return found
+
+
+def test_only_group_py_reads_a_chain_or_a_group_s_private_state():
+    """No module but group.py names a chain's levels or a private slot of
+    GroupWithChain (its chain, caches and store): the others ask group.py."""
+    private = {"levels"} | {name for name in GroupWithChain.__slots__
+                            if name.startswith("_")}
+    assert {"_chain", "_derived"} <= private
+    package = os.path.dirname(permdesign.__file__)
+    offenders = {name: sorted(found) for name in sorted(os.listdir(package))
+                 if name.endswith(".py") and name != "group.py"
+                 and (found := _names(os.path.join(package, name)) & private)}
+    assert offenders == {}
