@@ -8,8 +8,9 @@ from dataclasses import asdict, dataclass
 
 from .analysis import is_quasiprimitive, primitivity_status
 from .cosets import incidence_crosscheck
-from .group import (SetAction, StructureContradiction, check_index,
-                    induced_action, orbits_of, set_action, set_stabilizer)
+from .group import (ActionClosureError, SetAction, StructureContradiction,
+                    check_index, induced_action, orbits_of, set_action,
+                    set_stabilizer)
 
 
 class PreservationError(ValueError):
@@ -56,7 +57,9 @@ class DesignAction:
     built once and shared by the verdict operations.
 
     Every chain is built from G's walk generators, on the points.  The
-    block action's chain (group.set_action) is read out on the block
+    block action's chain (group.set_action) is completed from seeded
+    random elements of G, stopped once its order reaches |G|, which it
+    does for every faithful block action, and is read out on the block
     indices; the block images of the given generators, the image's
     generators, are formed only where something reads them (a type
     witness, the block-type classification).  Every element maps a block
@@ -92,7 +95,7 @@ class DesignAction:
         PreservationError when g maps a block outside the block set."""
         try:
             return self._blocks.perm(g)
-        except KeyError:
+        except ActionClosureError:
             raise PreservationError(
                 "group does not preserve the block set") from None
 

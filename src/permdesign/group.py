@@ -1,13 +1,14 @@
-"""Permutation groups backed by deterministic stabilizer chains.
+"""Permutation groups backed by reproducible stabilizer chains.
 
-The chain is built with the classical deterministic Schreier-Sims procedure:
+A chain is built with the classical deterministic Schreier-Sims procedure:
 base points are chosen as the smallest point moved by the offending
 generator, transversals are extended breadth-first and never rewritten, and
 no Schreier generator is sifted twice: orbits and strong generators only
 grow at the end, so the points each generator was sifted with are a prefix
 of its level's orbit, kept as one cursor (Seress, Permutation Group
 Algorithms, 2003, ch. 4).  The result is reproducible for a fixed generator
-sequence.
+sequence; the chain of an action on sets alone is completed from seeded
+random elements instead (below), and is reproducible too.
 
 A sift holds the residue r = p*u1^-1*...*uk^-1 through its inverse
 r^-1 = a*p^-1, kept as the two factors p and a = uk*...*u1: moving down a
@@ -29,14 +30,31 @@ B^r is the set a^-1(p(B)).  On the sets alone a residue fixing every set
 is trivial (a kernel element), a new level is based at the smallest set a
 residue moves, and the chain is read out at degree b; on the points and
 the sets, every level below the hinted sets is based at the smallest point
-a residue moves.  Each decision is the one the build of the images on that
-domain makes, so the chains are equal level by level, and no permutation
-of degree v + b is formed (Seress, Permutation Group Algorithms, 2003,
-section 4.1 and ch. 5; Holt, Eick, O'Brien, Handbook of Computational
-Group Theory, 2005, section 4.4).  A read-out level keeps its transversal
-as a Schreier tree, each orbit point's parent and generator, and forms the
-elements of degree b on the first read of its orbit, as that build forms
-them: the order, the base, the walk generators and the tails form none.
+a residue moves.  On the points and the sets, each decision is the one the
+plain build of the union of the points and the sets makes, so the chains
+are equal level by level, and no permutation of degree v + b is formed
+(Seress, Permutation Group Algorithms, 2003, section 4.1 and ch. 5; Holt,
+Eick, O'Brien, Handbook of Computational Group Theory, 2005, section 4.4).
+A read-out level keeps its transversal as a Schreier tree, each orbit
+point's parent and generator, and forms the elements of degree b on the
+first read of its orbit: the order, the base, the walk generators and the
+tails form none.
+
+A chain on the sets alone is not completed by Schreier generators, whose
+level-0 orbit has length b.  The residues of G's walk generators are
+installed, and then uniformly random elements of G, drawn from G's own
+chain with a fixed seed, are sifted and their residues installed, until
+the chain's order reaches |G| (the randomized Schreier-Sims procedure of
+Seress, section 4.3, stopped by the known order, below).  The stop is
+exact, so a faithful action, as that of every nontrivial 2-design on its
+blocks is, ends there.  While the chain is incomplete at most half of G
+sifts through it, so once a fixed number of random elements in a row sift
+through below |G|, the action has a kernel, but for a chance that halves
+with each element; the deterministic procedure then finishes the chain
+from where it stands.  The seed decides the base and the strong
+generators, never the group: the chain is a base and strong generating
+set of the image, not the plain build of the generators' images level by
+level.
 
 A build may be given an upper bound on the order of the group it generates,
 where that order is already known (the same group on another base, or an
@@ -58,12 +76,11 @@ Seress, Permutation Group Algorithms, 2003, section 4.5).  A walk whose
 result depends only on the group, such as an orbit, a minimal block system
 or a coset space, costs (domain size) x (number of generators), so it runs
 over these: 6 of the 84 generators of the symplectic design over GF(3)
-grow its chain.  A chain of an action of G
-on point sets (set_action, set_stabilizer) is built from them too: a
-given generator that did not grow G's chain lies in the group the walk
-generators before it generate, so the build of every given generator's
-image skips it, and the two chains are the same, level by level.  Where
-the generator list itself reaches a result (a point chain, a normal
+grow its chain.  A chain of an action of G on point sets (set_action,
+set_stabilizer) is built from them too: a given generator that did not
+grow G's chain lies in the group the walk generators before it generate,
+so the build of every given generator's image skips it.  Where the
+generator list itself reaches a result (a point chain, a normal
 closure's generators, an induced action), the given generators are kept;
 an action's image is still given by the images of the given generators,
 formed where they are read.  A coset action is the exception: its cosets
@@ -82,11 +99,20 @@ each group A, keyed by A's walk generators (cosets._cosets).
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from operator import itemgetter
 
 from .config import element_limit
 from .perm import DegreeMismatchError, Permutation
+
+
+# A chain of an action on sets (set_action) is completed from random
+# elements of the group, drawn with this seed; once this many in a row sift
+# through below the known order, the deterministic Schreier-Sims procedure
+# finishes it.  Neither changes the group the chain describes.
+_RANDOM_SEED = 1
+_IDLE_SIFTS = 20
 
 
 class EnumerationLimitError(RuntimeError):
@@ -126,8 +152,8 @@ class _ReadLevel(_Level):
     """A level of a chain on the sets alone, read on the set indices
     (_Chain.read): its strong generators are the set images, and its
     transversal is formed on the first read of `orbit`, each element as its
-    parent's times a generator, in insertion order, as the build of the set
-    images forms it.  The order (len(points)), the base and the tails are
+    parent's times a generator, in insertion order, as a build on the set
+    indices forms it.  The order (len(points)), the base and the tails are
     read without it.  The property shadows _Level's `orbit` slot."""
     __slots__ = ("_identity", "_transversal")
 
@@ -157,9 +183,9 @@ class _Chain:
     and built, with its levels, in this module alone.
     A stabilizer's chain is a tail sharing its parent's _Level objects, so
     neither may be extended once wrapped.  `grown` lists, in order, the
-    arguments of extend() that grew the chain (a tail records none).
-    Each Schreier generator is sifted once, as a pair, and _sift_schreier
-    is the one place a residue p*a^-1 is formed.
+    given generators that grew the chain (a tail records none).
+    Each Schreier generator is sifted once, as a pair, and a residue
+    p*a^-1 is formed only to be installed (_sift_schreier, sift_in).
     Given `sets`, a SetAction on the points 0..v-1, the domain is the sets
     (degree b) or the points followed by them (degree v + b, set j at
     v + j); the base hint names sets, whose levels lead and are kept on
@@ -282,6 +308,32 @@ class _Chain:
         self.schreier_sims(order_bound)
         return True
 
+    def sift_in(self, p):
+        """Install the residue of p, without completing the chain, unless p
+        already sifts through it.  Returns whether the chain grew."""
+        a = self._sift(p, self.identity)
+        if a is None:
+            return False
+        n = self.order()
+        self.install(p * a.inverse())
+        if self.order() == n:
+            raise StructureContradiction("a residue grew no orbit")
+        return True
+
+    def sift_random(self, group, order_bound):
+        """Complete the chain of a quotient of `group` of order at most
+        `order_bound` = |group|: sift uniformly random elements of `group`
+        into it until its order reaches the bound, and finish with
+        schreier_sims once _IDLE_SIFTS in a row sift through below it.
+        While the chain is incomplete, at most half of the elements sift
+        through, so a faithful action rarely needs the finish; the seed
+        decides the base and strong generators, never the group."""
+        rng = random.Random(_RANDOM_SEED)
+        idle = 0
+        while idle < _IDLE_SIFTS and not self.reached(order_bound):
+            idle = 0 if self.sift_in(group.random_element(rng)) else idle + 1
+        self.schreier_sims(order_bound)
+
     def _extend_orbit(self, level):
         # one breadth-first pass that appends what it finds, so points and
         # transversals only grow and every _check_level cursor stays valid;
@@ -349,8 +401,9 @@ class _Chain:
     def read(self):
         """A chain on the sets alone, read on the set indices: strong
         generators as their set images, and each transversal element as
-        its parent's times a generator's set image, as that build forms
-        it, formed when its level's orbit is first read (_ReadLevel)."""
+        its parent's times a generator's set image, as a build on the
+        indices forms it, formed when its level's orbit is first read
+        (_ReadLevel)."""
         chain = _Chain(self.degree)
         chain.levels = [_ReadLevel(level, chain.identity)
                         for level in self.levels]
@@ -382,27 +435,44 @@ class SetAction:
 
     def perm(self, g):
         """g's action on the sets, as a permutation of their indices, formed
-        once per element; KeyError when g maps a set outside the list."""
+        once per element; ActionClosureError, naming g and the set, when g
+        maps a set outside the list."""
         p = self._perms.get(g.images)
         if p is None:
-            p = self._perms[g.images] = Permutation._raw(
-                tuple(self.image(j, g) for j in range(len(self.sets))))
+            images = []
+            for j, s in enumerate(self.sets):
+                try:
+                    images.append(self.image(j, g))
+                except KeyError:
+                    raise ActionClosureError(
+                        f"generator {g} maps set {j} {tuple(s)} outside "
+                        "the set list") from None
+            p = self._perms[g.images] = Permutation._raw(tuple(images))
         return p
 
 
 def _build_chain(degree, generators, base_hint=(), order_bound=None,
-                 sets=None):
+                 sets=None, source=None):
     """The chain of the generated group on 0..degree-1.  With `sets`, a
     SetAction on the generators' points, the domain holds the sets (see
-    _Chain), and a chain on the sets alone is read out on their indices,
-    as the build of the generators' set images makes it."""
+    _Chain), and a chain on the sets alone is read out on their indices;
+    without `source`, it is the build of the generators' set images.
+    Given `source`, a group that the generators generate, of order
+    `order_bound`, each generator's residue is installed without
+    completing the chain, and random elements of `source` complete it
+    (_Chain.sift_random)."""
     chain = _Chain(degree, base_hint, sets)
     for g in generators:
         if g.degree != chain.identity.degree:
             raise DegreeMismatchError(
                 f"generator degree {g.degree} != {chain.identity.degree}")
         if not chain.reached(order_bound):
-            chain.extend(g, order_bound)
+            if source is None:
+                chain.extend(g, order_bound)
+            elif chain.sift_in(g):
+                chain.grown.append(g)
+    if source is not None:
+        chain.sift_random(source, order_bound)
     return chain.read() if chain.on_sets else chain
 
 
@@ -745,19 +815,23 @@ class ActionClosureError(ValueError):
 
 def set_action(group, sets):
     """Action of `group` on `sets`, a SetAction on its points, as an
-    ActionImage on the set indices.
+    ActionImage on the set indices; ActionClosureError, naming a generator
+    and a set, when the group does not preserve the list.
 
-    The chain is built on the points (_Chain, on the sets alone), from the
-    group's walk generators: a given generator that did not grow the
-    group's chain lies in the group the walk generators before it
-    generate, and so does its set image, so the build skips it as the
-    build of every given generator's image does, and the two chains agree
-    level by level.  The image's generators are the set images of the
-    given generators, aligned with them; they are formed on first read
-    (SetAction.perm), and so is each level's transversal (_ReadLevel)."""
+    The chain is built on the points (_Chain, on the sets alone): the
+    residues of the group's walk generators, which generate it, are
+    installed, and uniformly random elements of the group, drawn from its
+    own chain with a fixed seed, complete the chain until its order
+    reaches |G| (_Chain.sift_random).  A faithful action stops there; an
+    action with a kernel is finished by the deterministic procedure.  The
+    image's generators are the set images of the given generators, aligned
+    with them; they are formed on first read (SetAction.perm), and so is
+    each level's transversal (_ReadLevel)."""
     order = group.order()
+    for g in group.walk_generators:
+        sets.perm(g)  # refuses a generator that maps a set outside the list
     chain = _build_chain(len(sets.sets), group.walk_generators,
-                         order_bound=order, sets=sets)
+                         order_bound=order, sets=sets, source=group)
     image = GroupWithChain._from_chain(
         lambda: tuple(sets.perm(g) for g in group.generators), chain)
     return ActionImage(source=group, image=image,
@@ -770,13 +844,14 @@ def set_stabilizer(group, sets, j):
     built on the points from the walk generators, of the group on the
     points and the sets, hinted at set j.  That chain is the plain build
     of the union of the points and the sets (cosets.union_generators) at
-    set j's vertex, level by level (_Chain)."""
+    set j's vertex, level by level (_Chain).  ActionClosureError, naming a
+    generator and a set, when the group does not preserve the list."""
     degree = group.degree
     walk = group.walk_generators
+    images = [sets.perm(g) for g in walk]
     chain = _build_chain(degree + len(sets.sets), walk, (degree + j,),
                          group.order(), sets=sets)
-    return _stabilizer(chain, degree,
-                       len(orbit_of([sets.perm(g) for g in walk], j)),
+    return _stabilizer(chain, degree, len(orbit_of(images, j)),
                        group.order())
 
 

@@ -111,6 +111,25 @@ def full_levels(chain):
             for level in chain.levels]
 
 
+def assert_bsgs(chain, plain):
+    """Oracle: `chain` is a base and strong generating set of the group of
+    `plain`, a chain built plainly from generators of that group with
+    chain's base as its hint.  The order and each basic orbit, as a set,
+    are the same; each transversal element maps its level's base point to
+    its orbit point and lies in the group; each strong generator fixes the
+    earlier base points and lies in the group."""
+    base = [level.base for level in chain.levels]
+    assert [level.base for level in plain.levels] == base
+    assert chain.order() == plain.order()
+    for i, (level, other) in enumerate(zip(chain.levels, plain.levels)):
+        assert set(level.points) == set(other.points) == set(level.orbit), i
+        for c, u in level.orbit.items():
+            assert u.images[level.base] == c and plain.contains(u), (i, c)
+        for g in level.gens:
+            assert all(g.images[b] == b for b in base[:i]), i
+            assert plain.contains(g), i
+
+
 def design_union(g, structure, block=0):
     """Oracle: the plain chain of g on the points and the blocks, block j at
     vertex v + j, built from the union of g's walk generators and their
@@ -136,6 +155,32 @@ def chain_builds(monkeypatch):
         return build(*args, **kwargs)
     monkeypatch.setattr(chains, "_build_chain", counting)
     return calls
+
+
+@pytest.fixture
+def finishes(monkeypatch):
+    """(chain order, order bound) as each _Chain.schreier_sims call made
+    from here on starts."""
+    from permdesign.group import _Chain
+    calls = []
+    finish = _Chain.schreier_sims
+
+    def recording(self, order_bound=None):
+        calls.append((self.order(), order_bound))
+        return finish(self, order_bound)
+    monkeypatch.setattr(_Chain, "schreier_sims", recording)
+    return calls
+
+
+@pytest.fixture
+def random_draws(monkeypatch):
+    """One entry per random element drawn from here on."""
+    from permdesign.group import GroupWithChain
+    draws = []
+    draw = GroupWithChain.random_element
+    monkeypatch.setattr(GroupWithChain, "random_element",
+                        lambda self, rng: draws.append(1) or draw(self, rng))
+    return draws
 
 
 @pytest.fixture(scope="session")

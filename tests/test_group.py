@@ -1,23 +1,28 @@
 import hashlib
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 from bruteforce import is_semiregular, mulclose
-from conftest import (a5_on_ordered_pairs, design_union, full_levels, group,
-                      perm)
+from conftest import (a5_on_ordered_pairs, assert_bsgs, design_union,
+                      full_levels, group, perm, relabelled)
+from permdesign import group as chains
 from permdesign.analysis import is_quasiprimitive
 from permdesign.analyzer import analyze
 from permdesign.corpus import bundled_corpus
 from permdesign.cosets import coset_action
 from permdesign.designgroup import DesignAction
+from permdesign.geometry import build_symplectic_subdesign
 from permdesign.group import (ActionClosureError, EnumerationLimitError,
                               GroupWithChain, MembershipError, SetAction,
                               StructureContradiction, _build_chain, _Chain,
-                              class_closures, induced_action, normal_closure,
-                              orbit_of, orbits_of,
-                              prime_order_class_representatives)
+                              _IDLE_SIFTS, class_closures, induced_action,
+                              normal_closure, orbit_of, orbits_of,
+                              prime_order_class_representatives, set_action,
+                              set_stabilizer)
 from permdesign.perm import Permutation
 
 
@@ -149,12 +154,16 @@ def test_bounded_stabilizer_rebuilds_equal_full_ones(deg, gens):
 
 
 def test_bounded_design_action_chains_equal_full_ones(corpus_instances):
+    """The block action's chain, completed from random elements, is a
+    base and strong generating set of the plain build of its generators
+    at its base; the chain of the points and the blocks is that plain
+    build, level by level."""
     for inst in corpus_instances:
         action = DesignAction(inst.group, inst.structure)
         image = action.block_action.image
         union = design_union(inst.group, inst.structure)
-        assert chain_levels(image._chain) == chain_levels(
-            GroupWithChain(image.generators)._chain), inst.name
+        assert_bsgs(image._chain, GroupWithChain(
+            image.generators, base_hint=image.base())._chain)
         hint = (inst.structure.v,)
         assert chain_levels(points_and_blocks(action)) == chain_levels(
             GroupWithChain(union.generators, base_hint=hint)._chain), inst.name
@@ -318,18 +327,20 @@ def test_schreier_pairs_sifted_once(a7):
 
 
 SIFTED_PER_INSTANCE = {  # group / block image / points and blocks
-    "fano-pgl32": (74, 19, 26),
-    "fano-frobenius21": (24, 8, 8),
-    "pg1-3-2-pgl42": (402, 265, 289),
-    "pg2-3-2-pgl42": (402, 91, 157),
-    "ag2-3-2-agl32": (182, 54, 63),
-    "symplectic-2-2": (316, 218, 128),
-    "a7-cos-15-3-1": (25, 44, 39),
-    "a7-cos-15-7-3": (25, 23, 28),
+    "fano-pgl32": (74, 0, 26),
+    "fano-frobenius21": (24, 0, 8),
+    "pg1-3-2-pgl42": (402, 0, 289),
+    "pg2-3-2-pgl42": (402, 0, 157),
+    "ag2-3-2-agl32": (182, 0, 63),
+    "symplectic-2-2": (316, 0, 128),
+    "a7-cos-15-3-1": (25, 0, 39),
+    "a7-cos-15-7-3": (25, 0, 28),
 }
 
 
 def test_schreier_pairs_sifted_per_corpus_chain(corpus_instances):
+    """Every corpus block action is faithful, so random elements complete
+    its chain at |G| and no Schreier pair is sifted."""
     assert ({inst.name for inst in corpus_instances}
             == set(SIFTED_PER_INSTANCE))
     for inst in corpus_instances:
@@ -340,13 +351,14 @@ def test_schreier_pairs_sifted_per_corpus_chain(corpus_instances):
         assert counts == SIFTED_PER_INSTANCE[inst.name], inst.name
 
 
-def test_each_schreier_pair_is_sifted_once(monkeypatch):
+def test_each_schreier_pair_is_sifted_once(monkeypatch, random_draws):
     """While the corpus is built and analyzed, and the chains of
     SIFTED_PER_INSTANCE are built, each chain build runs _Chain._sift
-    once per Schreier pair it sifts and once per membership test of a
-    generator in extend()."""
-    from permdesign import group as chains
-    calls = {"_sift": 0, "extend": 0}
+    once per Schreier pair it sifts, once per membership test of a
+    generator in extend(), and, in a build completed from random elements,
+    once per generator whose residue it tries to install and once per
+    random element."""
+    calls = {"_sift": 0, "extend": 0, "sift_in": 0}
     for name in calls:
         def counting(self, *args, method=getattr(_Chain, name), name=name):
             calls[name] += 1
@@ -355,10 +367,13 @@ def test_each_schreier_pair_is_sifted_once(monkeypatch):
     builds = []
 
     def measured(build, *args, **kwargs):
-        before = dict(calls)
+        before = dict(calls, draws=len(random_draws))
         chain = build(*args, **kwargs)
+        randoms = len(random_draws) - before["draws"]
         builds.append((sifted(chain), calls["_sift"] - before["_sift"],
-                       calls["extend"] - before["extend"]))
+                       calls["extend"] - before["extend"],
+                       calls["sift_in"] - before["sift_in"] - randoms,
+                       randoms))
         return chain
     build = chains._build_chain
     monkeypatch.setattr(chains, "_build_chain",
@@ -373,8 +388,56 @@ def test_each_schreier_pair_is_sifted_once(monkeypatch):
             sifted(action.block_action.image._chain),
             sifted(measured(points_and_blocks, action)))
     assert counts == SIFTED_PER_INSTANCE
-    assert builds and all(sift == pairs + extended
-                          for pairs, sift, extended in builds)
+    assert builds and all(
+        sift == pairs + extended + generators + randoms and generators >= 0
+        for pairs, sift, extended, generators, randoms in builds)
+    assert any(randoms for *_, randoms in builds)
+
+
+def test_block_chain_sifts_random_elements_not_schreier_pairs(random_draws):
+    """The block action of the relabelled symplectic design over GF(3)
+    reaches |G| from a few random elements and sifts no Schreier pair;
+    the deterministic build of the same walk generators sifts 5 570."""
+    structure, g = relabelled(*build_symplectic_subdesign(2, 3), 1)
+    action = DesignAction(g, structure)
+    chain = action.block_action.image._chain
+    assert action.block_action.faithful
+    assert sifted(chain) == 0 and 0 < len(random_draws) <= _IDLE_SIFTS
+    plain = _build_chain(structure.b, g.walk_generators,
+                         order_bound=g.order(), sets=action._blocks)
+    assert sifted(plain) == 5570
+    image = action.block_action.image
+    assert_bsgs(chain, GroupWithChain(image.generators,
+                                      base_hint=image.base())._chain)
+
+
+@pytest.mark.parametrize("idle", [_IDLE_SIFTS, 0])
+def test_unfaithful_block_chain_is_finished_deterministically(
+        monkeypatch, random_draws, finishes, idle):
+    """S2 wr S4 on the four cells {0, 1}, ..., {6, 7} of 8 points, and on
+    the cells with the six unions of two cells: the kernel 2^4 fixes every
+    cell, so random elements never reach |G| = 384.  After `idle` of them
+    sift through in a row, the deterministic finish runs below |G|, and
+    completes the chain even with none drawn; the image order is that of
+    the set images' closure."""
+    monkeypatch.setattr(chains, "_IDLE_SIFTS", idle)
+    g = group(8, "(1 2)", "(1 3)(2 4)", "(1 3 5 7)(2 4 6 8)")
+    cells = [(0, 1), (2, 3), (4, 5), (6, 7)]
+    for sets in (cells, cells + [c + d for i, c in enumerate(cells)
+                                 for d in cells[i + 1:]]):
+        del finishes[:], random_draws[:]
+        blocks = SetAction(8, sets)
+        action = set_action(g, blocks)
+        images = [blocks.perm(x) for x in g.generators]
+        assert action.image.order() == len(mulclose(images)) == 24
+        assert not action.faithful
+        [(entered, bound)] = finishes
+        assert bound == 384 and len(random_draws) >= idle
+        # random elements reach the image's order; without them the finish
+        # grows the generators' residues from 12 to 24
+        assert entered == (24 if idle else 12)
+        assert_bsgs(action.image._chain, GroupWithChain(
+            images, base_hint=action.image.base())._chain)
 
 
 CHAINS_DIGEST = os.path.join(os.path.dirname(__file__), "golden",
@@ -405,6 +468,28 @@ def test_corpus_chains_match_golden_digest(monkeypatch):
     with open(CHAINS_DIGEST) as fh:
         expected, _ = fh.read().split()
     assert corpus_chain_digest(monkeypatch) == expected
+
+
+TESTS = os.path.dirname(os.path.abspath(__file__))
+
+
+@pytest.mark.parametrize("hash_seed", [0, 12345])
+def test_corpus_chains_digest_in_a_fresh_interpreter(hash_seed):
+    """The chains digest in a new process under a fixed string-hash seed:
+    no chain, the ones completed from seeded random elements included,
+    depends on set or dict order of hashed strings."""
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
+               PYTHONPATH=os.pathsep.join(
+                   [os.path.join(os.path.dirname(TESTS), "src"), TESTS]))
+    code = ("import pytest, test_group\n"
+            "with pytest.MonkeyPatch.context() as m:\n"
+            "    print(test_group.corpus_chain_digest(m))\n")
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, timeout=120)
+    assert run.returncode == 0, run.stderr.decode()
+    with open(CHAINS_DIGEST) as fh:
+        expected, _ = fh.read().split()
+    assert run.stdout.decode().split() == [expected]
 
 
 def test_orbit_full_cycle():
@@ -648,6 +733,17 @@ def test_induced_action_faithful_on_fano_lines(fano_pair):
         lambda blk, x: tuple(sorted(x.images[p] for p in blk)))
     assert action.faithful
     assert action.image.order() == 168
+
+
+@pytest.mark.parametrize("build", [
+    set_action, lambda g, sets: set_stabilizer(g, sets, 0)],
+    ids=["set_action", "set_stabilizer"])
+def test_set_chains_refuse_a_family_the_group_does_not_preserve(build):
+    # (1 2 3 4) maps {0, 1} to {1, 2}, which is no set of the list
+    g = group(4, "(1 2 3 4)")
+    with pytest.raises(ActionClosureError,
+                       match=r"generator \(1 2 3 4\) maps set 0 \(0, 1\)"):
+        build(g, SetAction(4, [(0, 1), (2, 3)]))
 
 
 def test_induced_action_single_fixed_object(s4):

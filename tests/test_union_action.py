@@ -1,7 +1,10 @@
 """Chains built on the points of actions on point sets (group.set_action)
-and of the points with the sets (group.set_stabilizer), against plain
-builds of the same generators, base hint and order bound, and against the
-plain chain of the union of the points and the sets."""
+and of the points with the sets (group.set_stabilizer).  A block action's
+chain, completed from random elements, is checked as a base and strong
+generating set of the plain build at its base (conftest.assert_bsgs); the
+other chains against plain builds of the same generators, base hint and
+order bound, and against the plain chain of the union of the points and
+the sets."""
 
 import operator
 import random
@@ -9,8 +12,8 @@ import random
 import pytest
 
 from bruteforce import mulclose
-from conftest import (design_union, full_levels, group, orbit_design,
-                      relabelled)
+from conftest import (assert_bsgs, design_union, full_levels, group,
+                      orbit_design, relabelled)
 from permdesign import group as chains
 from permdesign import perm as perms
 from permdesign.analyzer import analyze
@@ -31,18 +34,19 @@ def design_cases():
 
 
 def set_recorder(monkeypatch, alone):
-    """(degree, generators, base hint, order bound, point sets, chain) of
-    every chain built from here on on point sets: on the sets alone, or on
-    the points and the sets."""
+    """(degree, generators, base hint, order bound, point sets, source of
+    random elements, chain) of every chain built from here on on point
+    sets: on the sets alone, or on the points and the sets."""
     builds = []
     build = chains._build_chain
 
     def recording(degree, generators, base_hint=(), order_bound=None,
-                  sets=None):
-        chain = build(degree, generators, base_hint, order_bound, sets)
+                  sets=None, source=None):
+        chain = build(degree, generators, base_hint, order_bound, sets,
+                      source)
         if sets is not None and (degree == len(sets.sets)) == alone:
             builds.append((degree, tuple(generators), tuple(base_hint),
-                           order_bound, sets.sets, chain))
+                           order_bound, sets.sets, source, chain))
         return chain
     monkeypatch.setattr(chains, "_build_chain", recording)
     return builds
@@ -121,7 +125,7 @@ def assert_union_tails(action, minima, builds):
     included."""
     v = action.structure.v
     assert len(builds) == len(minima)
-    for j, (_, gens, hint, _, _, chain) in zip(minima, builds):
+    for j, (_, gens, hint, _, _, _, chain) in zip(minima, builds):
         assert hint == (v + j,) and gens == action.group.walk_generators
         union = design_union(action.group, action.structure, j)
         assert full_levels(chain) == full_levels(union._chain), j
@@ -165,21 +169,34 @@ def sifted(chain):
 
 
 def assert_plain_images(builds):
-    """Each recorded chain equals the plain build of its generators' set
-    images."""
+    """Each recorded chain built without random elements equals the plain
+    build of its generators' set images.  One completed from random
+    elements of a group is a base and strong generating set of the plain
+    build at its base (conftest.assert_bsgs), its walk generators generate
+    it, and its source is the group of the given generators."""
     assert builds
-    for degree, gens, hint, bound, sets, chain in builds:
+    for degree, gens, hint, bound, sets, source, chain in builds:
         assert degree == len(sets)
         images = [set_images(sets, g) for g in gens]
-        plain = _build_chain(degree, images, hint, bound)
-        assert full_levels(chain) == full_levels(plain)
-        assert ([g.images for g in chain.grown]
-                == [g.images for g in plain.grown])
-        assert sifted(chain) == sifted(plain)
+        if source is None:
+            plain = _build_chain(degree, images, hint, bound)
+            assert full_levels(chain) == full_levels(plain)
+            assert ([g.images for g in chain.grown]
+                    == [g.images for g in plain.grown])
+            assert sifted(chain) == sifted(plain)
+            continue
+        assert gens == source.walk_generators and bound == source.order()
+        base = tuple(level.base for level in chain.levels)
+        assert_bsgs(chain, _build_chain(degree, images, base, bound))
+        walk = chain.grown or [Permutation.identity(degree)]
+        assert GroupWithChain(walk).order() == chain.order()
 
 
 def test_design_block_chains_equal_plain_builds(monkeypatch, set_builds,
                                                read_outs):
+    """Each design's block action: its image's generators are the set
+    images of the given generators, formed on first read, its transversals
+    are read on demand, and its chain is checked by assert_plain_images."""
     for seed, (name, structure, grp) in enumerate(design_cases()):
         structure, grp = relabelled(structure, grp, seed)
         image = DesignAction(grp, structure).block_action.image
@@ -191,12 +208,15 @@ def test_design_block_chains_equal_plain_builds(monkeypatch, set_builds,
     assert_plain_images(set_builds)
 
 
-def test_random_orbit_block_chains_equal_plain_builds(monkeypatch):
+def test_random_orbit_block_chains_equal_plain_builds(monkeypatch,
+                                                      finishes):
     """Orbit designs of random groups on at most 8 points, from random
     permutations and random subgroups of imprimitive groups, where a
     block made of whole cells is fixed by every element moving points
     only within cells: some block actions are not faithful, and their
-    image order is |G| over the kernel's.  Each block action is built
+    image order is |G| over the kernel's.  Random elements complete a
+    faithful block action's chain at |G|; an unfaithful one's is finished
+    by the deterministic procedure below |G|.  Each block action is built
     again from all given generators at a random first base block, and
     each block-orbit minimum's stabilizer is checked against the union."""
     set_builds = set_recorder(monkeypatch, alone=True)
@@ -226,6 +246,7 @@ def test_random_orbit_block_chains_equal_plain_builds(monkeypatch):
         v = grp.degree
         structure = orbit_design(grp, rng.sample(range(v),
                                                  rng.randrange(1, v)))
+        start = len(finishes)
         action = DesignAction(grp, structure)
         elements = mulclose(grp.generators)
         kernel = [x for x in elements
@@ -234,6 +255,10 @@ def test_random_orbit_block_chains_equal_plain_builds(monkeypatch):
         image = action.block_action.image
         assert image.order() * len(kernel) == len(elements)
         assert action.block_action.faithful == (len(kernel) == 1)
+        [(entered, bound)] = finishes[start:]
+        assert bound == grp.order()
+        assert (entered == bound) == (len(kernel) == 1)
+        assert entered <= image.order()
         unfaithful += len(kernel) > 1
         designs += 1
         b = structure.b
