@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 from .analysis import (IntransitiveError, TypeReport, base_block_systems,
                        classify_point_action, primitivity_status)
-from .designgroup import DesignAction, LocalPrimitivityReport, _orbit_minima
-from .group import EnumerationLimitError, class_closures, orbits_of
+from .designgroup import DesignAction, LocalPrimitivityReport
+from .group import (EnumerationLimitError, class_closures, orbit_minima,
+                    orbits_of)
 from .incidence import incidence_graph_diameter, verify_design
 
 CHECK_NAMES = (
@@ -259,8 +260,8 @@ def analyze(group, structure, instance_id="instance", *,
 
     # automorphisms preserve distances: one BFS per orbit of the points and
     # one per orbit of the blocks, block j at vertex v + j
-    starts = (_orbit_minima(group)
-              + [structure.v + j for j in _orbit_minima(image)])
+    starts = (orbit_minima(group)
+              + [structure.v + j for j in orbit_minima(image)])
     diameter = timed("diameter",
                      lambda: incidence_graph_diameter(structure, starts))
     if params.symmetric:

@@ -111,8 +111,7 @@ def coset_action(group, subgroup):
     L generator fixes index 0 and the orbit-stabilizer count matches)."""
     space = CosetSpace(group, subgroup)
     image = GroupWithChain(space.action, order_bound=group.order())
-    action = ActionImage(source=group, image=image,
-                         faithful=image.order() == group.order())
+    action = ActionImage(source=group, image=image)
     if not image.is_transitive():
         raise StructureContradiction("coset action is not transitive")
     for g in subgroup.generators:

@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass
 from .analysis import is_quasiprimitive, primitivity_status
 from .cosets import incidence_crosscheck
 from .group import (ActionClosureError, SetAction, StructureContradiction,
-                    check_index, induced_action, orbits_of, set_action,
+                    check_index, induced_action, orbit_minima, set_action,
                     set_stabilizer)
 
 
@@ -47,9 +47,13 @@ class LocalPrimitivityReport:
         return dict(asdict(self), notes=list(self.notes))
 
 
-def _orbit_minima(group):
-    """The smallest point of each orbit, in increasing order."""
-    return [min(o) for o in orbits_of(group.walk_generators, group.degree)]
+def _preserving(fn, *args):
+    """fn(*args), raising its ActionClosureError as PreservationError."""
+    try:
+        return fn(*args)
+    except ActionClosureError:
+        raise PreservationError(
+            "group does not preserve the block set") from None
 
 
 class DesignAction:
@@ -64,8 +68,9 @@ class DesignAction:
     generators, are formed only where something reads them (a type
     witness, the block-type classification).  Every element maps a block
     by one rule (group.SetAction).  G preserves the block set iff its walk
-    generators do, since they generate G, so preservation is checked on
-    them alone.
+    generators do, since they generate G, so set_action checks
+    preservation on them alone, and its refusal is raised here as
+    PreservationError.
 
     Every stabilizer handed out acts on the points.  G_p is read from the
     group's own chain, a tail of it when p is its first base point; G_B is
@@ -84,20 +89,14 @@ class DesignAction:
         self.group = group
         self.structure = structure
         self._blocks = SetAction(structure.v, structure.blocks)
-        for g in group.walk_generators:
-            self.block_image_of(g)  # raises unless g preserves the blocks
-        self.block_action = set_action(group, self._blocks)
+        self.block_action = _preserving(set_action, group, self._blocks)
         self._point_local = {}  # point p -> G_p on the blocks through p
         self._block_local = {}  # block index -> G_B on the points of B
 
     def block_image_of(self, g):
         """Index permutation induced on blocks by an arbitrary group element;
         PreservationError when g maps a block outside the block set."""
-        try:
-            return self._blocks.perm(g)
-        except ActionClosureError:
-            raise PreservationError(
-                "group does not preserve the block set") from None
+        return _preserving(self._blocks.perm, g)
 
     def point_stabilizer(self, point):
         """Stabilizer of a point, read from the group's own chain."""
@@ -148,10 +147,10 @@ class DesignAction:
         actions), which must agree."""
         via_blocks = self.block_action.image.is_transitive() and all(
             self.local_block_action(j).image.is_transitive()
-            for j in _orbit_minima(self.block_action.image))
+            for j in orbit_minima(self.block_action.image))
         via_points = self.group.is_transitive() and all(
             self.local_point_action(p).image.is_transitive()
-            for p in _orbit_minima(self.group))
+            for p in orbit_minima(self.group))
         if via_blocks != via_points:
             raise StructureContradiction(
                 "the two flag-transitivity computations disagree")
@@ -179,7 +178,7 @@ class DesignAction:
         flag_transitive = self.is_flag_transitive()
 
         point_local = True
-        for p in _orbit_minima(self.group):
+        for p in orbit_minima(self.group):
             status = primitivity_status(self.local_point_action(p).image)
             if status != "primitive":
                 point_local = False
@@ -187,7 +186,7 @@ class DesignAction:
                              "on its incident blocks")
                 break
         block_local = True
-        for j in _orbit_minima(self.block_action.image):
+        for j in orbit_minima(self.block_action.image):
             status = primitivity_status(self.local_block_action(j).image)
             if status != "primitive":
                 block_local = False

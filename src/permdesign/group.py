@@ -92,8 +92,8 @@ fresh chain, and a point stabilizer is a tail of one (see _Chain).  Only
 this module reads a chain: the others ask for a coset's canonical
 representative, the first basic orbit and its transporter.  What is
 derived from a group is kept on it, computed on first use: its elements,
-class closures and first point stabilizer, and in one store (derived)
-its block systems and, as a subgroup H, the walk of its cosets H*a under
+and in one store (derived) its first point stabilizer, class closures,
+block systems and, as a subgroup H, the walk of its cosets H*a under
 each group A, keyed by A's walk generators (cosets._cosets).
 """
 
@@ -314,11 +314,18 @@ class _Chain:
         a = self._sift(p, self.identity)
         if a is None:
             return False
+        self._install_residue(p * a.inverse())
+        return True
+
+    def _install_residue(self, residue):
+        """install() a residue, which sends a base point out of its basic
+        orbit or fixes the whole base and starts a level, so the order must
+        grow; returns install's level."""
         n = self.order()
-        self.install(p * a.inverse())
+        d = self.install(residue)
         if self.order() == n:
             raise StructureContradiction("a residue grew no orbit")
-        return True
+        return d
 
     def sift_random(self, group, order_bound):
         """Complete the chain of a quotient of `group` of order at most
@@ -368,12 +375,7 @@ class _Chain:
             if residue is None:
                 i -= 1
             else:
-                # a residue sends a base point out of its basic orbit, or
-                # fixes the whole base and starts a level: the order grows
-                n = self.order()
-                i = self.install(residue)
-                if self.order() == n:
-                    raise StructureContradiction("a residue grew no orbit")
+                i = self._install_residue(residue)
 
     def _check_level(self, i):
         # install() has already closed every orbit it changed
@@ -504,12 +506,16 @@ def orbits_of(generators, degree):
     return out
 
 
+def orbit_minima(group):
+    """The smallest point of each orbit of `group`, in increasing order."""
+    return [min(o) for o in orbits_of(group.walk_generators, group.degree)]
+
+
 class GroupWithChain:
     """A finite permutation group with order/membership/stabilizer queries."""
 
     __slots__ = ("degree", "_generators", "walk_generators", "_chain",
-                 "_order", "_elements", "_closures", "_stabilizer",
-                 "_derived")
+                 "_order", "_elements", "_derived")
 
     def __init__(self, generators, base_hint=(), order_bound=None):
         """`order_bound`, when given, is a proven upper bound on the order of
@@ -544,8 +550,6 @@ class GroupWithChain:
         self._chain = chain
         self._order = chain.order()
         self._elements = None
-        self._closures = None
-        self._stabilizer = None  # the tail below the first base point
         self._derived = None  # key -> value (derived)
 
     @classmethod
@@ -601,16 +605,14 @@ class GroupWithChain:
         and kept, or one built with the point first.  The orbit-stabilizer
         identity is asserted on each stabilizer made."""
         check_index("point", point, self.degree)
-        own = self.base()[:1] == (point,)
-        if own and self._stabilizer is not None:
-            return self._stabilizer
-        chain = self._chain if own else _build_chain(
-            self.degree, self.generators, (point,), self._order)
-        stab = _stabilizer(chain, self.degree, len(self.orbit(point)),
-                           self._order)
-        if own:
-            self._stabilizer = stab
-        return stab
+
+        def tail(chain):
+            return _stabilizer(chain, self.degree, len(self.orbit(point)),
+                               self._order)
+        if self.base()[:1] == (point,):
+            return self.derived("_stabilizer", lambda: tail(self._chain))
+        return tail(_build_chain(self.degree, self.generators, (point,),
+                                 self._order))
 
     def random_element(self, rng):
         """A uniformly random element: one random transversal element per
@@ -791,22 +793,24 @@ def class_closures(group):
     The element limit refuses first, whether or not the list is cached.
     """
     group._check_enumerable()
-    if group._closures is None:
-        group._closures = tuple(
-            None if n is group else n
-            for n in (normal_closure(group, [rep]) for rep in
-                      prime_order_class_representatives(group)))
-    return [group if n is None else n for n in group._closures]
+    closures = group.derived("class_closures", lambda: tuple(
+        None if n is group else n
+        for n in (normal_closure(group, [rep]) for rep in
+                  prime_order_class_representatives(group))))
+    return [group if n is None else n for n in closures]
 
 
 @dataclass(frozen=True)
 class ActionImage:
     """A group action on a finite list of objects, as an index permutation
-    group plus a faithfulness flag (order comparison with the source)."""
+    group; it is faithful iff the image has the source's order."""
 
     source: GroupWithChain
     image: GroupWithChain
-    faithful: bool
+
+    @property
+    def faithful(self):
+        return self.image.order() == self.source.order()
 
 
 class ActionClosureError(ValueError):
@@ -827,15 +831,13 @@ def set_action(group, sets):
     image's generators are the set images of the given generators, aligned
     with them; they are formed on first read (SetAction.perm), and so is
     each level's transversal (_ReadLevel)."""
-    order = group.order()
     for g in group.walk_generators:
         sets.perm(g)  # refuses a generator that maps a set outside the list
     chain = _build_chain(len(sets.sets), group.walk_generators,
-                         order_bound=order, sets=sets, source=group)
+                         order_bound=group.order(), sets=sets, source=group)
     image = GroupWithChain._from_chain(
         lambda: tuple(sets.perm(g) for g in group.generators), chain)
-    return ActionImage(source=group, image=image,
-                       faithful=image.order() == order)
+    return ActionImage(source=group, image=image)
 
 
 def set_stabilizer(group, sets, j):
@@ -881,7 +883,5 @@ def induced_action(group, objects, act):
             raise ActionClosureError("action rule is not a bijection")
         image_gens.append(Permutation(images))
     # the image is a quotient of the source, so |G| bounds its order
-    order = group.order()
-    image = GroupWithChain(tuple(image_gens), order_bound=order)
-    return ActionImage(source=group, image=image,
-                       faithful=image.order() == order)
+    image = GroupWithChain(tuple(image_gens), order_bound=group.order())
+    return ActionImage(source=group, image=image)

@@ -439,3 +439,64 @@ def test_analyze_leaves_no_group_in_cyclic_garbage(pg132_pair):
         gc.garbage.clear()
         gc.enable()
     assert leaked == []
+
+
+def test_disallowed_type_pair_is_a_theorem_violation(fano_pair, tmp_path,
+                                                     capsys, monkeypatch):
+    # a recognizer that types every action OTHER puts a locally primitive
+    # design outside the pairs the reduction theorem allows
+    from permdesign import analyzer
+    from permdesign.analysis import TypeReport
+    from permdesign.cli import main
+    from permdesign.io import write_design_file, write_group_file
+    monkeypatch.setattr(analyzer, "classify_point_action",
+                        lambda group: TypeReport(tag="OTHER", witness=None,
+                                                 minimal_normals=()))
+    structure, g = fano_pair
+    report = analyze(GroupWithChain(g.generators), structure, "fano-pgl32")
+    assert report.local.locally_primitive
+    assert (report.point_type, report.block_type) == ("OTHER", "OTHER")
+    assert report.theorem_violation
+    assert report.notes == (
+        "THEOREM VIOLATION: locally primitive with (point, block) types "
+        "(OTHER, OTHER); allowed: AS+quasiprimitive, HA+HA, "
+        "HA+non-quasiprimitive",)
+    assert report.exit_code() == 1
+    write_group_file(tmp_path / "fano-pgl32.group", g)
+    write_design_file(tmp_path / "fano-pgl32.design", structure)
+    assert main(["census", str(tmp_path)]) == 1
+    assert "*** THEOREM VIOLATION ***" in capsys.readouterr().out
+
+
+def test_failed_consequence_is_a_theorem_violation(fano_pair, monkeypatch):
+    # a locally primitive design is flag-transitive and point-primitive;
+    # a local report that says otherwise fails the consequence check
+    original = DesignAction.local_primitivity_report
+    monkeypatch.setattr(
+        DesignAction, "local_primitivity_report",
+        lambda self: dataclasses.replace(original(self),
+                                         point_primitive=False))
+    structure, g = fano_pair
+    report = analyze(GroupWithChain(g.generators), structure, "fano-pgl32")
+    assert report.local.locally_primitive
+    assert report.checks["local_primitivity_consequences"] == FAIL
+    assert report.theorem_violation
+    assert report.notes == ("THEOREM VIOLATION: locally primitive but not "
+                            "flag-transitive and point-primitive",)
+    assert report.exit_code() == 1
+
+
+def test_cell_disjointness_fails_on_overlapping_cells(ag322_pair,
+                                                      symplectic_pair):
+    # AGL(1,5) on the 2-subsets of 5 points and the binary symplectic
+    # design have imprimitive block actions with a cell whose blocks meet;
+    # the planes of AG(3,2) keep every cell's blocks disjoint
+    from permdesign.analysis import primitivity_status
+    from permdesign.analyzer import _check_cell_disjointness
+    agl15 = group(5, "(1 3 4 2)", "(1 3 5 2 4)")
+    cases = [((orbit_design(agl15, (0, 1)), agl15), FAIL),
+             (symplectic_pair, FAIL), (ag322_pair, PASS)]
+    for (structure, g), expected in cases:
+        action = DesignAction(g, structure)
+        assert primitivity_status(action.block_action.image) == "imprimitive"
+        assert _check_cell_disjointness(action) == expected

@@ -81,6 +81,10 @@ def test_design_file_rejects_bad_points():
     (parse_design_text, "points 3.0\n1 2\n",
      "^line 1: bad point count '3.0'$"),
     (parse_design_text, "points 3\n\n", "^design file lists no blocks$"),
+    (parse_design_text, "points 3\n1 2\n1 x\n",
+     "^line 3: blocks must be integers$"),
+    (parse_design_text, "points 3\n1 2\n2 2\n",
+     r"^block \(1, 1\) repeats a point$"),
 ])
 def test_file_headers_are_refused_with_their_message(parse, text, message):
     with pytest.raises(FileFormatError, match=message):
@@ -145,6 +149,24 @@ def test_cli_analyze_fano(tmp_path, capsys, fano_pair):
     assert payload["theorem_violation"] is False
     assert "timings" not in payload
     assert payload["point_type_report"]["witness_order"] == 168
+
+
+def test_cli_analyze_timings_in_json(tmp_path, capsys, fano_pair):
+    # --timings adds each stage's wall-clock seconds, rounded to 6 places;
+    # without it the key is absent (test_cli_analyze_fano)
+    structure, g = fano_pair
+    gpath, dpath = tmp_path / "fano.group", tmp_path / "fano.design"
+    write_group_file(gpath, g)
+    write_design_file(dpath, structure)
+    jpath = tmp_path / "report.json"
+    assert main(["analyze", str(gpath), str(dpath), "--timings",
+                 "--json", str(jpath)]) == 0
+    timings = json.loads(jpath.read_text())["timings"]
+    assert set(timings) == {"preservation", "verify_design",
+                            "local_primitivity", "point_type",
+                            "lambda_constancy", "diameter"}
+    assert all(isinstance(t, float) and t >= 0 and round(t, 6) == t
+               for t in timings.values())
 
 
 def test_cli_analyze_preservation_failure(tmp_path, capsys):
@@ -435,6 +457,35 @@ def test_cli_limit_exit_names_the_variable(variable, value, argv, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.rstrip().endswith(
         f"({variable})")
+
+
+def test_cli_non_integer_limit_is_an_input_error(tmp_path, capsys,
+                                                monkeypatch):
+    monkeypatch.setenv("PERMDESIGN_INDEX_LIMIT", "ten")
+    argv = ["coset"] + [
+        os.path.join(COSET_INPUTS, f"a7-cos-15-3-1.{role}.group")
+        for role in "GLR"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: PERMDESIGN_INDEX_LIMIT must be an integer, got 'ten'\n")
+
+
+def test_census_of_a_file_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "not-a-directory"
+    path.write_text("")
+    assert main(["census", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path} is not a directory\n"
+
+
+def test_census_names_a_missing_group_file(tmp_path, capsys, fano_pair):
+    structure, _ = fano_pair
+    write_design_file(tmp_path / "lone.design", structure)
+    jpath = tmp_path / "census.json"
+    assert main(["census", str(tmp_path), "--json", str(jpath)]) == 2
+    message = f"missing group file {tmp_path / 'lone.group'}"
+    assert f"lone: ERROR {message}" in capsys.readouterr().out
+    assert json.loads(jpath.read_text())["errors"] == [
+        {"instance_id": "lone", "message": message}]
 
 
 def test_census_leaves_no_argparse_garbage(tmp_path, capsys, fano_pair):

@@ -685,17 +685,48 @@ def test_class_reps_store_no_element_list(pg132_pair):
     assert g._elements is None
 
 
-def test_class_closures_follow_class_reps(s4):
+def _counting_class_reps(monkeypatch):
+    """The groups that prime_order_class_representatives walks, one entry
+    per walk."""
+    walked = []
+    walk = chains.prime_order_class_representatives
+
+    def counting(g):
+        walked.append(g)
+        return walk(g)
+    monkeypatch.setattr(chains, "prime_order_class_representatives", counting)
+    return walked
+
+
+def test_class_closures_follow_class_reps(s4, monkeypatch):
     g = GroupWithChain(s4.generators)
-    closures = class_closures(g)
     expected = [normal_closure(g, [rep])
                 for rep in prime_order_class_representatives(g)]
+    walked = _counting_class_reps(monkeypatch)
+    closures = class_closures(g)
     assert [n.order() for n in closures] == [n.order() for n in expected]
     assert all(n.generators == m.generators
                for n, m in zip(closures, expected))
-    assert class_closures(g) == closures  # cached, same objects
-    # the full closure S4 is the group itself, kept without a self-reference
-    assert g in closures and g not in g._closures
+    assert class_closures(g) == closures  # kept, same objects
+    assert walked == [g]  # one walk for both calls
+    assert g in closures  # the full closure S4 is the group itself
+
+
+def test_kept_closures_form_no_reference_cycle(s4):
+    """The full closure is kept without a reference from the group to
+    itself, so the group and its closures are freed without the cyclic
+    collector."""
+    import gc
+    gc.collect()
+    gc.disable()
+    try:
+        g = GroupWithChain(s4.generators)
+        closures = class_closures(g)
+        assert g in closures and len(closures) > 1
+        del g, closures
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_cached_closures_still_refuse_beyond_limit(fano_pair, monkeypatch):
@@ -703,19 +734,20 @@ def test_cached_closures_still_refuse_beyond_limit(fano_pair, monkeypatch):
     # quasiprimitivity reads block systems, not closures, so it stays
     # exact there and walks neither A5 on ordered pairs (imprimitive with
     # trivial kernels) nor the primitive Fano group
+    walked = _counting_class_reps(monkeypatch)
     g = a5_on_ordered_pairs()
     class_closures(g)
-    assert g._closures is not None
+    class_closures(g)
+    assert walked == [g]
     monkeypatch.setenv("PERMDESIGN_ELEMENT_LIMIT", "10")
     with pytest.raises(EnumerationLimitError):
         class_closures(g)
     assert is_quasiprimitive(g) is True
     fresh = a5_on_ordered_pairs()
     assert is_quasiprimitive(fresh) is True
-    assert fresh._closures is None
     fano = GroupWithChain(fano_pair[1].generators)
     assert is_quasiprimitive(fano)
-    assert fano._closures is None
+    assert walked == [g]
 
 
 def test_random_element_is_seeded_and_reaches_every_element(s4):
@@ -755,6 +787,14 @@ def test_induced_action_single_fixed_object(s4):
 def test_induced_action_closure_error(s4):
     with pytest.raises(ActionClosureError):
         induced_action(s4, [0, 1], lambda obj, g: g.images[obj])
+
+
+def test_induced_action_refuses_repeated_objects_and_non_bijections(s4):
+    with pytest.raises(ValueError, match="^objects must be distinct$"):
+        induced_action(s4, [0, 1, 0], lambda obj, g: obj)
+    with pytest.raises(ActionClosureError,
+                       match="^action rule is not a bijection$"):
+        induced_action(s4, [0, 1, 2, 3], lambda obj, g: 0)
 
 
 def test_induced_action_faithfulness_matches_bruteforce_kernel():

@@ -6,10 +6,11 @@ cosets._cosets: no other function of the package names
 cosets._coset_orbit."""
 
 import ast
+import dataclasses
 import os
 
 import permdesign
-from permdesign.group import GroupWithChain
+from permdesign.group import ActionImage, GroupWithChain
 
 ENGINE = {"_Chain", "_Level", "_ReadLevel"}
 
@@ -87,3 +88,19 @@ def test_only_group_py_reads_a_chain_or_a_group_s_private_state():
                  if name.endswith(".py") and name != "group.py"
                  and (found := _names(os.path.join(package, name)) & private)}
     assert offenders == {}
+
+
+def test_a_group_keeps_its_derived_facts_in_one_store():
+    """Besides what defines a group (its degree, generators, chain and
+    order), GroupWithChain keeps its element list, which the benchmark
+    tracer reads, and the one store of every other derived fact."""
+    defining = {"degree", "_generators", "walk_generators", "_chain",
+                "_order"}
+    assert set(GroupWithChain.__slots__) - defining == {"_elements",
+                                                        "_derived"}
+
+
+def test_an_action_image_stores_no_derived_flag():
+    """Faithfulness is read off the two orders, not stored beside them."""
+    assert [f.name for f in dataclasses.fields(ActionImage)] == [
+        "source", "image"]
