@@ -3,14 +3,13 @@ affine/almost-simple recognition of transitive permutation groups."""
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 
-from .gf import prime_power
+from .gf import gl_order, is_prime, prime_divisors, prime_power
 from .group import (EnumerationLimitError, GroupWithChain,
                     StructureContradiction, check_index, class_closures,
-                    is_prime, normal_closure, orbits_of)
+                    normal_closure, orbits_of)
 from .perm import Permutation
 
 # The Iwasawa and affine-socle searches draw random elements from a
@@ -245,18 +244,6 @@ class TypeReport:
         return out
 
 
-def _prime_divisors(n):
-    primes = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            primes.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    return primes + [n] if n > 1 else primes
-
-
 def _commutes_with_conjugates(y, generators):
     return all(y * c == c * y
                for c in (y.conjugated_by(g) for g in generators))
@@ -273,8 +260,7 @@ def _affine_socle(group):
     if pd is None:
         return None
     p, d = pd
-    gl_order = math.prod(p ** d - p ** i for i in range(d))
-    if gl_order * group.degree % group.order():
+    if gl_order(d, p) * group.degree % group.order():
         return None
     rng = random.Random(_SEED)
     for _ in range(_AFFINE_TRIES):
@@ -325,7 +311,7 @@ def _iwasawa_certificate(group):
     for _ in range(_TRIES):
         x = stabilizer.random_element(rng)
         o = x.order()
-        for p in _prime_divisors(o):
+        for p in prime_divisors(o):
             y = x ** (o // p)
             if not _commutes_with_conjugates(y, stabilizer.generators):
                 continue

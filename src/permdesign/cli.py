@@ -155,6 +155,7 @@ def cmd_census(args):
                      if f.endswith(".design"))
     reports = []
     errors = []
+    not_designs = False
     for fname in designs:
         stem = fname[:-len(".design")]
         dpath = os.path.join(args.directory, fname)
@@ -167,7 +168,11 @@ def cmd_census(args):
             report = analyze(group, structure, instance_id=stem)
         except ValueError as exc:
             errors.append({"instance_id": stem, "message": str(exc)})
-            print(f"{stem}: ERROR {exc}")
+            if isinstance(exc, DesignError):  # a failed check, as in analyze
+                not_designs = True
+                print(f"{stem}: not a 2-design [{exc.code}]: {exc}")
+            else:
+                print(f"{stem}: ERROR {exc}")
             continue
         reports.append(report)
         _print_report(report)
@@ -192,7 +197,7 @@ def cmd_census(args):
             json.dump(payload, fh, sort_keys=True, indent=2)
             fh.write("\n")
         print(f"wrote {args.json}")
-    if any(r.failed for r in reports):
+    if not_designs or any(r.failed for r in reports):
         return EXIT_FAIL
     if errors:
         return EXIT_INPUT

@@ -15,7 +15,7 @@ from math import prod
 from operator import getitem
 
 from .config import point_limit
-from .gf import field
+from .gf import field, gl_order
 from .group import GroupWithChain, StructureContradiction
 from .incidence import IncidenceStructure
 from .perm import Permutation
@@ -142,10 +142,6 @@ def _gl_generator_matrices(d, q):
     return mats
 
 
-def gl_order(d, q):
-    return prod(q ** d - q ** j for j in range(d))
-
-
 def agl_order(d, q):
     return q ** d * gl_order(d, q)
 
@@ -263,8 +259,8 @@ def classical_group_generators(family, dim, q):
 
     GL, AGL and Sp act on all q^dim vectors; PGL acts on projective points.
     """
-    gf = field(q)
     _check_points("q^dim", q ** dim)
+    gf = field(q)
     name = f"{family}({dim},{q})"
     if family == "PGL":
         reps = _line_representatives(gf, dim)
@@ -297,11 +293,11 @@ def projective_design(d, q, i):
     the point sets of the (i+1)-subspaces."""
     if d < 2 or not 1 <= i <= d - 1:
         raise ValueError(f"need d >= 2 and 1 <= i <= d-1, got d={d}, i={i}")
-    gf = field(q)
     dim = d + 1
+    subs = enumerate_subspaces(dim, q, i + 1)
+    gf = field(q)
     reps = _line_representatives(gf, dim)
     rep_pos = {r: j for j, r in enumerate(reps)}
-    subs = enumerate_subspaces(dim, q, i + 1)
     blocks = [sorted({rep_pos[_line_key(gf, vec)]
                       for vec in span_vectors(gf, mat) if any(vec)})
               for mat in subs.canonical_matrices]
@@ -320,8 +316,8 @@ def build_AG(d, q, i):
     U + v of all i-subspaces U, group AGL_d(q)."""
     if d < 2 or not 1 <= i <= d - 1:
         raise ValueError(f"need d >= 2 and 1 <= i <= d-1, got d={d}, i={i}")
-    gf = field(q)
     subs = enumerate_subspaces(d, q, i)
+    gf = field(q)
     blocks = _subspace_cosets(gf, _coordinate_vectors(d, q),
                               subs.canonical_matrices)
     structure = IncidenceStructure(v=q ** d, blocks=blocks)
@@ -342,9 +338,9 @@ def build_symplectic_subdesign(m, q):
     on the 336 blocks through the origin (measured)."""
     if m < 2:
         raise ValueError(f"need m >= 2, got m={m}")
-    gf = field(q)
     d = 2 * m
     subs = enumerate_subspaces(d, q, 2)
+    gf = field(q)
     # the non-degenerate planes: the form does not vanish on the basis
     planes = [mat for mat in subs.canonical_matrices
               if _symplectic_form(gf, mat[0], mat[1]) != 0]

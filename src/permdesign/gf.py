@@ -1,13 +1,16 @@
-"""Small finite fields GF(q) with table-driven arithmetic.
+"""Small finite fields GF(q) with table-driven arithmetic, and the integer
+arithmetic the library shares: trial division, prime powers, |GL(d, q)|.
 
 Elements are integers 0..q-1 in polynomial-basis positional encoding: the
 element sum(c_i * x^i) is stored as sum(c_i * p^i).  Prime fields are plain
 integers mod p; prime-power fields use a hard-coded primitive polynomial.
+Products and inverses are read from one table of the powers of a generator
+of the multiplicative group.
 """
 
 from __future__ import annotations
 
-import math
+from math import prod
 
 # coefficient tuples (constant term first, leading 1 included)
 _PRIMITIVE_POLYS = {
@@ -26,23 +29,52 @@ class UnsupportedFieldError(ValueError):
     """q is not prime and has no primitive polynomial in the built-in table."""
 
 
+def prime_divisors(n):
+    """The distinct primes dividing n, in increasing order, by trial
+    division; empty for n < 2."""
+    primes = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            primes.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return primes + [n] if n > 1 else primes
+
+
+def is_prime(n):
+    return prime_divisors(n) == [n]
+
+
 def prime_power(q):
     """(p, e) with q = p^e for a prime p, or None."""
-    if q < 2:
+    primes = prime_divisors(q)
+    if len(primes) != 1:
         return None
-    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
-    e = 0
-    while q % p == 0:
-        q //= p
+    p = primes[0]
+    e = 1
+    while p ** e < q:
         e += 1
-    return (p, e) if q == 1 else None
+    return p, e
+
+
+def gl_order(d, q):
+    """|GL(d, q)|."""
+    return prod(q ** d - q ** j for j in range(d))
 
 
 class FiniteField:
     """GF(q) with precomputed addition, subtraction, negation,
     multiplication and inverse tables and a verified generator of the
     cyclic multiplicative group.  Hot loops may read the tables (`_add`,
-    `_sub`, `_neg`, `_mul`, `_inv`) directly."""
+    `_sub`, `_neg`, `_mul`, `_inv`) directly.
+
+    The generator w is x (encoded as p) when q has a stored polynomial,
+    which is primitive, and the smallest primitive root when q is prime.
+    The nonzero elements are its powers w^0, .., w^(q-2) (Lidl and
+    Niederreiter, Finite Fields, ch. 2), so w^i * w^j = w^(i+j) and
+    1/w^i = w^(-i) fill the product and inverse tables."""
 
     def __init__(self, q):
         pe = prime_power(q)
@@ -57,29 +89,36 @@ class FiniteField:
         self.p = p
         self.e = e
         self.modulus = _PRIMITIVE_POLYS.get(q)
-        self._add = [[0] * q for _ in range(q)]
+        digits = [self._digits(a) for a in range(q)]
+        self._add = [[self._encode([(x + y) % p for x, y in zip(ca, cb)])
+                      for cb in digits] for ca in digits]
+        self._neg = [self._encode([-c % p for c in ca]) for ca in digits]
+        self._sub = [[row[b] for b in self._neg] for row in self._add]
+        if e > 1:
+            w, poly = p, self.modulus
+        else:  # w is the root of x - w
+            w = next(g for g in range(1, p) if all(
+                pow(g, (p - 1) // r, p) != 1 for r in prime_divisors(p - 1)))
+            poly = (-w % p, 1)
+        # w * a: shift a's digits up, and put -(poly[0] + .. + poly[e-1]
+        # x^(e-1)) times a's top digit in place of x^e
+        top = q // p
+        powers = [1]
+        for _ in range(q - 2):
+            c, low = divmod(powers[-1], top)
+            powers.append(self._add[low * p][
+                self._encode([-c * m % p for m in poly[:e]])])
+        if sorted(powers) != list(range(1, q)):
+            raise UnsupportedFieldError(
+                f"the powers of {w} miss a nonzero element of GF({q})")
         self._mul = [[0] * q for _ in range(q)]
-        for a in range(q):
-            ca = self._digits(a)
-            for b in range(q):
-                cb = self._digits(b)
-                self._add[a][b] = self._encode(
-                    [(x + y) % p for x, y in zip(ca, cb)])
-                self._mul[a][b] = self._poly_mul(ca, cb)
         self._inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if self._mul[a][b] == 1:
-                    self._inv[a] = b
-                    break
-            else:
-                raise UnsupportedFieldError(
-                    f"modulus for q={q} is not irreducible")
-        self._neg = [self._encode([(-c) % p for c in self._digits(a)])
-                     for a in range(q)]
-        self._sub = [[self._add[a][self._neg[b]] for b in range(q)]
-                     for a in range(q)]
-        self.generator = self._find_generator()
+        for i, a in enumerate(powers):
+            row = self._mul[a]
+            for b, c in zip(powers, powers[i:] + powers[:i]):
+                row[b] = c
+            self._inv[a] = powers[-i]
+        self.generator = w
 
     def _digits(self, a):
         out = []
@@ -93,40 +132,6 @@ class FiniteField:
         for c in reversed(digits):
             value = value * self.p + c
         return value
-
-    def _poly_mul(self, ca, cb):
-        p, e = self.p, self.e
-        prod = [0] * (2 * e - 1)
-        for i, x in enumerate(ca):
-            if x:
-                for j, y in enumerate(cb):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        if e > 1:
-            mod = self.modulus
-            for i in range(len(prod) - 1, e - 1, -1):
-                c = prod[i]
-                if c:
-                    prod[i] = 0
-                    for j in range(e):
-                        prod[i - e + j] = (prod[i - e + j] - c * mod[j]) % p
-        return self._encode(prod[:e])
-
-    def _element_order(self, a):
-        n = 1
-        x = a
-        while x != 1:
-            x = self._mul[x][a]
-            n += 1
-        return n
-
-    def _find_generator(self):
-        for a in range(2, self.q):
-            if self._element_order(a) == self.q - 1:
-                return a
-        if self.q == 2:
-            return 1
-        raise UnsupportedFieldError(
-            f"multiplicative group of q={self.q} is not cyclic (bad modulus)")
 
     def add(self, a, b):
         return self._add[a][b]

@@ -104,6 +104,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .config import element_limit
+from .gf import is_prime
 from .perm import DegreeMismatchError, Permutation
 
 
@@ -741,10 +742,6 @@ def normal_closure(group, seeds):
             if not closure.contains(gi * n * g):
                 raise StructureContradiction("normal closure not normal")
     return closure
-
-
-def is_prime(n):
-    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
 
 
 def prime_order_class_representatives(group):

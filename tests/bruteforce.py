@@ -296,6 +296,31 @@ def flag_count(structure):
     return sum(len(block) for block in structure.blocks)
 
 
+def field_product(a, b, q):
+    """a * b in GF(q): the schoolbook product of the two digit vectors,
+    reduced modulo the field's polynomial, or mod p for a prime q."""
+    gf = field(q)
+    p, e = gf.p, gf.e
+    da, db = ([x // p ** i % p for i in range(e)] for x in (a, b))
+    prod = [0] * (2 * e - 1)
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            prod[i + j] += x * y
+    for i in range(2 * e - 2, e - 1, -1):  # x^i = x^(i-e) * x^e
+        for j in range(e):
+            prod[i - e + j] -= prod[i] * gf.modulus[j]
+    return sum(c % p * p ** i for i, c in enumerate(prod[:e]))
+
+
+def element_order(a, q):
+    """The multiplicative order of a nonzero a, by repeated product."""
+    n, x = 1, a
+    while x != 1:
+        x = field_product(x, a, q)
+        n += 1
+    return n
+
+
 def all_vectors(d, q):
     return [index_vector(i, d, q) for i in range(q ** d)]
 

@@ -179,11 +179,35 @@ def test_cli_analyze_preservation_failure(tmp_path, capsys):
 def test_cli_analyze_non_design_is_check_failure(tmp_path, capsys):
     # the cyclic group preserves these two parallel chords, but pair
     # coverage fails, so analysis reports a failed design check
-    gpath, dpath = tmp_path / "g.group", tmp_path / "d.design"
+    gpath, dpath = tmp_path / "d.group", tmp_path / "d.design"
     gpath.write_text("degree 4\n(1 3)(2 4)\n")
     dpath.write_text("points 4\n1 2\n3 4\n")
     assert main(["analyze", str(gpath), str(dpath)]) == 1
     assert "not a 2-design" in capsys.readouterr().out
+    # census counts it as a failed check too, which outranks an
+    # unreadable pair beside it
+    jpath = tmp_path / "census.json"
+    for with_broken in (False, True):
+        if with_broken:
+            (tmp_path / "broken.group").write_text("degree nope\n")
+            (tmp_path / "broken.design").write_text("points 3\n1 2 3\n")
+        assert main(["census", str(tmp_path), "--json", str(jpath)]) == 1
+        out = capsys.readouterr().out
+        assert ("d: not a 2-design [uncovered-pair]: point pair (0, 2) lies "
+                "in no block") in out
+        assert ("broken: ERROR" in out) == with_broken
+        errors = json.loads(jpath.read_text())["errors"]
+        assert [e["instance_id"] for e in errors] == (
+            ["broken", "d"] if with_broken else ["d"])
+
+
+def test_cli_analyze_trivial_design(tmp_path, capsys):
+    # one block holding every point: the 3-cycle preserves it
+    gpath, dpath = tmp_path / "t.group", tmp_path / "t.design"
+    gpath.write_text("degree 3\n(1 2 3)\n")
+    dpath.write_text("points 3\n1 2 3\n")
+    assert main(["analyze", str(gpath), str(dpath)]) == 0
+    assert capsys.readouterr().out == "t: trivial design (all blocks full)\n"
 
 
 def test_analyze_timings_flag(fano_pair):
@@ -224,6 +248,9 @@ def test_cli_crosscheck(tmp_path, capsys, fano_pair):
     assert main(["crosscheck", str(gp), str(lp), str(rp)]) == 0
     out = capsys.readouterr().out
     assert "constant ratio 1" in out and "exhaustive" in out
+    assert main(["crosscheck", str(gp), str(gp), str(rp)]) == 0
+    assert capsys.readouterr().out == (
+        "vacuously constant: the left subgroup is the whole group\n")
 
 
 def test_cli_crosscheck_broken_pair(tmp_path, capsys, s4):

@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from bruteforce import (all_vectors, every_shift_cosets, matrix_image,
-                        parallel_classes, projective_blocks,
-                        projective_matrix_images, symplectic_form,
-                        translation_images, transvection_images,
-                        vector_images)
+from bruteforce import (all_vectors, element_order, every_shift_cosets,
+                        field_product, matrix_image, parallel_classes,
+                        projective_blocks, projective_matrix_images,
+                        symplectic_form, translation_images,
+                        transvection_images, vector_images)
 from permdesign import geometry
+from permdesign import gf as gf_module
 from permdesign.geometry import (SizeLimitError, _checked_group,
                                  _gl_generator_matrices, agl_order, build_AG,
                                  build_PG, build_symplectic_subdesign,
@@ -72,12 +73,34 @@ def test_multiplicative_group_cyclic(q):
     assert len(seen) == q - 1  # generator has full order
 
 
+@pytest.mark.parametrize("q", ALL_Q + (11, 13))
+def test_field_tables_match_schoolbook_arithmetic(q):
+    gf = field(q)
+    assert gf._mul == [[field_product(a, b, q) for b in range(q)]
+                       for a in range(q)]
+    assert all(field_product(a, gf._inv[a], q) == 1 for a in range(1, q))
+    orders = [element_order(a, q) for a in range(1, q)]
+    assert gf.generator == 1 + orders.index(q - 1)
+
+
 def test_unsupported_field():
     with pytest.raises(UnsupportedFieldError):
         FiniteField(6)
     with pytest.raises(UnsupportedFieldError):
         FiniteField(49)  # prime power without a stored polynomial
     assert 49 not in SUPPORTED_PRIME_POWERS
+    with pytest.raises(UnsupportedFieldError, match="1 is not a prime power"):
+        FiniteField(1)
+    with pytest.raises(ZeroDivisionError, match="inverse of zero"):
+        field(5).inv(0)
+
+
+def test_field_rejects_a_polynomial_that_is_not_primitive(monkeypatch):
+    # x^2 + 1 is irreducible over GF(3), but x has order 4, not 8
+    monkeypatch.setitem(gf_module._PRIMITIVE_POLYS, 9, (1, 0, 1))
+    with pytest.raises(UnsupportedFieldError,
+                       match="the powers of 3 miss a nonzero element"):
+        FiniteField(9)
 
 
 def test_gaussian_coefficients():
@@ -263,6 +286,36 @@ def test_size_limit():
         enumerate_subspaces(20, 2, 2)
     with pytest.raises(SizeLimitError):
         classical_group_generators("GL", 20, 2)
+
+
+@pytest.mark.parametrize("build, args", [
+    (classical_group_generators, ("PGL", 3, 3)),
+    (build_PG, (2, 3, 1)),
+    (build_AG, (2, 4, 1)),
+    (build_symplectic_subdesign, (2, 2)),
+])
+def test_builders_read_the_point_limit_before_building_the_field(
+        build, args, monkeypatch):
+    # GF(q)'s tables take q^2 entries each, so a q past the limit must
+    # be refused before they are built
+    def no_field(q):
+        raise AssertionError(f"GF({q}) built past the point limit")
+    monkeypatch.setattr(geometry, "field", no_field)
+    monkeypatch.setenv("PERMDESIGN_POINT_LIMIT", "10")
+    with pytest.raises(SizeLimitError, match="exceeds the point limit 10"):
+        build(*args)
+
+
+def test_geometry_argument_validation():
+    with pytest.raises(ValueError,
+                       match="symplectic groups need even dimension"):
+        classical_group_generators("Sp", 3, 2)
+    with pytest.raises(ValueError, match="unknown family 'SL'"):
+        classical_group_generators("SL", 2, 2)
+    with pytest.raises(ValueError, match="need d >= 2"):
+        build_AG(1, 2, 1)
+    with pytest.raises(ValueError, match="need 1 <= i <= d, got i=0, d=3"):
+        enumerate_subspaces(3, 2, 0)
 
 
 @pytest.mark.parametrize("d,q,i", [

@@ -31,6 +31,12 @@ def test_block_validation():
         IncidenceStructure(v=3, blocks=[[]])
     with pytest.raises(DesignError):
         IncidenceStructure(v=3, blocks=[[1, 1]])
+    with pytest.raises(DesignError, match="need at least one point") as err:
+        IncidenceStructure(v=0, blocks=[[0]])
+    assert err.value.code == "degenerate-v"
+    with pytest.raises(DesignError, match="need at least one block") as err:
+        IncidenceStructure(v=3, blocks=[])
+    assert err.value.code == "no-blocks"
 
 
 def test_flag_count():
@@ -152,6 +158,13 @@ def test_strength_not_even_one_design():
     s = IncidenceStructure(v=4, blocks=[[0, 1], [0, 2]])
     with pytest.raises(DesignError):
         t_design_strength(s)
+
+
+def test_strength_needs_one_block_size():
+    s = IncidenceStructure(v=4, blocks=[[0, 1], [0, 2, 3]])
+    with pytest.raises(DesignError, match="blocks have several sizes") as err:
+        t_design_strength(s)
+    assert err.value.code == "block-size"
 
 
 def test_complement_fano():

@@ -3,7 +3,7 @@ the package reads chains through GroupWithChain and the functions of
 group.py, and forms no chain or level of its own, nor reads one or what a
 group keeps.  Likewise every coset walk goes through the one cache,
 cosets._cosets: no other function of the package names
-cosets._coset_orbit."""
+cosets._coset_orbit.  And gf.py is the one home of integer arithmetic."""
 
 import ast
 import dataclasses
@@ -104,3 +104,21 @@ def test_an_action_image_stores_no_derived_flag():
     """Faithfulness is read off the two orders, not stored beside them."""
     assert [f.name for f in dataclasses.fields(ActionImage)] == [
         "source", "image"]
+
+
+def test_only_gf_py_defines_integer_arithmetic():
+    """Trial division, prime powers and |GL(d, q)| are written once, in
+    gf.py; every other module imports them from there."""
+    arithmetic = {"is_prime", "prime_power", "prime_divisors", "gl_order"}
+    package = os.path.dirname(permdesign.__file__)
+    found = {}
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), filename=name)
+            defined = sorted(node.name for node in ast.walk(tree)
+                             if isinstance(node, ast.FunctionDef)
+                             and node.name in arithmetic)
+            if defined:
+                found[name] = defined
+    assert found == {"gf.py": sorted(arithmetic)}

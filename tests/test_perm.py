@@ -99,6 +99,19 @@ def test_not_a_bijection_rejected():
         Permutation((0, 0, 1))
 
 
+def test_degree_must_be_positive():
+    for make in (lambda: Permutation([]), lambda: Permutation.identity(0),
+                 lambda: Permutation.from_cycles("(1 2)", 0)):
+        with pytest.raises(ValueError, match="degree must be positive"):
+            make()
+
+
+def test_parse_leading_text_rejected():
+    with pytest.raises(CycleParseError,
+                       match=r"unexpected text in 'x\(1 2\)'"):
+        Permutation.from_cycles("x(1 2)", 3)
+
+
 def test_cycle_formatting_is_canonical():
     p = Permutation((1, 0, 3, 2, 4))
     assert str(p) == "(1 2)(3 4)"
