@@ -168,7 +168,11 @@ def is_quasiprimitive(group):
     iff, for each S in base_block_systems(G), which lists each nontrivial
     system once, G is faithful on S's cells and quasiprimitive on them
     (Dixon-Mortimer, Permutation Groups, ch. 1 and 4).  The cells are
-    fewer than the points, so the recursion ends.
+    fewer than the points, so the recursion ends, but it visits the whole
+    lattice of block systems, with no memo and no limit.  A design's block
+    action is decided from the point socle instead, where that applies
+    (DesignAction.local_primitivity_report); this function has no point
+    side, and always recurses.
     """
     if not group.is_transitive():
         return False
@@ -343,6 +347,20 @@ def _simple_stabilizer_certificate(group):
         return False
 
 
+def _affine_witness(group):
+    """_socle_witness of the _affine_socle, or None when the search finds
+    none.  Kept on the group (GroupWithChain.derived), with the group
+    itself kept as True, so that the group never refers to itself."""
+    def search():
+        socle = _affine_socle(group)
+        if socle is None:
+            return None
+        witness = _socle_witness(group, socle)
+        return True if witness is group else witness
+    witness = group.derived("affine_witness", search)
+    return group if witness is True else witness
+
+
 def classify_point_action(group):
     """HA / AS / OTHER recognition for a transitive group.
 
@@ -356,17 +374,28 @@ def classify_point_action(group):
     whose class-representative walk costs |G|/degree elements.  Otherwise
     the minimal normal subgroups come from the class-representative walk
     of G, within the element limit.
+
+    The walk-free certificates (the affine witness, perfection and
+    Iwasawa's lemma) are kept on the group (GroupWithChain.derived), as
+    values that hold no reference to it, so a second call on the same
+    group makes no random search and forms no normal closure.  The walks
+    are kept too (class_closures), and they refuse past the element limit
+    on every call, so a refusal does not depend on what an earlier call
+    found.  The report's witness is the unique minimal normal subgroup of
+    a primitive HA or AS group, which DesignAction reads to decide block
+    quasiprimitivity.
     """
     if not group.is_transitive():
         raise IntransitiveError("type recognition needs a transitive group")
     if group.degree > 1 and primitivity_status(group) == "primitive":
-        socle = _affine_socle(group)
-        if socle is not None:
-            witness = _socle_witness(group, socle)
+        witness = _affine_witness(group)
+        if witness is not None:
             return TypeReport(tag="HA", witness=witness,
                               minimal_normals=(witness,))
-        if _is_perfect(group) and (_iwasawa_certificate(group)
-                                   or _simple_stabilizer_certificate(group)):
+        if (group.derived("perfect", lambda: _is_perfect(group))
+                and (group.derived("iwasawa",
+                                   lambda: _iwasawa_certificate(group))
+                     or _simple_stabilizer_certificate(group))):
             return TypeReport(tag="AS", witness=group,
                               minimal_normals=(group,))
     return _classify_from_closures(group)

@@ -225,15 +225,16 @@ def analyze(group, structure, instance_id="instance", *,
             timings=timings if collect_timings else None)
 
     params = timed("verify_design", lambda: verify_design(structure))
-    local = timed("local_primitivity",
-                  action.local_primitivity_report)
-    locally_primitive = local.locally_primitive
-
+    # the point type comes first: its witness, the socle of a primitive HA
+    # or AS group, decides block quasiprimitivity in the local report
     refusals = []
     point_report = timed(
         "point_type",
         lambda: _classify_or_unknown(group, "point type", refusals))
     point_type = UNKNOWN if point_report is None else point_report.tag
+    local = timed("local_primitivity",
+                  lambda: action.local_primitivity_report(point_report))
+    locally_primitive = local.locally_primitive
 
     block_report = None
     image = action.block_action.image

@@ -19,10 +19,10 @@ from .cosets import (IndexLimitError, coset_graph_design, coset_graph_faithful,
                      is_trivial_factorization, lambda_constancy_crosscheck)
 from .geometry import (SizeLimitError, build_AG, build_PG,
                        build_symplectic_subdesign)
-from .group import EnumerationLimitError
+from .group import EnumerationLimitError, GroupWithChain
 from .incidence import DesignError, t_design_strength, verify_design
 from .io import (FileFormatError, read_design_file, read_group_file,
-                 write_design_file, write_group_file)
+                 read_group_generators, write_design_file, write_group_file)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -148,22 +148,57 @@ def cmd_crosscheck(args):
     return EXIT_FAIL
 
 
+def _group_generators(gpath):
+    if not os.path.exists(gpath):
+        raise FileFormatError(f"missing group file {gpath}")
+    return read_group_generators(gpath)
+
+
+class _CensusGroups:
+    """The groups of the census group files `gpaths`.  Files that list the
+    same degree and the same generators in the same order, whatever their
+    comments, share one GroupWithChain, and with it every fact kept on it
+    (GroupWithChain.derived): it is built for the first of them and
+    dropped after the last, so sharing holds no group longer than its own
+    instances need it."""
+
+    def __init__(self, gpaths):
+        self.gpaths = gpaths
+        self.listed = []  # the generators of each file; None: unreadable
+        for gpath in gpaths:
+            try:
+                self.listed.append(_group_generators(gpath))
+            except (OSError, ValueError):
+                self.listed.append(None)
+        self.last = {gens: i for i, gens in enumerate(self.listed)}
+        self.kept = {}  # generators -> the group, while a later file needs it
+
+    def take(self, i):
+        """The group of file i, taken in increasing order of i; a file
+        that cannot be read is read again here, to raise its error."""
+        gens = self.listed[i]
+        if gens is None:
+            gens = _group_generators(self.gpaths[i])
+        group = self.kept.pop(gens, None) or GroupWithChain(gens)
+        if self.last.get(gens, i) > i:
+            self.kept[gens] = group
+        return group
+
+
 def cmd_census(args):
     if not os.path.isdir(args.directory):
         return _fail(f"{args.directory} is not a directory", EXIT_INPUT)
-    designs = sorted(f for f in os.listdir(args.directory)
-                     if f.endswith(".design"))
+    stems = [f[:-len(".design")] for f in sorted(os.listdir(args.directory))
+             if f.endswith(".design")]
+    groups = _CensusGroups([os.path.join(args.directory, stem + ".group")
+                            for stem in stems])
     reports = []
     errors = []
     not_designs = False
-    for fname in designs:
-        stem = fname[:-len(".design")]
-        dpath = os.path.join(args.directory, fname)
-        gpath = os.path.join(args.directory, stem + ".group")
+    for i, stem in enumerate(stems):
+        dpath = os.path.join(args.directory, stem + ".design")
         try:
-            if not os.path.exists(gpath):
-                raise FileFormatError(f"missing group file {gpath}")
-            group = read_group_file(gpath)
+            group = groups.take(i)
             structure = read_design_file(dpath)
             report = analyze(group, structure, instance_id=stem)
         except ValueError as exc:

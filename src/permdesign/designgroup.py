@@ -9,8 +9,8 @@ from dataclasses import asdict, dataclass
 from .analysis import is_quasiprimitive, primitivity_status
 from .cosets import incidence_crosscheck
 from .group import (ActionClosureError, SetAction, StructureContradiction,
-                    check_index, induced_action, orbit_minima, set_action,
-                    set_stabilizer)
+                    check_index, induced_action, orbit_minima, orbit_of,
+                    set_action, set_stabilizer)
 
 
 class PreservationError(ValueError):
@@ -77,7 +77,11 @@ class DesignAction:
     the tail below block B of one chain of G on the points and the blocks
     (group.set_stabilizer), which keeps every element on the points.  Each
     local action is built once and kept, and its source is the stabilizer
-    that every verdict reads."""
+    that every verdict reads.
+
+    Block quasiprimitivity is read from the point socle where the point
+    report allows it (local_primitivity_report), and otherwise from the
+    recursion of analysis.is_quasiprimitive over the block systems."""
 
     def __init__(self, group, structure):
         if group.degree != structure.v:
@@ -165,10 +169,32 @@ class DesignAction:
         return (self.group.order() * g_alpha_beta ** 2
                 < self.point_stabilizer(alpha).order() ** 3)
 
-    def local_primitivity_report(self):
+    def _block_quasiprimitive(self, point_primitive, point_report):
+        """Whether G is quasiprimitive on the blocks.  Let G be primitive on
+        the points (point_primitive), of type HA or AS (point_report, the
+        analysis.classify_point_action report of G), and faithful on the
+        blocks.  Then the report's witness M is G's unique minimal normal
+        subgroup: the translations, or the socle.  Every nontrivial normal
+        subgroup contains M, and faithfulness keeps M's image nontrivial,
+        so G is quasiprimitive on the blocks iff M is transitive on them
+        (Dixon-Mortimer, Permutation Groups, section 4.3): block 0's orbit
+        under the block images of M's walk generators has length b.
+        Anywhere else, analysis.is_quasiprimitive decides on the image."""
+        if (point_primitive and point_report is not None
+                and point_report.tag in ("HA", "AS")
+                and self.block_action.faithful):
+            socle = point_report.witness.walk_generators
+            return len(orbit_of([self.block_image_of(g) for g in socle],
+                                0)) == self.structure.b
+        return is_quasiprimitive(self.block_action.image)
+
+    def local_primitivity_report(self, point_report=None):
         """Full verdict record.  It records what it finds: that a locally
         primitive action is flag-transitive and point-primitive is judged
-        by the analyzer's local_primitivity_consequences check."""
+        by the analyzer's local_primitivity_consequences check.
+        `point_report`, G's classify_point_action report, lets the socle
+        decide block quasiprimitivity (_block_quasiprimitive); without it
+        the block systems do."""
         if self.structure.is_trivial():
             raise TrivialDesignError(
                 "every block is incident with every point")
@@ -194,14 +220,16 @@ class DesignAction:
                              "on its points")
                 break
 
+        point_primitive = primitivity_status(self.group) == "primitive"
         return LocalPrimitivityReport(
             flag_transitive=flag_transitive,
             point_transitive=point_transitive,
             block_transitive=block_transitive,
             point_local_primitive=point_local,
             block_local_primitive=block_local,
-            point_primitive=primitivity_status(self.group) == "primitive",
-            block_quasiprimitive=is_quasiprimitive(self.block_action.image),
+            point_primitive=point_primitive,
+            block_quasiprimitive=self._block_quasiprimitive(point_primitive,
+                                                            point_report),
             stabilizer_bound_ok=self.stabilizer_bound_holds(),
             notes=tuple(notes),
         )

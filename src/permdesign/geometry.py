@@ -258,8 +258,11 @@ def classical_group_generators(family, dim, q):
     with the chain order asserted against the closed-form order formula.
 
     GL, AGL and Sp act on all q^dim vectors; PGL acts on projective points.
+    GF(q)'s tables take q^2 entries each, so the limit bounds q^2 too,
+    which only dim 1 can pass q^dim with.
     """
     _check_points("q^dim", q ** dim)
+    _check_points("q^2", q ** 2)
     gf = field(q)
     name = f"{family}({dim},{q})"
     if family == "PGL":

@@ -93,8 +93,9 @@ this module reads a chain: the others ask for a coset's canonical
 representative, the first basic orbit and its transporter.  What is
 derived from a group is kept on it, computed on first use: its elements,
 and in one store (derived) its first point stabilizer, class closures,
-block systems and, as a subgroup H, the walk of its cosets H*a under
-each group A, keyed by A's walk generators (cosets._cosets).
+block systems, walk-free type certificates (analysis.classify_point_action)
+and, as a subgroup H, the walk of its cosets H*a under each group A, keyed
+by A's walk generators (cosets._cosets).
 """
 
 from __future__ import annotations

@@ -51,7 +51,9 @@ def _layout(comment, header, lines):
     return "\n".join([*out, header, *lines]) + "\n"
 
 
-def parse_group_text(text):
+def parse_group_generators(text):
+    """The generators a group file lists, in order, as permutations of its
+    degree; comments and blank lines do not count."""
     degree, lines = _parse(text, "group", "degree N", "degree", "generators")
     gens = []
     for lineno, line in lines:
@@ -59,7 +61,11 @@ def parse_group_text(text):
             gens.append(Permutation.from_cycles(line, degree))
         except ValueError as exc:
             raise FileFormatError(f"line {lineno}: {exc}") from exc
-    return GroupWithChain(tuple(gens))
+    return tuple(gens)
+
+
+def parse_group_text(text):
+    return GroupWithChain(parse_group_generators(text))
 
 
 def format_group(group, comment=None):
@@ -67,9 +73,13 @@ def format_group(group, comment=None):
                    (str(g) for g in group.generators))
 
 
-def read_group_file(path):
+def read_group_generators(path):
     with open(path, encoding="utf-8") as fh:
-        return parse_group_text(fh.read())
+        return parse_group_generators(fh.read())
+
+
+def read_group_file(path):
+    return GroupWithChain(read_group_generators(path))
 
 
 def write_group_file(path, group, comment=None):

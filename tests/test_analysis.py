@@ -588,3 +588,73 @@ def test_is_perfect_forms_commutators_of_the_walk_generators(
             seeds.clear()
             assert analysis._is_perfect(h) is perfect
             assert seeds == [comb(len(h.walk_generators), 2)]
+
+
+# groups classified by each route: the affine witness (AGammaL(1,8), and
+# C7, whose witness is the group itself), Iwasawa's lemma (PGL(3,2) on the
+# Fano points), the simple stabilizer (A6 on 6) and the walk (S6 on 6)
+KEPT_CASES = (("AGammaL(1,8)", 8, ("(1 2 3 4 5 6 7)", "(2 3 5)(4 7 6)",
+                                   "(1 8)(2 4)(3 7)(5 6)"), "HA"),
+              ("C7", 7, ("(1 2 3 4 5 6 7)",), "HA"),
+              ("PGL(3,2)", 7, ("(1 2 3 4 5 6 7)", "(1 2)(3 6)"), "AS"),
+              ("A6", 6, ("(1 2 3)", "(2 3 4 5 6)"), "AS"),
+              ("S6", 6, ("(1 2)", "(1 2 3 4 5 6)"), "AS"))
+
+
+@pytest.mark.parametrize("name, deg, gens, tag", KEPT_CASES)
+def test_second_classification_reads_the_kept_certificates(
+        name, deg, gens, tag, monkeypatch):
+    # the certificates and walks of the first call are kept on the group:
+    # the second call draws no random element and forms no normal closure,
+    # and its report is the first one
+    from permdesign import analysis
+    from permdesign import group as chains
+    g = group(deg, *gens)
+    first = classify_point_action(g)
+    assert first.tag == tag, name
+    calls = []
+
+    def refuse(what):
+        def called(*args, **kwargs):
+            calls.append(what)
+            raise AssertionError(f"{what} called again on {name}")
+        return called
+    monkeypatch.setattr(analysis, "normal_closure", refuse("normal_closure"))
+    monkeypatch.setattr(chains, "normal_closure", refuse("normal_closure"))
+    monkeypatch.setattr(GroupWithChain, "random_element",
+                        refuse("random_element"))
+    assert classify_point_action(g) == first, name
+    assert calls == []
+
+
+def _classified(g):
+    """The classification's JSON, or the refusal's message."""
+    from permdesign.group import EnumerationLimitError
+    try:
+        return classify_point_action(g).to_json_dict()
+    except EnumerationLimitError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("limit", ["10", "100", "400"])
+def test_kept_certificates_leave_refusals_to_the_limit(limit, monkeypatch,
+                                                       corpus_instances):
+    # under a lowered limit, a group classified before answers or refuses
+    # as a fresh copy of it does, and at the default limit again it gives
+    # its first report: the walks refuse on every call, kept or not.  A7
+    # on 15 points refuses below its stabilizer's 168 elements
+    a7 = next(inst.group for inst in corpus_instances
+              if inst.name == "a7-cos-15-3-1")
+    cases = [(name, group(deg, *gens)) for name, deg, gens, _ in KEPT_CASES]
+    cases.append(("A7 on 15", GroupWithChain(a7.generators)))
+    outcomes = set()
+    for name, g in cases:
+        monkeypatch.delenv("PERMDESIGN_ELEMENT_LIMIT", raising=False)
+        first = _classified(g)
+        monkeypatch.setenv("PERMDESIGN_ELEMENT_LIMIT", limit)
+        kept = _classified(g)
+        assert kept == _classified(GroupWithChain(g.generators)), name
+        outcomes.add(type(kept))
+        monkeypatch.delenv("PERMDESIGN_ELEMENT_LIMIT")
+        assert _classified(g) == first, name
+    assert outcomes == {str, dict}  # some refuse, some answer

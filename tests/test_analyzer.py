@@ -341,14 +341,15 @@ def test_analyze_reads_stabilizers_as_chain_tails(corpus_instances,
     # chain's tail, and G_a on the points is a tail of the group's own
     # chain, except on the two affine instances: there a is not the first
     # base point of G, so G is rebuilt at a once, for the local point
-    # action and the lambda crosscheck alike, and their imprimitive block
-    # image also takes one chain on the cells of a block system.  No chain
-    # holds a permutation of degree v + b: the one on the points and the
-    # blocks keeps its elements on the points
+    # action and the lambda crosscheck alike.  Their imprimitive block
+    # image takes no chain on the cells of a block system: the translations
+    # decide block quasiprimitivity.  No chain holds a permutation of
+    # degree v + b: the one on the points and the blocks keeps its
+    # elements on the points
     for inst in corpus_instances:
         chain_builds.clear()
         analyze(inst.group, inst.structure, inst.name)
-        expected = 6 if inst.name in ("ag2-3-2-agl32",
+        expected = 5 if inst.name in ("ag2-3-2-agl32",
                                       "symplectic-2-2") else 4
         assert len(chain_builds) == expected, inst.name
         union_degree = inst.structure.v + inst.structure.b
@@ -474,8 +475,8 @@ def test_failed_consequence_is_a_theorem_violation(fano_pair, monkeypatch):
     original = DesignAction.local_primitivity_report
     monkeypatch.setattr(
         DesignAction, "local_primitivity_report",
-        lambda self: dataclasses.replace(original(self),
-                                         point_primitive=False))
+        lambda self, point_report=None: dataclasses.replace(
+            original(self, point_report), point_primitive=False))
     structure, g = fano_pair
     report = analyze(GroupWithChain(g.generators), structure, "fano-pgl32")
     assert report.local.locally_primitive
@@ -500,3 +501,29 @@ def test_cell_disjointness_fails_on_overlapping_cells(ag322_pair,
         action = DesignAction(g, structure)
         assert primitivity_status(action.block_action.image) == "imprimitive"
         assert _check_cell_disjointness(action) == expected
+
+
+def test_regular_a7_orbit_design_is_decided_by_the_socle(tmp_path,
+                                                         corpus_instances):
+    # the A7 of a7-cos-15-3-1 is 2-transitive on its 15 points and regular
+    # on the orbit of {1, ..., 6}: a 2-design with 2 520 blocks.  Its block
+    # systems form a lattice that the recursion of is_quasiprimitive walks
+    # for minutes; A7 is simple and faithful on the blocks, so the socle
+    # decides at once, and `analyze` ends well inside 10 s
+    import time
+    from permdesign.io import write_design_file, write_group_file
+    a7 = next(inst.group for inst in corpus_instances
+              if inst.name == "a7-cos-15-3-1")
+    structure = orbit_design(a7, range(6))
+    assert structure.b == 2520
+    write_group_file(tmp_path / "a7.group", a7)
+    write_design_file(tmp_path / "a7.design", structure)
+    start = time.monotonic()
+    run = subprocess.run([sys.executable, "-m", "permdesign.cli", "analyze",
+                          str(tmp_path / "a7.group"),
+                          str(tmp_path / "a7.design")],
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=SRC), timeout=10)
+    assert time.monotonic() - start < 10
+    assert run.returncode in (0, 3), run.stderr
+    assert "types: point=AS block=AS" in run.stdout

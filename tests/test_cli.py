@@ -515,6 +515,42 @@ def test_census_names_a_missing_group_file(tmp_path, capsys, fano_pair):
         {"instance_id": "lone", "message": message}]
 
 
+def test_census_shares_one_group_per_generator_list(tmp_path, fano_pair,
+                                                   monkeypatch):
+    # a.group and c.group list the same generators under different
+    # comments and share one chain; b.group lists them in reverse order
+    # and gets its own.  The shared group is dropped after c, its last
+    # instance, and each report is analyze's on a fresh group
+    from permdesign import cli
+    from permdesign.group import GroupWithChain
+    structure, g = fano_pair
+    reordered = GroupWithChain(g.generators[::-1])
+    assert reordered.generators != g.generators
+    for stem, grp, comment in (("a", g, "first"), ("b", reordered, None),
+                               ("c", g, "second\nlines")):
+        write_group_file(tmp_path / f"{stem}.group", grp, comment=comment)
+        write_design_file(tmp_path / f"{stem}.design", structure)
+    built = []
+    build = cli.GroupWithChain
+    monkeypatch.setattr(cli, "GroupWithChain",
+                        lambda gens: built.append(gens) or build(gens))
+    jpath = tmp_path / "census.json"
+    assert main(["census", str(tmp_path), "--json", str(jpath)]) == 0
+    assert built == [g.generators, reordered.generators]
+    instances = json.loads(jpath.read_text())["instances"]
+    assert [inst["instance_id"] for inst in instances] == ["a", "b", "c"]
+    for inst, grp in zip(instances, (g, reordered, g)):
+        fresh = GroupWithChain(grp.generators)
+        assert inst == analyze(fresh, structure,
+                               inst["instance_id"]).to_json_dict()
+    groups = cli._CensusGroups([tmp_path / f"{stem}.group"
+                                for stem in "abc"])
+    shared = groups.take(0)
+    assert list(groups.kept.values()) == [shared]
+    assert groups.take(1) is not shared
+    assert groups.take(2) is shared and groups.kept == {}
+
+
 def test_census_leaves_no_argparse_garbage(tmp_path, capsys, fano_pair):
     # the parser is built once per process, so a call leaves none of its
     # reference cycles for the cyclic collector

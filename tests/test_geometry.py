@@ -306,6 +306,22 @@ def test_builders_read_the_point_limit_before_building_the_field(
         build(*args)
 
 
+def test_dimension_one_reads_the_point_limit_on_the_field(monkeypatch):
+    # GL(1, 1009) acts on 1 009 points, within the limit, but GF(1009)'s
+    # tables take 1009^2 entries each: refused before they are built
+    def no_field(q):
+        raise AssertionError(f"GF({q}) built past the point limit")
+    monkeypatch.setattr(geometry, "field", no_field)
+    monkeypatch.delenv("PERMDESIGN_POINT_LIMIT", raising=False)
+    for family in ("GL", "AGL"):
+        with pytest.raises(SizeLimitError,
+                           match=r"^q\^2 = 1018081 exceeds the point limit "
+                                 r"10000 \(PERMDESIGN_POINT_LIMIT\)$"):
+            classical_group_generators(family, 1, 1009)
+    monkeypatch.undo()
+    assert classical_group_generators("GL", 1, 97).order() == 96
+
+
 def test_geometry_argument_validation():
     with pytest.raises(ValueError,
                        match="symplectic groups need even dimension"):

@@ -444,22 +444,43 @@ CHAINS_DIGEST = os.path.join(os.path.dirname(__file__), "golden",
                              "chains.sha256")
 
 
-def corpus_chain_digest(monkeypatch):
-    """sha256 over chain_levels of every chain _build_chain returns while
-    analyze runs on a freshly built corpus, in the order of the builds."""
-    from permdesign import group as chains
+def _builder(frame):
+    """"module.function" of the innermost frame outside group.py: the
+    caller that asked for a chain."""
+    while frame.f_globals["__name__"] == chains.__name__:
+        frame = frame.f_back
+    return (frame.f_globals["__name__"].rpartition(".")[2] + "."
+            + frame.f_code.co_name)
+
+
+def corpus_chain_builds(monkeypatch):
+    """(instance, caller, sha256 of chain_levels) for every chain
+    _build_chain returns while analyze runs on a freshly built corpus, in
+    the order of the builds, and the sha256 over the chain_levels of all
+    of them, in that order: the digest that chains.sha256 pins."""
     instances = bundled_corpus()
     digest = hashlib.sha256()
+    builds = []
     build = chains._build_chain
 
     def recording(*args, **kwargs):
         chain = build(*args, **kwargs)
-        digest.update(repr(chain_levels(chain)).encode())
+        levels = repr(chain_levels(chain)).encode()
+        digest.update(levels)
+        builds.append((name, _builder(sys._getframe(1)),
+                       hashlib.sha256(levels).hexdigest()))
         return chain
     monkeypatch.setattr(chains, "_build_chain", recording)
     for inst in instances:
+        name = inst.name
         analyze(inst.group, inst.structure, inst.name)
-    return digest.hexdigest()
+    return builds, digest.hexdigest()
+
+
+def corpus_chain_digest(monkeypatch):
+    """sha256 over chain_levels of every chain _build_chain returns while
+    analyze runs on a freshly built corpus, in the order of the builds."""
+    return corpus_chain_builds(monkeypatch)[1]
 
 
 def test_corpus_chains_match_golden_digest(monkeypatch):
@@ -468,6 +489,32 @@ def test_corpus_chains_match_golden_digest(monkeypatch):
     with open(CHAINS_DIGEST) as fh:
         expected, _ = fh.read().split()
     assert corpus_chain_digest(monkeypatch) == expected
+
+
+# the digest of the corpus chains while block quasiprimitivity was decided
+# by the block-system recursion alone, pinned in chains.sha256 until the
+# socle rule took the cell actions of two corpus instances out
+RECURSION_CHAINS_DIGEST = (
+    "d11f1cd4e408edbfdf4d44103142f8170896fef503a104d5cfffc1a420cdaab6")
+
+
+def test_socle_rule_leaves_out_only_the_cell_action_builds(monkeypatch):
+    """Without the point report, the local report decides block
+    quasiprimitivity by the recursion, and the corpus builds are those of
+    RECURSION_CHAINS_DIGEST.  The socle rule leaves out exactly the two
+    cell actions of ag2-3-2-agl32 and symplectic-2-2, and every other
+    build is the same chain, in the same order."""
+    report = DesignAction.local_primitivity_report
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(DesignAction, "local_primitivity_report",
+                  lambda self, point_report=None: report(self))
+        recursion, digest = corpus_chain_builds(m)
+    builds, _ = corpus_chain_builds(monkeypatch)
+    assert digest == RECURSION_CHAINS_DIGEST
+    cells = [b for b in recursion if b[1] == "analysis._cell_action"]
+    assert [name for name, *_ in cells] == ["ag2-3-2-agl32",
+                                            "symplectic-2-2"]
+    assert builds == [b for b in recursion if b not in cells]
 
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
@@ -715,8 +762,11 @@ def test_class_closures_follow_class_reps(s4, monkeypatch):
 def test_kept_closures_form_no_reference_cycle(s4):
     """The full closure is kept without a reference from the group to
     itself, so the group and its closures are freed without the cyclic
-    collector."""
+    collector.  So are the certificates that classify_point_action keeps:
+    an affine witness that is the group itself (C7), another affine
+    witness (AGL(1,5)), and perfection and Iwasawa's lemma (PGL(3,2))."""
     import gc
+    from permdesign.analysis import classify_point_action
     gc.collect()
     gc.disable()
     try:
@@ -725,6 +775,17 @@ def test_kept_closures_form_no_reference_cycle(s4):
         assert g in closures and len(closures) > 1
         del g, closures
         assert gc.collect() == 0
+        for degree, gens, tag, witness_is_group in (
+                (7, ("(1 2 3 4 5 6 7)",), "HA", True),
+                (5, ("(1 2 3 4 5)", "(2 3 5 4)"), "HA", False),
+                (7, ("(1 2 3 4 5 6 7)", "(1 2)(3 6)"), "AS", True)):
+            g = group(degree, *gens)
+            report = classify_point_action(g)
+            assert report.tag == tag
+            assert (report.witness is g) == witness_is_group
+            assert g._derived
+            del g, report
+            assert gc.collect() == 0
     finally:
         gc.enable()
 

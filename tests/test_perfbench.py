@@ -80,7 +80,9 @@ def test_tracer_wraps_analyze_and_restores():
     assert out["types"] == ["AS", "AS"]
     metrics = out["metrics"]
     assert metrics["group.class_rep_calls"] == 0
-    assert metrics["analysis.quasiprimitive_s"] > 0
+    # the socle decides block quasiprimitivity: the recursion never runs
+    assert metrics["analysis.quasiprimitive_s"] == 0
+    assert metrics["analysis.primitivity_s"] > 0
     assert metrics["analysis.classify_s"] > 0
 
 

@@ -234,17 +234,25 @@ def _primitive(group):
                     == 1 for b in range(1, n)))
 
 
-def test_design_verdicts_match_element_sets_random_stress():
+def test_design_verdicts_match_element_sets_random_stress(monkeypatch):
     # orbit designs of random groups of degree at most 8 and order at most
     # 2 000: random permutations, and random subgroups of affine, projective
     # and imprimitive groups; each analyze verdict is compared with a
     # computation over the group's element set; on a flag-transitive
-    # design, lambda against the double-coset counts of (G, G_a, G_B0)
+    # design, lambda against the double-coset counts of (G, G_a, G_B0).
+    # Block quasiprimitivity is decided by the point socle or by the
+    # block-system recursion, and the lattice oracle checks both
     from bruteforce import (design_accepts, double_coset_ratios,
                             quasiprimitive_by_lattice)
     from conftest import group, orbit_design
+    from permdesign import designgroup
     from permdesign.analyzer import FAIL, PASS, analyze
     from permdesign.designgroup import DesignAction
+    recursions = []
+    recursion = designgroup.is_quasiprimitive
+    monkeypatch.setattr(designgroup, "is_quasiprimitive",
+                        lambda image: recursions.append(image)
+                        or recursion(image))
     rng = random.Random(6174)
     ambients = (group(5, "(1 2 3 4 5)", "(2 3 5 4)"),            # AGL(1,5)
                 group(6, "(2 4 3 5 6)", "(1 4 6 3)"),            # PGL(2,5)
@@ -264,7 +272,8 @@ def test_design_verdicts_match_element_sets_random_stress():
         return tuple(sorted(x[p] for p in blk))
 
     seen = {"lp": 0, "not lp": 0, "not flag-transitive": 0,
-            "failed check, not lp": 0, "lambda checked": 0}
+            "failed check, not lp": 0, "lambda checked": 0,
+            "socle rule checked": 0, "recursion checked": 0}
     designs = 0
     while designs < 60:
         if designs % 3:
@@ -281,7 +290,9 @@ def test_design_verdicts_match_element_sets_random_stress():
         if not design_accepts(v, blocks):
             continue
         designs += 1
+        recursions.clear()
         report = analyze(g, structure)
+        path = "recursion" if recursions else "socle rule"
         local = report.local
         elements = mulclose(g.generators)
 
@@ -308,6 +319,7 @@ def test_design_verdicts_match_element_sets_random_stress():
                 for x in g.generators])
             assert (local.block_quasiprimitive
                     == quasiprimitive_by_lattice(image)), g.generators
+            seen[f"{path} checked"] += 1
 
         if local.flag_transitive:
             action = DesignAction(g, structure)
