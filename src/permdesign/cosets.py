@@ -20,7 +20,11 @@ the L-cosets meeting it, to the block of R*y*g, so the blocks are the
 orbit of block 0 (the L-cosets in LR), each repeated |G:R| / |orbit|
 times.  Faithfulness depends only on the group: it is decided on the
 smaller coset space when that one is faithful, walking the other only
-when it is not, and on the disjoint union only when neither is.
+when it is not, and on the disjoint union only when neither is.  Each
+decision asks whether the walk generators' images generate a group of
+order |G| (group.generates_order): a chain completed from random products
+of those images, which stops once its order reaches |G| and is finished
+deterministically when it does not, so the answer is exact.
 """
 
 from __future__ import annotations
@@ -30,9 +34,9 @@ from dataclasses import dataclass
 from .config import index_limit
 from .group import (ActionImage, GroupWithChain, MembershipError,
                     StructureContradiction, canonical_coset_representative,
-                    orbits_of)
+                    generates_order, orbits_of)
 from .incidence import IncidenceStructure
-from .perm import DegreeMismatchError, Permutation
+from .perm import DegreeMismatchError, Permutation, images_at
 
 
 class SubgroupError(ValueError):
@@ -143,8 +147,9 @@ class CosetGraph:
         blocks = [block]
         seen = {block}
         for members in blocks:
+            read = images_at(members)
             for images in moves:
-                image = tuple(sorted(images[i] for i in members))
+                image = tuple(sorted(read(images)))
                 if image not in seen:
                     seen.add(image)
                     blocks.append(image)
@@ -186,9 +191,10 @@ def coset_graph_faithful(group, left, right):
     """Whether G is faithful on both coset spaces together, i.e. whether
     L n R is core-free; both subgroups and index limits are checked first.
     The kernel on the union lies in the kernel on each space: the image
-    chain on the smaller space (L's on a tie) is built first, the other
-    space walked only when that is not faithful, and the union's chain only
-    when neither has order |G|, each bounded by |G|."""
+    on the smaller space (L's on a tie) is decided first, the other space
+    walked only when that is not faithful, and the union only when neither
+    is, each by whether the image's generators generate a group of order
+    |G| (generates_order)."""
     for sub in (left, right):
         _check_subgroup(group, sub)
         _checked_index(group, sub)
@@ -196,10 +202,9 @@ def coset_graph_faithful(group, left, right):
     tables = []
     for sub in sorted((left, right), key=lambda h: order // h.order()):
         tables.append(CosetSpace(group, sub).action)
-        if GroupWithChain(tables[-1], order_bound=order).order() == order:
+        if generates_order(tables[-1], order):
             return True
-    union = GroupWithChain(union_generators(*tables), order_bound=order)
-    return union.order() == order
+    return generates_order(union_generators(*tables), order)
 
 
 def union_generators(first, second):

@@ -7,8 +7,9 @@ no Schreier generator is sifted twice: orbits and strong generators only
 grow at the end, so the points each generator was sifted with are a prefix
 of its level's orbit, kept as one cursor (Seress, Permutation Group
 Algorithms, 2003, ch. 4).  The result is reproducible for a fixed generator
-sequence; the chain of an action on sets alone is completed from seeded
-random elements instead (below), and is reproducible too.
+sequence; the chain of an action on sets alone, and the chain that
+generates_order builds, are completed from seeded random elements instead
+(below), and are reproducible too.
 
 A sift holds the residue r = p*u1^-1*...*uk^-1 through its inverse
 r^-1 = a*p^-1, kept as the two factors p and a = uk*...*u1: moving down a
@@ -55,6 +56,18 @@ from where it stands.  The seed decides the base and the strong
 generators, never the group: the chain is a base and strong generating
 set of the image, not the plain build of the generators' images level by
 level.
+
+generates_order asks whether some permutations, such as the images of
+G's walk generators on a coset space, generate a group whose order is a
+known upper bound.  There is no chain of that group to draw uniform
+elements from, and an element drawn from G's chain costs one canonical
+coset representative per coset to map onto a coset space, so the chain
+is completed from seeded random products of the permutations themselves,
+by product replacement (Celler, Leedham-Green, Murray, Niemeyer and
+O'Brien, 1995), with the same stop and the same finish.  Those products
+are not uniform, so the chance above does not bound how often a faithful
+image reaches the finish; the finish itself is exact either way, and so
+is the answer.
 
 A build may be given an upper bound on the order of the group it generates,
 where that order is already known (the same group on another base, or an
@@ -106,15 +119,18 @@ from operator import itemgetter
 
 from .config import element_limit
 from .gf import is_prime
-from .perm import DegreeMismatchError, Permutation
+from .perm import DegreeMismatchError, Permutation, images_at
 
 
-# A chain of an action on sets (set_action) is completed from random
-# elements of the group, drawn with this seed; once this many in a row sift
-# through below the known order, the deterministic Schreier-Sims procedure
-# finishes it.  Neither changes the group the chain describes.
+# A chain of an action on sets (set_action) or of generates_order is
+# completed from random elements of the group, drawn with this seed; once
+# this many in a row sift through below the known order, the deterministic
+# Schreier-Sims procedure finishes it.  Neither changes the group the chain
+# describes.  generates_order draws its elements as products of this many
+# slots (_Products).
 _RANDOM_SEED = 1
 _IDLE_SIFTS = 20
+_SLOTS = 10
 
 
 class EnumerationLimitError(RuntimeError):
@@ -329,46 +345,46 @@ class _Chain:
             raise StructureContradiction("a residue grew no orbit")
         return d
 
-    def sift_random(self, group, order_bound):
-        """Complete the chain of a quotient of `group` of order at most
-        `order_bound` = |group|: sift uniformly random elements of `group`
-        into it until its order reaches the bound, and finish with
-        schreier_sims once _IDLE_SIFTS in a row sift through below it.
-        While the chain is incomplete, at most half of the elements sift
-        through, so a faithful action rarely needs the finish; the seed
-        decides the base and strong generators, never the group."""
+    def sift_random(self, source, order_bound):
+        """Complete the chain of a group of order at most `order_bound`:
+        sift random elements of that group, drawn by
+        source.random_element, into it until its order reaches the bound,
+        and finish with schreier_sims once _IDLE_SIFTS in a row sift
+        through below it.  While the chain is incomplete, a uniform
+        element sifts through with chance at most 1/2, so a faithful action
+        rarely needs the finish; the seed decides the base and strong
+        generators, never the group."""
         rng = random.Random(_RANDOM_SEED)
         idle = 0
         while idle < _IDLE_SIFTS and not self.reached(order_bound):
-            idle = 0 if self.sift_in(group.random_element(rng)) else idle + 1
+            idle = 0 if self.sift_in(source.random_element(rng)) else idle + 1
         self.schreier_sims(order_bound)
 
     def _extend_orbit(self, level):
-        # one breadth-first pass that appends what it finds, so points and
-        # transversals only grow and every _check_level cursor stays valid;
-        # a level of sets steps by the generators' set images and records
-        # where each transversal element came from
+        # the orbit is closed under every generator but the one install()
+        # just appended: one breadth-first pass steps the old points by it
+        # alone and the points it adds by every generator, so points and
+        # transversals only grow, in the order a pass over every (point,
+        # generator) pair finds them, and every _check_level cursor stays
+        # valid; a level of sets steps by the generators' set images and
+        # records where each transversal element came from
         orbit = level.orbit
         points = level.points
         gens = level.gens
-        if level.images is None:
-            for c in points:
-                u = orbit[c]
-                for g in gens:
-                    d = g.images[c]
-                    if d not in orbit:
-                        orbit[d] = u * g
-                        points.append(d)
-            return
-        steps = [image.images for image in level.images]
-        for c in points:
+        parents = level.parents
+        steps = list(enumerate(g.images for g in (
+            gens if level.images is None else level.images)))
+        last = steps[-1:]
+        old = len(points)
+        for k, c in enumerate(points):
             u = orbit[c]
-            for i, step in enumerate(steps):
+            for i, step in (last if k < old else steps):
                 d = step[c]
                 if d not in orbit:
                     orbit[d] = u * gens[i]
                     points.append(d)
-                    level.parents.append((c, i))
+                    if parents is not None:
+                        parents.append((c, i))
 
     def schreier_sims(self, order_bound=None):
         i = len(self.levels) - 1
@@ -425,11 +441,7 @@ class SetAction:
         self.degree = degree
         self.sets = tuple(sets)
         self._index = {frozenset(s): j for j, s in enumerate(self.sets)}
-        # reads a set's images in one call; itemgetter of one index returns
-        # the item itself, so a one-point set is read as a slice
-        self._read = tuple(itemgetter(*s) if len(s) > 1
-                           else itemgetter(slice(s[0], s[0] + 1))
-                           for s in self.sets)
+        self._read = tuple(images_at(s) for s in self.sets)
         self._perms = {}  # g.images -> perm(g)
 
     def image(self, j, g):
@@ -461,10 +473,10 @@ def _build_chain(degree, generators, base_hint=(), order_bound=None,
     SetAction on the generators' points, the domain holds the sets (see
     _Chain), and a chain on the sets alone is read out on their indices;
     without `source`, it is the build of the generators' set images.
-    Given `source`, a group that the generators generate, of order
-    `order_bound`, each generator's residue is installed without
-    completing the chain, and random elements of `source` complete it
-    (_Chain.sift_random)."""
+    Given `source`, which draws random elements (random_element(rng)) of
+    the group the generators generate, of order at most `order_bound`,
+    each generator's residue is installed without completing the chain,
+    and the drawn elements complete it (_Chain.sift_random)."""
     chain = _Chain(degree, base_hint, sets)
     for g in generators:
         if g.degree != chain.identity.degree:
@@ -478,6 +490,43 @@ def _build_chain(degree, generators, base_hint=(), order_bound=None,
     if source is not None:
         chain.sift_random(source, order_bound)
     return chain.read() if chain.on_sets else chain
+
+
+class _Products:
+    """Random products of a generator list, by product replacement
+    (Celler, Leedham-Green, Murray, Niemeyer and O'Brien, 1995): each draw
+    replaces one of _SLOTS slots, first filled with the generators in
+    turn, by its product with another, and multiplies an accumulator by
+    the new slot.  The draws lie in the generated group and are
+    reproducible for a seeded rng, but are not uniform."""
+
+    def __init__(self, generators):
+        self.slots = [generators[i % len(generators)] for i in range(_SLOTS)]
+        self.product = Permutation.identity(generators[0].degree)
+
+    def random_element(self, rng):
+        slots = self.slots
+        i, j = rng.sample(range(_SLOTS), 2)
+        slots[i] = (slots[i] * slots[j] if rng.random() < 0.5
+                    else slots[j] * slots[i])
+        self.product = self.product * slots[i]
+        return self.product
+
+
+def generates_order(generators, order):
+    """Whether the permutations generate a group of order `order`, a
+    proven upper bound on that order.  Their residues are installed, and
+    the chain is completed from seeded random products of them (_Products)
+    until its order reaches the bound; once _IDLE_SIFTS products in a row
+    sift through below it, the deterministic procedure finishes the chain,
+    so the answer is exact either way (_Chain.sift_random), and the chain
+    is the same on every call."""
+    generators = tuple(generators)
+    if not generators:
+        raise ValueError("empty generator list")
+    chain = _build_chain(generators[0].degree, generators, order_bound=order,
+                         source=_Products(generators))
+    return chain.order() == order
 
 
 def orbit_of(generators, point):

@@ -26,6 +26,16 @@ class DegreeMismatchError(ValueError):
 
 
 _CYCLE_RE = re.compile(r"\(\s*((?:\d+[\s,]*)*)\)")
+_SEPARATOR_RE = re.compile(r"[\s,]+")
+
+
+def images_at(points):
+    """A function that reads a permutation's images (a tuple) at the given
+    points, as a tuple, in one call: an itemgetter, whose single index
+    would return the item itself, so one point is read as a slice."""
+    if len(points) > 1:
+        return itemgetter(*points)
+    return itemgetter(slice(points[0], points[0] + 1))
 
 
 class Permutation:
@@ -80,7 +90,7 @@ class Permutation:
             if not body:
                 continue
             points = []
-            for tok in re.split(r"[\s,]+", body):
+            for tok in _SEPARATOR_RE.split(body):
                 value = int(tok)
                 if not 1 <= value <= degree:
                     raise CycleParseError(

@@ -17,12 +17,13 @@ from permdesign.cosets import (CosetGraph, CosetSpace, CrosscheckResult,
                                coset_graph_faithful,
                                double_coset_lambda, is_trivial_factorization,
                                lambda_constancy_crosscheck,
-                               subgroup_intersection)
+                               subgroup_intersection, union_generators)
 from permdesign.discovery import (DiscoveryError, cyclic_normalizer,
                                   first_element_of_order,
                                   random_subgroups_of_order,
                                   subgroups_conjugate_in)
-from permdesign.group import GroupWithChain, MembershipError
+from permdesign.group import (GroupWithChain, MembershipError, _Chain,
+                              generates_order)
 from permdesign.incidence import verify_design
 from permdesign.io import read_group_file
 from permdesign.perm import DegreeMismatchError, Permutation
@@ -358,7 +359,7 @@ def test_repeated_block_coset_graphs_match_element_oracle(s4):
 
 
 def test_faithfulness_and_factorization_match_element_oracle(
-        fano_pair, frobenius21, s4, chain_builds):
+        fano_pair, frobenius21, s4, chain_builds, finishes):
     from permdesign.cosets import coset_graph_faithful
     c4 = group(4, "(1 2 3 4)")
     center = group(4, "(1 3)(2 4)")
@@ -368,6 +369,7 @@ def test_faithfulness_and_factorization_match_element_oracle(
         (c4, center, center), (c4, center, GroupWithChain.trivial(4)),
         (group(4, a, b), group(4, a), group(4, b))]
     faithful = []
+    unfaithful = []
     builds = set()
     for grp, left, right in cases:
         chain_builds.clear()
@@ -381,6 +383,18 @@ def test_faithfulness_and_factorization_match_element_oracle(
         assert len(chain_builds) == (
             1 if len(coset_kernel(grp, small)) == 1 else
             2 if len(coset_kernel(grp, large)) == 1 else 3)
+        # generates_order agrees with the deterministic order on each space
+        # and on the union; an unfaithful image enters the deterministic
+        # finish below |G|
+        order = grp.order()
+        tables = [CosetSpace(grp, h).action for h in (small, large)]
+        for gens in tables + [union_generators(*tables)]:
+            faithful_here = GroupWithChain(gens).order() == order
+            del finishes[:]
+            assert generates_order(gens, order) == faithful_here
+            [(entered, bound)] = finishes
+            assert bound == order and (entered == order) == faithful_here
+            unfaithful.append(not faithful_here)
         g_set = mulclose(grp.generators)
         l_set = mulclose(left.generators)
         r_set = mulclose(right.generators)
@@ -388,6 +402,7 @@ def test_faithfulness_and_factorization_match_element_oracle(
         assert is_trivial_factorization(grp, left, right) == trivial
     assert True in faithful and False in faithful
     assert builds == {1, 2, 3}
+    assert True in unfaithful and False in unfaithful
 
 
 def _counting_walks(monkeypatch):
@@ -414,7 +429,10 @@ def _counting_walks(monkeypatch):
 def test_faithfulness_after_the_design_walks_nothing(name, monkeypatch):
     """On a committed triple L's coset space is the smaller and faithful:
     coset_graph_design walks [G:L] and the L-cosets in LR, and then
-    coset_graph_faithful reads the walk kept on L and walks nothing of R."""
+    coset_graph_faithful reads the walk kept on L and walks nothing of R.
+    The chain of that image is completed from random products of its
+    generators at |G| and sifts no Schreier pair, where the deterministic
+    build of the same image sifts some."""
     grp, left, right = _coset_triple(name)
     walks, reps = _counting_walks(monkeypatch)
     coset_graph_design(grp, left, right)
@@ -424,8 +442,15 @@ def test_faithfulness_after_the_design_walks_nothing(name, monkeypatch):
         assert reps[0] == 533
     walks.clear()
     reps[0] = 0
+    pairs = []
+    sift = _Chain._sift_schreier
+    monkeypatch.setattr(_Chain, "_sift_schreier",
+                        lambda self, *args: pairs.append(1)
+                        or sift(self, *args))
     assert coset_graph_faithful(grp, left, right)
-    assert walks == [] and reps == [0]
+    assert walks == [] and reps == [0] and pairs == []
+    assert GroupWithChain(CosetSpace(grp, left).action).order() == grp.order()
+    assert pairs
 
 
 def test_faithfulness_walks_the_other_space_only_when_needed(monkeypatch,

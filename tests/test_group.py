@@ -19,7 +19,8 @@ from permdesign.geometry import build_symplectic_subdesign
 from permdesign.group import (ActionClosureError, EnumerationLimitError,
                               GroupWithChain, MembershipError, SetAction,
                               StructureContradiction, _build_chain, _Chain,
-                              _IDLE_SIFTS, class_closures, induced_action,
+                              _IDLE_SIFTS, class_closures, generates_order,
+                              induced_action,
                               normal_closure, orbit_of, orbits_of,
                               prime_order_class_representatives, set_action,
                               set_stabilizer)
@@ -438,6 +439,35 @@ def test_unfaithful_block_chain_is_finished_deterministically(
         assert entered == (24 if idle else 12)
         assert_bsgs(action.image._chain, GroupWithChain(
             images, base_hint=action.image.base())._chain)
+
+
+def test_generates_order_repeats_its_chain(monkeypatch, finishes):
+    """generates_order completes its chain from seeded random products of
+    the generators: a repeated call builds the same chain, level by level,
+    a base and strong generating set of the generated group reached at
+    the bound without the deterministic finish sifting anything.  Under a
+    bound above the order the products run idle, the finish completes the
+    chain at the true order, and the answer is False; a bound below the
+    order is a contradiction."""
+    built = []
+    build = chains._build_chain
+    monkeypatch.setattr(chains, "_build_chain", lambda *args, **kwargs:
+                        built.append(build(*args, **kwargs)) or built[-1])
+    gens = (perm("(1 2 3 4 5 6 7)", 7), perm("(1 2)", 7))
+    assert generates_order(gens, 5040) and generates_order(gens, 5040)
+    first, second = built
+    assert full_levels(first) == full_levels(second)
+    assert sifted(first) == 0 and finishes == [(5040, 5040)] * 2
+    assert_bsgs(first, _build_chain(7, gens, [level.base
+                                              for level in first.levels]))
+    del finishes[:]
+    assert not generates_order(gens, 2 * 5040)
+    [(entered, bound)] = finishes
+    assert entered <= 5040 == built[-1].order() and bound == 10080
+    with pytest.raises(StructureContradiction):
+        generates_order(gens, 2520)
+    with pytest.raises(ValueError):
+        generates_order((), 1)
 
 
 CHAINS_DIGEST = os.path.join(os.path.dirname(__file__), "golden",
