@@ -200,9 +200,14 @@ def _classify_or_unknown(group, what, refusals):
 
 def analyze(group, structure, instance_id="instance", *,
             collect_timings=False):
-    """Run the whole verification pipeline on one (group, design) pair."""
+    """Run the whole verification pipeline on one (group, design) pair.
+
+    With collect_timings, the report's timings give each stage's wall
+    seconds, and `remainder` the wall seconds of the whole run outside
+    every stage."""
     timings = {}
     clock = time.perf_counter
+    start = clock()
 
     def timed(name, fn):
         t0 = clock()
@@ -211,18 +216,29 @@ def analyze(group, structure, instance_id="instance", *,
         finally:
             timings[name] = clock() - t0
 
+    def report(**fields):
+        if not collect_timings:
+            return AnalysisReport(instance_id=instance_id, **fields)
+        staged = sum(timings.values())
+        timings["remainder"] = max(0.0, clock() - start - staged)
+        return AnalysisReport(instance_id=instance_id, timings=timings,
+                              **fields)
+
     checks = {name: NOT_APPLICABLE for name in CHECK_NAMES}
     notes = []
 
-    action = timed("preservation", lambda: DesignAction(group, structure))
-    if structure.is_trivial():
-        return AnalysisReport(
-            instance_id=instance_id, trivial=True, parameters=None,
+    def preserve():
+        action = DesignAction(group, structure)
+        return action, structure.is_trivial(), action.block_action.faithful
+
+    action, trivial, faithful = timed("preservation", preserve)
+    if trivial:
+        return report(
+            trivial=True, parameters=None,
             local=None, point_type=NOT_APPLICABLE, block_type=NOT_APPLICABLE,
             point_type_report=None, block_type_report=None, checks=checks,
             theorem_violation=False,
-            notes=("trivial design: every block contains every point",),
-            timings=timings if collect_timings else None)
+            notes=("trivial design: every block contains every point",))
 
     params = timed("verify_design", lambda: verify_design(structure))
     # the point type comes first: its witness, the socle of a primitive HA
@@ -240,8 +256,7 @@ def analyze(group, structure, instance_id="instance", *,
     image = action.block_action.image
     if not local.block_quasiprimitive:
         block_type = "non-quasiprimitive"
-    elif (point_type == "AS" and point_report.witness is group
-            and action.block_action.faithful):
+    elif point_type == "AS" and point_report.witness is group and faithful:
         # the group is simple, and so is its faithful, transitive image
         block_report = TypeReport(tag="AS", witness=image,
                                   minimal_normals=(image,))
@@ -261,10 +276,9 @@ def analyze(group, structure, instance_id="instance", *,
 
     # automorphisms preserve distances: one BFS per orbit of the points and
     # one per orbit of the blocks, block j at vertex v + j
-    starts = (orbit_minima(group)
-              + [structure.v + j for j in orbit_minima(image)])
-    diameter = timed("diameter",
-                     lambda: incidence_graph_diameter(structure, starts))
+    diameter = timed("diameter", lambda: incidence_graph_diameter(
+        structure, orbit_minima(group)
+        + [structure.v + j for j in orbit_minima(image)]))
     if params.symmetric:
         checks["diameter_bound"] = PASS if diameter == 3 else FAIL
     else:
@@ -274,8 +288,7 @@ def analyze(group, structure, instance_id="instance", *,
         checks["stabilizer_order_bound"] = (
             PASS if local.stabilizer_bound_ok else FAIL)
 
-    checks["faithful_block_action"] = (
-        PASS if action.block_action.faithful else FAIL)
+    checks["faithful_block_action"] = PASS if faithful else FAIL
 
     if locally_primitive:
         checks["local_primitivity_consequences"] = (
@@ -283,7 +296,8 @@ def analyze(group, structure, instance_id="instance", *,
             else FAIL)
         # disjointness within imprimitivity cells is a consequence of local
         # primitivity and can genuinely fail without it
-        if primitivity_status(image) == "imprimitive":
+        if timed("block_primitivity",
+                 lambda: primitivity_status(image)) == "imprimitive":
             checks["imprimitivity_cell_disjointness"] = timed(
                 "cell_disjointness", lambda: _check_cell_disjointness(action))
     # the orbit-size identity and the subspace structure of the blocks
@@ -325,13 +339,12 @@ def analyze(group, structure, instance_id="instance", *,
         notes.append("THEOREM VIOLATION: locally primitive but not "
                      "flag-transitive and point-primitive")
 
-    return AnalysisReport(
-        instance_id=instance_id, trivial=False, parameters=params,
+    return report(
+        trivial=False, parameters=params,
         local=local, point_type=point_type, block_type=block_type,
         point_type_report=(None if point_report is None
                            else point_report.to_json_dict()),
         block_type_report=(None if block_report is None
                            else block_report.to_json_dict()),
         checks=checks, theorem_violation=theorem_violation,
-        notes=tuple(notes),
-        timings=timings if collect_timings else None)
+        notes=tuple(notes))

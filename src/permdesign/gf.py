@@ -150,10 +150,6 @@ class FiniteField:
             raise ZeroDivisionError("inverse of zero")
         return self._inv[a]
 
-    @property
-    def elements(self):
-        return range(self.q)
-
     def __repr__(self):
         return f"FiniteField(q={self.q})"
 

@@ -19,7 +19,14 @@ element is inverted, and p^-1 is never formed.  It is the textbook
 residue, so every decision and every installed residue, and with them the
 chains, are unchanged.  A Schreier generator u_c*g*u_t^-1 is sifted once,
 as the pair (u_c*g, u_t); the one inversion left is a^-1, for a residue
-that is installed.
+that is installed.  The sift holds the same residues in the encoding that
+perm.encoding gives for the element degree: up to 256 points a byte
+translation table, on which the product u*a, the index of b^p and the
+final compare are each one call in C, and above it the image tuple.  A
+Schreier pair is composed and sifted encoded and never formed as a
+Permutation; only a residue that is installed is decoded.  A strong
+generator is encoded once, when installed, and a transversal element on
+its first read.
 
 The same engine builds the chain of an action on point sets (SetAction),
 such as the blocks of a design, on the sets alone (set_action) or on the
@@ -115,11 +122,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .config import element_limit
 from .gf import is_prime
-from .perm import DegreeMismatchError, Permutation, images_at
+from .perm import DegreeMismatchError, Permutation, encoding, images_at
 
 
 # A chain of an action on sets (set_action) or of generates_order is
@@ -153,12 +159,14 @@ def check_index(kind, value, count):
 
 class _Level:
     __slots__ = ("base", "gens", "orbit", "points", "checked", "images",
-                 "parents")
+                 "parents", "codes", "gen_codes")
 
     def __init__(self, base, identity, on_sets=False):
         self.base = base
         self.gens = []  # strong generators fixing all earlier base points
+        self.gen_codes = []  # gens[i] in the chain's encoding
         self.orbit = {base: identity}  # point -> u, base^u = point
+        self.codes = {}  # point -> orbit[point] encoded, on the first read
         self.points = [base]  # the orbit in insertion order
         self.checked = []  # gens[i] has been sifted against points[:checked[i]]
         # on sets: gens[i]'s set image; points[n + 1] was c^gens[i], (c, i)
@@ -182,6 +190,8 @@ class _ReadLevel(_Level):
         self.checked = list(level.checked)
         self.images = None
         self.parents = level.parents
+        self.codes = {}
+        self.gen_codes = None  # a read chain is never extended
         self._identity = identity
         self._transversal = None
 
@@ -204,6 +214,9 @@ class _Chain:
     given generators that grew the chain (a tail records none).
     Each Schreier generator is sifted once, as a pair, and a residue
     p*a^-1 is formed only to be installed (_sift_schreier, sift_in).
+    A sift runs on the elements in `code`, the encoding of perm.encoding
+    for the element degree: a strong generator is encoded when installed,
+    a transversal element on its first read (_code_at).
     Given `sets`, a SetAction on the points 0..v-1, the domain is the sets
     (degree b) or the points followed by them (degree v + b, set j at
     v + j); the base hint names sets, whose levels lead and are kept on
@@ -220,6 +233,8 @@ class _Chain:
         else:  # elements are permutations of the points; set 0 is at `first`
             self.identity = Permutation.identity(sets.degree)
             first = degree - len(sets.sets)
+        self.code = encoding(self.identity.degree)
+        self.identity_code = self.code.encode(self.identity)
         # the domain is the sets alone: an element fixing each is trivial
         self.on_sets = first == 0
         for b in base_hint:
@@ -237,48 +252,57 @@ class _Chain:
             n *= len(level.points)
         return n
 
+    def _code_at(self, level, point):
+        """The encoded transversal element of `level` at `point`, for a
+        point not yet in level.codes: formed and kept there; None off the
+        basic orbit."""
+        u = level.orbit.get(point)
+        if u is not None:
+            u = level.codes[point] = self.code.encode(u)
+        return u
+
     def _sift(self, p, a, start=0):
         """Reduce p*a^-1 through levels[start:] to the residue
         r = p*a^-1*u1^-1*u2^-1*..., left as it stands once a base image
-        leaves its basic orbit, with r held as the pair (p, a): moving r
-        down a level is a <- u*a, and b^r is the index of b^p in a's
-        images.  p is read at the base points, and compared with a
-        whole only at the end.  At a level of sets, r fixes the base set B
-        iff B^p = B^a, and otherwise B^r is the set a^-1(p(B)).  On the
-        sets alone, a residue fixing every set is trivial.
-        Returns None when r reduces to the identity (a == p), else the final
-        a, so that r = p*a^-1."""
-        images = p.images
-        a = a.images
+        leaves its basic orbit, with r held as the pair (p, a), both in
+        the chain's encoding: moving r down a level is a <- u*a, and b^r
+        is the index of b^p in a.  p is read at the base points, and
+        compared with a whole only at the end.  At a level of sets, r
+        fixes the base set B iff B^p = B^a, and otherwise B^r is the set
+        a^-1(p(B)).  On the sets alone, a residue fixing every set is
+        trivial.  Returns None when r reduces to the identity (a == p),
+        else the final a, so that r = p*a^-1."""
+        compose = self.code.compose
         levels = self.levels
         if start < self.nsets:
             read = self.sets._read
             index = self.sets._index
             for level in levels[start:self.nsets]:
                 at = read[level.base]
-                c = at(images)
+                c = at(p)
                 if frozenset(c) != frozenset(at(a)):
-                    u = level.orbit.get(index[frozenset(map(a.index, c))])
+                    x = index[frozenset(map(a.index, c))]
+                    u = level.codes.get(x) or self._code_at(level, x)
                     if u is None:
-                        return Permutation._raw(a)
-                    a = itemgetter(*u.images)(a)  # u*a
+                        return a
+                    a = compose(u, a)
             start = self.nsets
         for level in levels[start:]:
             b = level.base
-            c = images[b]
+            c = p[b]
             if c != a[b]:
-                u = level.orbit.get(a.index(c))
+                x = a.index(c)
+                u = level.codes.get(x) or self._code_at(level, x)
                 if u is None:
-                    return Permutation._raw(a)
-                a = itemgetter(*u.images)(a)  # u*a
-        if a == images or self.on_sets and all(
-                frozenset(r(images)) == frozenset(r(a))
-                for r in self.sets._read):
+                    return a
+                a = compose(u, a)
+        if a == p or self.on_sets and all(
+                frozenset(r(p)) == frozenset(r(a)) for r in self.sets._read):
             return None
-        return Permutation._raw(a)
+        return a
 
     def contains(self, p):
-        return self._sift(p, self.identity) is None
+        return self._sift(self.code.encode(p), self.identity_code) is None
 
     def install(self, h):
         """Record h as a strong generator on every level whose base prefix it
@@ -297,8 +321,10 @@ class _Chain:
                 self.nsets += 1
             else:
                 levels.append(_Level(min(h.moved_points()), self.identity))
+        code = self.code.encode(h)
         for level in levels[:d + 1]:
             level.gens.append(h)
+            level.gen_codes.append(code)
             if level.images is not None:
                 level.images.append(image)
             level.checked.append(0)
@@ -329,10 +355,10 @@ class _Chain:
     def sift_in(self, p):
         """Install the residue of p, without completing the chain, unless p
         already sifts through it.  Returns whether the chain grew."""
-        a = self._sift(p, self.identity)
+        a = self._sift(self.code.encode(p), self.identity_code)
         if a is None:
             return False
-        self._install_residue(p * a.inverse())
+        self._install_residue(p * self.code.decode(a).inverse())
         return True
 
     def _install_residue(self, residue):
@@ -398,25 +424,29 @@ class _Chain:
     def _check_level(self, i):
         # install() has already closed every orbit it changed
         level = self.levels[i]
-        orbit = level.orbit
+        codes = level.codes
         checked = level.checked
         steps = level.gens if level.images is None else level.images
-        for gi, g in enumerate(level.gens):
+        for gi, g in enumerate(level.gen_codes):
             step = steps[gi].images
             for c in level.points[checked[gi]:]:
                 checked[gi] += 1
-                residue = self._sift_schreier(orbit[c], g, orbit[step[c]],
-                                              i + 1)
+                d = step[c]
+                residue = self._sift_schreier(
+                    codes.get(c) or self._code_at(level, c), g,
+                    codes.get(d) or self._code_at(level, d), i + 1)
                 if residue is not None:
                     return residue
         return None
 
     def _sift_schreier(self, u, g, t, start):
         """The residue of the Schreier generator u*g*t^-1 through
-        levels[start:], or None: the pair (u*g, t), sifted once."""
-        p = u * g
+        levels[start:], or None: the pair (u*g, t), sifted once, with u, g
+        and t encoded; only a residue is decoded, to be installed."""
+        code = self.code
+        p = code.compose(u, g)
         a = self._sift(p, t, start)
-        return None if a is None else p * a.inverse()
+        return None if a is None else code.decode(p) * code.decode(a).inverse()
 
     def read(self):
         """A chain on the sets alone, read on the set indices: strong
@@ -736,19 +766,23 @@ def _stabilizer(chain, degree, orbit_length, order):
 
 def canonical_coset_representative(subgroup, x):
     """The chain-minimal element of the right coset (subgroup)*x: the one
-    whose images of subgroup.base() are lexicographically least."""
-    h = x
-    for level in subgroup._chain.levels:
-        best_pt = None
-        best_img = None
-        for c in level.orbit:
-            img = h.images[c]
-            if best_img is None or img < best_img:
-                best_img = img
-                best_pt = c
-        if best_pt != level.base:
-            h = level.orbit[best_pt] * h
-    return h
+    whose images of subgroup.base() are lexicographically least: x
+    itself, or a product formed in the chain's encoding."""
+    chain = subgroup._chain
+    code = chain.code
+    h = None
+    for level in chain.levels:
+        images = x.images if h is None else h
+        best = level.base
+        least = images[best]
+        for c in level.points:
+            if images[c] < least:
+                best = c
+                least = images[c]
+        if best != level.base:
+            u = level.codes.get(best) or chain._code_at(level, best)
+            h = code.compose(u, code.encode(x) if h is None else h)
+    return x if h is None else code.decode(h)
 
 
 def normal_closure(group, seeds):

@@ -8,6 +8,16 @@ A product is one ``operator.itemgetter`` call, which reads every image of
 the second factor at the images of the first in C.  Degree 1 is the one
 exception: an itemgetter with a single index returns a scalar, not a
 tuple, and the only permutation of one point is the identity anyway.
+Every product outside the chain engine is still this one itemgetter.
+
+Inside the chain engine (group.py) an element is carried in the encoding
+that encoding(degree) gives, chosen once per chain from the element
+degree: encode, compose and decode.  A permutation of at most TABLE_SIZE
+points is a translation table, its images as bytes padded with the fixed
+points up to TABLE_SIZE, so that u*a is one ``u.translate(a)``, a
+preimage is ``table.index(c)`` and equality is a byte compare, all in C.
+A permutation of more points is kept as its image tuple, and u*a is the
+itemgetter product above.
 """
 
 from __future__ import annotations
@@ -27,6 +37,10 @@ class DegreeMismatchError(ValueError):
 
 _CYCLE_RE = re.compile(r"\(\s*((?:\d+[\s,]*)*)\)")
 _SEPARATOR_RE = re.compile(r"[\s,]+")
+
+
+# bytes.translate maps through a table of exactly this many entries
+TABLE_SIZE = 256
 
 
 def images_at(points):
@@ -190,6 +204,46 @@ class Permutation:
 
     def __hash__(self):
         return hash(self.images)
+
+
+class _Tables:
+    """Permutations of at most TABLE_SIZE points as translation tables:
+    bytes(images) followed by the fixed points degree..TABLE_SIZE-1."""
+
+    compose = staticmethod(bytes.translate)  # u*a: u.translate(a)
+
+    def __init__(self, degree):
+        self.degree = degree
+        self._fixed = bytes(range(degree, TABLE_SIZE))
+
+    def encode(self, p):
+        return bytes(p.images) + self._fixed
+
+    def decode(self, table):
+        return Permutation._raw(tuple(table[:self.degree]))
+
+
+class _Tuples:
+    """Permutations of more than TABLE_SIZE points as their image
+    tuples; u*a is one itemgetter call."""
+
+    @staticmethod
+    def encode(p):
+        return p.images
+
+    @staticmethod
+    def compose(u, a):
+        return itemgetter(*u)(a)
+
+    decode = staticmethod(Permutation._raw)
+
+
+def encoding(degree):
+    """The encoding of permutations of `degree` points that the chain
+    engine sifts on: encode(p), compose(u, a) = u*a and decode(code).  An
+    encoded permutation is indexed like its images, `index` finds a
+    preimage, and two are equal exactly when the permutations are."""
+    return _Tables(degree) if degree <= TABLE_SIZE else _Tuples()
 
 
 def parse_permutation(text, degree):

@@ -209,6 +209,12 @@ def right_coset(subgroup_set, x):
     return frozenset(_compose(h, x) for h in subgroup_set)
 
 
+def least_in_right_coset(generators, x):
+    """The lexicographically least image tuple of H*x, H the closure of
+    the generators, from the coset formed in full."""
+    return min(right_coset(mulclose(generators), x.images))
+
+
 def right_cosets(subgroup_set, group_set):
     """Every right coset H*x for x in G, each formed once: an x already in
     a formed coset gives that coset again."""

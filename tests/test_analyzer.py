@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import inspect
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 
 from bruteforce import origin_blocks_are_subgroups
 from conftest import group, orbit_design, relabelled
+from permdesign import analyzer
 from permdesign.analysis import classify_point_action
 from permdesign.analyzer import (CHECK_NAMES, FAIL,
                                  LOCALLY_PRIMITIVE_ONLY_CHECKS, PASS,
@@ -15,7 +17,7 @@ from permdesign.analyzer import (CHECK_NAMES, FAIL,
                                  reduction_pair_allowed)
 from permdesign.designgroup import DesignAction
 from permdesign.geometry import build_symplectic_subdesign
-from permdesign.group import GroupWithChain
+from permdesign.group import ActionImage, GroupWithChain
 from permdesign.incidence import IncidenceStructure
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
@@ -155,6 +157,40 @@ def test_analyze_memory_on_symplectic_3_2():
     code, grown_mb = run.stdout.split()
     assert int(code) == 0
     assert float(grown_mb) < 100
+
+
+def test_analyze_makes_no_library_call_outside_a_stage(monkeypatch,
+                                                       corpus_instances):
+    """A clock that only library calls advance: each function the analyzer
+    imports from the package, each method of the design action and the
+    block action's faithfulness read advance it by one.  The remainder of
+    the timings, the clock outside every stage, is then 0 on the Fano
+    plane, which is locally primitive, and on the symplectic design over
+    GF(2) with m = 3, which also runs the non-quasiprimitive checks."""
+    now = [0]
+    monkeypatch.setattr(analyzer.time, "perf_counter", lambda: now[0])
+
+    def ticking(fn):
+        def call(*args, **kwargs):
+            now[0] += 1
+            return fn(*args, **kwargs)
+        return call
+    for owner in (analyzer, DesignAction):
+        for name, value in list(vars(owner).items()):
+            if (inspect.isfunction(value)
+                    and value.__module__ != analyzer.__name__):
+                monkeypatch.setattr(owner, name, ticking(value))
+    monkeypatch.setattr(ActionImage, "faithful",
+                        property(ticking(ActionImage.faithful.fget)))
+    fano = next(inst for inst in corpus_instances
+                if inst.name == "fano-pgl32")
+    structure, g = build_symplectic_subdesign(3, 2)
+    for grp, design in ((fano.group, fano.structure), (g, structure)):
+        timings = analyze(grp, design, collect_timings=True).timings
+        assert timings["remainder"] == 0
+        assert timings["block_primitivity"] > 0 and timings["diameter"] > 2
+        assert sum(timings.values()) == now[0] > 0
+        now[0] = 0
 
 
 def test_symplectic_witness_orbit_size_is_four(symplectic_pair):

@@ -152,8 +152,9 @@ def test_cli_analyze_fano(tmp_path, capsys, fano_pair):
 
 
 def test_cli_analyze_timings_in_json(tmp_path, capsys, fano_pair):
-    # --timings adds each stage's wall-clock seconds, rounded to 6 places;
-    # without it the key is absent (test_cli_analyze_fano)
+    # --timings adds each stage's wall-clock seconds, rounded to 6 places,
+    # and the remainder outside every stage; without it the key is absent
+    # (test_cli_analyze_fano)
     structure, g = fano_pair
     gpath, dpath = tmp_path / "fano.group", tmp_path / "fano.design"
     write_group_file(gpath, g)
@@ -164,7 +165,8 @@ def test_cli_analyze_timings_in_json(tmp_path, capsys, fano_pair):
     timings = json.loads(jpath.read_text())["timings"]
     assert set(timings) == {"preservation", "verify_design",
                             "local_primitivity", "point_type",
-                            "lambda_constancy", "diameter"}
+                            "lambda_constancy", "diameter",
+                            "block_primitivity", "remainder"}
     assert all(isinstance(t, float) and t >= 0 and round(t, 6) == t
                for t in timings.values())
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from bruteforce import is_semiregular, mulclose
+from bruteforce import is_semiregular, least_in_right_coset, mulclose
 from conftest import (a5_on_ordered_pairs, assert_bsgs, design_union,
                       full_levels, group, perm, relabelled)
 from permdesign import group as chains
@@ -19,12 +19,13 @@ from permdesign.geometry import build_symplectic_subdesign
 from permdesign.group import (ActionClosureError, EnumerationLimitError,
                               GroupWithChain, MembershipError, SetAction,
                               StructureContradiction, _build_chain, _Chain,
-                              _IDLE_SIFTS, class_closures, generates_order,
+                              _IDLE_SIFTS, canonical_coset_representative,
+                              class_closures, generates_order,
                               induced_action,
                               normal_closure, orbit_of, orbits_of,
                               prime_order_class_representatives, set_action,
                               set_stabilizer)
-from permdesign.perm import Permutation
+from permdesign.perm import TABLE_SIZE, Permutation
 
 
 def test_alternating_7_order(a7):
@@ -238,9 +239,11 @@ def forward_residue(chain, p, start=0):
 
 
 def sift(chain, p, start=0):
-    """The residue p*a^-1 of _Chain._sift(p, identity, start), or None."""
-    a = chain._sift(p, chain.identity, start)
-    return None if a is None else p * a.inverse()
+    """The residue p*a^-1 of _Chain._sift(p, identity, start), or None,
+    sifted in the chain's encoding."""
+    code = chain.code
+    a = chain._sift(code.encode(p), chain.identity_code, start)
+    return None if a is None else p * code.decode(a).inverse()
 
 
 def assert_sift_matches_oracle(chain, p):
@@ -278,6 +281,51 @@ def test_sift_leaves_early_at_a_deeper_basic_orbit():
         assert sift(chain, p) == residue
         assert not d4.contains(p)
         assert_sift_matches_oracle(chain, p)
+
+
+def dihedral_or_trivial(n):
+    """The dihedral group of order 2n on n >= 3 points, generated by
+    i -> i + 1 and i -> -i, based at (0, 1); the trivial group below."""
+    if n < 3:
+        return GroupWithChain.trivial(n)
+    g = GroupWithChain((Permutation([(i + 1) % n for i in range(n)]),
+                        Permutation([-i % n for i in range(n)])))
+    assert g.order() == 2 * n and g.base() == (0, 1)
+    return g
+
+
+BOUNDARY_DEGREES = (1, 2, TABLE_SIZE - 1, TABLE_SIZE, TABLE_SIZE + 1)
+
+
+@pytest.mark.parametrize("n", BOUNDARY_DEGREES)
+def test_sift_matches_the_forward_residue_at_the_table_boundary(n):
+    """On both sides of the largest degree a chain sifts as byte tables,
+    membership and the sift's residue agree with the textbook residue, for
+    members, random non-members and a non-member fixing the base."""
+    g = dihedral_or_trivial(n)
+    chain = g._chain
+    assert isinstance(chain.identity_code, bytes) == (n <= TABLE_SIZE)
+    rng = random.Random(n)
+    strangers = [Permutation(rng.sample(range(n), n)) for _ in range(4)]
+    if n >= 4:
+        strangers.append(perm("(3 4)", n))
+    for p in [g.random_element(rng) for _ in range(4)] + strangers:
+        assert g.contains(p) == (forward_residue(chain, p) is None)
+        assert_sift_matches_oracle(chain, p)
+    assert n < 3 or not all(g.contains(p) for p in strangers)
+
+
+@pytest.mark.parametrize("n", BOUNDARY_DEGREES)
+def test_canonical_representative_is_least_at_the_table_boundary(n):
+    """The canonical representative of H*x is the least element of the
+    coset formed in full: an element of H is fixed by its images of the
+    base (0, 1), so the least base images give the least image tuple."""
+    h = dihedral_or_trivial(n)
+    rng = random.Random(n)
+    for _ in range(4):
+        x = Permutation(rng.sample(range(n), n))
+        assert (canonical_coset_representative(h, x).images
+                == least_in_right_coset(h.generators, x))
 
 
 @pytest.fixture

@@ -122,3 +122,14 @@ def test_only_gf_py_defines_integer_arithmetic():
             if defined:
                 found[name] = defined
     assert found == {"gf.py": sorted(arithmetic)}
+
+
+def test_only_perm_py_names_the_byte_tables():
+    """The byte-table encoding of permutations is perm.py's alone: no other
+    module names bytes.translate, bytes.maketrans or TABLE_SIZE."""
+    tables = {"translate", "maketrans", "TABLE_SIZE"}
+    package = os.path.dirname(permdesign.__file__)
+    found = {name: sorted(names) for name in sorted(os.listdir(package))
+             if name.endswith(".py")
+             and (names := _names(os.path.join(package, name)) & tables)}
+    assert found == {"perm.py": ["TABLE_SIZE", "translate"]}

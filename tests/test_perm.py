@@ -3,8 +3,9 @@ import random
 import pytest
 
 from permdesign.io import parse_group_text
-from permdesign.perm import (CycleParseError, DegreeMismatchError,
-                             Permutation, parse_permutation)
+from permdesign.perm import (TABLE_SIZE, CycleParseError,
+                             DegreeMismatchError, Permutation, encoding,
+                             parse_permutation)
 
 
 def test_parse_three_cycle():
@@ -143,3 +144,22 @@ def test_power_matches_repeated_product():
         q = q * p
     assert p ** -1 == p.inverse()
     assert p ** p.order() == Permutation.identity(9)
+
+
+@pytest.mark.parametrize("n", [1, 2, TABLE_SIZE - 1, TABLE_SIZE,
+                               TABLE_SIZE + 1])
+def test_encoding_composes_like_permutations(n):
+    """Up to TABLE_SIZE points a permutation is encoded as a byte table,
+    above it as its image tuple; either way compose is the product,
+    index the preimage, equality that of the permutations, and decode
+    gives the permutation back."""
+    rng = random.Random(n)
+    code = encoding(n)
+    u, a = (Permutation(rng.sample(range(n), n)) for _ in range(2))
+    eu, ea = code.encode(u), code.encode(a)
+    assert isinstance(eu, bytes) == (n <= TABLE_SIZE)
+    assert code.decode(eu) == u
+    assert code.decode(code.compose(eu, ea)) == u * a
+    assert [ea.index(c) for c in range(n)] == list(a.inverse().images)
+    assert (eu == ea) == (u == a)
+    assert code.encode(u * Permutation.identity(n)) == eu

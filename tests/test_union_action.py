@@ -325,6 +325,7 @@ def test_design_action_forms_no_product_past_the_points(monkeypatch):
     cases = [(*relabelled(*build_symplectic_subdesign(2, 3), 1), 1),
              (two_orbit_structure(grp, (0, 1, 3), (0, 1, 2)), grp, 2)]
     real = operator.itemgetter
+    real_encoding = perms.encoding
     for structure, g, orbits in cases:
         degree = structure.v + structure.b
         products = []
@@ -333,9 +334,14 @@ def test_design_action_forms_no_product_past_the_points(monkeypatch):
             if len(items) == degree:
                 products.append(1)
             return real(*items)
+
+        def encoding(n):  # a chain sifting elements of n points
+            if n == degree:
+                products.append(1)
+            return real_encoding(n)
         with monkeypatch.context() as m:
             m.setattr(perms, "itemgetter", counting)
-            m.setattr(chains, "itemgetter", counting)
+            m.setattr(chains, "encoding", encoding)
             action = DesignAction(g, structure)
             minima = block_orbit_minima(action)
             for j in minima:
@@ -357,9 +363,9 @@ def test_analyze_forms_no_product_of_degree_b(monkeypatch, read_outs):
         if len(items) == b:
             products.append(1)
         return real(*items)
+    assert b > perms.TABLE_SIZE  # each product of degree b is an itemgetter
     with monkeypatch.context() as m:
         m.setattr(perms, "itemgetter", counting)
-        m.setattr(chains, "itemgetter", counting)
         report = analyze(grp, structure)
     assert report.exit_code() == 0 and products == []
     assert read_outs and all(read.degree == b for _, read in read_outs)
