@@ -256,10 +256,12 @@ def _commutes_with_conjugates(y, generators):
 def _affine_socle(group):
     """For a primitive group of prime-power degree p^d: N = <y^G> for
     y = x^(o(x)/p), x random with y fixed-point-free and commuting with its
-    conjugates by the generators, accepted when N is elementary abelian,
-    transitive and of order p^d.  In a primitive group such an N is regular
-    and the unique minimal normal subgroup.  None when the search finds
-    none, at once when the stabilizer order does not divide |GL(d, p)|."""
+    conjugates by the walk generators, accepted when N is elementary
+    abelian, transitive and of order p^d.  In a primitive group such an N
+    is regular and the unique minimal normal subgroup.  The commuting test
+    only filters the tries, so any generating set will do.  None when the
+    search finds none, at once when the stabilizer order does not divide
+    |GL(d, p)|."""
     pd = prime_power(group.degree)
     if pd is None:
         return None
@@ -274,7 +276,7 @@ def _affine_socle(group):
             continue
         y = x ** (o // p)
         if (len(y.moved_points()) != group.degree
-                or not _commutes_with_conjugates(y, group.generators)):
+                or not _commutes_with_conjugates(y, group.walk_generators)):
             continue
         n = normal_closure(group, [y])
         if (n.order() == group.degree and n.is_transitive()

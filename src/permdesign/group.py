@@ -22,31 +22,42 @@ as the pair (u_c*g, u_t); the one inversion left is a^-1, for a residue
 that is installed.  The sift holds the same residues in the encoding that
 perm.encoding gives for the element degree: up to 256 points a byte
 translation table, on which the product u*a, the index of b^p and the
-final compare are each one call in C, and above it the image tuple.  A
-Schreier pair is composed and sifted encoded and never formed as a
-Permutation; only a residue that is installed is decoded.  A strong
-generator is encoded once, when installed, and a transversal element on
-its first read.
+final compare are each one call in C, and above it the image tuple.
+
+Every level keeps its transversal as a Schreier tree in that encoding
+(Seress, section 4.1): the point d that a breadth-first pass first reaches
+from c by strong generator g is recorded with its edge (c, g) and the
+element u_d = u_c*g, composed from two codes.  A strong generator is
+encoded once, when installed; a transversal element is decoded to a
+Permutation only where the orbit is read (the transporter, the element
+walk), and a random element is multiplied encoded and decoded once.  A
+Schreier pair on a tree edge is u_t itself and is skipped; every other
+pair is composed and sifted encoded and never formed as a Permutation, and
+only a residue that is installed is decoded.  A residue found at level i
+lies in the group the strong generators of level i generate, so the orbits
+of levels 0..i are closed under it already, and are not stepped by it.
+None of this changes a base, a strong generator, an orbit's order, a
+transversal element or a cursor.
 
 The same engine builds the chain of an action on point sets (SetAction),
 such as the blocks of a design, on the sets alone (set_action) or on the
 points followed by the sets (set_stabilizer), keeping every element a
 permutation of the v points.  A level based at a set steps its orbit by
-the strong generators' set images, each formed once, and sifts by the pair
-rule read on the sets: r fixes the base set B iff B^p = B^a, and otherwise
-B^r is the set a^-1(p(B)).  On the sets alone a residue fixing every set
-is trivial (a kernel element), a new level is based at the smallest set a
-residue moves, and the chain is read out at degree b; on the points and
-the sets, every level below the hinted sets is based at the smallest point
-a residue moves.  On the points and the sets, each decision is the one the
-plain build of the union of the points and the sets makes, so the chains
-are equal level by level, and no permutation of degree v + b is formed
-(Seress, Permutation Group Algorithms, 2003, section 4.1 and ch. 5; Holt,
-Eick, O'Brien, Handbook of Computational Group Theory, 2005, section 4.4).
-A read-out level keeps its transversal as a Schreier tree, each orbit
-point's parent and generator, and forms the elements of degree b on the
-first read of its orbit: the order, the base, the walk generators and the
-tails form none.
+the strong generators' set images, each formed on its first read, and
+sifts by the pair rule read on the sets: r fixes the base set B iff
+B^p = B^a, and otherwise B^r is the set a^-1(p(B)).  On the sets alone a
+residue fixing every set is trivial (a kernel element), a new level is
+based at the smallest set a residue moves, and the chain is read out at
+degree b; on the points and the sets, every level below the hinted sets is
+based at the smallest point a residue moves.  On the points and the sets,
+each decision is the one the plain build of the union of the points and
+the sets makes, so the chains are equal level by level, and no permutation
+of degree v + b is formed (Seress, Permutation Group Algorithms, 2003,
+section 4.1 and ch. 5; Holt, Eick, O'Brien, Handbook of Computational
+Group Theory, 2005, section 4.4).  A read-out level keeps the Schreier
+tree of the level it reads, and forms the elements of degree b on the
+first read of its orbit, encoding each where a sift first reads it: the
+order, the base, the walk generators and the tails form none.
 
 A chain on the sets alone is not completed by Schreier generators, whose
 level-0 orbit has length b.  The residues of G's walk generators are
@@ -121,6 +132,7 @@ by A's walk generators (cosets._cosets).
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass
 
 from .config import element_limit
@@ -158,20 +170,51 @@ def check_index(kind, value, count):
 
 
 class _Level:
-    __slots__ = ("base", "gens", "orbit", "points", "checked", "images",
-                 "parents", "codes", "gen_codes")
+    __slots__ = ("base", "gens", "gen_codes", "codes", "points", "parents",
+                 "checked", "images", "_decode", "_transversal")
 
-    def __init__(self, base, identity, on_sets=False):
+    def __init__(self, base, identity_code, decode, on_sets):
         self.base = base
         self.gens = []  # strong generators fixing all earlier base points
         self.gen_codes = []  # gens[i] in the chain's encoding
-        self.orbit = {base: identity}  # point -> u, base^u = point
-        self.codes = {}  # point -> orbit[point] encoded, on the first read
+        # the transversal as a Schreier tree: point -> u encoded, base^u =
+        # point, in insertion order, and point -> (c, i), u = u_c * gens[i]
+        self.codes = {base: identity_code}
+        self.parents = {}
         self.points = [base]  # the orbit in insertion order
         self.checked = []  # gens[i] has been sifted against points[:checked[i]]
-        # on sets: gens[i]'s set image; points[n + 1] was c^gens[i], (c, i)
+        # on sets: gens[i]'s set image, None until first read
         self.images = [] if on_sets else None
-        self.parents = [] if on_sets else None
+        self._decode = decode
+        self._transversal = None
+
+    @property
+    def orbit(self):
+        """point -> u, base^u = point, as Permutations in insertion order:
+        the codes decoded on the first read, and again once the orbit has
+        grown."""
+        orbit = self._transversal
+        if orbit is None or len(orbit) != len(self.points):
+            decode = self._decode
+            orbit = self._transversal = {
+                c: decode(u) for c, u in self.codes.items()}
+        return orbit
+
+
+class _ReadCodes(dict):
+    """The encoded transversal of a _ReadLevel: each element is encoded on
+    its first read, and get() is None off the basic orbit.  The level is
+    held weakly, so that it and its codes form no reference cycle, which
+    only the cyclic garbage collector would free."""
+    __slots__ = ("level", "encode")
+
+    def get(self, point):
+        u = dict.get(self, point)
+        if u is None:
+            u = self.level().orbit.get(point)
+            if u is not None:
+                u = self[point] = self.encode(u)
+        return u
 
 
 class _ReadLevel(_Level):
@@ -180,19 +223,21 @@ class _ReadLevel(_Level):
     transversal is formed on the first read of `orbit`, each element as its
     parent's times a generator, in insertion order, as a build on the set
     indices forms it.  The order (len(points)), the base and the tails are
-    read without it.  The property shadows _Level's `orbit` slot."""
-    __slots__ = ("_identity", "_transversal")
+    read without it."""
+    __slots__ = ("_identity", "__weakref__")
 
-    def __init__(self, level, identity):
+    def __init__(self, level, chain):
         self.base = level.base
         self.gens = list(level.images)
         self.points = list(level.points)
         self.checked = list(level.checked)
         self.images = None
         self.parents = level.parents
-        self.codes = {}
+        self.codes = _ReadCodes()
+        self.codes.level = weakref.ref(self)
+        self.codes.encode = chain.code.encode
         self.gen_codes = None  # a read chain is never extended
-        self._identity = identity
+        self._identity = chain.identity
         self._transversal = None
 
     @property
@@ -200,7 +245,7 @@ class _ReadLevel(_Level):
         if self._transversal is None:
             orbit = {self.base: self._identity}
             gens = self.gens
-            for d, (c, i) in zip(self.points[1:], self.parents):
+            for d, (c, i) in self.parents.items():
                 orbit[d] = orbit[c] * gens[i]
             self._transversal = orbit
         return self._transversal
@@ -212,11 +257,12 @@ class _Chain:
     A stabilizer's chain is a tail sharing its parent's _Level objects, so
     neither may be extended once wrapped.  `grown` lists, in order, the
     given generators that grew the chain (a tail records none).
-    Each Schreier generator is sifted once, as a pair, and a residue
-    p*a^-1 is formed only to be installed (_sift_schreier, sift_in).
-    A sift runs on the elements in `code`, the encoding of perm.encoding
-    for the element degree: a strong generator is encoded when installed,
-    a transversal element on its first read (_code_at).
+    Each level keeps its transversal as a Schreier tree in `code`, the
+    encoding of perm.encoding for the element degree: each orbit point's
+    element is its parent's composed with a strong generator's code, and
+    `steps` holds each level's (base, codes) for the sift.  A Schreier
+    pair on a tree edge is skipped, every other one is sifted once, and a
+    residue p*a^-1 is formed only to be installed (_check_level, sift_in).
     Given `sets`, a SetAction on the points 0..v-1, the domain is the sets
     (degree b) or the points followed by them (degree v + b, set j at
     v + j); the base hint names sets, whose levels lead and are kept on
@@ -226,6 +272,7 @@ class _Chain:
         self.degree = degree
         self.sets = sets
         self.levels = []
+        self.steps = []
         self.grown = []
         if sets is None:
             self.identity = Permutation.identity(degree)
@@ -243,23 +290,24 @@ class _Chain:
                 b -= first
                 check_index("base set", b, len(sets.sets))
             if all(level.base != b for level in self.levels):
-                self.levels.append(_Level(b, self.identity, sets is not None))
+                self._add_level(b, sets is not None)
         self.nsets = 0 if sets is None else len(self.levels)  # set levels
+
+    def _add_level(self, base, on_sets):
+        level = _Level(base, self.identity_code, self.code.decode, on_sets)
+        self.levels.append(level)
+        self.steps.append((base, level.codes))
+        return level
+
+    def _set_levels(self, levels):
+        self.levels = levels
+        self.steps = [(level.base, level.codes) for level in levels]
 
     def order(self):
         n = 1
         for level in self.levels:
             n *= len(level.points)
         return n
-
-    def _code_at(self, level, point):
-        """The encoded transversal element of `level` at `point`, for a
-        point not yet in level.codes: formed and kept there; None off the
-        basic orbit."""
-        u = level.orbit.get(point)
-        if u is not None:
-            u = level.codes[point] = self.code.encode(u)
-        return u
 
     def _sift(self, p, a, start=0):
         """Reduce p*a^-1 through levels[start:] to the residue
@@ -273,26 +321,23 @@ class _Chain:
         trivial.  Returns None when r reduces to the identity (a == p),
         else the final a, so that r = p*a^-1."""
         compose = self.code.compose
-        levels = self.levels
+        steps = self.steps
         if start < self.nsets:
             read = self.sets._read
             index = self.sets._index
-            for level in levels[start:self.nsets]:
-                at = read[level.base]
+            for base, codes in steps[start:self.nsets]:
+                at = read[base]
                 c = at(p)
                 if frozenset(c) != frozenset(at(a)):
-                    x = index[frozenset(map(a.index, c))]
-                    u = level.codes.get(x) or self._code_at(level, x)
+                    u = codes.get(index[frozenset(map(a.index, c))])
                     if u is None:
                         return a
                     a = compose(u, a)
             start = self.nsets
-        for level in levels[start:]:
-            b = level.base
-            c = p[b]
-            if c != a[b]:
-                x = a.index(c)
-                u = level.codes.get(x) or self._code_at(level, x)
+        for base, codes in steps[start:]:
+            c = p[base]
+            if c != a[base]:
+                u = codes.get(a.index(c))
                 if u is None:
                     return a
                 a = compose(u, a)
@@ -304,31 +349,36 @@ class _Chain:
     def contains(self, p):
         return self._sift(self.code.encode(p), self.identity_code) is None
 
-    def install(self, h):
+    def install(self, h, closed=0):
         """Record h as a strong generator on every level whose base prefix it
-        fixes, extending the base when h fixes all current base points.  On
-        sets, h's action on them is formed once and kept beside it."""
+        fixes, extending the base when h fixes all current base points, and
+        extend each orbit by it but those of levels[:closed], which are
+        closed under it already.  On sets, h's set image is formed where a
+        level first reads it (_step)."""
         levels = self.levels
-        image = h if self.sets is None else self.sets.perm(h)
+        sets = self.sets
         d = 0
-        while d < len(levels) and (image if d < self.nsets else h).images[
-                levels[d].base] == levels[d].base:
+        while d < len(levels):
+            base = levels[d].base
+            if (sets.image(base, h) if d < self.nsets
+                    else h.images[base]) != base:
+                break
             d += 1
         if d == len(levels):
             if self.on_sets:
-                levels.append(_Level(min(image.moved_points()),
-                                     self.identity, True))
+                self._add_level(min(sets.perm(h).moved_points()), True)
                 self.nsets += 1
             else:
-                levels.append(_Level(min(h.moved_points()), self.identity))
+                self._add_level(min(h.moved_points()), False)
         code = self.code.encode(h)
-        for level in levels[:d + 1]:
+        for k, level in enumerate(levels[:d + 1]):
             level.gens.append(h)
             level.gen_codes.append(code)
             if level.images is not None:
-                level.images.append(image)
+                level.images.append(None)
             level.checked.append(0)
-            self._extend_orbit(level)
+            if k >= closed:
+                self._extend_orbit(level)
         return d
 
     def reached(self, order_bound):
@@ -361,12 +411,12 @@ class _Chain:
         self._install_residue(p * self.code.decode(a).inverse())
         return True
 
-    def _install_residue(self, residue):
+    def _install_residue(self, residue, closed=0):
         """install() a residue, which sends a base point out of its basic
         orbit or fixes the whole base and starts a level, so the order must
         grow; returns install's level."""
         n = self.order()
-        d = self.install(residue)
+        d = self.install(residue, closed)
         if self.order() == n:
             raise StructureContradiction("a residue grew no orbit")
         return d
@@ -386,31 +436,43 @@ class _Chain:
             idle = 0 if self.sift_in(source.random_element(rng)) else idle + 1
         self.schreier_sims(order_bound)
 
+    def _step(self, level, i):
+        """level.gens[i]'s images on the level's domain: on a level of
+        sets its set image, formed on the first read."""
+        images = level.images
+        if images is None:
+            return level.gens[i].images
+        image = images[i]
+        if image is None:
+            image = images[i] = self.sets.perm(level.gens[i])
+        return image.images
+
     def _extend_orbit(self, level):
         # the orbit is closed under every generator but the one install()
         # just appended: one breadth-first pass steps the old points by it
         # alone and the points it adds by every generator, so points and
         # transversals only grow, in the order a pass over every (point,
         # generator) pair finds them, and every _check_level cursor stays
-        # valid; a level of sets steps by the generators' set images and
-        # records where each transversal element came from
-        orbit = level.orbit
+        # valid; each point added is recorded as its parent's element
+        # composed with the generator's code, and as the tree edge
+        codes = level.codes
         points = level.points
-        gens = level.gens
         parents = level.parents
-        steps = list(enumerate(g.images for g in (
-            gens if level.images is None else level.images)))
-        last = steps[-1:]
+        gen_codes = level.gen_codes
+        compose = self.code.compose
+        last = len(gen_codes) - 1
+        steps = [(last, self._step(level, last))]
         old = len(points)
         for k, c in enumerate(points):
-            u = orbit[c]
-            for i, step in (last if k < old else steps):
+            if k == old:
+                steps = [(i, self._step(level, i)) for i in range(last + 1)]
+            u = codes[c]
+            for i, step in steps:
                 d = step[c]
-                if d not in orbit:
-                    orbit[d] = u * gens[i]
+                if d not in codes:
+                    codes[d] = compose(u, gen_codes[i])
                     points.append(d)
-                    if parents is not None:
-                        parents.append((c, i))
+                    parents[d] = (c, i)
 
     def schreier_sims(self, order_bound=None):
         i = len(self.levels) - 1
@@ -419,44 +481,53 @@ class _Chain:
             if residue is None:
                 i -= 1
             else:
-                i = self._install_residue(residue)
+                # the residue lies in <S^(i)>, whose orbits on levels 0..i
+                # are closed already
+                i = self._install_residue(residue, i + 1)
 
     def _check_level(self, i):
+        """The residue of the first Schreier generator u_c*g*u_d^-1 of
+        levels[i] not yet sifted that does not sift through levels[i+1:],
+        or None.  It is sifted as the pair (u_c*g, u_d), encoded; a pair on
+        an edge of the level's Schreier tree, where u_c*g is u_d, is
+        skipped, and still advances its generator's cursor.  Only a
+        residue is decoded, to be installed."""
         # install() has already closed every orbit it changed
         level = self.levels[i]
         codes = level.codes
+        parents = level.parents
+        points = level.points
         checked = level.checked
-        steps = level.gens if level.images is None else level.images
+        compose = self.code.compose
         for gi, g in enumerate(level.gen_codes):
-            step = steps[gi].images
-            for c in level.points[checked[gi]:]:
-                checked[gi] += 1
+            start = checked[gi]
+            if start == len(points):
+                continue
+            step = self._step(level, gi)
+            for k, c in enumerate(points[start:], start + 1):
                 d = step[c]
-                residue = self._sift_schreier(
-                    codes.get(c) or self._code_at(level, c), g,
-                    codes.get(d) or self._code_at(level, d), i + 1)
-                if residue is not None:
-                    return residue
+                if parents.get(d) == (c, gi):
+                    continue
+                p = compose(codes[c], g)
+                a = self._sift(p, codes[d], i + 1)
+                if a is not None:
+                    checked[gi] = k
+                    decode = self.code.decode
+                    return decode(p) * decode(a).inverse()
+            checked[gi] = len(points)
         return None
-
-    def _sift_schreier(self, u, g, t, start):
-        """The residue of the Schreier generator u*g*t^-1 through
-        levels[start:], or None: the pair (u*g, t), sifted once, with u, g
-        and t encoded; only a residue is decoded, to be installed."""
-        code = self.code
-        p = code.compose(u, g)
-        a = self._sift(p, t, start)
-        return None if a is None else code.decode(p) * code.decode(a).inverse()
 
     def read(self):
         """A chain on the sets alone, read on the set indices: strong
-        generators as their set images, and each transversal element as
-        its parent's times a generator's set image, as a build on the
-        indices forms it, formed when its level's orbit is first read
-        (_ReadLevel)."""
+        generators as their set images (those no level has read yet are
+        formed here), and each transversal element as its parent's times a
+        generator's set image, as a build on the indices forms it, formed
+        when its level's orbit is first read (_ReadLevel)."""
+        for level in self.levels:
+            for i in range(len(level.gens)):
+                self._step(level, i)
         chain = _Chain(self.degree)
-        chain.levels = [_ReadLevel(level, chain.identity)
-                        for level in self.levels]
+        chain._set_levels([_ReadLevel(level, chain) for level in self.levels])
         chain.grown = [self.sets.perm(g) for g in self.grown]
         return chain
 
@@ -481,19 +552,21 @@ class SetAction:
 
     def perm(self, g):
         """g's action on the sets, as a permutation of their indices, formed
-        once per element; ActionClosureError, naming g and the set, when g
-        maps a set outside the list."""
-        p = self._perms.get(g.images)
+        once per element in one pass; ActionClosureError, naming g and the
+        first set it maps outside the list, when there is one."""
+        images = g.images
+        p = self._perms.get(images)
         if p is None:
-            images = []
-            for j, s in enumerate(self.sets):
-                try:
-                    images.append(self.image(j, g))
-                except KeyError:
-                    raise ActionClosureError(
-                        f"generator {g} maps set {j} {tuple(s)} outside "
-                        "the set list") from None
-            p = self._perms[g.images] = Permutation._raw(tuple(images))
+            index = self._index
+            try:
+                p = tuple([index[frozenset(at(images))] for at in self._read])
+            except KeyError:
+                for j, s in enumerate(self.sets):
+                    if frozenset(self._read[j](images)) not in index:
+                        raise ActionClosureError(
+                            f"generator {g} maps set {j} {tuple(s)} outside "
+                            "the set list") from None
+            p = self._perms[images] = Permutation._raw(p)
         return p
 
 
@@ -697,11 +770,14 @@ class GroupWithChain:
 
     def random_element(self, rng):
         """A uniformly random element: one random transversal element per
-        level, multiplied in the order of iter_elements."""
-        g = Permutation.identity(self.degree)
-        for level in reversed(self._chain.levels):
-            g = g * level.orbit[rng.choice(level.points)]
-        return g
+        level, multiplied in the order of iter_elements, in the chain's
+        encoding."""
+        chain = self._chain
+        compose = chain.code.compose
+        g = chain.identity_code
+        for level in reversed(chain.levels):
+            g = compose(g, level.codes.get(rng.choice(level.points)))
+        return chain.code.decode(g)
 
     def _check_enumerable(self):
         limit = element_limit()
@@ -754,7 +830,7 @@ def _stabilizer(chain, degree, orbit_length, order):
     0..degree-1 of the levels below it, asserting the orbit-stabilizer
     identity against the group's order and that point's orbit length."""
     tail = _Chain(degree)
-    tail.levels = chain.levels[1:]
+    tail._set_levels(chain.levels[1:])
     gens = tail.levels[0].gens if tail.levels else ()
     # a hinted level can have no strong generators
     stab = GroupWithChain._from_chain(
@@ -780,7 +856,7 @@ def canonical_coset_representative(subgroup, x):
                 best = c
                 least = images[c]
         if best != level.base:
-            u = level.codes.get(best) or chain._code_at(level, best)
+            u = level.codes.get(best)
             h = code.compose(u, code.encode(x) if h is None else h)
     return x if h is None else code.decode(h)
 

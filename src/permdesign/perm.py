@@ -23,7 +23,7 @@ itemgetter product above.
 from __future__ import annotations
 
 import math
-import re
+from itertools import chain
 from operator import itemgetter
 
 
@@ -33,10 +33,6 @@ class CycleParseError(ValueError):
 
 class DegreeMismatchError(ValueError):
     """Operands act on domains of different sizes."""
-
-
-_CYCLE_RE = re.compile(r"\(\s*((?:\d+[\s,]*)*)\)")
-_SEPARATOR_RE = re.compile(r"[\s,]+")
 
 
 # bytes.translate maps through a table of exactly this many entries
@@ -50,6 +46,51 @@ def images_at(points):
     if len(points) > 1:
         return itemgetter(*points)
     return itemgetter(slice(points[0], points[0] + 1))
+
+
+def _cycle_tokens(stripped, text):
+    """The points of each nonempty cycle of `stripped`, as tokens split at
+    whitespace and commas, in order up to the first fault, and that fault
+    (None when there is none).  A cycle is "(", then points, each a run of
+    decimal digits, and whitespace and commas after the first point, then
+    ")"; anything outside the cycles but whitespace is a fault.  A comma
+    after the last point leaves an empty last token, which int() refuses
+    when the points are read (_check_points)."""
+    if stripped[0] == "(" and stripped[-1] == ")" and "," not in stripped:
+        # cycles written back to back, points apart by whitespace alone
+        cycles = [c.split() for c in stripped[1:-1].split(")(")]
+        if "".join(map("".join, cycles)).isdecimal() or not any(cycles):
+            return [c for c in cycles if c], None
+    cycles = []
+    *pieces, tail = stripped.split(")")
+    for piece in pieces:
+        head, paren, inner = piece.rpartition("(")
+        tokens = inner.replace(",", " ").split()
+        if (not paren or head.strip() or inner.lstrip()[:1] == ","
+                or not all(map(str.isdecimal, tokens))):
+            return cycles, CycleParseError(f"unexpected text in {text!r}")
+        if tokens:
+            if inner.rstrip()[-1] == ",":
+                tokens.append("")
+            cycles.append(tokens)
+    if tail.strip():
+        return cycles, CycleParseError(f"unexpected text in {text!r}")
+    return cycles, None
+
+
+def _check_points(cycles, degree, text):
+    """Read the points of `cycles` one by one, raising at the first that
+    is not an integer in 1..degree or repeats an earlier one."""
+    used = set()
+    for cycle in cycles:
+        for token in cycle:
+            value = int(token)
+            if not 1 <= value <= degree:
+                raise CycleParseError(
+                    f"point {value} out of range 1..{degree} in {text!r}")
+            if value in used:
+                raise CycleParseError(f"repeated point {value} in {text!r}")
+            used.add(value)
 
 
 class Permutation:
@@ -86,40 +127,37 @@ class Permutation:
     def from_cycles(cls, text, degree):
         """Parse disjoint 1-based cycle notation, e.g. "(1 2 3)(4 5)".
 
-        Fixed points are omitted; "()" denotes the identity.
+        Fixed points are omitted; "()" denotes the identity.  Points are
+        separated by whitespace or commas.  Malformed text raises
+        CycleParseError, and so does a point out of range or repeated:
+        whichever comes first in the text.  A comma after a cycle's last
+        point raises int()'s ValueError for the empty token it leaves.
         """
         if degree <= 0:
             raise ValueError("degree must be positive")
         stripped = text.strip()
         if not stripped:
             raise CycleParseError("empty permutation string")
-        pos = 0
-        images = list(range(degree))
-        used = set()
-        for m in _CYCLE_RE.finditer(stripped):
-            if stripped[pos:m.start()].strip():
-                raise CycleParseError(f"unexpected text in {text!r}")
-            pos = m.end()
-            body = m.group(1).strip()
-            if not body:
-                continue
-            points = []
-            for tok in _SEPARATOR_RE.split(body):
-                value = int(tok)
-                if not 1 <= value <= degree:
-                    raise CycleParseError(
-                        f"point {value} out of range 1..{degree} in {text!r}")
-                pt = value - 1
-                if pt in used:
-                    raise CycleParseError(f"repeated point {value} in {text!r}")
-                used.add(pt)
-                points.append(pt)
-            for a, b in zip(points, points[1:]):
-                images[a] = b
-            images[points[-1]] = points[0]
-        if stripped[pos:].strip():
-            raise CycleParseError(f"unexpected text in {text!r}")
-        return cls._raw(tuple(images))
+        cycles, fault = _cycle_tokens(stripped, text)
+        try:
+            points = list(map(int, chain.from_iterable(cycles)))
+            ok = fault is None and (not points or (
+                min(points) >= 1 and max(points) <= degree
+                and len(set(points)) == len(points)))
+        except ValueError:  # an empty token, or one past int's digit limit
+            ok = False
+        if not ok:  # the first fault in the text is raised
+            _check_points(cycles, degree, text)
+            raise fault
+        images = list(range(-1, degree))  # 1-based point -> 0-based image
+        end = 0
+        for tokens in cycles:
+            start, end = end, end + len(tokens)
+            cycle = points[start:end]
+            for a, b in zip(cycle, cycle[1:]):
+                images[a] = b - 1
+            images[cycle[-1]] = cycle[0] - 1
+        return cls._raw(tuple(images[1:]))
 
     @property
     def degree(self):

@@ -2,16 +2,18 @@
 closure enumeration, exhaustive partition search, block systems by a
 union-find over joined pairs, the full subgroup lattice, direct pair
 counting, double-coset counts and coset-graph adjacency from element
-sets, and the geometry families from every shift and every multiple.  These
-deliberately avoid the stabilizer-chain and builder code paths they are
-checking."""
+sets, the geometry families from every shift and every multiple, a chain
+level's transversal by breadth-first passes, and cycle notation read by a
+regular expression.  These deliberately avoid the stabilizer-chain and
+builder code paths they are checking."""
 
+import re
 from itertools import combinations, product
 
 from permdesign.geometry import index_vector, vector_index
 from permdesign.gf import field
 from permdesign.group import orbits_of
-from permdesign.perm import Permutation
+from permdesign.perm import CycleParseError, Permutation
 
 
 def mulclose(perms):
@@ -448,3 +450,63 @@ def projective_matrix_images(mat, dim, q):
     return [position[line_key(matrix_image(index_vector(p, dim, q), mat, q),
                               q)]
             for p in points]
+
+
+_CYCLE_RE = re.compile(r"\(\s*((?:\d+[\s,]*)*)\)")
+_SEPARATOR_RE = re.compile(r"[\s,]+")
+
+
+def cycles_by_regex(text, degree):
+    """Oracle: disjoint 1-based cycle notation read cycle by cycle with a
+    regular expression and point by point, raising at the first fault."""
+    if degree <= 0:
+        raise ValueError("degree must be positive")
+    stripped = text.strip()
+    if not stripped:
+        raise CycleParseError("empty permutation string")
+    pos = 0
+    images = list(range(degree))
+    used = set()
+    for m in _CYCLE_RE.finditer(stripped):
+        if stripped[pos:m.start()].strip():
+            raise CycleParseError(f"unexpected text in {text!r}")
+        pos = m.end()
+        body = m.group(1).strip()
+        if not body:
+            continue
+        points = []
+        for tok in _SEPARATOR_RE.split(body):
+            value = int(tok)
+            if not 1 <= value <= degree:
+                raise CycleParseError(
+                    f"point {value} out of range 1..{degree} in {text!r}")
+            pt = value - 1
+            if pt in used:
+                raise CycleParseError(f"repeated point {value} in {text!r}")
+            used.add(pt)
+            points.append(pt)
+        for a, b in zip(points, points[1:]):
+            images[a] = b
+        images[points[-1]] = points[0]
+    if stripped[pos:].strip():
+        raise CycleParseError(f"unexpected text in {text!r}")
+    return Permutation(images)
+
+
+def breadth_first_transversal(base, steps, elements, identity):
+    """Oracle: a basic orbit and its transversal as a chain build forms
+    them, [(point, element)] in insertion order.  After each generator is
+    added, one pass over the orbit, growing as it goes, steps every point
+    by every generator added so far, in order (steps[i] is generator i's
+    image tuple on the level's domain); a new point's element is its
+    finder's times that generator's element."""
+    orbit = {base: identity}
+    for added in range(1, len(steps) + 1):
+        queue = list(orbit)
+        for c in queue:
+            for step, g in zip(steps[:added], elements[:added]):
+                d = step[c]
+                if d not in orbit:
+                    orbit[d] = orbit[c] * g
+                    queue.append(d)
+    return list(orbit.items())

@@ -130,6 +130,24 @@ def assert_bsgs(chain, plain):
             assert plain.contains(g), i
 
 
+def sifted(chain):
+    """The number of Schreier pairs sifted while building the chain: each
+    strong generator's cursor counts the orbit points it was sifted with."""
+    return sum(sum(level.checked) for level in chain.levels)
+
+
+def skipped(chain):
+    """The number of those pairs that are edges of a level's Schreier
+    tree, which the build skips: each edge (c, i) whose generator's cursor
+    has passed c."""
+    count = 0
+    for level in chain.levels:
+        position = {c: k for k, c in enumerate(level.points)}
+        count += sum(position[c] < level.checked[i]
+                     for c, i in level.parents.values())
+    return count
+
+
 def design_union(g, structure, block=0):
     """Oracle: the plain chain of g on the points and the blocks, block j at
     vertex v + j, built from the union of g's walk generators and their

@@ -8,7 +8,8 @@ import pytest
 
 from bruteforce import (coset_graph_blocks, coset_kernel,
                         double_coset_ratios, mulclose, right_coset)
-from conftest import group, perm
+from conftest import group, perm, sifted
+from permdesign import group as chains
 from permdesign.cosets import (CosetGraph, CosetSpace, CrosscheckResult,
                                IndexLimitError, SubgroupError,
                                _coset_orbit,
@@ -22,8 +23,7 @@ from permdesign.discovery import (DiscoveryError, cyclic_normalizer,
                                   first_element_of_order,
                                   random_subgroups_of_order,
                                   subgroups_conjugate_in)
-from permdesign.group import (GroupWithChain, MembershipError, _Chain,
-                              generates_order)
+from permdesign.group import GroupWithChain, MembershipError, generates_order
 from permdesign.incidence import verify_design
 from permdesign.io import read_group_file
 from permdesign.perm import DegreeMismatchError, Permutation
@@ -442,15 +442,17 @@ def test_faithfulness_after_the_design_walks_nothing(name, monkeypatch):
         assert reps[0] == 533
     walks.clear()
     reps[0] = 0
-    pairs = []
-    sift = _Chain._sift_schreier
-    monkeypatch.setattr(_Chain, "_sift_schreier",
-                        lambda self, *args: pairs.append(1)
-                        or sift(self, *args))
+    built = []
+    build = chains._build_chain
+    monkeypatch.setattr(chains, "_build_chain",
+                        lambda *args, **kwargs: built.append(
+                            build(*args, **kwargs)) or built[-1])
     assert coset_graph_faithful(grp, left, right)
-    assert walks == [] and reps == [0] and pairs == []
+    assert walks == [] and reps == [0]
+    assert built and sum(map(sifted, built)) == 0
+    built.clear()
     assert GroupWithChain(CosetSpace(grp, left).action).order() == grp.order()
-    assert pairs
+    assert sum(map(sifted, built)) > 0
 
 
 def test_faithfulness_walks_the_other_space_only_when_needed(monkeypatch,

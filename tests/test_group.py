@@ -6,9 +6,10 @@ import sys
 
 import pytest
 
-from bruteforce import is_semiregular, least_in_right_coset, mulclose
+from bruteforce import (breadth_first_transversal, is_semiregular,
+                        least_in_right_coset, mulclose)
 from conftest import (a5_on_ordered_pairs, assert_bsgs, design_union,
-                      full_levels, group, perm, relabelled)
+                      full_levels, group, perm, relabelled, sifted, skipped)
 from permdesign import group as chains
 from permdesign.analysis import is_quasiprimitive
 from permdesign.analyzer import analyze
@@ -124,12 +125,6 @@ def points_and_blocks(action, block=0):
     return _build_chain(structure.v + structure.b, g.walk_generators,
                         (structure.v + block,), g.order(),
                         sets=action._blocks)
-
-
-def sifted(chain):
-    """The number of Schreier pairs sifted while building the chain: each
-    strong generator's cursor counts the orbit points it was sifted with."""
-    return sum(sum(level.checked) for level in chain.levels)
 
 
 @pytest.mark.parametrize("name,deg,gens,expected",
@@ -328,6 +323,77 @@ def test_canonical_representative_is_least_at_the_table_boundary(n):
                 == least_in_right_coset(h.generators, x))
 
 
+def assert_schreier_trees(chain):
+    """Each level's transversal is its Schreier tree: the decoded element
+    at each orbit point sends the base to it, and is its parent's element
+    times the strong generator on its tree edge; the breadth-first oracle
+    forms the same orbit order and elements.  On a level of sets, a
+    generator steps the orbit by its set image."""
+    sets = chain.sets
+    for i, level in enumerate(chain.levels):
+        on_sets = level.images is not None
+        steps = [sets.perm(g).images if on_sets else g.images
+                 for g in level.gens]
+        orbit = level.orbit
+        assert list(orbit) == level.points, i
+        for d, u in orbit.items():
+            assert (sets.image(level.base, u) if on_sets
+                    else u.images[level.base]) == d, (i, d)
+        assert list(level.parents) == level.points[1:], i
+        for d, (c, gi) in level.parents.items():
+            assert steps[gi][c] == d and orbit[d] == orbit[c] * level.gens[gi]
+        assert breadth_first_transversal(
+            level.base, steps, level.gens, chain.identity) == list(
+                orbit.items()), i
+
+
+@pytest.mark.parametrize("n", BOUNDARY_DEGREES[2:])
+def test_transversals_are_schreier_trees_at_the_table_boundary(n):
+    """On both sides of the largest degree a chain keeps as byte tables,
+    each level's transversal is its Schreier tree."""
+    g = dihedral_or_trivial(n)
+    assert isinstance(g._chain.identity_code, bytes) == (n <= TABLE_SIZE)
+    assert_schreier_trees(g._chain)
+    stab = g.point_stabilizer(0)
+    assert_schreier_trees(stab._chain)
+    rng = random.Random(n)
+    for _ in range(4):  # members sift through the tail and the chain
+        assert g.contains(g.random_element(rng) * stab.random_element(rng))
+
+
+def test_points_and_blocks_transversals_are_schreier_trees(symplectic_pair):
+    """The chain of the points and the blocks, and the group's own, keep
+    their transversals as Schreier trees, the block level stepped by the
+    generators' block images."""
+    structure, g = symplectic_pair
+    chain = points_and_blocks(DesignAction(g, structure))
+    assert chain.levels[0].images is not None
+    assert_schreier_trees(chain)
+    assert_schreier_trees(g._chain)
+
+
+def test_chain_build_multiplies_only_installed_residues(monkeypatch):
+    """Building the relabelled symplectic design's group over GF(3), and
+    its chain of the points and the blocks, forms a Permutation product
+    only for each residue it installs: transversal elements, Schreier
+    pairs and sifts stay encoded."""
+    structure, g = relabelled(*build_symplectic_subdesign(2, 3), 1)
+    action = DesignAction(g, structure)
+    products = []
+    mul = Permutation.__mul__
+    monkeypatch.setattr(Permutation, "__mul__",
+                        lambda self, other: products.append(1)
+                        or mul(self, other))
+    for build in (lambda: _build_chain(g.degree, g.generators),
+                  lambda: points_and_blocks(action)):
+        products.clear()
+        chain = build()
+        # every strong generator lies on level 0; the grown ones were given
+        installed = len(chain.levels[0].gens) - len(chain.grown)
+        assert chain.order() == g.order()
+        assert installed and len(products) == installed
+
+
 @pytest.fixture
 def inversions(monkeypatch):
     """Every permutation inverted from here on."""
@@ -351,19 +417,21 @@ def test_membership_inverts_nothing(a7, inversions):
 def test_chain_build_inverts_only_installed_residues(monkeypatch,
                                                     inversions):
     """Sifting a Schreier generator inverts nothing; only a residue that is
-    installed is formed as p*a^-1, one inversion each."""
+    installed is formed as p*a^-1, one inversion each.  Each Schreier pair
+    off the levels' Schreier trees is sifted once."""
     schreier = []
-    sift = _Chain._sift_schreier
+    sift = _Chain._sift
 
-    def recording(self, u, g, t, start):
-        result = sift(self, u, g, t, start)
-        schreier.append(result)
+    def recording(self, p, a, start=0):
+        result = sift(self, p, a, start)
+        if start:  # a Schreier pair, sifted below its level
+            schreier.append(result)
         return result
-    monkeypatch.setattr(_Chain, "_sift_schreier", recording)
+    monkeypatch.setattr(_Chain, "_sift", recording)
     chain = _build_chain(7, (perm("(1 2 3 4 5 6 7)", 7), perm("(1 2)", 7)))
     assert chain.order() == 5040
     residues = [result for result in schreier if result is not None]
-    assert len(schreier) == sifted(chain) and residues
+    assert len(schreier) == sifted(chain) - skipped(chain) and residues
     assert len(inversions) == len(residues)
 
 
@@ -403,10 +471,11 @@ def test_schreier_pairs_sifted_per_corpus_chain(corpus_instances):
 def test_each_schreier_pair_is_sifted_once(monkeypatch, random_draws):
     """While the corpus is built and analyzed, and the chains of
     SIFTED_PER_INSTANCE are built, each chain build runs _Chain._sift
-    once per Schreier pair it sifts, once per membership test of a
-    generator in extend(), and, in a build completed from random elements,
-    once per generator whose residue it tries to install and once per
-    random element."""
+    once per Schreier pair its cursors pass, less the pairs on edges of
+    its levels' Schreier trees, which it skips, once per membership test
+    of a generator in extend(), and, in a build completed from random
+    elements, once per generator whose residue it tries to install and
+    once per random element."""
     calls = {"_sift": 0, "extend": 0, "sift_in": 0}
     for name in calls:
         def counting(self, *args, method=getattr(_Chain, name), name=name):
@@ -419,7 +488,8 @@ def test_each_schreier_pair_is_sifted_once(monkeypatch, random_draws):
         before = dict(calls, draws=len(random_draws))
         chain = build(*args, **kwargs)
         randoms = len(random_draws) - before["draws"]
-        builds.append((sifted(chain), calls["_sift"] - before["_sift"],
+        builds.append((sifted(chain), skipped(chain),
+                       calls["_sift"] - before["_sift"],
                        calls["extend"] - before["extend"],
                        calls["sift_in"] - before["sift_in"] - randoms,
                        randoms))
@@ -438,9 +508,11 @@ def test_each_schreier_pair_is_sifted_once(monkeypatch, random_draws):
             sifted(measured(points_and_blocks, action)))
     assert counts == SIFTED_PER_INSTANCE
     assert builds and all(
-        sift == pairs + extended + generators + randoms and generators >= 0
-        for pairs, sift, extended, generators, randoms in builds)
+        sift == pairs - skips + extended + generators + randoms
+        and generators >= 0
+        for pairs, skips, sift, extended, generators, randoms in builds)
     assert any(randoms for *_, randoms in builds)
+    assert any(skips for _, skips, *_ in builds)
 
 
 def test_block_chain_sifts_random_elements_not_schreier_pairs(random_draws):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from bruteforce import cycles_by_regex
 from permdesign.io import parse_group_text
 from permdesign.perm import (TABLE_SIZE, CycleParseError,
                              DegreeMismatchError, Permutation, encoding,
@@ -111,6 +112,74 @@ def test_parse_leading_text_rejected():
     with pytest.raises(CycleParseError,
                        match=r"unexpected text in 'x\(1 2\)'"):
         Permutation.from_cycles("x(1 2)", 3)
+
+
+def outcome(parse, text, degree):
+    """What parse(text, degree) returns, or the class and message of what
+    it raises."""
+    try:
+        return parse(text, degree)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# pieces of cycle notation and of what surrounds it: separators, extra
+# whitespace (Unicode included), empty and one-point cycles, stray text,
+# unbalanced parentheses, and digits that are not ASCII or not decimal
+SPACES = (" ", "  ", "\t", "\n", "\u2003", "\x1c", "")
+STRAYS = ("x", "-", "+", "_", ".", "(", ")", "()", "(1)", ",", "((", "))",
+          "\u0663", "\uff17", "\u00b2", "0", "a b")
+
+
+def fuzzed_cycles(rng, degree):
+    """A string near cycle notation on `degree` points: a few cycles of
+    points drawn with repeats and out of range, maybe written in Arabic-
+    Indic digits, joined by whitespace and commas (maybe before the first
+    point), with stray text dropped in at random."""
+    parts = []
+    for _ in range(rng.randrange(4)):
+        points = [str(rng.randrange(degree + 3))
+                  for _ in range(rng.randrange(5))]
+        if rng.random() < 0.1:
+            points = [p.translate({48 + i: 0x660 + i for i in range(10)})
+                      for p in points]
+        seps = [rng.choice((" ", ",", ", ", " ,", ",,", "\t", "  ", "\u2003"))
+                for _ in points]
+        body = "".join(p + s for p, s in zip(points, seps))
+        if rng.random() < 0.7:
+            body = body.rstrip(" ,\t\u2003")
+        if rng.random() < 0.1:
+            body = rng.choice((",", " ,")) + body
+        parts.append(rng.choice(SPACES) + "(" + rng.choice(SPACES) + body
+                     + rng.choice(SPACES) + ")")
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        parts.insert(rng.randrange(len(parts) + 1), rng.choice(STRAYS))
+    return rng.choice(SPACES).join(parts) + rng.choice(SPACES)
+
+
+def test_cycle_parser_matches_the_regex_oracle():
+    """Fuzzed strings are accepted or refused as the regular-expression
+    reading refuses them: the same permutation, or the same exception
+    class and message (the first fault in the text)."""
+    rng = random.Random(3)
+    seen = set()
+    for _ in range(4000):
+        degree = rng.choice((1, 2, 5, 9, 12))
+        if rng.random() < 0.1:
+            text = "".join(rng.choice("()0123456789 ,\t\u0663x")
+                           for _ in range(rng.randrange(12)))
+        else:
+            text = fuzzed_cycles(rng, degree)
+        expected = outcome(cycles_by_regex, text, degree)
+        assert outcome(Permutation.from_cycles, text, degree) == expected, \
+            (text, degree)
+        seen.add(expected[1].split(" ")[0] if isinstance(expected, tuple)
+                 else "accepted")
+    # every kind of outcome was reached: a permutation, stray text, a
+    # point out of range or repeated, an empty input, and int()'s refusal
+    # of the empty token a comma leaves after the last point
+    assert seen == {"accepted", "unexpected", "point", "repeated", "empty",
+                    "invalid"}
 
 
 def test_cycle_formatting_is_canonical():

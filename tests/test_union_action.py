@@ -13,7 +13,7 @@ import pytest
 
 from bruteforce import mulclose
 from conftest import (assert_bsgs, design_union, full_levels, group,
-                      orbit_design, relabelled)
+                      orbit_design, relabelled, sifted)
 from permdesign import group as chains
 from permdesign import perm as perms
 from permdesign.analyzer import analyze
@@ -88,7 +88,7 @@ def eager_read_out(chain):
     out = []
     for level in chain.levels:
         orbit = {level.base: Permutation.identity(chain.degree)}
-        for d, (c, i) in zip(level.points[1:], level.parents):
+        for d, (c, i) in level.parents.items():
             orbit[d] = orbit[c] * level.images[i]
         out.append([(c, u.images) for c, u in orbit.items()])
     return out
@@ -162,10 +162,6 @@ def set_images(sets, g):
     index = {tuple(s): j for j, s in enumerate(sets)}
     return Permutation([index[tuple(sorted(g.images[p] for p in s))]
                         for s in sets])
-
-
-def sifted(chain):
-    return sum(sum(level.checked) for level in chain.levels)
 
 
 def assert_plain_images(builds):
